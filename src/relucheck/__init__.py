@@ -20,7 +20,7 @@ from .intervals import (
     iv_width,
     box_max_width,
 )
-from .symbolic import LinearExpr, ReluState, SymInterval, affine_sym, expr_bounds, relu_sym
+from .symbolic import ReluState, SymRows
 from .network import Activation, Layer, Network, NetworkFormatError, eval_concrete, load_network
 from .propagate import ForwardResult, ReluMaskMatrix, naive_forward, symbolic_forward
 from .gradients import (
@@ -33,6 +33,7 @@ from .gradients import (
 from .properties import (
     InputSpec,
     RobustnessSpec,
+    SoundCheck,
     TriState,
     check_concrete,
     check_sound,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 secure, 1 insecure, 2 unknown/timeout, 3 bad flags,
-4 parse errors, 5 dimension mismatch.
+Exit codes: 0 secure, 1 insecure, 2 unknown/timeout or bound overflow,
+3 bad flags, 4 parse errors, 5 dimension mismatch.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .engine import Config, Status, enumerate_regions, verify, write_report
-from .intervals import RoundingPolicy
+from .intervals import IntervalOverflowError, RoundingPolicy
 from .network import NetworkFormatError, eval_concrete, load_network
 from .propagate import naive_forward, symbolic_forward
 from .properties import PropertyParseError, parse_property
@@ -153,9 +153,7 @@ def _cmd_bench(args) -> int:
         core = net if not net.has_normalization else type(net)(net.layers)
         nv = naive_forward(core, box)
         sy = symbolic_forward(core, box)
-        for i in range(net.output_dim):
-            wn = nv.out_bounds[i].hi - nv.out_bounds[i].lo
-            ws = sy.out_bounds[i].hi - sy.out_bounds[i].lo
+        for i, (wn, ws) in enumerate(zip(nv.hi - nv.lo, sy.hi - sy.lo)):
             red = 100.0 * (1.0 - ws / wn) if wn > 0 else 0.0
             print(f"{bi:>4} {i:>4} {wn:>14.6g} {ws:>14.6g} {red:>9.2f}%")
     return EXIT_SECURE
@@ -185,6 +183,9 @@ def run(argv=None) -> int:
     except (NetworkFormatError, PropertyParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except IntervalOverflowError as e:
+        print(f"error: {e}; no verdict", file=sys.stderr)
+        return EXIT_UNKNOWN
     except ValueError as e:
         msg = str(e)
         print(f"error: {msg}", file=sys.stderr)

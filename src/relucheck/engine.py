@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, box_max_width, iv_bisect
-from .network import Network, eval_concrete, eval_concrete_batch
+from .network import Network, eval_concrete, eval_concrete_batch, split_weights
 from .propagate import naive_forward, symbolic_forward
 from .gradients import IntervalJacobian, backward_gradient, smear_split_choice, NoSplittableDimensionError
 from .properties import (
@@ -35,11 +35,11 @@ from .properties import (
     Or,
     OutGE,
     OutLE,
+    SoundCheck,
     TriState,
     check_concrete,
     check_sound,
     desugar,
-    referenced_outputs,
 )
 
 __all__ = [
@@ -71,11 +71,6 @@ class SubStatus(enum.Enum):
 class Job:
     box: Box
     depth: int = 0
-    lineage: tuple = ()
-
-    def __post_init__(self):
-        if self.depth != len(self.lineage):
-            raise ValueError("job depth must equal lineage length")
 
 
 @dataclass
@@ -241,7 +236,11 @@ def _reducible_dims(J: IntervalJacobian, margin_rows, widths, precision):
 
 class _Pool:
     """Per-worker LIFO deques; idle workers steal from the left (shallow)
-    end of the most loaded peer's deque."""
+    end of the most loaded peer's deque.
+
+    The first exception raised while processing a job sets `cancel`, so
+    every worker stops at its next job boundary, and `run` re-raises it.
+    """
 
     def __init__(self, workers: int):
         self.workers = workers
@@ -250,12 +249,7 @@ class _Pool:
         self.cond = threading.Condition(self.lock)
         self.outstanding = 0
         self.cancel = threading.Event()
-
-    def push(self, wid: int, jobs):
-        with self.lock:
-            self.deques[wid].extend(jobs)
-            self.outstanding += len(jobs)
-            self.cond.notify_all()
+        self.error = None
 
     def _take(self, wid: int):
         own = self.deques[wid]
@@ -273,22 +267,29 @@ class _Pool:
                 self.outstanding += 1
 
         def worker(wid):
-            while True:
+            try:
+                while True:
+                    with self.lock:
+                        while True:
+                            if self.cancel.is_set() or (self.outstanding == 0):
+                                return
+                            job = self._take(wid)
+                            if job is not None:
+                                break
+                            self.cond.wait(timeout=0.05)
+                    children = process(job, wid)
+                    with self.lock:
+                        if children:
+                            self.deques[wid].extend(children)
+                            self.outstanding += len(children) - 1
+                        else:
+                            self.outstanding -= 1
+                        self.cond.notify_all()
+            except BaseException as e:  # re-raised by run() below
                 with self.lock:
-                    while True:
-                        if self.cancel.is_set() or (self.outstanding == 0):
-                            return
-                        job = self._take(wid)
-                        if job is not None:
-                            break
-                        self.cond.wait(timeout=0.05)
-                children = process(job, wid)
-                with self.lock:
-                    if children:
-                        self.deques[wid].extend(children)
-                        self.outstanding += len(children) - 1
-                    else:
-                        self.outstanding -= 1
+                    if self.error is None:
+                        self.error = e
+                    self.cancel.set()
                     self.cond.notify_all()
 
         if self.workers == 1:
@@ -302,6 +303,8 @@ class _Pool:
                 t.start()
             for t in threads:
                 t.join()
+        if self.error is not None:
+            raise self.error
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +322,10 @@ class _Run:
         self.cfg = cfg
         self.short_circuit = short_circuit
         self.constraint = desugar(constraint, net.output_dim)
-        self.ref_outputs = referenced_outputs(self.constraint, net.output_dim)
+        self.check = SoundCheck(self.constraint, net.output_dim, cfg.policy)
         # analysis runs in the network's internal (normalized) coordinates
         self.core = Network(net.layers)
+        self.split = split_weights(self.core) if cfg.mode == "symbolic" else None
         self.convert = net.has_normalization and input_spec.units == "raw"
         self.regions = [self._to_internal(r) for r in input_spec.regions]
         self.max_depth = (
@@ -379,11 +383,11 @@ class _Run:
         pts = self._samples(box)
         ys = eval_concrete_batch(self.core, pts)
         for p, y in zip(pts, ys):
-            if not check_concrete(y, self.constraint):
+            if not check_concrete(y, self.check):
                 raw = self._to_raw_point(p)
                 # re-check through the full network; normalization round
                 # trips can shift the point by ULPs
-                if not check_concrete(eval_concrete(self.net, raw), self.constraint):
+                if not check_concrete(eval_concrete(self.net, raw), self.check):
                     return raw
         return None
 
@@ -415,11 +419,11 @@ class _Run:
 
         box = job.box
         if self.cfg.mode == "symbolic":
-            fr = symbolic_forward(self.core, box, self.cfg.policy)
+            fr = symbolic_forward(self.core, box, self.cfg.policy, self.split)
         else:
             fr = naive_forward(self.core, box, self.cfg.policy)
 
-        if check_sound(fr, self.constraint, box) is TriState.HOLDS:
+        if check_sound(fr, self.check, box) is TriState.HOLDS:
             return self._leaf(job, SubStatus.SECURE_SUB)
 
         cex = self._try_counterexample(box)
@@ -436,7 +440,7 @@ class _Run:
 
         J = None
         if self.cfg.mode == "symbolic":
-            J = backward_gradient(self.core, fr.masks, self.cfg.policy)
+            J = backward_gradient(self.core, fr.masks, self.cfg.policy, self.split)
             # monotonicity reduction: endpoint substitution. Disabled when
             # enumerating (endpoint boxes would break the partition) and
             # for constraints with disjunctions (unsound there).
@@ -451,12 +455,10 @@ class _Run:
                     children = []
                     for sides in itertools.product((0, 1), repeat=len(dims)):
                         child = box
-                        lineage = job.lineage
                         for j, side in zip(dims, sides):
                             v = child[j].hi if side else child[j].lo
                             child = child.replace(j, Interval(v, v))
-                            lineage = lineage + ((j, side),)
-                        children.append(Job(child, job.depth + len(dims), lineage))
+                        children.append(Job(child, job.depth + len(dims)))
                     return children
 
         if J is not None:
@@ -465,10 +467,7 @@ class _Run:
             masked = np.where(splittable, widths, -np.inf)
             split = int(np.argmax(masked))
         left, right = iv_bisect(box, split)
-        return [
-            Job(left, job.depth + 1, job.lineage + ((split, 0),)),
-            Job(right, job.depth + 1, job.lineage + ((split, 1),)),
-        ]
+        return [Job(left, job.depth + 1), Job(right, job.depth + 1)]
 
     # -- entry points ------------------------------------------------------
     def execute(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, round_out
-from .network import Network
+from .network import Network, split_weights
 from .propagate import ReluMaskMatrix
 
 __all__ = [
@@ -66,36 +66,40 @@ class IntervalJacobian:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
 
-def _interval_matmul(g_lo, g_hi, W, policy):
-    """[g_lo, g_hi] @ W with exact-weight columns; outward-rounded."""
-    pos = np.maximum(W, 0.0)
-    neg = np.minimum(W, 0.0)
-    lo = g_lo @ pos + g_hi @ neg
-    hi = g_hi @ pos + g_lo @ neg
-    return round_out(lo, hi, policy)
+# gradient interval [lo, hi] of a unit, indexed by its ReluState code
+_GRAD_LO = np.array([0.0, 1.0, 0.0])
+_GRAD_HI = np.array([0.0, 1.0, 1.0])
 
 
 def backward_gradient(
-    net: Network, masks: ReluMaskMatrix, policy: RoundingPolicy = DEFAULT_POLICY
+    net: Network, masks: ReluMaskMatrix, policy: RoundingPolicy = DEFAULT_POLICY, split=None
 ) -> IntervalJacobian:
-    """Interval Jacobian of outputs w.r.t. inputs, given activation masks."""
+    """Interval Jacobian of outputs w.r.t. inputs, given activation masks.
+
+    `split` is `split_weights(net)`, passed in by callers that run many
+    boxes through one network.
+    """
     if len(masks) != net.num_hidden:
         raise ValueError(
             f"mask has {len(masks)} hidden layers, network has {net.num_hidden}"
         )
-    g_lo = net.layers[-1].W.astype(np.float64).copy()
+    if split is None:
+        split = split_weights(net)
+    g_lo = net.layers[-1].W.copy()
     g_hi = g_lo.copy()
     for k in range(net.num_hidden - 1, -1, -1):
         states = masks[k]
-        if len(states) != net.layers[k].out_size:
+        if states.shape != (net.layers[k].out_size,):
             raise ValueError(f"mask layer {k} size disagrees with network")
-        m_lo = np.array([s.grad_lo for s in states])
-        m_hi = np.array([s.grad_hi for s in states])
+        m_lo = _GRAD_LO[states]
+        m_hi = _GRAD_HI[states]
         # Hadamard with the mask gradient interval (columns = layer-k units)
         cands = np.stack([m_lo * g_lo, m_hi * g_lo, m_lo * g_hi, m_hi * g_hi])
         g_lo = cands.min(axis=0)
         g_hi = cands.max(axis=0)
-        g_lo, g_hi = _interval_matmul(g_lo, g_hi, net.layers[k].W, policy)
+        # [g_lo, g_hi] @ W with exact-weight columns; outward-rounded
+        pos, neg = split[k]
+        g_lo, g_hi = round_out(g_lo @ pos + g_hi @ neg, g_hi @ pos + g_lo @ neg, policy)
     return IntervalJacobian(g_lo, g_hi)
 
 

@@ -76,9 +76,10 @@ def round_out(lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
 
 
 def _check_overflow(*values):
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise IntervalOverflowError("interval overflow")
+    """Raise IntervalOverflowError unless every entry is finite; the values
+    are scalars or arrays of one shape."""
+    if not np.isfinite(values).all():
+        raise IntervalOverflowError("interval overflow")
 
 
 @dataclass(frozen=True)

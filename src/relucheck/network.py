@@ -5,7 +5,7 @@ Two on-disk formats are accepted:
 * "NNET-lite" plain text (ACAS-Xu-style): header line ``numLayers d m
   maxLayerSize``, a line of comma-separated layer sizes, an optional
   ``norm:`` line of per-input ``mean,range`` pairs, then per layer the
-  weight rows followed by one bias line. ``#`` starts a comment.
+  weight rows followed by one bias line. ``//`` or ``#`` starts a comment.
 * A JSON document with the same fields (detected by a leading ``{``).
 """
 
@@ -143,9 +143,21 @@ def eval_concrete_batch(net: Network, xs) -> np.ndarray:
     return v
 
 
+def split_weights(net: Network) -> tuple:
+    """(W+, W-) of every layer: the positive and negative parts of W.
+
+    Callers compute them once per run; they are not kept on `Layer`, where
+    they would triple the weight memory of every loaded network.
+    """
+    return tuple((np.maximum(l.W, 0.0), np.minimum(l.W, 0.0)) for l in net.layers)
+
+
 def _data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        if "/" in line:  # far cheaper on long weight rows than a search for "//"
+            line = line.split("//", 1)[0]
+        line = line.strip()
         if line:
             yield lineno, line
 

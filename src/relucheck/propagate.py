@@ -2,7 +2,7 @@
 
 Both produce sound overestimates of the network image over a box; the
 symbolic mode additionally yields per-neuron activation masks consumed by
-the backward gradient pass, and output expressions used for tight pairwise
+the backward gradient pass, and output rows used for tight pairwise
 property checks.
 """
 
@@ -14,39 +14,35 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, matvec_bounds
-from .network import Activation, Network
-from .symbolic import LinearExpr, ReluState, SymInterval, bounds_of_rows
+from .network import Activation, Network, split_weights
+from .symbolic import SymRows, affine_rows, bounds_of_rows, box_arrays, relu_rows
 
 __all__ = ["ReluMaskMatrix", "ForwardResult", "naive_forward", "symbolic_forward"]
 
 
-@dataclass(frozen=True)
-class ReluMaskMatrix:
-    """Per hidden layer, the activation state of every ReLU unit."""
+class ReluMaskMatrix(tuple):
+    """Per hidden layer, an int8 array of every ReLU unit's ReluState code."""
 
-    layers: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __getitem__(self, k):
-        return self.layers[k]
+    @property
+    def layers(self) -> tuple:
+        """Per-layer lists of state codes. ReluState is an IntEnum, so
+        `layers[k].count(ReluState.UNSTABLE)` counts a layer's unstable units."""
+        return tuple(a.tolist() for a in self)
 
 
 @dataclass(frozen=True)
 class ForwardResult:
-    out_bounds: tuple
-    out_sym: Optional[tuple] = None
+    """Output enclosure [lo, hi]; symbolic mode adds the output rows and
+    the ReLU masks."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    rows: Optional[SymRows] = None
     masks: Optional[ReluMaskMatrix] = None
 
-    def lo_array(self) -> np.ndarray:
-        return np.array([iv.lo for iv in self.out_bounds])
-
-    def hi_array(self) -> np.ndarray:
-        return np.array([iv.hi for iv in self.out_bounds])
+    @property
+    def out_bounds(self) -> tuple:
+        return tuple(Interval(a, b) for a, b in zip(self.lo, self.hi))
 
 
 def _check_dims(net: Network, x: Box):
@@ -63,61 +59,30 @@ def naive_forward(net: Network, x: Box, policy: RoundingPolicy = DEFAULT_POLICY)
         if layer.activation is Activation.RELU:
             lo = np.maximum(lo, 0.0)
             hi = np.maximum(hi, 0.0)
-    return ForwardResult(tuple(Interval(a, b) for a, b in zip(lo, hi)))
+    return ForwardResult(lo, hi)
 
 
-def _affine_rows(low_c, low_k, up_c, up_k, W, b):
-    pos = np.maximum(W, 0.0)
-    neg = np.minimum(W, 0.0)
-    return (
-        pos @ low_c + neg @ up_c,
-        pos @ low_k + neg @ up_k + b,
-        pos @ up_c + neg @ low_c,
-        pos @ up_k + neg @ low_k + b,
-    )
-
-
-def symbolic_forward(net: Network, x: Box, policy: RoundingPolicy = DEFAULT_POLICY) -> ForwardResult:
+def symbolic_forward(
+    net: Network, x: Box, policy: RoundingPolicy = DEFAULT_POLICY, split=None
+) -> ForwardResult:
     """Symbolic interval analysis with per-ReLU concretization.
 
     Keeps one lower and one upper linear expression per neuron, dropping
     to concrete bounds only where a ReLU's sign is unresolved over the box.
+    `split` is `split_weights(net)`, passed in by callers that run many
+    boxes through one network.
     """
     _check_dims(net, x)
-    d = net.input_dim
-    # identity expressions over the inputs
-    low_c = np.eye(d)
-    low_k = np.zeros(d)
-    up_c = np.eye(d)
-    up_k = np.zeros(d)
-    mask_layers = []
-    for layer in net.layers:
-        low_c, low_k, up_c, up_k = _affine_rows(low_c, low_k, up_c, up_k, layer.W, layer.b)
+    if split is None:
+        split = split_weights(net)
+    lo, hi, amax = box_arrays(x)
+    eye = np.eye(net.input_dim)
+    zeros = np.zeros(net.input_dim)
+    rows = SymRows(eye, zeros, eye, zeros)
+    masks = []
+    for layer, (pos, neg) in zip(net.layers, split):
+        rows = affine_rows(rows, pos, neg, layer.b)
         if layer.activation is Activation.RELU:
-            up_lo, up_hi = bounds_of_rows(up_c, up_k, up_c, up_k, x, policy)
-            low_lo, _ = bounds_of_rows(low_c, low_k, low_c, low_k, x, policy)
-            states = []
-            for i in range(layer.out_size):
-                if up_hi[i] <= 0.0:
-                    states.append(ReluState.ZERO)
-                    low_c[i] = 0.0
-                    low_k[i] = 0.0
-                    up_c[i] = 0.0
-                    up_k[i] = 0.0
-                elif low_lo[i] >= 0.0:
-                    states.append(ReluState.ACTIVE)
-                else:
-                    states.append(ReluState.UNSTABLE)
-                    low_c[i] = 0.0
-                    low_k[i] = 0.0
-                    if up_lo[i] <= 0.0:
-                        up_c[i] = 0.0
-                        up_k[i] = up_hi[i]
-            mask_layers.append(tuple(states))
-    out_lo, out_hi = bounds_of_rows(low_c, low_k, up_c, up_k, x, policy)
-    out_sym = tuple(
-        SymInterval(LinearExpr(low_c[i], low_k[i]), LinearExpr(up_c[i], up_k[i]))
-        for i in range(net.output_dim)
-    )
-    out_bounds = tuple(Interval(a, b) for a, b in zip(out_lo, out_hi))
-    return ForwardResult(out_bounds, out_sym, ReluMaskMatrix(tuple(mask_layers)))
+            masks.append(relu_rows(rows, *bounds_of_rows(rows, lo, hi, amax, policy)))
+    out_lo, _, out_hi = bounds_of_rows(rows, lo, hi, amax, policy)
+    return ForwardResult(out_lo, out_hi, rows, ReluMaskMatrix(masks))

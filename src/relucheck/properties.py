@@ -14,14 +14,15 @@ maps to the Holds verdict.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, Interval
+from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY
 from .propagate import ForwardResult
-from .symbolic import expr_bounds
+from .symbolic import box_arrays, expr_bounds
 
 __all__ = [
     "PropertyParseError",
@@ -42,6 +43,7 @@ __all__ = [
     "referenced_outputs",
     "parse_property",
     "robustness_to_property",
+    "SoundCheck",
     "check_sound",
     "check_concrete",
 ]
@@ -225,86 +227,110 @@ def max_output_index(c) -> int:
 
 
 def check_concrete(y, c) -> bool:
-    """Exact truth of the constraint at one output vector."""
+    """Exact truth of the constraint at one output vector: its sound check
+    over the point enclosure [y, y], where every atom is decided.
+
+    `c` is a constraint tree or a `SoundCheck` compiled from it.
+    """
     y = np.asarray(y, dtype=np.float64)
-    c = desugar(c, y.shape[0])
-
-    def ev(node) -> bool:
-        if isinstance(node, OutLE):
-            return bool(y[node.i] <= node.c)
-        if isinstance(node, OutGE):
-            return bool(y[node.i] >= node.c)
-        if isinstance(node, DiffLE):
-            return bool(y[node.i] - y[node.j] <= node.c)
-        if isinstance(node, And):
-            return all(ev(a) for a in node.args)
-        if isinstance(node, Or):
-            return any(ev(a) for a in node.args)
-        if isinstance(node, Not):
-            return not ev(node.arg)
-        raise TypeError(f"unknown constraint node {node!r}")
-
-    return ev(c)
+    if not isinstance(c, SoundCheck):
+        c = SoundCheck(c, y.shape[0])
+    return c.evaluate(ForwardResult(y, y), None) is True
 
 
-def _tri_eval(node, fr: ForwardResult, x: Box):
-    """Kleene evaluation: True / False are for-all-points certainties."""
-    if isinstance(node, OutLE):
-        b = fr.out_bounds[node.i]
-        if b.hi <= node.c:
-            return True
-        if b.lo > node.c:
-            return False
-        return None
-    if isinstance(node, OutGE):
-        b = fr.out_bounds[node.i]
-        if b.lo >= node.c:
-            return True
-        if b.hi < node.c:
-            return False
-        return None
-    if isinstance(node, DiffLE):
-        if fr.out_sym is not None:
-            # one combined expression keeps shared input terms correlated
-            up = expr_bounds(fr.out_sym[node.i].up - fr.out_sym[node.j].low, x)
-            if up.hi <= node.c:
-                return True
-            lo = expr_bounds(fr.out_sym[node.i].low - fr.out_sym[node.j].up, x)
-            if lo.lo > node.c:
-                return False
-            return None
-        bi, bj = fr.out_bounds[node.i], fr.out_bounds[node.j]
-        if bi.hi - bj.lo <= node.c:
-            return True
-        if bi.lo - bj.hi > node.c:
-            return False
-        return None
-    if isinstance(node, And):
-        vals = [_tri_eval(a, fr, x) for a in node.args]
+class SoundCheck:
+    """A constraint compiled once for sound evaluation on many boxes or
+    points.
+
+    Each atom becomes a margin v <= c over an extended output vector:
+    y_i for `le`, -y_i for `ge` (so that -y_i <= -c), then one entry per
+    `diffle` atom. Over a symbolic result, y_i - y_j is bounded through
+    the combined rows up_i - low_j (upper) and low_i - up_j (lower), which
+    keeps shared input terms correlated; all such rows are bounded in one
+    `expr_bounds` call under `policy`.
+    """
+
+    def __init__(self, c, m: int, policy: RoundingPolicy = DEFAULT_POLICY):
+        self.policy = policy
+        margins, consts, pairs = [], [], []
+
+        def compile_node(node):
+            if isinstance(node, OutLE):
+                margins.append(node.i)
+                consts.append(node.c)
+            elif isinstance(node, OutGE):
+                margins.append(m + node.i)
+                consts.append(-node.c)
+            elif isinstance(node, DiffLE):
+                margins.append(2 * m + len(pairs))
+                consts.append(node.c)
+                pairs.append((node.i, node.j))
+            elif isinstance(node, (And, Or)):
+                return type(node), tuple(compile_node(a) for a in node.args)
+            elif isinstance(node, Not):
+                return Not, compile_node(node.arg)
+            else:
+                raise TypeError(f"unknown constraint node {node!r}")
+            return len(margins) - 1
+
+        self.tree = compile_node(desugar(c, m))
+        self.margins = np.array(margins, dtype=np.intp)
+        self.consts = np.array(consts, dtype=np.float64)
+        self.i = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.j = np.array([j for _, j in pairs], dtype=np.intp)
+
+    def _diff_bounds(self, fr: ForwardResult, x: Box):
+        """(upper, lower) bound arrays of y_i - y_j for every diffle atom."""
+        i, j, rows = self.i, self.j, fr.rows
+        if rows is None:
+            return fr.hi[i] - fr.lo[j], fr.lo[i] - fr.hi[j]
+        c = np.concatenate((rows.up_c[i] - rows.low_c[j], rows.low_c[i] - rows.up_c[j]))
+        k = np.concatenate((rows.up_k[i] - rows.low_k[j], rows.low_k[i] - rows.up_k[j]))
+        lo, hi = expr_bounds(c, k, *box_arrays(x), self.policy)
+        return hi[: len(i)], lo[len(i) :]
+
+    def evaluate(self, fr: ForwardResult, x: Box):
+        """Kleene value: True / False when the bounds prove / refute the
+        constraint at every point of x, None otherwise."""
+        d_ub, d_lb = self._diff_bounds(fr, x) if len(self.i) else ((), ())
+        ub = np.concatenate((fr.hi, -fr.lo, d_ub))
+        lb = np.concatenate((fr.lo, -fr.hi, d_lb))
+        proved = (ub[self.margins] <= self.consts).tolist()
+        refuted = (lb[self.margins] > self.consts).tolist()
+        return _kleene(self.tree, proved, refuted)
+
+
+def _kleene(node, proved, refuted):
+    """Value of a compiled node, given each atom's proved/refuted flags."""
+    if isinstance(node, int):
+        return True if proved[node] else (False if refuted[node] else None)
+    op, arg = node
+    if op is Not:
+        v = _kleene(arg, proved, refuted)
+        return None if v is None else (not v)
+    vals = [_kleene(a, proved, refuted) for a in arg]
+    if op is And:
         if all(v is True for v in vals):
             return True
         if any(v is False for v in vals):
             return False
         return None
-    if isinstance(node, Or):
-        vals = [_tri_eval(a, fr, x) for a in node.args]
-        if any(v is True for v in vals):
-            return True
-        if vals and all(v is False for v in vals):
-            return False
-        if not vals:
-            return False
-        return None
-    if isinstance(node, Not):
-        v = _tri_eval(node.arg, fr, x)
-        return None if v is None else (not v)
-    raise TypeError(f"unknown constraint node {node!r}")
+    if any(v is True for v in vals):
+        return True
+    if all(v is False for v in vals):
+        return False
+    return None
 
 
 def check_sound(fr: ForwardResult, c, x: Box) -> TriState:
-    """Holds only when the bounds prove the constraint for all of x."""
-    c = desugar(c, len(fr.out_bounds))
-    return TriState.HOLDS if _tri_eval(c, fr, x) is True else TriState.MAY_VIOLATE
+    """Holds only when the bounds prove the constraint for all of x.
+
+    `c` is a constraint tree or, for repeated checks, a `SoundCheck`
+    compiled from it.
+    """
+    if not isinstance(c, SoundCheck):
+        c = SoundCheck(c, len(fr.lo))
+    return TriState.HOLDS if c.evaluate(fr, x) is True else TriState.MAY_VIOLATE
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +434,17 @@ class _ConstraintParser:
         return node
 
 
+def _bound_pair(vals, lineno: int):
+    try:
+        lo, hi = float(vals[0]), float(vals[1])
+    except ValueError:
+        vals = " ".join(vals)
+        raise PropertyParseError(f"line {lineno}: expected two numbers, got {vals!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PropertyParseError(f"line {lineno}: bounds must be finite")
+    return lo, hi
+
+
 def parse_property(source, num_outputs: Optional[int] = None):
     """Parse a property file into (InputSpec, desugared constraint).
 
@@ -440,7 +477,13 @@ def parse_property(source, num_outputs: Optional[int] = None):
                 raise PropertyParseError(f"line {lineno}: units must be raw|normalized")
             continue
         if low.startswith("outputs:"):
-            declared_outputs = int(line.split(":", 1)[1])
+            text = line.split(":", 1)[1].strip()
+            try:
+                declared_outputs = int(text)
+            except ValueError:
+                raise PropertyParseError(
+                    f"line {lineno}: outputs must be an integer, got {text!r}"
+                ) from None
             continue
         if low == "domain:":
             section = "domain"
@@ -456,7 +499,7 @@ def parse_property(source, num_outputs: Optional[int] = None):
             vals = line.split()
             if len(vals) != 2:
                 raise PropertyParseError(f"line {lineno}: domain line must be 'lo hi'")
-            domain.append((float(vals[0]), float(vals[1])))
+            domain.append(_bound_pair(vals, lineno))
         elif section == "region":
             if line == "*":
                 region_specs[-1].append(None)
@@ -464,7 +507,7 @@ def parse_property(source, num_outputs: Optional[int] = None):
                 vals = line.split()
                 if len(vals) != 2:
                     raise PropertyParseError(f"line {lineno}: region line must be 'lo hi' or '*'")
-                region_specs[-1].append((float(vals[0]), float(vals[1])))
+                region_specs[-1].append(_bound_pair(vals, lineno))
         elif section == "constraint":
             constraint_tokens.extend(_tokenize(line))
         else:

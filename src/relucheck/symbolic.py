@@ -1,25 +1,36 @@
-"""Linear symbolic bound expressions per neuron and their transformations.
+"""Linear symbolic bounds kept as row matrices, and their concrete ranges.
 
 A neuron's value over the input box is sandwiched between two linear
-expressions in the d network inputs. Affine layers transform the pair
-exactly; ReLU either keeps the expressions, zeroes them, or concretizes
-the upper bound, depending on the sign information available over the box.
+expressions in the d network inputs. A layer's expressions are the rows
+of a `SymRows`: (n, d) coefficient matrices and (n,) constant vectors for
+the lower and the upper bounds. Affine layers transform the rows exactly;
+ReLU keeps a unit's rows, zeroes them, or concretizes the upper row,
+depending on the sign information available over the box.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY
+from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, _check_overflow
 
-__all__ = ["LinearExpr", "SymInterval", "ReluState", "expr_bounds", "affine_sym", "relu_sym"]
+__all__ = [
+    "ReluState",
+    "SymRows",
+    "box_arrays",
+    "expr_bounds",
+    "bounds_of_rows",
+    "affine_rows",
+    "relu_rows",
+]
 
 
-class ReluState(enum.Enum):
-    """Activation state of a ReLU over the current box.
+class ReluState(enum.IntEnum):
+    """Activation state of a ReLU over the current box; the int8 code of
+    a unit in a mask.
 
     The gradient interval of the unit is [0,0] for ZERO, [1,1] for ACTIVE
     and [0,1] for UNSTABLE.
@@ -29,77 +40,23 @@ class ReluState(enum.Enum):
     ACTIVE = 1
     UNSTABLE = 2
 
-    @property
-    def grad_lo(self) -> float:
-        return 1.0 if self is ReluState.ACTIVE else 0.0
 
-    @property
-    def grad_hi(self) -> float:
-        return 0.0 if self is ReluState.ZERO else 1.0
+class SymRows(NamedTuple):
+    """Lower rows low_c @ x + low_k and upper rows up_c @ x + up_k."""
 
-
-@dataclass(frozen=True)
-class LinearExpr:
-    """coeffs . x + constant over the d network inputs."""
-
-    coeffs: np.ndarray
-    constant: float
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "constant", float(self.constant))
-        if not np.all(np.isfinite(c)) or not np.isfinite(self.constant):
-            raise ValueError("linear expression entries must be finite")
-
-    @classmethod
-    def const(cls, value: float, dim: int) -> "LinearExpr":
-        return cls(np.zeros(dim), value)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def eval(self, x) -> float:
-        return float(self.coeffs @ np.asarray(x, dtype=np.float64) + self.constant)
-
-    def __sub__(self, other: "LinearExpr") -> "LinearExpr":
-        return LinearExpr(self.coeffs - other.coeffs, self.constant - other.constant)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearExpr)
-            and np.array_equal(self.coeffs, other.coeffs)
-            and self.constant == other.constant
-        )
+    low_c: np.ndarray
+    low_k: np.ndarray
+    up_c: np.ndarray
+    up_k: np.ndarray
 
 
-@dataclass(frozen=True)
-class SymInterval:
-    """Paired lower/upper linear bound expressions for one neuron."""
-
-    low: LinearExpr
-    up: LinearExpr
-
-    @classmethod
-    def exact(cls, e: LinearExpr) -> "SymInterval":
-        return cls(e, e)
-
-    @property
-    def dim(self) -> int:
-        return self.low.dim
+def box_arrays(x: Box):
+    """(lo, hi, max(|lo|, |hi|)) of a box, the arrays every bound reads."""
+    lo, hi = x.lo_array(), x.hi_array()
+    return lo, hi, np.maximum(np.abs(lo), np.abs(hi))
 
 
-def _eval_bounds_arrays(coeffs, consts, box_lo, box_hi, upper: bool):
-    """Sign-split evaluation of rows of a coefficient matrix over the box."""
-    pos = np.maximum(coeffs, 0.0)
-    neg = np.minimum(coeffs, 0.0)
-    if upper:
-        return pos @ box_hi + neg @ box_lo + consts
-    return pos @ box_lo + neg @ box_hi + consts
-
-
-def _slack(coeffs, consts, box_lo, box_hi, policy: RoundingPolicy):
+def _slack(coeffs, consts, amax, policy: RoundingPolicy, dot=np.matmul):
     """Accumulated-error slack covering the (d+1)-term evaluation sum.
 
     Coefficient arithmetic is done in working precision; soundness of the
@@ -108,76 +65,88 @@ def _slack(coeffs, consts, box_lo, box_hi, policy: RoundingPolicy):
     """
     if policy.mode == "none":
         return 0.0
-    amax = np.maximum(np.abs(box_lo), np.abs(box_hi))
-    mag = np.abs(coeffs) @ amax + np.abs(consts)
+    mag = dot(np.abs(coeffs), amax) + np.abs(consts)
     n = coeffs.shape[-1] + 1
     fi = np.finfo(policy.dtype)
     return n * (fi.eps / 2) * mag + 2 * fi.tiny
 
 
-def bounds_of_rows(coeffs_low, consts_low, coeffs_up, consts_up, box: Box, policy=DEFAULT_POLICY):
-    """Concrete (lo, hi) arrays for stacked lower/upper expression rows."""
-    bl, bh = box.lo_array(), box.hi_array()
-    lo = _eval_bounds_arrays(coeffs_low, consts_low, bl, bh, upper=False)
-    hi = _eval_bounds_arrays(coeffs_up, consts_up, bl, bh, upper=True)
-    lo = lo - _slack(coeffs_low, consts_low, bl, bh, policy)
-    hi = hi + _slack(coeffs_up, consts_up, bl, bh, policy)
-    return lo, hi
+def _rowdot(a, v):
+    """a @ v with every row summed on its own, as a BLAS dot product, so a
+    row's value does not depend on the rows stacked with it."""
+    return (a[:, np.newaxis, :] @ v)[:, 0]
 
 
-def expr_bounds(e: LinearExpr, x: Box, policy: RoundingPolicy = DEFAULT_POLICY) -> Interval:
-    """Sound concrete range of a linear expression over the box."""
-    if e.dim != len(x):
-        raise ValueError(f"dimension mismatch: expr has {e.dim}, box has {len(x)}")
-    c = e.coeffs[np.newaxis, :]
-    k = np.array([e.constant])
-    lo, hi = bounds_of_rows(c, k, c, k, x, policy)
-    return Interval(float(lo[0]), float(hi[0]))
+def expr_bounds(coeffs, consts, lo, hi, amax, policy: RoundingPolicy = DEFAULT_POLICY):
+    """Sound (lo, hi) arrays of the rows coeffs @ x + consts over the box
+    given by `box_arrays`: a sign-split evaluation widened by the slack.
+
+    Each row is evaluated on its own, so its bounds are those it would get
+    in a batch of one.
+    """
+    pos = np.maximum(coeffs, 0.0)
+    neg = np.minimum(coeffs, 0.0)
+    s = _slack(coeffs, consts, amax, policy, _rowdot)
+    return (
+        _rowdot(pos, lo) + _rowdot(neg, hi) + consts - s,
+        _rowdot(pos, hi) + _rowdot(neg, lo) + consts + s,
+    )
 
 
-def affine_sym(prev, W, b, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Symbolic affine image of a vector of SymIntervals.
+def bounds_of_rows(rows: SymRows, lo, hi, amax, policy: RoundingPolicy = DEFAULT_POLICY):
+    """Concrete (lower rows' lo, upper rows' lo, upper rows' hi) arrays of
+    a layer's rows, over the box given by `box_arrays`.
+
+    A layer's rows are always bounded together, one matrix product per
+    sum. Raises IntervalOverflowError when a bound is not finite.
+    """
+    pos = np.maximum(rows.up_c, 0.0)
+    neg = np.minimum(rows.up_c, 0.0)
+    s = _slack(rows.up_c, rows.up_k, amax, policy)
+    up_lo = pos @ lo + neg @ hi + rows.up_k - s
+    up_hi = pos @ hi + neg @ lo + rows.up_k + s
+    pos = np.maximum(rows.low_c, 0.0)
+    neg = np.minimum(rows.low_c, 0.0)
+    low_lo = pos @ lo + neg @ hi + rows.low_k - _slack(rows.low_c, rows.low_k, amax, policy)
+    _check_overflow(low_lo, up_lo, up_hi)
+    return low_lo, up_lo, up_hi
+
+
+def affine_rows(rows: SymRows, pos, neg, b) -> SymRows:
+    """Symbolic image of the rows under W x + b, where pos and neg are the
+    positive and negative parts of W.
 
     Positive weights propagate like bounds, negative weights swap them;
     biases enter the constant term of both expressions.
     """
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if W.shape[1] != len(prev):
-        raise ValueError(f"shape mismatch: W has {W.shape[1]} cols, {len(prev)} expressions")
-    d = prev[0].dim
-    low_c = np.stack([s.low.coeffs for s in prev])
-    low_k = np.array([s.low.constant for s in prev])
-    up_c = np.stack([s.up.coeffs for s in prev])
-    up_k = np.array([s.up.constant for s in prev])
-    pos = np.maximum(W, 0.0)
-    neg = np.minimum(W, 0.0)
-    new_up_c = pos @ up_c + neg @ low_c
-    new_up_k = pos @ up_k + neg @ low_k + b
-    new_low_c = pos @ low_c + neg @ up_c
-    new_low_k = pos @ low_k + neg @ up_k + b
-    return [
-        SymInterval(LinearExpr(new_low_c[i], new_low_k[i]), LinearExpr(new_up_c[i], new_up_k[i]))
-        for i in range(W.shape[0])
-    ]
+    low_c, low_k, up_c, up_k = rows
+    return SymRows(
+        pos @ low_c + neg @ up_c,
+        pos @ low_k + neg @ up_k + b,
+        pos @ up_c + neg @ low_c,
+        pos @ up_k + neg @ low_k + b,
+    )
 
 
-def relu_sym(s: SymInterval, x: Box, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Push a symbolic interval through ReLU, concretizing only as needed.
+def relu_rows(rows: SymRows, low_lo, up_lo, up_hi) -> np.ndarray:
+    """Push the rows through ReLU in place, given their concrete bounds.
 
-    Returns the transformed pair together with the unit's activation state.
+    A unit whose upper row is never positive is ZERO: both rows become 0.
+    One whose lower row is never negative is ACTIVE and keeps its rows.
+    Any other is UNSTABLE: its lower row becomes 0, and its upper row
+    becomes the constant up_hi when that row can go negative.
+    Returns the int8 ReluState mask of the layer.
     """
-    d = s.dim
-    up_rng = expr_bounds(s.up, x, policy)
-    if up_rng.hi <= 0.0:
-        zero = LinearExpr.const(0.0, d)
-        return SymInterval(zero, zero), ReluState.ZERO
-    low_rng = expr_bounds(s.low, x, policy)
-    if low_rng.lo >= 0.0:
-        return s, ReluState.ACTIVE
-    new_low = LinearExpr.const(0.0, d)
-    if up_rng.lo <= 0.0:
-        new_up = LinearExpr.const(up_rng.hi, d)
-    else:
-        new_up = s.up
-    return SymInterval(new_low, new_up), ReluState.UNSTABLE
+    zero = up_hi <= 0.0
+    active = ~zero & (low_lo >= 0.0)
+    off = ~active
+    flat = zero | (off & (up_lo <= 0.0))
+    rows.low_c[off] = 0.0
+    rows.low_k[off] = 0.0
+    rows.up_c[flat] = 0.0
+    rows.up_k[flat] = up_hi[flat]
+    rows.up_k[zero] = 0.0
+    mask = np.full(up_hi.shape, ReluState.UNSTABLE, dtype=np.int8)
+    mask[active] = ReluState.ACTIVE
+    mask[zero] = ReluState.ZERO
+    return mask

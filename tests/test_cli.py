@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from relucheck.cli import run
 from relucheck.data import shipped_path
 
@@ -121,6 +123,27 @@ def test_malformed_property_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.prop"
     bad.write_text("domain:\n0 1\nregion:\n*\nconstraint:\nfrob 0 1\n")
     assert run(["verify", "--network", NET, "--property", str(bad)]) == 4
+
+
+def test_property_bad_numbers_exit_4(tmp_path, capsys):
+    bad = tmp_path / "bad.prop"
+    for text in (
+        "outputs: one\ndomain:\n4 6\n1 5\nregion:\n*\n*\nconstraint:\nle 0 5\n",
+        "domain:\n4 six\n1 5\nregion:\n*\n*\nconstraint:\nle 0 5\n",
+    ):
+        bad.write_text(text)
+        assert run(["verify", "--network", NET, "--property", str(bad)]) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_bound_overflow_exit_2(tmp_path, capsys):
+    net = tmp_path / "huge.nnl"
+    big = "1e200,1e200\n1e200,1e200\n0,0\n"
+    net.write_text("3 2 1 2\n2,2,2,1\n" + big + big + "1,1\n0\n")
+    for mode in ("naive", "symbolic"):
+        args = ["--property", LE20, "--mode", mode, "--workers", "2"]
+        assert run(["verify", "--network", str(net)] + args) == 2
+        assert "overflow" in capsys.readouterr().err
 
 
 def test_property_dim_mismatch_exit_5(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from relucheck.data import shipped_path
 from relucheck.engine import (
     Config,
-    Job,
     Status,
     SubStatus,
     default_max_depth,
@@ -14,7 +14,7 @@ from relucheck.engine import (
     verify,
     write_report,
 )
-from relucheck.intervals import Box
+from relucheck.intervals import Box, IntervalOverflowError
 from relucheck.network import eval_concrete, load_network
 from relucheck.properties import (
     InputSpec,
@@ -40,11 +40,6 @@ def le20(demo_net):
 def le15(demo_net):
     with open(shipped_path("le15.prop"), "rb") as f:
         return parse_property(f, num_outputs=demo_net.output_dim)
-
-
-def test_job_validation():
-    with pytest.raises(ValueError):
-        Job(Box.from_arrays([0], [1]), depth=2, lineage=((0, 0),))
 
 
 def test_default_max_depth():
@@ -152,6 +147,30 @@ def test_worker_count_does_not_change_status(demo_net, le20, le15):
         for workers in (1, 2, 4):
             v = verify(demo_net, spec, Config(workers=workers, mode="naive"))
             assert v.status is want, f"workers={workers}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["naive", "symbolic"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_exception_fails_fast(mode, workers):
+    # 1e200 weights overflow in the second layer; every worker count must
+    # raise the worker's error rather than wait for jobs that never finish
+    net = make_net([np.full((3, 2), 1e200), np.full((3, 3), 1e200), np.ones((1, 3))])
+    spec = (InputSpec((Box.from_arrays([0, 0], [1, 1]),)), OutLE(0, 0.0))
+    cfg = Config(workers=workers, mode=mode, timeout=2.0)
+    raised = []
+
+    def run():
+        try:
+            verify(net, spec, cfg)
+        except IntervalOverflowError as e:
+            raised.append(e)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=20.0)
+    assert not t.is_alive(), "verify hung after a worker exception"
+    assert len(raised) == 1
 
 
 def test_enumerate_partition_covers_region(demo_net, le15):

@@ -18,7 +18,7 @@ from conftest import random_box, random_net
 
 
 def masks_of(*layers):
-    return ReluMaskMatrix(tuple(tuple(l) for l in layers))
+    return ReluMaskMatrix(tuple(np.array(l, dtype=np.int8) for l in layers))
 
 
 def test_backward_demo_active(demo_net):

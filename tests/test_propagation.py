@@ -39,17 +39,19 @@ def test_symbolic_demo_example(demo_net, demo_box):
     (out,) = fr.out_bounds
     assert out.lo == pytest.approx(6.0, abs=1e-12)
     assert out.hi == pytest.approx(16.0, abs=1e-12)
-    assert fr.masks.layers == ((ReluState.ACTIVE, ReluState.ACTIVE),)
+    assert fr.masks.layers == ([ReluState.ACTIVE, ReluState.ACTIVE],)
+    assert fr.masks[0].dtype == np.int8
     # final expression is x + 2y
-    np.testing.assert_allclose(fr.out_sym[0].low.coeffs, [1.0, 2.0])
-    np.testing.assert_allclose(fr.out_sym[0].up.coeffs, [1.0, 2.0])
+    np.testing.assert_allclose(fr.rows.low_c, [[1.0, 2.0]])
+    np.testing.assert_allclose(fr.rows.up_c, [[1.0, 2.0]])
 
 
 def test_symbolic_unstable_neuron(demo_net):
     # widening x to negative values drives the x+y neuron across zero
     box = Box.from_arrays([-10, 1], [6, 5])
     fr = symbolic_forward(demo_net, box)
-    assert fr.masks[0][1] is ReluState.UNSTABLE
+    assert fr.masks[0][1] == ReluState.UNSTABLE
+    assert fr.masks.layers[0].count(ReluState.UNSTABLE) == 2  # 2x+3y is unstable too
     naive = naive_forward(demo_net, box)
     (s,) = fr.out_bounds
     (n,) = naive.out_bounds
@@ -61,18 +63,18 @@ def test_symbolic_zero_weight_net():
     fr = symbolic_forward(net, Box.from_arrays([0, 0], [1, 1]))
     (out,) = fr.out_bounds
     assert out.lo == pytest.approx(0.25) and out.hi == pytest.approx(0.25)
-    assert fr.masks[0][0] is ReluState.ACTIVE
-    assert fr.masks[0][1] is ReluState.ZERO
+    assert fr.masks[0][0] == ReluState.ACTIVE
+    assert fr.masks[0][1] == ReluState.ZERO
 
 
 def test_out_bounds_match_out_sym(demo_net, demo_box):
-    from relucheck.symbolic import expr_bounds
+    from relucheck.symbolic import box_arrays, expr_bounds
 
     fr = symbolic_forward(demo_net, demo_box)
-    low = expr_bounds(fr.out_sym[0].low, demo_box)
-    up = expr_bounds(fr.out_sym[0].up, demo_box)
-    assert fr.out_bounds[0].lo == pytest.approx(low.lo, abs=1e-12)
-    assert fr.out_bounds[0].hi == pytest.approx(up.hi, abs=1e-12)
+    low, _ = expr_bounds(fr.rows.low_c, fr.rows.low_k, *box_arrays(demo_box))
+    _, up = expr_bounds(fr.rows.up_c, fr.rows.up_k, *box_arrays(demo_box))
+    assert fr.out_bounds[0].lo == pytest.approx(low[0], abs=1e-12)
+    assert fr.out_bounds[0].hi == pytest.approx(up[0], abs=1e-12)
 
 
 def test_dim_mismatch(demo_net):
@@ -123,8 +125,8 @@ def test_mask_correctness_on_samples():
         for k, layer in enumerate(net.layers[:-1]):
             z = v @ layer.W.T + layer.b
             for i, state in enumerate(fr.masks[k]):
-                if state is ReluState.ZERO:
+                if state == ReluState.ZERO:
                     assert np.all(z[:, i] <= 1e-9)
-                elif state is ReluState.ACTIVE:
+                elif state == ReluState.ACTIVE:
                     assert np.all(z[:, i] >= -1e-9)
             v = np.maximum(z, 0.0)

@@ -270,6 +270,10 @@ def test_parse_errors():
         "domain:\n0 1\nregion:\n*\nconstraint:\nle 0 5 7\n",  # trailing tokens
         "le 0 5\n",  # content outside sections
         "units: parsecs\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n",
+        "outputs: one\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n",  # non-integer count
+        "domain:\n0 six\nregion:\n*\nconstraint:\nle 0 5\n",  # non-numeric domain
+        "domain:\n0 1\nregion:\n0 x\nconstraint:\nle 0 5\n",  # non-numeric region
+        "domain:\n0 inf\nregion:\n*\nconstraint:\nle 0 5\n",  # non-finite bound
     ]
     parse_property(good)
     for text in bad:

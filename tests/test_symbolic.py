@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from relucheck.intervals import Box, RoundingPolicy
-from relucheck.symbolic import LinearExpr, ReluState, SymInterval, affine_sym, expr_bounds, relu_sym
+from relucheck.intervals import Box, IntervalOverflowError, RoundingPolicy
+from relucheck.symbolic import (
+    ReluState,
+    SymRows,
+    affine_rows,
+    bounds_of_rows,
+    box_arrays,
+    expr_bounds,
+    relu_rows,
+)
 
 from conftest import random_box
 
@@ -15,96 +23,173 @@ def box(lo, hi):
     return Box.from_arrays(lo, hi)
 
 
+def bounds(coeffs, const, b, policy=EXACT):
+    """Concrete range of the single row coeffs . x + const over box b."""
+    c, k = np.array([coeffs], dtype=float), np.array([const], dtype=float)
+    lo, hi = expr_bounds(c, k, *box_arrays(b), policy)
+    return lo[0], hi[0]
+
+
+def exact_rows(coeffs, consts):
+    """Rows whose lower and upper expressions coincide."""
+    c = np.array(coeffs, dtype=float)
+    k = np.array(consts, dtype=float)
+    return SymRows(c.copy(), k.copy(), c.copy(), k.copy())
+
+
+def split(W):
+    W = np.array(W, dtype=float)
+    return np.maximum(W, 0.0), np.minimum(W, 0.0)
+
+
+def relu(rows, b, policy=EXACT):
+    mask = relu_rows(rows, *bounds_of_rows(rows, *box_arrays(b), policy))
+    return rows, mask
+
+
 def test_expr_bounds_demo_hidden_neuron():
-    e = LinearExpr([2.0, 3.0], 0.0)
-    r = expr_bounds(e, box([4, 1], [6, 5]), EXACT)
-    assert (r.lo, r.hi) == (11.0, 27.0)
+    assert bounds([2.0, 3.0], 0.0, box([4, 1], [6, 5])) == (11.0, 27.0)
 
 
 def test_expr_bounds_constant():
-    r = expr_bounds(LinearExpr([0.0, 0.0], 7.0), box([0, 0], [1, 1]), EXACT)
-    assert (r.lo, r.hi) == (7.0, 7.0)
+    assert bounds([0.0, 0.0], 7.0, box([0, 0], [1, 1])) == (7.0, 7.0)
 
 
 def test_expr_bounds_sign_split():
-    r = expr_bounds(LinearExpr([1.0], -5.0), box([4], [6]), EXACT)
-    assert (r.lo, r.hi) == (-1.0, 1.0)
+    assert bounds([1.0], -5.0, box([4], [6])) == (-1.0, 1.0)
 
 
 def test_expr_bounds_dimension_mismatch():
     with pytest.raises(ValueError):
-        expr_bounds(LinearExpr([1.0, 2.0], 0.0), box([0], [1]))
+        bounds([1.0, 2.0], 0.0, box([0], [1]))
 
 
 def test_expr_bounds_outward_contains_true_range():
-    e = LinearExpr([0.1, -0.2], 0.3)
-    b = box([-1.7, 0.3], [2.9, 1.1])
-    r = expr_bounds(e, b)
+    lo, hi = bounds([0.1, -0.2], 0.3, box([-1.7, 0.3], [2.9, 1.1]), RoundingPolicy())
     lo_true = 0.1 * -1.7 - 0.2 * 1.1 + 0.3
     hi_true = 0.1 * 2.9 - 0.2 * 0.3 + 0.3
-    assert r.lo <= lo_true and r.hi >= hi_true
+    assert lo <= lo_true and hi >= hi_true
+
+
+def test_expr_bounds_rows_match_one_at_a_time():
+    # a row's bounds do not depend on the rows bounded with it
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        d = int(rng.integers(1, 8))
+        b = random_box(rng, d)
+        c = rng.normal(size=(9, d)) * 10.0 ** rng.uniform(-3, 3, size=(9, d))
+        k = rng.normal(size=9)
+        lo, hi = expr_bounds(c, k, *box_arrays(b))
+        for r in range(9):
+            lo_r, hi_r = expr_bounds(c[r : r + 1], k[r : r + 1], *box_arrays(b))
+            assert lo[r] == lo_r[0] and hi[r] == hi_r[0]
 
 
 def test_affine_sym_demo_output_layer():
-    e1 = SymInterval.exact(LinearExpr([2.0, 3.0], 0.0))
-    e2 = SymInterval.exact(LinearExpr([1.0, 1.0], 0.0))
-    (out,) = affine_sym([e1, e2], [[1.0, -1.0]], [0.0])
-    assert out.low == LinearExpr([1.0, 2.0], 0.0)
-    assert out.up == LinearExpr([1.0, 2.0], 0.0)
+    rows = exact_rows([[2.0, 3.0], [1.0, 1.0]], [0.0, 0.0])
+    out = affine_rows(rows, *split([[1.0, -1.0]]), np.array([0.0]))
+    np.testing.assert_array_equal(out.low_c, [[1.0, 2.0]])
+    np.testing.assert_array_equal(out.up_c, [[1.0, 2.0]])
+    np.testing.assert_array_equal(out.low_k, [0.0])
+    np.testing.assert_array_equal(out.up_k, [0.0])
 
 
 def test_affine_sym_identity():
-    exprs = [SymInterval.exact(LinearExpr([1.0, 0.0], 0.5)), SymInterval.exact(LinearExpr([0.0, 2.0], -1.0))]
-    out = affine_sym(exprs, np.eye(2), [0.0, 0.0])
-    assert out[0] == exprs[0] and out[1] == exprs[1]
+    rows = exact_rows([[1.0, 0.0], [0.0, 2.0]], [0.5, -1.0])
+    out = affine_rows(rows, *split(np.eye(2)), np.zeros(2))
+    for got, want in zip(out, rows):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_affine_sym_zero_row():
-    exprs = [SymInterval.exact(LinearExpr([1.0], 0.0))]
-    (out,) = affine_sym(exprs, [[0.0]], [0.0])
-    assert out.low == LinearExpr([0.0], 0.0)
-    assert out.up == LinearExpr([0.0], 0.0)
+    out = affine_rows(exact_rows([[1.0]], [0.0]), *split([[0.0]]), np.array([0.0]))
+    for a in out:
+        np.testing.assert_array_equal(a, np.zeros_like(a))
 
 
 def test_affine_sym_mixed_signs_bounds_correct():
-    # upper uses positive weights on upper exprs and negative on lower
-    low, up = LinearExpr([1.0], 0.0), LinearExpr([1.0], 1.0)
-    (out,) = affine_sym([SymInterval(low, up)], [[-2.0]], [0.5])
-    assert out.up == LinearExpr([-2.0], 0.5)
-    assert out.low == LinearExpr([-2.0], -1.5)
+    # upper uses positive weights on upper rows and negative on lower
+    rows = SymRows(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
+    out = affine_rows(rows, *split([[-2.0]]), np.array([0.5]))
+    np.testing.assert_array_equal(out.up_c, [[-2.0]])
+    np.testing.assert_array_equal(out.up_k, [0.5])
+    np.testing.assert_array_equal(out.low_c, [[-2.0]])
+    np.testing.assert_array_equal(out.low_k, [-1.5])
 
 
 def test_relu_sym_active():
-    s = SymInterval.exact(LinearExpr([2.0, 3.0], 0.0))
-    out, state = relu_sym(s, box([4, 1], [6, 5]))
-    assert state is ReluState.ACTIVE
-    assert out == s
+    rows = exact_rows([[2.0, 3.0]], [0.0])
+    out, mask = relu(exact_rows([[2.0, 3.0]], [0.0]), box([4, 1], [6, 5]), RoundingPolicy())
+    assert mask.dtype == np.int8 and mask.tolist() == [ReluState.ACTIVE]
+    for got, want in zip(out, rows):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_relu_sym_zero():
-    s = SymInterval.exact(LinearExpr([-1.0], 0.0))
-    out, state = relu_sym(s, box([1], [2]))
-    assert state is ReluState.ZERO
-    assert out.low == LinearExpr([0.0], 0.0) and out.up == LinearExpr([0.0], 0.0)
+    out, mask = relu(exact_rows([[-1.0]], [0.0]), box([1], [2]), RoundingPolicy())
+    assert mask.tolist() == [ReluState.ZERO]
+    for a in out:
+        np.testing.assert_array_equal(a, np.zeros_like(a))
 
 
 def test_relu_sym_unstable_concretizes_upper():
     # x - 5 over [4,6]: upper's lower bound is -1 <= 0, so up becomes the
     # constant 1 (its upper bound) and low drops to 0
-    s = SymInterval.exact(LinearExpr([1.0], -5.0))
-    out, state = relu_sym(s, box([4], [6]), EXACT)
-    assert state is ReluState.UNSTABLE
-    assert out.low == LinearExpr([0.0], 0.0)
-    assert out.up == LinearExpr([0.0], 1.0)
+    out, mask = relu(exact_rows([[1.0]], [-5.0]), box([4], [6]))
+    assert mask.tolist() == [ReluState.UNSTABLE]
+    np.testing.assert_array_equal(out.low_c, [[0.0]])
+    np.testing.assert_array_equal(out.low_k, [0.0])
+    np.testing.assert_array_equal(out.up_c, [[0.0]])
+    np.testing.assert_array_equal(out.up_k, [1.0])
 
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
     # low can be negative while up stays positive over the whole box
-    s = SymInterval(LinearExpr([1.0], -5.0), LinearExpr([1.0], 1.0))
-    out, state = relu_sym(s, box([4], [6]), EXACT)
-    assert state is ReluState.UNSTABLE
-    assert out.low == LinearExpr([0.0], 0.0)
-    assert out.up == LinearExpr([1.0], 1.0)
+    rows = SymRows(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
+    out, mask = relu(rows, box([4], [6]))
+    assert mask.tolist() == [ReluState.UNSTABLE]
+    np.testing.assert_array_equal(out.low_c, [[0.0]])
+    np.testing.assert_array_equal(out.low_k, [0.0])
+    np.testing.assert_array_equal(out.up_c, [[1.0]])
+    np.testing.assert_array_equal(out.up_k, [1.0])
+
+
+def _relu_unit_by_unit(rows, low_lo, up_lo, up_hi):
+    """Reference for relu_rows: the ReLU step one unit at a time."""
+    low_c, low_k, up_c, up_k = (a.copy() for a in rows)
+    states = []
+    for i in range(len(up_hi)):
+        if up_hi[i] <= 0.0:
+            states.append(ReluState.ZERO)
+            low_c[i], low_k[i], up_c[i], up_k[i] = 0.0, 0.0, 0.0, 0.0
+        elif low_lo[i] >= 0.0:
+            states.append(ReluState.ACTIVE)
+        else:
+            states.append(ReluState.UNSTABLE)
+            low_c[i], low_k[i] = 0.0, 0.0
+            if up_lo[i] <= 0.0:
+                up_c[i], up_k[i] = 0.0, up_hi[i]
+    return SymRows(low_c, low_k, up_c, up_k), states
+
+
+def test_relu_whole_layer_matches_unit_by_unit():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        rows = SymRows(*(rng.normal(size=s) for s in ((n, d), n, (n, d), n)))
+        # bounds on a coarse grid, so that some sit exactly at zero
+        low_lo, up_lo, up_hi = (rng.integers(-2, 3, n) * 0.5 for _ in range(3))
+        want, states = _relu_unit_by_unit(rows, low_lo, up_lo, up_hi)
+        mask = relu_rows(rows, low_lo, up_lo, up_hi)
+        assert mask.dtype == np.int8 and mask.tolist() == states
+        for got, ref in zip(rows, want):
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_bounds_of_rows_overflow_raises():
+    rows = exact_rows([[1e308, 1e308]], [0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntervalOverflowError):
+        bounds_of_rows(rows, *box_arrays(box([1, 1], [2, 2])))
 
 
 def test_sandwich_on_sampled_points():
@@ -112,19 +197,18 @@ def test_sandwich_on_sampled_points():
     for _ in range(50):
         d = int(rng.integers(1, 4))
         b = random_box(rng, d)
-        s = SymInterval.exact(LinearExpr(rng.uniform(-2, 2, d), rng.uniform(-1, 1)))
-        out, _ = relu_sym(s, b)
+        c, k = rng.uniform(-2, 2, d), rng.uniform(-1, 1)
+        out, _ = relu(exact_rows([c], [k]), b, RoundingPolicy())
         pts = rng.uniform(b.lo_array(), b.hi_array(), size=(200, d))
-        for p in pts:
-            val = max(0.0, s.low.eval(p))
-            assert out.low.eval(p) <= val + 1e-12
-            assert out.up.eval(p) >= val - 1e-12
+        val = np.maximum(pts @ c + k, 0.0)
+        assert np.all(pts @ out.low_c[0] + out.low_k[0] <= val + 1e-12)
+        assert np.all(pts @ out.up_c[0] + out.up_k[0] >= val - 1e-12)
 
 
 def test_point_box_bounds_are_tight():
-    e = LinearExpr([0.3, -0.7], 0.11)
-    p = [1.234, -5.678]
-    r = expr_bounds(e, Box.from_point(p))
-    v = e.eval(p)
-    assert r.contains(v)
-    assert r.hi - r.lo <= 8 * math.ulp(max(abs(v), 4.0))
+    c, k = np.array([0.3, -0.7]), 0.11
+    p = np.array([1.234, -5.678])
+    lo, hi = bounds(c, k, Box.from_point(p), RoundingPolicy())
+    v = float(c @ p + k)
+    assert lo <= v <= hi
+    assert hi - lo <= 8 * math.ulp(max(abs(v), 4.0))
