@@ -12,24 +12,12 @@ from .intervals import (
     IntervalOverflowError,
     RoundingPolicy,
     UnsplittableError,
-    iv_add,
     iv_bisect,
-    iv_matvec,
-    iv_relu,
-    iv_scale,
-    iv_width,
-    box_max_width,
 )
 from .symbolic import ReluState, SymRows
 from .network import Activation, Layer, Network, NetworkFormatError, eval_concrete, load_network
 from .propagate import ForwardResult, ReluMaskMatrix, naive_forward, symbolic_forward
-from .gradients import (
-    IntervalJacobian,
-    Monotonicity,
-    backward_gradient,
-    monotonic_features,
-    smear_split_choice,
-)
+from .gradients import IntervalJacobian, backward_gradient, smear_split_choice
 from .properties import (
     InputSpec,
     RobustnessSpec,

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .engine import Config, Status, enumerate_regions, verify, write_report
+from .engine import Config, Status, enumerate_regions, internal_view, verify, write_report
 from .intervals import IntervalOverflowError, RoundingPolicy
 from .network import NetworkFormatError, eval_concrete, load_network
 from .propagate import naive_forward, symbolic_forward
@@ -145,12 +145,8 @@ def _cmd_bench(args) -> int:
     net = _load_net(args.network)
     input_spec, _ = _load_prop(args.property, net.output_dim)
     print(f"{'box':>4} {'out':>4} {'naive width':>14} {'symbolic width':>14} {'reduction':>10}")
-    for bi, box in enumerate(input_spec.regions):
-        if net.has_normalization and input_spec.units == "raw":
-            from .intervals import Box
-
-            box = Box.from_arrays(net.normalize(box.lo_array()), net.normalize(box.hi_array()))
-        core = net if not net.has_normalization else type(net)(net.layers)
+    core, regions = internal_view(net, input_spec)
+    for bi, box in enumerate(regions):
         nv = naive_forward(core, box)
         sy = symbolic_forward(core, box)
         for i, (wn, ws) in enumerate(zip(nv.hi - nv.lo, sy.hi - sy.lo)):

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, box_max_width, iv_bisect
+from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, iv_bisect
 from .network import Network, eval_concrete, eval_concrete_batch, split_weights
 from .propagate import naive_forward, symbolic_forward
 from .gradients import IntervalJacobian, backward_gradient, smear_split_choice, NoSplittableDimensionError
@@ -50,6 +50,7 @@ __all__ = [
     "Config",
     "PartitionReport",
     "RunStats",
+    "internal_view",
     "verify",
     "enumerate_regions",
 ]
@@ -125,7 +126,7 @@ class PartitionReport:
         return {
             "leaves": [
                 {
-                    "box": [[d.lo, d.hi] for d in box.dims],
+                    "box": [[a, b] for a, b in zip(box.lo.tolist(), box.hi.tolist())],
                     "status": status.value,
                     "counterexample": None if cex is None else [float(v) for v in cex],
                 }
@@ -155,6 +156,18 @@ class Config:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.sample_strategy not in ("midpoint", "corners"):
             raise ValueError(f"unknown sample strategy {self.sample_strategy!r}")
+
+
+def internal_view(net: Network, input_spec: InputSpec):
+    """(core, regions): `net` without its input normalization, and the
+    spec's regions in the coordinates that core reads. The analysis runs
+    on these."""
+    core = Network(net.layers)
+    if not (net.has_normalization and input_spec.units == "raw"):
+        return core, list(input_spec.regions)
+    return core, [
+        Box.from_arrays(net.normalize(r.lo), net.normalize(r.hi)) for r in input_spec.regions
+    ]
 
 
 def default_max_depth(regions, precision: float) -> int:
@@ -268,23 +281,26 @@ class _Pool:
 
         def worker(wid):
             try:
-                while True:
-                    with self.lock:
-                        while True:
-                            if self.cancel.is_set() or (self.outstanding == 0):
-                                return
-                            job = self._take(wid)
-                            if job is not None:
-                                break
-                            self.cond.wait(timeout=0.05)
-                    children = process(job, wid)
-                    with self.lock:
-                        if children:
-                            self.deques[wid].extend(children)
-                            self.outstanding += len(children) - 1
-                        else:
-                            self.outstanding -= 1
-                        self.cond.notify_all()
+                # bounds that overflow raise IntervalOverflowError; numpy's
+                # warnings about them would only repeat that on stderr
+                with np.errstate(over="ignore", invalid="ignore"):
+                    while True:
+                        with self.lock:
+                            while True:
+                                if self.cancel.is_set() or (self.outstanding == 0):
+                                    return
+                                job = self._take(wid)
+                                if job is not None:
+                                    break
+                                self.cond.wait(timeout=0.05)
+                        children = process(job, wid)
+                        with self.lock:
+                            if children:
+                                self.deques[wid].extend(children)
+                                self.outstanding += len(children) - 1
+                            else:
+                                self.outstanding -= 1
+                            self.cond.notify_all()
             except BaseException as e:  # re-raised by run() below
                 with self.lock:
                     if self.error is None:
@@ -323,11 +339,10 @@ class _Run:
         self.short_circuit = short_circuit
         self.constraint = desugar(constraint, net.output_dim)
         self.check = SoundCheck(self.constraint, net.output_dim, cfg.policy)
-        # analysis runs in the network's internal (normalized) coordinates
-        self.core = Network(net.layers)
+        self.core, self.regions = internal_view(net, input_spec)
         self.split = split_weights(self.core) if cfg.mode == "symbolic" else None
+        # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
-        self.regions = [self._to_internal(r) for r in input_spec.regions]
         self.max_depth = (
             cfg.max_depth
             if cfg.max_depth is not None
@@ -346,19 +361,10 @@ class _Run:
         self.t0 = time.monotonic()
 
     # -- coordinate conversion --------------------------------------------
-    def _to_internal(self, box: Box) -> Box:
-        if not self.convert:
-            return box
-        return Box.from_arrays(
-            self.net.normalize(box.lo_array()), self.net.normalize(box.hi_array())
-        )
-
     def _to_raw(self, box: Box) -> Box:
         if not self.convert:
             return box
-        return Box.from_arrays(
-            self.net.denormalize(box.lo_array()), self.net.denormalize(box.hi_array())
-        )
+        return Box.from_arrays(self.net.denormalize(box.lo), self.net.denormalize(box.hi))
 
     def _to_raw_point(self, x: np.ndarray) -> np.ndarray:
         return self.net.denormalize(x) if self.convert else x
@@ -369,7 +375,7 @@ class _Run:
         if self.cfg.sample_strategy == "midpoint":
             return mid[np.newaxis, :]
         d = len(box)
-        lo, hi = box.lo_array(), box.hi_array()
+        lo, hi = box.lo, box.hi
         k = min(d, 10)
         pts = [mid]
         for combo in itertools.islice(itertools.product((0, 1), repeat=k), 1024):
@@ -453,12 +459,11 @@ class _Run:
                 dims = dims[:_MAX_REDUCED_DIMS]
                 if dims:
                     children = []
-                    for sides in itertools.product((0, 1), repeat=len(dims)):
-                        child = box
-                        for j, side in zip(dims, sides):
-                            v = child[j].hi if side else child[j].lo
-                            child = child.replace(j, Interval(v, v))
-                        children.append(Job(child, job.depth + len(dims)))
+                    for sides in itertools.product((False, True), repeat=len(dims)):
+                        v = np.where(sides, box.hi[dims], box.lo[dims])
+                        lo, hi = box.lo.copy(), box.hi.copy()
+                        lo[dims] = hi[dims] = v
+                        children.append(Job(Box.from_arrays(lo, hi), job.depth + len(dims)))
                     return children
 
         if J is not None:

@@ -1,4 +1,4 @@
-"""Backward interval Jacobian, smear-based split selection, monotonicity.
+"""Backward interval Jacobian and smear-based split selection.
 
 The Jacobian pass starts from the output layer's weights and walks the
 hidden layers backwards, taking a Hadamard product with each unit's
@@ -8,33 +8,24 @@ by an interval product with the layer's weights.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, round_out
+from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, round_out
 from .network import Network, split_weights
 from .propagate import ReluMaskMatrix
 
 __all__ = [
     "IntervalJacobian",
-    "Monotonicity",
     "NoSplittableDimensionError",
     "backward_gradient",
     "smear_split_choice",
-    "monotonic_features",
 ]
 
 
 class NoSplittableDimensionError(ValueError):
     """All dimensions are at or below the splitting precision."""
-
-
-class Monotonicity(enum.Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,6 @@ class IntervalJacobian:
     @property
     def shape(self):
         return self.lo.shape
-
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(self.lo[i, j], self.hi[i, j])
 
     def abs_upper(self) -> np.ndarray:
         """max(|lo|, |hi|) per entry -- the upper bound on |J_ij|."""
@@ -119,21 +107,3 @@ def smear_split_choice(
     smear = np.where(splittable, influence * widths, -np.inf)
     return int(np.argmax(smear))
 
-
-def monotonic_features(J: IntervalJacobian, output_indices=None):
-    """Per-input monotonicity over the referenced outputs.
-
-    Increasing when every referenced partial derivative is strictly
-    positive over the box, decreasing when strictly negative.
-    """
-    m, d = J.shape
-    idx = list(range(m)) if output_indices is None else sorted(set(output_indices))
-    out = []
-    for j in range(d):
-        if idx and all(J.lo[i, j] > 0.0 for i in idx):
-            out.append(Monotonicity.INCREASING)
-        elif idx and all(J.hi[i, j] < 0.0 for i in idx):
-            out.append(Monotonicity.DECREASING)
-        else:
-            out.append(Monotonicity.UNKNOWN)
-    return out

@@ -9,7 +9,7 @@ This keeps the kernel portable and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +19,8 @@ __all__ = [
     "RoundingPolicy",
     "IntervalOverflowError",
     "UnsplittableError",
-    "iv_add",
-    "iv_scale",
-    "iv_relu",
-    "iv_matvec",
     "iv_bisect",
-    "iv_width",
-    "box_max_width",
+    "matvec_bounds",
     "round_out",
 ]
 
@@ -98,14 +93,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def width(self) -> float:
-        return iv_width(self)
-
-    @property
-    def mid(self) -> float:
-        return self.lo + (self.hi - self.lo) / 2.0
-
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
@@ -116,87 +103,60 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box: one interval per network input."""
+    """Axis-aligned box over the network inputs: read-only float64 arrays
+    `lo` and `hi`, finite, with lo <= hi in every dimension."""
 
-    dims: tuple
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        for d in self.dims:
-            if not isinstance(d, Interval):
-                raise TypeError("Box dims must be Interval values")
+        lo = np.array(self.lo, dtype=np.float64)
+        hi = np.array(self.hi, dtype=np.float64)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"box bounds must be 1-d and of one shape: {lo.shape} vs {hi.shape}")
+        # a loop over the few inputs of a box beats numpy's reductions
+        for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            if not -math.inf < a <= b < math.inf:
+                raise ValueError(f"box bounds must be finite with lo <= hi: dim {j} is [{a}, {b}]")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def from_arrays(cls, lo, hi) -> "Box":
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        return cls(tuple(Interval(a, b) for a, b in zip(lo, hi)))
+        return cls(lo, hi)
 
-    @classmethod
-    def from_point(cls, x) -> "Box":
-        return cls.from_arrays(x, x)
+    @property
+    def dims(self) -> tuple:
+        """One Interval per input."""
+        return tuple(Interval(a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist()))
 
     def __len__(self):
-        return len(self.dims)
-
-    def __getitem__(self, j) -> Interval:
-        return self.dims[j]
-
-    def lo_array(self) -> np.ndarray:
-        return np.array([d.lo for d in self.dims], dtype=np.float64)
-
-    def hi_array(self) -> np.ndarray:
-        return np.array([d.hi for d in self.dims], dtype=np.float64)
+        return self.lo.shape[0]
 
     def midpoint(self) -> np.ndarray:
-        return np.array([d.mid for d in self.dims], dtype=np.float64)
+        return self.lo + (self.hi - self.lo) / 2.0
 
     def widths(self) -> np.ndarray:
-        return np.array([iv_width(d) for d in self.dims], dtype=np.float64)
-
-    def volume(self) -> float:
-        return float(np.prod(self.widths()))
-
-    def contains_point(self, x, slack: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return all(d.contains(v, slack) for d, v in zip(self.dims, x))
-
-    def replace(self, j: int, iv: Interval) -> "Box":
-        dims = list(self.dims)
-        dims[j] = iv
-        return Box(tuple(dims))
+        """hi - lo, rounded up by one ULP where positive, so a width never
+        understates."""
+        w = self.hi - self.lo
+        return np.nextafter(w, np.inf, out=w, where=w > 0.0)
 
     def __repr__(self):
         return "Box(" + ", ".join(repr(d) for d in self.dims) + ")"
 
 
-def iv_add(a: Interval, b: Interval, policy: RoundingPolicy = DEFAULT_POLICY) -> Interval:
-    """Interval sum, outward-rounded."""
-    lo, hi = round_out(a.lo + b.lo, a.hi + b.hi, policy)
-    _check_overflow(lo, hi)
-    return Interval(lo, hi)
-
-
-def iv_scale(c: float, a: Interval, policy: RoundingPolicy = DEFAULT_POLICY) -> Interval:
-    """Scalar multiple c * a; bounds flip when c < 0."""
-    if not math.isfinite(c):
-        raise ValueError("scale factor must be finite")
-    if c >= 0:
-        lo, hi = c * a.lo, c * a.hi
-    else:
-        lo, hi = c * a.hi, c * a.lo
-    if c == 0.0:
-        return Interval(0.0, 0.0)
-    lo, hi = round_out(lo, hi, policy)
-    _check_overflow(lo, hi)
-    return Interval(lo, hi)
-
-
-def iv_relu(a: Interval) -> Interval:
-    """[max(0, lo), max(0, hi)] -- exact, no rounding needed."""
-    return Interval(max(0.0, a.lo), max(0.0, a.hi))
+def _sub_box(lo: np.ndarray, hi: np.ndarray) -> Box:
+    """The Box of two read-only arrays that bound a part of a valid box;
+    such bounds need none of the constructor's checks."""
+    box = object.__new__(Box)
+    object.__setattr__(box, "lo", lo)
+    object.__setattr__(box, "hi", hi)
+    return box
 
 
 def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
@@ -222,35 +182,18 @@ def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
     return np.atleast_1d(out_lo), np.atleast_1d(out_hi)
 
 
-def iv_matvec(W, b, v, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Interval matrix-vector product over a list of Intervals."""
-    lo = np.array([iv.lo for iv in v], dtype=np.float64)
-    hi = np.array([iv.hi for iv in v], dtype=np.float64)
-    out_lo, out_hi = matvec_bounds(W, b, lo, hi, policy)
-    return [Interval(a, c) for a, c in zip(out_lo, out_hi)]
-
-
 def iv_bisect(x: Box, j: int):
     """Split dimension j at its midpoint into two boxes covering x."""
     if not 0 <= j < len(x):
         raise IndexError(f"dimension {j} out of range for box of size {len(x)}")
-    d = x[j]
-    if d.hi - d.lo <= 0.0:
+    lo, hi = x.lo.item(j), x.hi.item(j)
+    if hi - lo <= 0.0:
         raise UnsplittableError(f"unsplittable: dimension {j} has zero width")
-    mid = d.mid
-    return x.replace(j, Interval(d.lo, mid)), x.replace(j, Interval(mid, d.hi))
-
-
-def iv_width(a: Interval, policy: RoundingPolicy = DEFAULT_POLICY) -> float:
-    """hi - lo, rounded up so the reported width never understates."""
-    w = a.hi - a.lo
-    if policy.mode == "ulp" and w > 0.0:
-        w = math.nextafter(w, math.inf)
-    return w
-
-
-def box_max_width(x: Box):
-    """(max width, index of widest dim); ties break to the lowest index."""
-    widths = x.widths()
-    j = int(np.argmax(widths))
-    return float(widths[j]), j
+    mid = lo + (hi - lo) / 2.0
+    if not math.isfinite(mid):
+        raise ValueError(f"interval bounds must be finite: dimension {j} is too wide to split")
+    left_hi, right_lo = x.hi.copy(), x.lo.copy()
+    left_hi[j] = right_lo[j] = mid
+    left_hi.setflags(write=False)
+    right_lo.setflags(write=False)
+    return _sub_box(x.lo, left_hi), _sub_box(right_lo, x.hi)

@@ -254,7 +254,7 @@ def _parse_json(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise NetworkFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict) or "layers" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise NetworkFormatError("JSON network must be an object with a 'layers' list")
     raw_layers = doc["layers"]
     if not raw_layers:
@@ -274,8 +274,13 @@ def _parse_json(text: str) -> Network:
     norm = doc.get("norm")
     mean = rng = None
     if norm is not None:
-        mean = np.array(norm["mean"], dtype=np.float64)
-        rng = np.array(norm["range"], dtype=np.float64)
+        try:
+            mean = np.array(norm["mean"], dtype=np.float64)
+            rng = np.array(norm["range"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as e:
+            raise NetworkFormatError(
+                f"norm must map 'mean' and 'range' to lists of numbers ({e})"
+            ) from None
     return Network(tuple(layers), mean, rng)
 
 

@@ -53,7 +53,7 @@ def _check_dims(net: Network, x: Box):
 def naive_forward(net: Network, x: Box, policy: RoundingPolicy = DEFAULT_POLICY) -> ForwardResult:
     """Layerwise interval matvec + ReLU clamp; no dependency tracking."""
     _check_dims(net, x)
-    lo, hi = x.lo_array(), x.hi_array()
+    lo, hi = x.lo, x.hi
     for layer in net.layers:
         lo, hi = matvec_bounds(layer.W, layer.b, lo, hi, policy)
         if layer.activation is Activation.RELU:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY
+from .intervals import Box, RoundingPolicy, DEFAULT_POLICY
 from .propagate import ForwardResult
 from .symbolic import box_arrays, expr_bounds
 
@@ -40,7 +40,6 @@ __all__ = [
     "Or",
     "Not",
     "desugar",
-    "referenced_outputs",
     "parse_property",
     "robustness_to_property",
     "SoundCheck",
@@ -161,9 +160,6 @@ class Not:
     arg: object
 
 
-_RANK_ATOMS = (IsMin, IsMax, NotMin, NotMax)
-
-
 def desugar(c, m: int):
     """Rewrite rank atoms into difference atoms over m outputs."""
     if isinstance(c, IsMin):
@@ -181,27 +177,6 @@ def desugar(c, m: int):
     if isinstance(c, Not):
         return Not(desugar(c.arg, m))
     return c
-
-
-def referenced_outputs(c, m: int):
-    """Output indices the constraint's truth depends on."""
-    out = set()
-
-    def walk(node):
-        if isinstance(node, (OutLE, OutGE)):
-            out.add(node.i)
-        elif isinstance(node, DiffLE):
-            out.update((node.i, node.j))
-        elif isinstance(node, _RANK_ATOMS):
-            out.update(range(m))
-        elif isinstance(node, (And, Or)):
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, Not):
-            walk(node.arg)
-
-    walk(c)
-    return sorted(out)
 
 
 def max_output_index(c) -> int:
@@ -344,8 +319,8 @@ def robustness_to_property(r: RobustnessSpec, domain: Optional[Box] = None):
     if domain is not None:
         if len(domain) != r.seed.shape[0]:
             raise ValueError("domain dimension disagrees with seed")
-        lo = np.maximum(lo, domain.lo_array())
-        hi = np.minimum(hi, domain.hi_array())
+        lo = np.maximum(lo, domain.lo)
+        hi = np.minimum(hi, domain.hi)
     box = Box.from_arrays(lo, hi)
     return InputSpec((box,)), IsMax(r.label)
 
@@ -527,13 +502,14 @@ def parse_property(source, num_outputs: Optional[int] = None):
             raise PropertyParseError(
                 f"region {k} has {len(spec)} lines, domain has {d}"
             )
-        dims = []
+        lo, hi = [], []
         for j, entry in enumerate(spec):
-            lo, hi = entry if entry is not None else domain[j]
-            if lo > hi:
-                raise PropertyParseError(f"region {k} dim {j}: empty range [{lo}, {hi}]")
-            dims.append(Interval(lo, hi))
-        regions.append(Box(tuple(dims)))
+            a, b = entry if entry is not None else domain[j]
+            if a > b:
+                raise PropertyParseError(f"region {k} dim {j}: empty range [{a}, {b}]")
+            lo.append(a)
+            hi.append(b)
+        regions.append(Box.from_arrays(lo, hi))
 
     constraint = _ConstraintParser(constraint_tokens).parse()
     m = num_outputs if num_outputs is not None else declared_outputs

@@ -52,7 +52,7 @@ class SymRows(NamedTuple):
 
 def box_arrays(x: Box):
     """(lo, hi, max(|lo|, |hi|)) of a box, the arrays every bound reads."""
-    lo, hi = x.lo_array(), x.hi_array()
+    lo, hi = x.lo, x.hi
     return lo, hi, np.maximum(np.abs(lo), np.abs(hi))
 
 

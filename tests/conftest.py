@@ -49,5 +49,5 @@ def random_box(rng, d, min_width=0.1, max_width=2.0, center_scale=1.0) -> Box:
 
 
 def sample_points(rng, box: Box, n: int) -> np.ndarray:
-    lo, hi = box.lo_array(), box.hi_array()
+    lo, hi = box.lo, box.hi
     return rng.uniform(lo, hi, size=(n, len(box)))

@@ -99,7 +99,7 @@ def test_criterion_2_sandwich_suite():
 def _grid_union_widths(net, box, n):
     """Union of symbolic output bounds over the uniform n x ... x n grid."""
     d = len(box)
-    lo, hi = box.lo_array(), box.hi_array()
+    lo, hi = box.lo, box.hi
     edges = [np.linspace(lo[j], hi[j], n + 1) for j in range(d)]
     union_lo = np.full(net.output_dim, np.inf)
     union_hi = np.full(net.output_dim, -np.inf)
@@ -141,7 +141,7 @@ def test_criterion_4_gradient_containment():
         net = random_net(rng)
         box = random_box(rng, net.input_dim)
         J = backward_gradient(net, symbolic_forward(net, box).masks)
-        lo, hi = box.lo_array(), box.hi_array()
+        lo, hi = box.lo, box.hi
         h = 1e-5 * box.widths()
         points_done = 0
         attempts = 0
@@ -198,7 +198,7 @@ def test_criterion_5_brute_force_oracle(verdict_cases):
     for net, box, c, _, v in verdict_cases:
         if v.status is Status.SECURE:
             secure += 1
-            lo, hi = box.lo_array(), box.hi_array()
+            lo, hi = box.lo, box.hi
             axes = [np.arange(lo[j], hi[j] + 1e-3, 1e-3) for j in range(2)]
             gx, gy = np.meshgrid(*axes, indexing="ij")
             pts = np.column_stack([gx.ravel(), gy.ravel()])

@@ -5,6 +5,8 @@ import pytest
 from relucheck.cli import run
 from relucheck.data import shipped_path
 
+from test_network import MALFORMED_JSON
+
 NET = str(shipped_path("demonet.nnl"))
 LE20 = str(shipped_path("le20.prop"))
 LE15 = str(shipped_path("le15.prop"))
@@ -115,8 +117,10 @@ def test_missing_network_file_exit_3(capsys):
 
 def test_malformed_network_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.nnl"
-    bad.write_text("not a network\n")
-    assert run(["info", "--network", str(bad)]) == 4
+    for text in ("not a network\n", *MALFORMED_JSON):
+        bad.write_text(text)
+        assert run(["info", "--network", str(bad)]) == 4, text
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_malformed_property_exit_4(tmp_path, capsys):
@@ -135,15 +139,17 @@ def test_property_bad_numbers_exit_4(tmp_path, capsys):
         assert run(["verify", "--network", NET, "--property", str(bad)]) == 4
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_bound_overflow_exit_2(tmp_path, capsys):
+def test_bound_overflow_exit_2(tmp_path, capsys, recwarn):
     net = tmp_path / "huge.nnl"
     big = "1e200,1e200\n1e200,1e200\n0,0\n"
     net.write_text("3 2 1 2\n2,2,2,1\n" + big + big + "1,1\n0\n")
     for mode in ("naive", "symbolic"):
-        args = ["--property", LE20, "--mode", mode, "--workers", "2"]
-        assert run(["verify", "--network", str(net)] + args) == 2
-        assert "overflow" in capsys.readouterr().err
+        for workers in ("1", "2"):
+            args = ["--property", LE20, "--mode", mode, "--workers", workers]
+            assert run(["verify", "--network", str(net)] + args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_property_dim_mismatch_exit_5(tmp_path, capsys):

@@ -130,6 +130,17 @@ def test_monotonicity_reduction_with_negation(demo_net, demo_box):
         assert v.status is Status.SECURE
 
 
+def test_monotone_endpoint_children_are_corners():
+    # y = 2*x0 - x1 over [1, 2]^2 rises in x0 and falls in x1, so the root
+    # splits into its four corners; only the corner (2, 1) violates y <= 2.999
+    net = make_net([np.eye(2), [[2.0, -1.0]]])
+    spec = (InputSpec((Box.from_arrays([1, 1], [2, 2]),)), OutLE(0, 2.999))
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE
+    assert v.counterexample.tolist() == [2.0, 1.0]
+    assert v.stats.nodes_explored <= 5 and v.stats.max_depth == 2
+
+
 def test_monotone_or_constraint_still_sound():
     # y = x over [0, 10]; "y <= 1 or y > 9" fails only in the interior,
     # so endpoint substitution alone would wrongly prove it
@@ -149,10 +160,9 @@ def test_worker_count_does_not_change_status(demo_net, le20, le15):
             assert v.status is want, f"workers={workers}"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["naive", "symbolic"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_worker_exception_fails_fast(mode, workers):
+def test_worker_exception_fails_fast(mode, workers, recwarn):
     # 1e200 weights overflow in the second layer; every worker count must
     # raise the worker's error rather than wait for jobs that never finish
     net = make_net([np.full((3, 2), 1e200), np.full((3, 3), 1e200), np.ones((1, 3))])
@@ -171,6 +181,7 @@ def test_worker_exception_fails_fast(mode, workers):
     t.join(timeout=20.0)
     assert not t.is_alive(), "verify hung after a worker exception"
     assert len(raised) == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_enumerate_partition_covers_region(demo_net, le15):

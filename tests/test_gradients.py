@@ -3,10 +3,8 @@ import pytest
 
 from relucheck.gradients import (
     IntervalJacobian,
-    Monotonicity,
     NoSplittableDimensionError,
     backward_gradient,
-    monotonic_features,
     smear_split_choice,
 )
 from relucheck.intervals import Box
@@ -37,8 +35,8 @@ def test_backward_all_zero(demo_net):
 def test_backward_unstable_hull(demo_net):
     # right neuron unstable: d/dy = hull{3-1, 3-0} = [2, 3]
     J = backward_gradient(demo_net, masks_of([ReluState.ACTIVE, ReluState.UNSTABLE]))
-    assert J.entry(0, 1).lo == pytest.approx(2.0)
-    assert J.entry(0, 1).hi == pytest.approx(3.0)
+    assert J.lo[0, 1] == pytest.approx(2.0)
+    assert J.hi[0, 1] == pytest.approx(3.0)
 
 
 def test_backward_shape_mismatch(demo_net):
@@ -76,21 +74,6 @@ def test_smear_uses_abs_upper():
     assert smear_split_choice(J, Box.from_arrays([0, 0], [1, 1])) == 0
 
 
-def test_monotonic_features():
-    J = IntervalJacobian(np.array([[1.0, -3.0, -1.0]]), np.array([[2.0, -1.0, 1.0]]))
-    feats = monotonic_features(J)
-    assert feats == [Monotonicity.INCREASING, Monotonicity.DECREASING, Monotonicity.UNKNOWN]
-
-
-def test_monotonic_features_restricted_outputs():
-    lo = np.array([[1.0], [-2.0]])
-    hi = np.array([[2.0], [-1.0]])
-    J = IntervalJacobian(lo, hi)
-    assert monotonic_features(J, [0]) == [Monotonicity.INCREASING]
-    assert monotonic_features(J, [1]) == [Monotonicity.DECREASING]
-    assert monotonic_features(J, [0, 1]) == [Monotonicity.UNKNOWN]
-
-
 def _fd_gradient(net, x, h):
     d = len(x)
     g = np.zeros((net.output_dim, d))
@@ -120,7 +103,7 @@ def test_finite_difference_containment():
         box = random_box(rng, net.input_dim)
         fr = symbolic_forward(net, box)
         J = backward_gradient(net, fr.masks)
-        lo, hi = box.lo_array(), box.hi_array()
+        lo, hi = box.lo, box.hi
         h = 1e-4 * box.widths()
         for _ in range(20):
             x = rng.uniform(lo + 2 * h, hi - 2 * h)
@@ -138,7 +121,7 @@ def test_refinement_monotonicity_of_jacobian():
     for _ in range(15):
         net = random_net(rng)
         outer = random_box(rng, net.input_dim)
-        lo, hi = outer.lo_array(), outer.hi_array()
+        lo, hi = outer.lo, outer.hi
         mid = (lo + hi) / 2
         inner = Box.from_arrays(lo, mid)
         Jo = backward_gradient(net, symbolic_forward(net, outer).masks)

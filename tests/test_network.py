@@ -72,6 +72,23 @@ def test_json_roundtrip(demo_net):
     assert eval_concrete(net, [4, 1])[0] == 6.0
 
 
+# JSON networks whose norm block or layer list is malformed; each must
+# raise NetworkFormatError (CLI exit 4)
+_TWO_TWO_ONE = [{"W": [[1, 0], [0, 1]], "b": [0, 0]}, {"W": [[1, -1]], "b": [0]}]
+MALFORMED_JSON = [
+    json.dumps({"layers": _TWO_TWO_ONE, "norm": {"mean": "abc", "range": [1, 1]}}),
+    json.dumps({"layers": _TWO_TWO_ONE, "norm": {"mean": [0, 0]}}),
+    json.dumps({"layers": _TWO_TWO_ONE, "norm": [0, 1]}),
+    json.dumps({"layers": 5}),
+]
+
+
+def test_json_rejects_malformed_documents():
+    for text in MALFORMED_JSON:
+        with pytest.raises(NetworkFormatError):
+            load_network(text)
+
+
 def test_json_rejects_bad_activation():
     doc = {"layers": [{"W": [[1.0]], "b": [0.0], "activation": "tanh"}]}
     with pytest.raises(NetworkFormatError):
@@ -112,7 +129,7 @@ def test_interval_extension_agrees_on_points():
         b = random_box(rng, net.input_dim)
         for p in sample_points(rng, b, 5):
             y = eval_concrete(net, p)
-            point = Box.from_point(p)
+            point = Box.from_arrays(p, p)
             for fr in (naive_forward(net, point), symbolic_forward(net, point)):
                 for i, iv in enumerate(fr.out_bounds):
                     # concrete eval sums in a different order, so allow

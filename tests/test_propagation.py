@@ -21,7 +21,7 @@ def test_naive_demo_example(demo_net, demo_box):
 
 
 def test_naive_point_box(demo_net):
-    (out,) = naive_forward(demo_net, Box.from_point([4.0, 1.0])).out_bounds
+    (out,) = naive_forward(demo_net, Box.from_arrays([4.0, 1.0], [4.0, 1.0])).out_bounds
     assert out.contains(6.0)
     assert out.hi - out.lo <= 4 * np.spacing(11.0)
 
@@ -104,7 +104,7 @@ def test_inclusion_isotonicity_forward():
     for _ in range(20):
         net = random_net(rng)
         outer = random_box(rng, net.input_dim)
-        lo, hi = outer.lo_array(), outer.hi_array()
+        lo, hi = outer.lo, outer.hi
         mid = (lo + hi) / 2
         inner = Box.from_arrays((lo + mid) / 2, (hi + mid) / 2)
         fo = symbolic_forward(net, outer)

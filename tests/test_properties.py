@@ -24,7 +24,6 @@ from relucheck.properties import (
     check_sound,
     desugar,
     parse_property,
-    referenced_outputs,
     robustness_to_property,
 )
 
@@ -66,12 +65,6 @@ def test_desugar_matches_concrete_truth():
         assert check_concrete(y, IsMin(i)) == (y[i] <= y.min())
         assert check_concrete(y, IsMax(i)) == (y[i] >= y.max())
         assert check_concrete(y, NotMin(i)) == (y.min() < y[i])
-
-
-def test_referenced_outputs():
-    assert referenced_outputs(OutLE(2, 1.0), 5) == [2]
-    assert referenced_outputs(And((DiffLE(0, 3, 0.0), OutGE(1, 2.0))), 5) == [0, 1, 3]
-    assert referenced_outputs(IsMin(0), 4) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +164,8 @@ def test_check_sound_never_false_positive_fuzz():
 def test_robustness_ball():
     spec, c = robustness_to_property(RobustnessSpec([1.0, 2.0], 0.5, label=1))
     (box,) = spec.regions
-    assert box.lo_array().tolist() == [0.5, 1.5]
-    assert box.hi_array().tolist() == [1.5, 2.5]
+    assert box.lo.tolist() == [0.5, 1.5]
+    assert box.hi.tolist() == [1.5, 2.5]
     assert c == IsMax(1)
 
 
@@ -180,8 +173,8 @@ def test_robustness_ball_clamped():
     dom = Box.from_arrays([0.0, 0.0], [1.0, 1.0])
     spec, _ = robustness_to_property(RobustnessSpec([0.1, 0.9], 0.3, label=0), dom)
     (box,) = spec.regions
-    np.testing.assert_allclose(box.lo_array(), [0.0, 0.6])
-    np.testing.assert_allclose(box.hi_array(), [0.4, 1.0])
+    np.testing.assert_allclose(box.lo, [0.0, 0.6])
+    np.testing.assert_allclose(box.hi, [0.4, 1.0])
 
 
 def test_robustness_rejects_negative_radius():
@@ -213,24 +206,24 @@ def test_parse_simple_property():
     spec, c = parse_property(text)
     assert spec.units == "raw"
     (box,) = spec.regions
-    assert box.lo_array().tolist() == [4.0, 1.0]
-    assert box.hi_array().tolist() == [6.0, 5.0]
+    assert box.lo.tolist() == [4.0, 1.0]
+    assert box.hi.tolist() == [6.0, 5.0]
     assert c == OutLE(0, 20.0)
 
 
 def test_parse_wildcard_uses_domain():
     text = "domain:\n-1 1\n0 9\nregion:\n*\n0.5 0.5\nconstraint:\nge 0 0\n"
     spec, _ = parse_property(text)
-    assert spec.regions[0][0].lo == -1.0 and spec.regions[0][0].hi == 1.0
-    assert spec.regions[0][1].lo == 0.5
+    assert spec.regions[0].lo[0] == -1.0 and spec.regions[0].hi[0] == 1.0
+    assert spec.regions[0].lo[1] == 0.5
 
 
 def test_parse_multiple_regions():
     with open(shipped_path("phi6.prop"), "rb") as f:
         spec, c = parse_property(f, num_outputs=5)
     assert len(spec.regions) == 2
-    assert spec.regions[0][1].lo == pytest.approx(0.7)
-    assert spec.regions[1][1].hi == pytest.approx(-0.7)
+    assert spec.regions[0].lo[1] == pytest.approx(0.7)
+    assert spec.regions[1].hi[1] == pytest.approx(-0.7)
     assert c == desugar(IsMin(0), 5)
 
 
@@ -312,5 +305,5 @@ def test_shipped_acas_domains_consistent():
         spec, _ = load_prop(name, 5)
         assert spec.dim == 5
         for box in spec.regions:
-            assert box[0].lo >= 0.0 and box[0].hi <= 62000.0
-            assert box[3].hi <= 1200.0 and box[4].hi <= 1200.0
+            assert box.lo[0] >= 0.0 and box.hi[0] <= 62000.0
+            assert box.hi[3] <= 1200.0 and box.hi[4] <= 1200.0

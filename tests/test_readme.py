@@ -1,9 +1,10 @@
-"""The README's file-format examples load as written."""
+"""The README's file-format and library examples work as written."""
 
 from pathlib import Path
 
 import numpy as np
 
+from relucheck.data import shipped_path
 from relucheck.network import load_network
 from relucheck.properties import OutLE, parse_property
 
@@ -28,4 +29,15 @@ def test_readme_property_example():
     spec, constraint = parse_property(_first_block_after("### Properties"))
     assert constraint == OutLE(0, 20.0)
     assert spec.dim == 2 and spec.units == "raw"
-    assert (spec.regions[0][0].lo, spec.regions[0][1].hi) == (4.0, 5.0)
+    assert (spec.regions[0].lo[0], spec.regions[0].hi[1]) == (4.0, 5.0)
+
+
+def test_readme_library_use(capsys):
+    code = _first_block_after("## Library use")
+    code = code.replace('"net.nnl"', repr(str(shipped_path("demonet.nnl"))))
+    code = code.replace('"prop.prop"', repr(str(shipped_path("le15.prop"))))
+    exec(compile(code, "README.md", "exec"), {})
+    bounds, status = capsys.readouterr().out.splitlines()
+    lo, hi = (float(v) for v in bounds.strip("([],)").split(", "))
+    assert lo <= 6.0 <= lo + 1e-12 and hi - 1e-12 <= 16.0 <= hi
+    assert status == "Status.INSECURE"

@@ -199,7 +199,7 @@ def test_sandwich_on_sampled_points():
         b = random_box(rng, d)
         c, k = rng.uniform(-2, 2, d), rng.uniform(-1, 1)
         out, _ = relu(exact_rows([c], [k]), b, RoundingPolicy())
-        pts = rng.uniform(b.lo_array(), b.hi_array(), size=(200, d))
+        pts = rng.uniform(b.lo, b.hi, size=(200, d))
         val = np.maximum(pts @ c + k, 0.0)
         assert np.all(pts @ out.low_c[0] + out.low_k[0] <= val + 1e-12)
         assert np.all(pts @ out.up_c[0] + out.up_k[0] >= val - 1e-12)
@@ -208,7 +208,7 @@ def test_sandwich_on_sampled_points():
 def test_point_box_bounds_are_tight():
     c, k = np.array([0.3, -0.7]), 0.11
     p = np.array([1.234, -5.678])
-    lo, hi = bounds(c, k, Box.from_point(p), RoundingPolicy())
+    lo, hi = bounds(c, k, Box.from_arrays(p, p), RoundingPolicy())
     v = float(c @ p + k)
     assert lo <= v <= hi
     assert hi - lo <= 8 * math.ulp(max(abs(v), 4.0))
