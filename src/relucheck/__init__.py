@@ -1,9 +1,10 @@
-"""relucheck: sound, parallel verification of ReLU feed-forward networks.
+"""relucheck: sound verification of ReLU feed-forward networks.
 
 Output ranges are bounded with outward-rounded interval arithmetic and
 symbolic interval propagation; inconclusive regions are refined by
 gradient-guided bisection until proved, refuted with a concrete
-counterexample, or out of budget.
+counterexample, or out of budget. Pending boxes are evaluated in batches,
+as stacks of arrays.
 """
 
 from .intervals import (
@@ -15,7 +16,15 @@ from .intervals import (
     iv_bisect,
 )
 from .symbolic import ReluState, SymRows
-from .network import Activation, Layer, Network, NetworkFormatError, eval_concrete, load_network
+from .network import (
+    Activation,
+    DimensionMismatchError,
+    Layer,
+    Network,
+    NetworkFormatError,
+    eval_concrete,
+    load_network,
+)
 from .propagate import ForwardResult, ReluMaskMatrix, naive_forward, symbolic_forward
 from .gradients import IntervalJacobian, backward_gradient, smear_split_choice
 from .properties import (

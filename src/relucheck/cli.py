@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import Config, Status, enumerate_regions, internal_view, verify, write_report
 from .intervals import IntervalOverflowError, RoundingPolicy
-from .network import NetworkFormatError, eval_concrete, load_network
+from .network import DimensionMismatchError, NetworkFormatError, eval_concrete, load_network
 from .propagate import naive_forward, symbolic_forward
 from .properties import PropertyParseError, parse_property
 
@@ -182,11 +182,11 @@ def run(argv=None) -> int:
     except IntervalOverflowError as e:
         print(f"error: {e}; no verdict", file=sys.stderr)
         return EXIT_UNKNOWN
+    except DimensionMismatchError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DIM_MISMATCH
     except ValueError as e:
-        msg = str(e)
-        print(f"error: {msg}", file=sys.stderr)
-        if "dim" in msg or "shape" in msg:
-            return EXIT_DIM_MISMATCH
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_FLAGS
 
 

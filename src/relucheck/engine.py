@@ -1,22 +1,24 @@
 """Verification driver: bisection tree, sampling, monotonicity reduction,
-verdicts, sub-interval enumeration, and the parallel work distribution.
+verdicts and sub-interval enumeration.
 
-Jobs (sub-boxes of the input region) are independent, so any worker may
-process any of them. Each worker keeps a LIFO deque; idle workers steal
-the shallowest pending job from the most loaded peer. A found
-counterexample sets a global cancellation flag (verify mode only) that is
-observed at job boundaries. The final status depends only on the job
-tree, never on thread interleaving.
+The search is depth-first. A cursor pops the job pushed last; a job that
+is neither proved, refuted, nor out of budget pushes its children. Jobs
+are evaluated in waves: when the cursor reaches a job that no wave has
+evaluated, the next wave takes that job and up to WAVE - 1 unevaluated
+jobs that follow it in depth-first order. It stacks their boxes into
+(B, d) arrays and bounds, checks, samples and splits all of them at once.
+Every box of a stack gets the bits it would get alone, so the tree, the
+verdict, the node count and the order of the leaves do not depend on the
+wave size. Results that a verify run never reaches because it stopped at
+a counterexample are dropped, and are not counted as nodes.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import itertools
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,8 +26,14 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, iv_bisect
-from .network import Network, eval_concrete, eval_concrete_batch, split_weights
-from .propagate import naive_forward, symbolic_forward
+from .network import (
+    DimensionMismatchError,
+    Network,
+    eval_concrete,
+    eval_concrete_batch,
+    split_weights,
+)
+from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
 from .gradients import IntervalJacobian, backward_gradient, smear_split_choice, NoSplittableDimensionError
 from .properties import (
     And,
@@ -68,10 +76,18 @@ class SubStatus(enum.Enum):
     UNKNOWN_SUB = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class Job:
+    """A sub-box of an input region and its depth in the bisection tree.
+
+    The wave that evaluates it sets `outcome`: its leaf status (with the
+    counterexample of an insecure leaf), or the list of its child jobs.
+    """
+
     box: Box
     depth: int = 0
+    outcome: object = None
+    cex: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -141,6 +157,8 @@ class Config:
     precision: float = 1e-6
     timeout: float = 300.0
     max_depth: Optional[int] = None
+    # checked, but without effect: one thread evaluates the waves. Kept so
+    # that callers that pass a worker count keep working.
     workers: int = 1
     mode: str = "symbolic"  # "symbolic" | "naive"
     sample_strategy: str = "midpoint"  # "midpoint" | "corners"
@@ -173,10 +191,17 @@ def internal_view(net: Network, input_spec: InputSpec):
 def default_max_depth(regions, precision: float) -> int:
     """ceil(log2(max initial width / precision)) * d, at least 1."""
     d = len(regions[0])
-    wmax = max((w for r in regions for w in r.widths()), default=0.0)
+    with np.errstate(over="ignore"):
+        wmax = max((w for r in regions for w in r.widths()), default=0.0)
     if wmax <= precision:
         return 1
-    return max(1, math.ceil(math.log2(wmax / precision)) * d)
+    ratio = wmax / precision
+    if math.isinf(ratio):  # past the float range; halved widths are not
+        half = max(float(np.max(r.hi / 2 - r.lo / 2)) for r in regions)
+        bits = math.log2(half) + 1.0 - math.log2(precision)
+    else:
+        bits = math.log2(ratio)
+    return max(1, math.ceil(bits) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -221,110 +246,28 @@ def _margin_rows(atoms):
     return rows
 
 
-def _reducible_dims(J: IntervalJacobian, margin_rows, widths, precision):
-    """Dims where every atom's margin derivative is sign-definite."""
-    d = widths.shape[0]
-    out = []
-    for j in range(d):
-        if widths[j] <= precision:
-            continue
-        ok = True
-        for i, k in margin_rows:
-            if k is None:
-                lo, hi = J.lo[i, j], J.hi[i, j]
-            else:
-                lo = J.lo[i, j] - J.hi[k, j]
-                hi = J.hi[i, j] - J.lo[k, j]
-            if not (lo > 0.0 or hi < 0.0):
-                ok = False
-                break
-        if ok:
-            out.append(j)
-    return out
+class _MarginRows:
+    """The atoms' margins as index arrays: margin r's derivative is
+    J[i_r] - J[k_r], or J[i_r] alone for an OutLE/OutGE atom."""
 
+    def __init__(self, rows):
+        self.i = np.array([i for i, _ in rows], dtype=np.intp)
+        self.k = np.array([0 if k is None else k for _, k in rows], dtype=np.intp)
+        self.paired = np.array([k is not None for _, k in rows], dtype=bool)[:, np.newaxis]
 
-# ---------------------------------------------------------------------------
-# work-stealing scheduler
-
-
-class _Pool:
-    """Per-worker LIFO deques; idle workers steal from the left (shallow)
-    end of the most loaded peer's deque.
-
-    The first exception raised while processing a job sets `cancel`, so
-    every worker stops at its next job boundary, and `run` re-raises it.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self.deques = [collections.deque() for _ in range(workers)]
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
-        self.outstanding = 0
-        self.cancel = threading.Event()
-        self.error = None
-
-    def _take(self, wid: int):
-        own = self.deques[wid]
-        if own:
-            return own.pop()
-        victim = max(range(self.workers), key=lambda w: len(self.deques[w]))
-        if self.deques[victim]:
-            return self.deques[victim].popleft()
-        return None
-
-    def run(self, initial_jobs, process):
-        with self.lock:
-            for n, job in enumerate(initial_jobs):
-                self.deques[n % self.workers].append(job)
-                self.outstanding += 1
-
-        def worker(wid):
-            try:
-                # bounds that overflow raise IntervalOverflowError; numpy's
-                # warnings about them would only repeat that on stderr
-                with np.errstate(over="ignore", invalid="ignore"):
-                    while True:
-                        with self.lock:
-                            while True:
-                                if self.cancel.is_set() or (self.outstanding == 0):
-                                    return
-                                job = self._take(wid)
-                                if job is not None:
-                                    break
-                                self.cond.wait(timeout=0.05)
-                        children = process(job, wid)
-                        with self.lock:
-                            if children:
-                                self.deques[wid].extend(children)
-                                self.outstanding += len(children) - 1
-                            else:
-                                self.outstanding -= 1
-                            self.cond.notify_all()
-            except BaseException as e:  # re-raised by run() below
-                with self.lock:
-                    if self.error is None:
-                        self.error = e
-                    self.cancel.set()
-                    self.cond.notify_all()
-
-        if self.workers == 1:
-            worker(0)
-        else:
-            threads = [
-                threading.Thread(target=worker, args=(w,), daemon=True)
-                for w in range(self.workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        if self.error is not None:
-            raise self.error
+    def monotone_dims(self, J: IntervalJacobian, wide):
+        """(B, d) bool: the dims in `wide` where every margin's derivative
+        is sign-definite over the box."""
+        lo = J.lo[..., self.i, :] - np.where(self.paired, J.hi[..., self.k, :], 0.0)
+        hi = J.hi[..., self.i, :] - np.where(self.paired, J.lo[..., self.k, :], 0.0)
+        return ((lo > 0.0) | (hi < 0.0)).all(axis=-2) & wide
 
 
 # ---------------------------------------------------------------------------
 # the driver
+
+# the most boxes one wave evaluates together
+WAVE = 256
 
 
 class _Run:
@@ -332,7 +275,7 @@ class _Run:
         self.net = net
         input_spec, constraint = spec
         if input_spec.dim != net.input_dim:
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"property has {input_spec.dim} input dims, network expects {net.input_dim}"
             )
         self.cfg = cfg
@@ -340,7 +283,7 @@ class _Run:
         self.constraint = desugar(constraint, net.output_dim)
         self.check = SoundCheck(self.constraint, net.output_dim, cfg.policy)
         self.core, self.regions = internal_view(net, input_spec)
-        self.split = split_weights(self.core) if cfg.mode == "symbolic" else None
+        self.split = split_weights(self.core)
         # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
         self.max_depth = (
@@ -350,9 +293,13 @@ class _Run:
         )
         atoms, or_free = _nnf_literals(self.constraint)
         margins = _margin_rows(atoms) if or_free else None
-        self.margin_rows = margins  # None disables monotonicity reduction
-        self.lock = threading.Lock()
-        self.cancel = threading.Event()
+        # None disables monotonicity reduction: endpoint boxes would break
+        # an enumerated partition, and they are unsound for disjunctions
+        self.margins = (
+            _MarginRows(margins)
+            if margins is not None and cfg.monotonicity and short_circuit and cfg.mode == "symbolic"
+            else None
+        )
         self.cex = None
         self.unknown = False
         self.timed_out = False
@@ -371,116 +318,173 @@ class _Run:
 
     # -- sampling ----------------------------------------------------------
     def _samples(self, box: Box) -> np.ndarray:
-        mid = box.midpoint()
+        """(B, S, d) sample points of a stack: each box's midpoint, then
+        with the corners strategy its corners over the first ten dims."""
+        mid = box.midpoint()[:, np.newaxis, :]
         if self.cfg.sample_strategy == "midpoint":
-            return mid[np.newaxis, :]
+            return mid
         d = len(box)
-        lo, hi = box.lo, box.hi
         k = min(d, 10)
-        pts = [mid]
-        for combo in itertools.islice(itertools.product((0, 1), repeat=k), 1024):
-            p = mid.copy()
-            for j, side in enumerate(combo):
-                p[j] = hi[j] if side else lo[j]
-            pts.append(p)
-        return np.array(pts)
+        sides = np.array(list(itertools.islice(itertools.product((0, 1), repeat=k), 1024)), dtype=bool)
+        corners = np.repeat(mid, len(sides), axis=1)
+        lo, hi = box.lo[:, np.newaxis, :k], box.hi[:, np.newaxis, :k]
+        corners[..., :k] = np.where(sides, hi, lo)
+        return np.concatenate((mid, corners), axis=1)
 
-    def _try_counterexample(self, box: Box) -> Optional[np.ndarray]:
+    def _counterexamples(self, box: Box) -> list:
+        """Per box of a stack, its first sample point that violates the
+        constraint, in the spec's units, or None."""
         pts = self._samples(box)
-        ys = eval_concrete_batch(self.core, pts)
-        for p, y in zip(pts, ys):
-            if not check_concrete(y, self.check):
-                raw = self._to_raw_point(p)
+        ok = check_concrete(eval_concrete_batch(self.core, pts.reshape(-1, len(box))), self.check)
+        found = [None] * len(pts)
+        for b, s in np.argwhere(~ok.reshape(pts.shape[:2])).tolist():
+            if found[b] is None:
+                raw = self._to_raw_point(pts[b, s])
                 # re-check through the full network; normalization round
                 # trips can shift the point by ULPs
                 if not check_concrete(eval_concrete(self.net, raw), self.check):
-                    return raw
-        return None
+                    found[b] = raw
+        return found
 
     # -- bookkeeping -------------------------------------------------------
     def _leaf(self, job: Job, status: SubStatus, cex=None):
-        with self.lock:
-            self.stats.leaves += 1
-            self.stats.depth_total += job.depth
-            if status is SubStatus.UNKNOWN_SUB:
-                self.unknown = True
-            if status is SubStatus.INSECURE_SUB and cex is not None and self.cex is None:
-                self.cex = cex
+        self.stats.leaves += 1
+        self.stats.depth_total += job.depth
+        if status is SubStatus.UNKNOWN_SUB:
+            self.unknown = True
+        if status is SubStatus.INSECURE_SUB and cex is not None and self.cex is None:
+            self.cex = cex
+        if not self.short_circuit:
             self.leaves.append((self._to_raw(job.box), status, cex))
-        if status is SubStatus.INSECURE_SUB and self.short_circuit:
-            self.cancel.set()
-        return []
 
     def _out_of_budget(self) -> bool:
         return time.monotonic() - self.t0 > self.cfg.timeout
 
-    # -- per-job processing ------------------------------------------------
-    def process(self, job: Job, wid: int):
-        with self.lock:
-            self.stats.nodes_explored += 1
-            self.stats.max_depth = max(self.stats.max_depth, job.depth)
-        if self._out_of_budget():
-            self.timed_out = True
-            return self._leaf(job, SubStatus.UNKNOWN_SUB)
+    # -- one wave ----------------------------------------------------------
+    def _frontier(self, job: Job, stack: list) -> list:
+        """`job` and the unevaluated jobs after it in depth-first order, at
+        most WAVE in all.
 
-        box = job.box
-        if self.cfg.mode == "symbolic":
-            fr = symbolic_forward(self.core, box, self.cfg.policy, self.split)
+        The order is the one the cursor will take: the stack from its top,
+        where an evaluated job stands for its children. An evaluated
+        insecure leaf ends a verify run, so nothing after it is taken.
+        """
+        wave = [job]
+        below = len(stack)
+        expanded = []
+        while len(wave) < WAVE:
+            if expanded:
+                nxt = expanded.pop()
+            elif below:
+                below -= 1
+                nxt = stack[below]
+            else:
+                break
+            outcome = nxt.outcome
+            if outcome is None:
+                wave.append(nxt)
+            elif type(outcome) is list:
+                expanded.extend(outcome)
+            elif outcome is SubStatus.INSECURE_SUB and self.short_circuit:
+                break
+        return wave
+
+    def process(self, jobs: list) -> None:
+        """Evaluate a wave of jobs as one stack of boxes: bound, check,
+        sample, and choose each box's split. Sets each job's outcome: its
+        leaf status (and counterexample), or its list of child jobs."""
+        cfg = self.cfg
+        box = Box.stack([job.box for job in jobs])
+        if cfg.mode == "symbolic":
+            fr = symbolic_forward(self.core, box, cfg.policy, self.split)
         else:
-            fr = naive_forward(self.core, box, self.cfg.policy)
+            fr = naive_forward(self.core, box, cfg.policy, self.split)
 
-        if check_sound(fr, self.check, box) is TriState.HOLDS:
-            return self._leaf(job, SubStatus.SECURE_SUB)
-
-        cex = self._try_counterexample(box)
-        if cex is not None:
-            return self._leaf(job, SubStatus.INSECURE_SUB, cex)
-
-        if job.depth >= self.max_depth:
-            return self._leaf(job, SubStatus.UNKNOWN_SUB)
-
+        holds = check_sound(fr, self.check, box)
+        for job in itertools.compress(jobs, holds.tolist()):
+            job.outcome = SubStatus.SECURE_SUB
+        idx = np.flatnonzero(~holds)
+        if not len(idx):
+            return
+        if len(idx) < len(jobs):
+            box = box.take(idx)
         widths = box.widths()
-        splittable = widths > self.cfg.precision
-        if not splittable.any():
-            return self._leaf(job, SubStatus.UNKNOWN_SUB)
+        can_split = (widths > cfg.precision).any(axis=1).tolist()
+        keep = []
+        for b, (i, cex) in enumerate(zip(idx.tolist(), self._counterexamples(box))):
+            job = jobs[i]
+            if cex is not None:
+                job.outcome, job.cex = SubStatus.INSECURE_SUB, cex
+            elif job.depth >= self.max_depth or not can_split[b]:
+                job.outcome = SubStatus.UNKNOWN_SUB
+            else:
+                keep.append(b)
+        if not keep:
+            return
+        if len(keep) < len(idx):
+            box, widths, idx = box.take(keep), widths[keep], idx[keep]
+        jobs = [jobs[i] for i in idx.tolist()]
 
-        J = None
-        if self.cfg.mode == "symbolic":
-            J = backward_gradient(self.core, fr.masks, self.cfg.policy, self.split)
-            # monotonicity reduction: endpoint substitution. Disabled when
-            # enumerating (endpoint boxes would break the partition) and
-            # for constraints with disjunctions (unsound there).
-            if (
-                self.cfg.monotonicity
-                and self.short_circuit
-                and self.margin_rows is not None
-            ):
-                dims = _reducible_dims(J, self.margin_rows, widths, self.cfg.precision)
-                dims = dims[:_MAX_REDUCED_DIMS]
-                if dims:
-                    children = []
-                    for sides in itertools.product((False, True), repeat=len(dims)):
-                        v = np.where(sides, box.hi[dims], box.lo[dims])
-                        lo, hi = box.lo.copy(), box.hi.copy()
-                        lo[dims] = hi[dims] = v
-                        children.append(Job(Box.from_arrays(lo, hi), job.depth + len(dims)))
-                    return children
-
-        if J is not None:
-            split = smear_split_choice(J, box, self.cfg.precision)
+        if cfg.mode == "symbolic":
+            masks = ReluMaskMatrix(m[idx] for m in fr.masks)
+            J = backward_gradient(self.core, masks, cfg.policy, self.split)
+            dims = smear_split_choice(J, box, cfg.precision)
+            if self.margins is not None:
+                # monotonicity reduction: a box whose margins are monotone
+                # in some dims is replaced by its endpoint boxes there
+                mono = self.margins.monotone_dims(J, widths > cfg.precision)
+                reduced = mono.any(axis=1)
+                for b in np.flatnonzero(reduced).tolist():
+                    pinned = np.flatnonzero(mono[b])[:_MAX_REDUCED_DIMS].tolist()
+                    jobs[b].outcome = _endpoint_children(jobs[b], pinned)
+                if reduced.any():
+                    keep = np.flatnonzero(~reduced)
+                    box, dims = box.take(keep), dims[keep]
+                    jobs = [jobs[b] for b in keep.tolist()]
         else:
-            masked = np.where(splittable, widths, -np.inf)
-            split = int(np.argmax(masked))
-        left, right = iv_bisect(box, split)
-        return [Job(left, job.depth + 1), Job(right, job.depth + 1)]
+            dims = np.argmax(np.where(widths > cfg.precision, widths, -np.inf), axis=1)
+        left, right = iv_bisect(box, dims)
+        for job, l, r in zip(jobs, left.unstack(), right.unstack()):
+            job.outcome = [Job(l, job.depth + 1), Job(r, job.depth + 1)]
 
     # -- entry points ------------------------------------------------------
     def execute(self):
-        pool = _Pool(self.cfg.workers)
-        pool.cancel = self.cancel
-        jobs = [Job(r) for r in self.regions]
-        pool.run(jobs, self.process)
-        self.stats.wall_time = time.monotonic() - self.t0
+        """Consume the job tree depth-first, last pushed first, evaluating
+        the frontier in waves whenever the cursor reaches a job that no
+        wave has evaluated yet."""
+        stack = [Job(r) for r in self.regions]
+        stats = self.stats
+        # bounds that overflow raise IntervalOverflowError; numpy's
+        # warnings about them would only repeat that on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            while stack:
+                job = stack.pop()
+                stats.nodes_explored += 1
+                stats.max_depth = max(stats.max_depth, job.depth)
+                if self._out_of_budget():
+                    self.timed_out = True
+                    self._leaf(job, SubStatus.UNKNOWN_SUB)
+                    continue
+                if job.outcome is None:
+                    self.process(self._frontier(job, stack))
+                if type(job.outcome) is list:
+                    stack.extend(job.outcome)
+                    continue
+                self._leaf(job, job.outcome, job.cex)
+                if job.outcome is SubStatus.INSECURE_SUB and self.short_circuit:
+                    break
+        stats.wall_time = time.monotonic() - self.t0
+
+
+def _endpoint_children(job: Job, dims: list) -> list:
+    """The 2^k boxes that pin each of the k dims to one of its ends."""
+    box, children = job.box, []
+    for sides in itertools.product((False, True), repeat=len(dims)):
+        v = np.where(sides, box.hi[dims], box.lo[dims])
+        lo, hi = box.lo.copy(), box.hi.copy()
+        lo[dims] = hi[dims] = v
+        children.append(Job(Box.from_arrays(lo, hi), job.depth + len(dims)))
+    return children
 
 
 def verify(net: Network, spec, cfg: Config = Config()) -> Verdict:

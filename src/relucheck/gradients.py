@@ -30,7 +30,8 @@ class NoSplittableDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class IntervalJacobian:
-    """Entrywise bounds on d(output_i)/d(input_j) over a box; shape m x d."""
+    """Entrywise bounds on d(output_i)/d(input_j) over a box; shape m x d,
+    or B x m x d for a stack of boxes."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -40,7 +41,7 @@ class IntervalJacobian:
         hi = np.asarray(self.hi, dtype=np.float64)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 2:
+        if lo.shape != hi.shape or lo.ndim < 2:
             raise ValueError(f"Jacobian bound shapes disagree: {lo.shape} vs {hi.shape}")
         if np.any(lo > hi):
             raise ValueError("inverted Jacobian entry")
@@ -64,8 +65,9 @@ def backward_gradient(
 ) -> IntervalJacobian:
     """Interval Jacobian of outputs w.r.t. inputs, given activation masks.
 
-    `split` is `split_weights(net)`, passed in by callers that run many
-    boxes through one network.
+    The masks are those of one box or of a stack; each box of a stack
+    gets the bits it would get alone. `split` is `split_weights(net)`,
+    passed in by callers that run many boxes through one network.
     """
     if len(masks) != net.num_hidden:
         raise ValueError(
@@ -73,37 +75,41 @@ def backward_gradient(
         )
     if split is None:
         split = split_weights(net)
-    g_lo = net.layers[-1].W.copy()
-    g_hi = g_lo.copy()
+    lead = masks[0].shape[:-1] if masks else ()
+    g_lo = g_hi = np.broadcast_to(net.layers[-1].W, lead + net.layers[-1].W.shape)
     for k in range(net.num_hidden - 1, -1, -1):
         states = masks[k]
-        if states.shape != (net.layers[k].out_size,):
+        n = net.layers[k].out_size
+        if states.shape != lead + (n,):
             raise ValueError(f"mask layer {k} size disagrees with network")
-        m_lo = _GRAD_LO[states]
-        m_hi = _GRAD_HI[states]
-        # Hadamard with the mask gradient interval (columns = layer-k units)
-        cands = np.stack([m_lo * g_lo, m_hi * g_lo, m_lo * g_hi, m_hi * g_hi])
-        g_lo = cands.min(axis=0)
-        g_hi = cands.max(axis=0)
-        # [g_lo, g_hi] @ W with exact-weight columns; outward-rounded
+        m_lo = _GRAD_LO[states][..., np.newaxis, :]
+        m_hi = _GRAD_HI[states][..., np.newaxis, :]
+        # Hadamard with the mask gradient interval (columns = layer-k units);
+        # the mask ends are 0 or 1, so the lower end takes g_lo, the upper g_hi
+        g = np.empty(g_lo.shape[:-2] + (2,) + g_lo.shape[-2:])
+        np.minimum(m_lo * g_lo, m_hi * g_lo, out=g[..., 0, :, :])
+        np.maximum(m_lo * g_hi, m_hi * g_hi, out=g[..., 1, :, :])
+        # [g_lo, g_hi] @ W with exact-weight columns: g_lo W+ + g_hi W- and
+        # g_hi W+ + g_lo W-, each product of one shape; outward-rounded
         pos, neg = split[k]
-        g_lo, g_hi = round_out(g_lo @ pos + g_hi @ neg, g_hi @ pos + g_lo @ neg, policy)
+        g = g @ pos + g[..., ::-1, :, :] @ neg
+        g_lo, g_hi = round_out(g[..., 0, :, :], g[..., 1, :, :], policy)
     return IntervalJacobian(g_lo, g_hi)
 
 
 def smear_split_choice(
     J: IntervalJacobian, x: Box, precision: float = 0.0
-) -> int:
-    """Index of the most influential splittable input.
+):
+    """Index of the most influential splittable input, one per box of a
+    stack.
 
     Score per input j: max over outputs of upper|J_ij| times width(x_j).
     Dimensions no wider than `precision` are excluded; ties break low.
     """
     widths = x.widths()
     splittable = widths > precision
-    if not np.any(splittable):
+    if not splittable.any(axis=-1).all():
         raise NoSplittableDimensionError("exhausted: no dimension wider than precision")
-    influence = J.abs_upper().max(axis=0)
+    influence = J.abs_upper().max(axis=-2)
     smear = np.where(splittable, influence * widths, -np.inf)
-    return int(np.argmax(smear))
-
+    return np.argmax(smear, axis=-1)

@@ -21,6 +21,7 @@ __all__ = [
     "UnsplittableError",
     "iv_bisect",
     "matvec_bounds",
+    "midpoint",
     "round_out",
 ]
 
@@ -71,10 +72,10 @@ def round_out(lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
 
 
 def _check_overflow(*values):
-    """Raise IntervalOverflowError unless every entry is finite; the values
-    are scalars or arrays of one shape."""
-    if not np.isfinite(values).all():
-        raise IntervalOverflowError("interval overflow")
+    """Raise IntervalOverflowError unless every entry is finite."""
+    for v in values:
+        if not np.isfinite(v).all():
+            raise IntervalOverflowError("interval overflow")
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,12 @@ class Interval:
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box over the network inputs: read-only float64 arrays
-    `lo` and `hi`, finite, with lo <= hi in every dimension."""
+    `lo` and `hi`, finite, with lo <= hi in every dimension.
+
+    The constructor checks a single box, with (d,) arrays. `Box.stack`
+    builds a stack of B boxes, with (B, d) arrays, which the analysis
+    evaluates together. `len()` is d either way.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -129,20 +135,35 @@ class Box:
     def from_arrays(cls, lo, hi) -> "Box":
         return cls(lo, hi)
 
+    @classmethod
+    def stack(cls, boxes) -> "Box":
+        """One (B, d) box holding the given single boxes as its rows."""
+        return _sub_box(
+            _read_only(np.array([b.lo for b in boxes])), _read_only(np.array([b.hi for b in boxes]))
+        )
+
+    def unstack(self) -> list:
+        """The single boxes of a stack, as read-only views of its rows."""
+        return [_sub_box(a, b) for a, b in zip(self.lo, self.hi)]
+
+    def take(self, rows) -> "Box":
+        """The stack of the given rows."""
+        return _sub_box(_read_only(self.lo[rows]), _read_only(self.hi[rows]))
+
     @property
     def dims(self) -> tuple:
         """One Interval per input."""
         return tuple(Interval(a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist()))
 
     def __len__(self):
-        return self.lo.shape[0]
+        return self.lo.shape[-1]
 
     def midpoint(self) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) / 2.0
+        return midpoint(self.lo, self.hi)
 
     def widths(self) -> np.ndarray:
         """hi - lo, rounded up by one ULP where positive, so a width never
-        understates."""
+        understates; inf where it exceeds the float range."""
         w = self.hi - self.lo
         return np.nextafter(w, np.inf, out=w, where=w > 0.0)
 
@@ -151,49 +172,74 @@ class Box:
 
 
 def _sub_box(lo: np.ndarray, hi: np.ndarray) -> Box:
-    """The Box of two read-only arrays that bound a part of a valid box;
-    such bounds need none of the constructor's checks."""
+    """The Box of read-only bounds that lie inside boxes already checked;
+    they need none of the constructor's checks."""
     box = object.__new__(Box)
     object.__setattr__(box, "lo", lo)
     object.__setattr__(box, "hi", hi)
     return box
 
 
-def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def midpoint(lo, hi):
+    """lo + (hi - lo)/2 entrywise, and lo/2 + hi/2 where hi - lo overflows,
+    so the midpoint of any finite interval is finite and inside it. (Run
+    under np.errstate(over="ignore") to silence the overflow warning.)"""
+    w = hi - lo
+    mid = lo + w / 2.0
+    wide = np.isinf(w)
+    if wide.any():
+        mid = np.where(wide, lo / 2.0 + hi / 2.0, mid)
+    return mid
+
+
+def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY, split=None):
     """Vectorized interval W @ [lo, hi] + b. Returns (lo, hi) arrays.
 
     Row i contains {sum_j W[i,j] x_j + b[i] : x_j in [lo_j, hi_j]},
-    outward-rounded once per output entry.
+    outward-rounded once per output entry. `lo` and `hi` are (m,) or a
+    (B, m) stack; each box of a stack gets the bits it would get alone.
+    `split` is (W+, W-), the positive and negative parts of W, passed in
+    by callers that reuse them.
     """
     W = np.asarray(W, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    if W.shape[1] != lo.shape[0]:
-        raise ValueError(f"shape mismatch: W has {W.shape[1]} cols, vector has {lo.shape[0]}")
+    if W.shape[1] != lo.shape[-1]:
+        raise ValueError(f"shape mismatch: W has {W.shape[1]} cols, vector has {lo.shape[-1]}")
     if W.shape[0] != b.shape[0]:
         raise ValueError(f"shape mismatch: W has {W.shape[0]} rows, bias has {b.shape[0]}")
-    pos = np.maximum(W, 0.0)
-    neg = np.minimum(W, 0.0)
-    out_lo = pos @ lo + neg @ hi + b
-    out_hi = pos @ hi + neg @ lo + b
-    out_lo, out_hi = round_out(out_lo, out_hi, policy)
+    pos, neg = split if split is not None else (np.maximum(W, 0.0), np.minimum(W, 0.0))
+    # W+ lo + W- hi and W+ hi + W- lo, each product of one shape
+    ends = np.stack((lo, hi), axis=-2)[..., np.newaxis]
+    ends = (pos @ ends + neg @ ends[..., ::-1, :, :])[..., 0] + b
+    out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :], policy)
     _check_overflow(out_lo, out_hi)
     return np.atleast_1d(out_lo), np.atleast_1d(out_hi)
 
 
-def iv_bisect(x: Box, j: int):
-    """Split dimension j at its midpoint into two boxes covering x."""
-    if not 0 <= j < len(x):
-        raise IndexError(f"dimension {j} out of range for box of size {len(x)}")
-    lo, hi = x.lo.item(j), x.hi.item(j)
-    if hi - lo <= 0.0:
+def iv_bisect(x: Box, j):
+    """Split dimension j at its midpoint into two boxes covering x.
+
+    For a (B, d) stack, j holds one dimension per box and the halves are
+    stacks too.
+    """
+    j = np.asarray(j)
+    d = len(x)
+    if j.shape != x.lo.shape[:-1]:
+        raise ValueError(f"need one split dimension per box, got shape {j.shape}")
+    if ((j < 0) | (j >= d)).any():
+        raise IndexError(f"dimension {j} out of range for box of size {d}")
+    at = (*np.indices(j.shape), j)
+    lo, hi = x.lo[at], x.hi[at]
+    if (hi <= lo).any():
         raise UnsplittableError(f"unsplittable: dimension {j} has zero width")
-    mid = lo + (hi - lo) / 2.0
-    if not math.isfinite(mid):
-        raise ValueError(f"interval bounds must be finite: dimension {j} is too wide to split")
+    mid = midpoint(lo, hi)
     left_hi, right_lo = x.hi.copy(), x.lo.copy()
-    left_hi[j] = right_lo[j] = mid
-    left_hi.setflags(write=False)
-    right_lo.setflags(write=False)
-    return _sub_box(x.lo, left_hi), _sub_box(right_lo, x.hi)
+    left_hi[at] = right_lo[at] = mid
+    return _sub_box(x.lo, _read_only(left_hi)), _sub_box(_read_only(right_lo), x.hi)

@@ -18,11 +18,23 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["Activation", "Layer", "Network", "NetworkFormatError", "load_network", "eval_concrete"]
+__all__ = [
+    "Activation",
+    "DimensionMismatchError",
+    "Layer",
+    "Network",
+    "NetworkFormatError",
+    "load_network",
+    "eval_concrete",
+]
 
 
 class NetworkFormatError(ValueError):
     """Malformed network file (parse error, shape mismatch, bad values)."""
+
+
+class DimensionMismatchError(ValueError):
+    """An input, box or property does not have the network's input dimension."""
 
 
 class Activation(enum.Enum):
@@ -127,17 +139,21 @@ def eval_concrete(net: Network, x) -> np.ndarray:
     """Exact forward pass at a single point (raw units when normalized)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
+        raise DimensionMismatchError(f"input has shape {x.shape}, expected ({net.input_dim},)")
     return eval_concrete_batch(net, x[np.newaxis, :])[0]
 
 
 def eval_concrete_batch(net: Network, xs) -> np.ndarray:
-    """Forward pass for a batch of points, shape (n, d) -> (n, m)."""
+    """Forward pass for a batch of points, shape (n, d) -> (n, m).
+
+    Each point is multiplied through on its own, so its outputs are the
+    bits it would get alone.
+    """
     v = np.asarray(xs, dtype=np.float64)
     if net.has_normalization:
         v = (v - net.norm_mean) / net.norm_range
     for k, layer in enumerate(net.layers):
-        v = v @ layer.W.T + layer.b
+        v = (layer.W @ v[..., np.newaxis])[..., 0] + layer.b
         if layer.activation is Activation.RELU:
             v = np.maximum(v, 0.0)
     return v

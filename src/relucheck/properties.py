@@ -22,7 +22,7 @@ import numpy as np
 
 from .intervals import Box, RoundingPolicy, DEFAULT_POLICY
 from .propagate import ForwardResult
-from .symbolic import box_arrays, expr_bounds
+from .symbolic import expr_bounds
 
 __all__ = [
     "PropertyParseError",
@@ -201,44 +201,45 @@ def max_output_index(c) -> int:
 # evaluation
 
 
-def check_concrete(y, c) -> bool:
+def check_concrete(y, c):
     """Exact truth of the constraint at one output vector: its sound check
-    over the point enclosure [y, y], where every atom is decided.
+    over the point enclosure [y, y], where every atom is decided. For an
+    (n, m) batch of outputs, a bool array of the n truths.
 
     `c` is a constraint tree or a `SoundCheck` compiled from it.
     """
     y = np.asarray(y, dtype=np.float64)
     if not isinstance(c, SoundCheck):
-        c = SoundCheck(c, y.shape[0])
-    return c.evaluate(ForwardResult(y, y), None) is True
+        c = SoundCheck(c, y.shape[-1])
+    holds, _ = c.evaluate(ForwardResult(y, y))
+    return holds if holds.ndim else bool(holds)
 
 
 class SoundCheck:
     """A constraint compiled once for sound evaluation on many boxes or
     points.
 
-    Each atom becomes a margin v <= c over an extended output vector:
-    y_i for `le`, -y_i for `ge` (so that -y_i <= -c), then one entry per
-    `diffle` atom. Over a symbolic result, y_i - y_j is bounded through
-    the combined rows up_i - low_j (upper) and low_i - up_j (lower), which
-    keeps shared input terms correlated; all such rows are bounded in one
-    `expr_bounds` call under `policy`.
+    Each atom becomes a margin v <= k: v = y_i for `le`, v = -y_i for `ge`
+    (so that -y_i <= -c), v = y_i - y_j for `diffle`. The bounds of every
+    margin are read, with their sign, from the vector [lo, hi, upper
+    bounds of the differences, lower bounds of the differences]. Over a
+    symbolic result, y_i - y_j is bounded through the combined rows
+    up_i - low_j (upper) and low_i - up_j (lower), which keeps shared input
+    terms correlated; all such rows are bounded in one `expr_bounds` call
+    under `policy`.
     """
 
     def __init__(self, c, m: int, policy: RoundingPolicy = DEFAULT_POLICY):
         self.policy = policy
-        margins, consts, pairs = [], [], []
+        atoms, pairs = [], []  # atoms: (upper bound index, lower bound index, sign, k)
 
         def compile_node(node):
             if isinstance(node, OutLE):
-                margins.append(node.i)
-                consts.append(node.c)
+                atoms.append((m + node.i, node.i, 1.0, node.c))
             elif isinstance(node, OutGE):
-                margins.append(m + node.i)
-                consts.append(-node.c)
+                atoms.append((node.i, m + node.i, -1.0, -node.c))
             elif isinstance(node, DiffLE):
-                margins.append(2 * m + len(pairs))
-                consts.append(node.c)
+                atoms.append((2 * m + len(pairs), None, 1.0, node.c))
                 pairs.append((node.i, node.j))
             elif isinstance(node, (And, Or)):
                 return type(node), tuple(compile_node(a) for a in node.args)
@@ -246,66 +247,89 @@ class SoundCheck:
                 return Not, compile_node(node.arg)
             else:
                 raise TypeError(f"unknown constraint node {node!r}")
-            return len(margins) - 1
+            return len(atoms) - 1
 
-        self.tree = compile_node(desugar(c, m))
-        self.margins = np.array(margins, dtype=np.intp)
-        self.consts = np.array(consts, dtype=np.float64)
+        self.tree = _kleene(compile_node(desugar(c, m)))
+        p = len(pairs)
+        ub = [u for u, _, _, _ in atoms]
+        lb = [u + p if l is None else l for u, l, _, _ in atoms]
+        sign = [s for _, _, s, _ in atoms]
+        bound = [k for _, _, _, k in atoms]
+        # one comparison gives each atom's "proved" (ub <= k), then its
+        # "not refuted" (lb <= k)
+        self.index = np.array(ub + lb, dtype=np.intp)
+        self.sign = np.array(sign + sign, dtype=np.float64)
+        self.bound = np.array(bound + bound, dtype=np.float64)
         self.i = np.array([i for i, _ in pairs], dtype=np.intp)
         self.j = np.array([j for _, j in pairs], dtype=np.intp)
+        # row pairs (a, b) of a symbolic result whose difference a - b
+        # bounds y_i - y_j: up_i - low_j from above, low_i - up_j from below
+        self.row_a = np.concatenate((m + self.i, self.i))
+        self.row_b = np.concatenate((self.j, m + self.j))
 
-    def _diff_bounds(self, fr: ForwardResult, x: Box):
+    def _diff_bounds(self, fr: ForwardResult):
         """(upper, lower) bound arrays of y_i - y_j for every diffle atom."""
         i, j, rows = self.i, self.j, fr.rows
         if rows is None:
-            return fr.hi[i] - fr.lo[j], fr.lo[i] - fr.hi[j]
-        c = np.concatenate((rows.up_c[i] - rows.low_c[j], rows.low_c[i] - rows.up_c[j]))
-        k = np.concatenate((rows.up_k[i] - rows.low_k[j], rows.low_k[i] - rows.up_k[j]))
-        lo, hi = expr_bounds(c, k, *box_arrays(x), self.policy)
-        return hi[: len(i)], lo[len(i) :]
+            return fr.hi[..., i] - fr.lo[..., j], fr.lo[..., i] - fr.hi[..., j]
+        flat = rows.flat
+        diff = flat[..., self.row_a, :] - flat[..., self.row_b, :]
+        lo, hi = expr_bounds(diff[..., :-1], diff[..., -1], fr.operand, self.policy)
+        return hi[..., : len(i)], lo[..., len(i) :]
 
-    def evaluate(self, fr: ForwardResult, x: Box):
-        """Kleene value: True / False when the bounds prove / refute the
-        constraint at every point of x, None otherwise."""
-        d_ub, d_lb = self._diff_bounds(fr, x) if len(self.i) else ((), ())
-        ub = np.concatenate((fr.hi, -fr.lo, d_ub))
-        lb = np.concatenate((fr.lo, -fr.hi, d_lb))
-        proved = (ub[self.margins] <= self.consts).tolist()
-        refuted = (lb[self.margins] > self.consts).tolist()
-        return _kleene(self.tree, proved, refuted)
+    def evaluate(self, fr: ForwardResult):
+        """Kleene value of the constraint over the box (or each box of the
+        stack) that `fr` bounds, as two bool arrays: where the bounds prove
+        it at every point of a box, and where they refute it at every point.
+        Neither means unknown."""
+        bounds = [fr.lo, fr.hi]
+        if len(self.i):
+            bounds.extend(self._diff_bounds(fr))
+        flags = np.concatenate(bounds, axis=-1)[..., self.index] * self.sign <= self.bound
+        n = len(self.index) // 2
+        value = self.tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:]))
+        return value == _TRUE, value == _FALSE
 
 
-def _kleene(node, proved, refuted):
-    """Value of a compiled node, given each atom's proved/refuted flags."""
+# Kleene values as integers: And is the minimum, Or the maximum, Not 2 - v
+_FALSE, _UNKNOWN, _TRUE = 0, 1, 2
+
+
+def _kleene(node):
+    """The function from atom values (last axis) to the value of a
+    compiled node."""
     if isinstance(node, int):
-        return True if proved[node] else (False if refuted[node] else None)
+        return lambda v: v[..., node]
     op, arg = node
     if op is Not:
-        v = _kleene(arg, proved, refuted)
-        return None if v is None else (not v)
-    vals = [_kleene(a, proved, refuted) for a in arg]
-    if op is And:
-        if all(v is True for v in vals):
-            return True
-        if any(v is False for v in vals):
-            return False
-        return None
-    if any(v is True for v in vals):
-        return True
-    if all(v is False for v in vals):
-        return False
-    return None
+        inner = _kleene(arg)
+        return lambda v: _TRUE - inner(v)
+    atoms = np.array([a for a in arg if isinstance(a, int)], dtype=np.intp)
+    subs = [_kleene(a) for a in arg if not isinstance(a, int)]
+    reduce, pair, empty = (np.min, np.minimum, _TRUE) if op is And else (np.max, np.maximum, _FALSE)
+
+    def value(v):
+        out = reduce(v[..., atoms], axis=-1) if len(atoms) else np.full(v.shape[:-1], empty)
+        for sub in subs:
+            out = pair(out, sub(v))
+        return out
+
+    return value
 
 
-def check_sound(fr: ForwardResult, c, x: Box) -> TriState:
-    """Holds only when the bounds prove the constraint for all of x.
+def check_sound(fr: ForwardResult, c, x: Optional[Box] = None):
+    """Holds only when the bounds prove the constraint for all of x, the
+    box (or stack) that `fr` bounds; `fr` carries all that the check reads.
 
-    `c` is a constraint tree or, for repeated checks, a `SoundCheck`
-    compiled from it.
+    For a stack of boxes, a bool array of where it holds. `c` is a
+    constraint tree or, for repeated checks, a `SoundCheck` compiled from it.
     """
     if not isinstance(c, SoundCheck):
-        c = SoundCheck(c, len(fr.lo))
-    return TriState.HOLDS if c.evaluate(fr, x) is True else TriState.MAY_VIOLATE
+        c = SoundCheck(c, fr.lo.shape[-1])
+    holds, _ = c.evaluate(fr)
+    if holds.ndim:
+        return holds
+    return TriState.HOLDS if holds else TriState.MAY_VIOLATE
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Linear symbolic bounds kept as row matrices, and their concrete ranges.
+"""Linear symbolic bounds kept as one row stack, and their concrete ranges.
 
 A neuron's value over the input box is sandwiched between two linear
-expressions in the d network inputs. A layer's expressions are the rows
-of a `SymRows`: (n, d) coefficient matrices and (n,) constant vectors for
-the lower and the upper bounds. Affine layers transform the rows exactly;
-ReLU keeps a unit's rows, zeroes them, or concretizes the upper row,
-depending on the sign information available over the box.
+expressions in the d network inputs. A layer of n neurons keeps its
+expressions as the rows of one (2, n, d+1) array: the n lower rows over
+the n upper rows, each row its d coefficients followed by its constant. A
+stack of B boxes has a (B, 2, n, d+1) array, and every function here
+works on either shape. Lower and upper rows always go through products of
+one shape, so rows that coincide keep coinciding. Affine layers transform
+the rows exactly; ReLU keeps a unit's rows, zeroes them, or concretizes
+the upper row, depending on the sign information available over the box.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, _check_overflow
 __all__ = [
     "ReluState",
     "SymRows",
-    "box_arrays",
+    "box_operand",
     "expr_bounds",
     "bounds_of_rows",
     "affine_rows",
@@ -41,95 +43,140 @@ class ReluState(enum.IntEnum):
     UNSTABLE = 2
 
 
-class SymRows(NamedTuple):
-    """Lower rows low_c @ x + low_k and upper rows up_c @ x + up_k."""
+class SymRows:
+    """A layer's rows: `stack` is (..., 2, n, d+1), lower rows over upper
+    rows, constants in the last column. The named parts are views, and
+    iterating yields (low_c, low_k, up_c, up_k)."""
 
-    low_c: np.ndarray
-    low_k: np.ndarray
-    up_c: np.ndarray
-    up_k: np.ndarray
+    __slots__ = ("stack",)
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+
+    @classmethod
+    def from_parts(cls, low_c, low_k, up_c, up_k) -> "SymRows":
+        """Rows low_c @ x + low_k (lower) and up_c @ x + up_k (upper)."""
+        low = np.concatenate((low_c, np.expand_dims(low_k, -1)), axis=-1)
+        up = np.concatenate((up_c, np.expand_dims(up_k, -1)), axis=-1)
+        return cls(np.stack((low, up), axis=-3))
+
+    @property
+    def n(self) -> int:
+        return self.stack.shape[-2]
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The (..., 2n, d+1) view: lower row i is row i, upper row i is
+        row n + i."""
+        return self.stack.reshape(self.stack.shape[:-3] + (-1, self.stack.shape[-1]))
+
+    @property
+    def low_c(self):
+        return self.stack[..., 0, :, :-1]
+
+    @property
+    def low_k(self):
+        return self.stack[..., 0, :, -1]
+
+    @property
+    def up_c(self):
+        return self.stack[..., 1, :, :-1]
+
+    @property
+    def up_k(self):
+        return self.stack[..., 1, :, -1]
+
+    def __iter__(self):
+        return iter((self.low_c, self.low_k, self.up_c, self.up_k))
 
 
-def box_arrays(x: Box):
-    """(lo, hi, max(|lo|, |hi|)) of a box, the arrays every bound reads."""
+def box_operand(x: Box) -> np.ndarray:
+    """The (..., 2(d+1), 3) matrix that bounds rows over a box or stack.
+
+    Its rows are [lo, hi, amax] per input and [1, 1, 1], then
+    [hi, lo, -amax] per input and [1, 1, -1], amax = max(|lo|, |hi|). A
+    row r = [c, k] (coefficients, constant) is bounded through
+    [r+ | r-] @ operand: the columns give c+ lo + c- hi + k (its low end),
+    c+ hi + c- lo + k (its high end) and |c| @ amax + |k| (the magnitude
+    its rounding slack is scaled by).
+    """
     lo, hi = x.lo, x.hi
-    return lo, hi, np.maximum(np.abs(lo), np.abs(hi))
+    amax = np.maximum(np.abs(lo), np.abs(hi))
+    lead, d = lo.shape[:-1], lo.shape[-1]
+    op = np.empty(lead + (2, d + 1, 3))
+    op[..., :d, :] = np.stack((lo, hi, amax, hi, lo, -amax), axis=-1).reshape(lead + (d, 2, 3)).swapaxes(-3, -2)
+    op[..., d, :] = _CONST_ENDS
+    return op.reshape(lead + (2 * d + 2, 3))
 
 
-def _slack(coeffs, consts, amax, policy: RoundingPolicy, dot=np.matmul):
-    """Accumulated-error slack covering the (d+1)-term evaluation sum.
+# what a row's constant adds to each column, through its positive part
+# (top) and its negative part (bottom)
+_CONST_ENDS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 
-    Coefficient arithmetic is done in working precision; soundness of the
-    concretized bound is restored here with the standard dot-product
+
+def _row_bounds(rows, operand, policy: RoundingPolicy):
+    """Sound bounds of rows [c, k] (coefficients, constant), through the
+    product of their sign split with the (broadcast) `box_operand`: a
+    sign-split evaluation widened by the slack. The last axis of the
+    result holds each row's (lo, hi).
+
+    The slack covers the accumulated error of the (d+1)-term evaluation
+    sum. Coefficient arithmetic is done in working precision; soundness of
+    the concretized bound is restored with the standard dot-product
     roundoff bound, n * u * sum(|terms|) with u the unit roundoff.
     """
+    ends = np.concatenate((np.maximum(rows, 0.0), np.minimum(rows, 0.0)), axis=-1) @ operand
     if policy.mode == "none":
-        return 0.0
-    mag = dot(np.abs(coeffs), amax) + np.abs(consts)
-    n = coeffs.shape[-1] + 1
+        return ends[..., :2]
     fi = np.finfo(policy.dtype)
-    return n * (fi.eps / 2) * mag + 2 * fi.tiny
+    slack = rows.shape[-1] * (fi.eps / 2) * ends[..., 2:] + 2 * fi.tiny
+    return ends[..., :2] + slack * _OUTWARD
 
 
-def _rowdot(a, v):
-    """a @ v with every row summed on its own, as a BLAS dot product, so a
-    row's value does not depend on the rows stacked with it."""
-    return (a[:, np.newaxis, :] @ v)[:, 0]
+_OUTWARD = np.array([-1.0, 1.0])
 
 
-def expr_bounds(coeffs, consts, lo, hi, amax, policy: RoundingPolicy = DEFAULT_POLICY):
+def expr_bounds(coeffs, consts, operand, policy: RoundingPolicy = DEFAULT_POLICY):
     """Sound (lo, hi) arrays of the rows coeffs @ x + consts over the box
-    given by `box_arrays`: a sign-split evaluation widened by the slack.
+    whose `box_operand` is given.
 
-    Each row is evaluated on its own, so its bounds are those it would get
-    in a batch of one.
+    Each row is evaluated in a product of its own, so its bounds are those
+    it would get in a batch of one.
     """
-    pos = np.maximum(coeffs, 0.0)
-    neg = np.minimum(coeffs, 0.0)
-    s = _slack(coeffs, consts, amax, policy, _rowdot)
-    return (
-        _rowdot(pos, lo) + _rowdot(neg, hi) + consts - s,
-        _rowdot(pos, hi) + _rowdot(neg, lo) + consts + s,
-    )
+    rows = np.concatenate((coeffs, consts[..., np.newaxis]), axis=-1)
+    bounds = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :], policy)
+    return bounds[..., 0, 0], bounds[..., 0, 1]
 
 
-def bounds_of_rows(rows: SymRows, lo, hi, amax, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Concrete (lower rows' lo, upper rows' lo, upper rows' hi) arrays of
-    a layer's rows, over the box given by `box_arrays`.
+def bounds_of_rows(rows: SymRows, operand, policy: RoundingPolicy = DEFAULT_POLICY):
+    """Concrete (lo, hi) arrays, shaped (..., 2, n) like the rows, of every
+    row of a layer over the box whose `box_operand` is given.
 
-    A layer's rows are always bounded together, one matrix product per
-    sum. Raises IntervalOverflowError when a bound is not finite.
+    The lower and the upper rows are bounded in one matrix product each.
+    Raises IntervalOverflowError when a bound is not finite.
     """
-    pos = np.maximum(rows.up_c, 0.0)
-    neg = np.minimum(rows.up_c, 0.0)
-    s = _slack(rows.up_c, rows.up_k, amax, policy)
-    up_lo = pos @ lo + neg @ hi + rows.up_k - s
-    up_hi = pos @ hi + neg @ lo + rows.up_k + s
-    pos = np.maximum(rows.low_c, 0.0)
-    neg = np.minimum(rows.low_c, 0.0)
-    low_lo = pos @ lo + neg @ hi + rows.low_k - _slack(rows.low_c, rows.low_k, amax, policy)
-    _check_overflow(low_lo, up_lo, up_hi)
-    return low_lo, up_lo, up_hi
+    bounds = _row_bounds(rows.stack, operand[..., np.newaxis, :, :], policy)
+    _check_overflow(bounds)
+    return bounds[..., 0], bounds[..., 1]
 
 
 def affine_rows(rows: SymRows, pos, neg, b) -> SymRows:
     """Symbolic image of the rows under W x + b, where pos and neg are the
     positive and negative parts of W.
 
-    Positive weights propagate like bounds, negative weights swap them;
-    biases enter the constant term of both expressions.
+    Positive weights propagate like bounds, negative weights swap them:
+    the lower rows become pos @ low + neg @ up and the upper rows
+    pos @ up + neg @ low, each product of one shape. Biases enter the
+    constant term of both.
     """
-    low_c, low_k, up_c, up_k = rows
-    return SymRows(
-        pos @ low_c + neg @ up_c,
-        pos @ low_k + neg @ up_k + b,
-        pos @ up_c + neg @ low_c,
-        pos @ up_k + neg @ low_k + b,
-    )
+    stack = rows.stack
+    out = pos @ stack + neg @ stack[..., ::-1, :, :]
+    out[..., -1] += b
+    return SymRows(out)
 
 
-def relu_rows(rows: SymRows, low_lo, up_lo, up_hi) -> np.ndarray:
-    """Push the rows through ReLU in place, given their concrete bounds.
+def relu_rows(rows: SymRows, lo, hi) -> np.ndarray:
+    """Push the rows through ReLU in place, given their `bounds_of_rows`.
 
     A unit whose upper row is never positive is ZERO: both rows become 0.
     One whose lower row is never negative is ACTIVE and keeps its rows.
@@ -137,16 +184,15 @@ def relu_rows(rows: SymRows, low_lo, up_lo, up_hi) -> np.ndarray:
     becomes the constant up_hi when that row can go negative.
     Returns the int8 ReluState mask of the layer.
     """
+    low_lo, up_lo, up_hi = lo[..., 0, :], lo[..., 1, :], hi[..., 1, :]
     zero = up_hi <= 0.0
-    active = ~zero & (low_lo >= 0.0)
+    active = (low_lo >= 0.0) > zero
     off = ~active
-    flat = zero | (off & (up_lo <= 0.0))
-    rows.low_c[off] = 0.0
-    rows.low_k[off] = 0.0
-    rows.up_c[flat] = 0.0
-    rows.up_k[flat] = up_hi[flat]
-    rows.up_k[zero] = 0.0
-    mask = np.full(up_hi.shape, ReluState.UNSTABLE, dtype=np.int8)
-    mask[active] = ReluState.ACTIVE
-    mask[zero] = ReluState.ZERO
-    return mask
+    flat = ((up_lo <= 0.0) & off) | zero
+    stack = rows.stack
+    np.copyto(stack[..., 0, :, :], 0.0, where=off[..., np.newaxis])
+    np.copyto(stack[..., 1, :, :-1], 0.0, where=flat[..., np.newaxis])
+    # up_hi <= 0 on a ZERO unit, whose upper row goes to 0
+    np.copyto(stack[..., 1, :, -1], np.maximum(up_hi, 0.0), where=flat)
+    # ZERO 0, ACTIVE 1, UNSTABLE 2
+    return 2 - active.view(np.int8) - 2 * zero.view(np.int8)

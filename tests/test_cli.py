@@ -1,9 +1,12 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from relucheck.cli import run
 from relucheck.data import shipped_path
+from relucheck.network import DimensionMismatchError
 
 from test_network import MALFORMED_JSON
 
@@ -156,3 +159,44 @@ def test_property_dim_mismatch_exit_5(tmp_path, capsys):
     bad = tmp_path / "wrongdim.prop"
     bad.write_text("domain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n")
     assert run(["verify", "--network", NET, "--property", str(bad)]) == 5
+
+
+def _exact_output(weights, x):
+    """The 1-input 2-layer nets below, in exact rational arithmetic."""
+    (w1, w2), v = weights, Fraction(x)
+    return Fraction(w2) * max(Fraction(0), Fraction(w1) * v)
+
+
+@pytest.mark.parametrize(
+    "w1, bound",
+    [("1e-10", "-1"), ("-1e-10", "1e297")],
+)
+def test_huge_region_counterexample_is_finite_and_inside(tmp_path, capsys, recwarn, w1, bound):
+    # the region is wider than half the float range, so hi - lo overflows
+    net = tmp_path / "net.nnl"
+    net.write_text(f"2 1 1 1\n1,1,1\n{w1}\n0\n1\n0\n")
+    prop = tmp_path / "huge.prop"
+    prop.write_text(f"domain:\n-1e308 1e308\nregion:\n*\nconstraint:\nle 0 {bound}\n")
+    for extra in ([], ["--max-depth", "20"]):
+        assert run(["verify", "--network", str(net), "--property", str(prop)] + extra) == 1
+        out = capsys.readouterr().out
+        x = float(out.split("cex=(", 1)[1].split(")", 1)[0])
+        assert math.isfinite(x) and -1e308 <= x <= 1e308
+        assert _exact_output((float(w1), 1.0), x) > Fraction(float(bound))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_only_dimension_mismatch_exits_5(monkeypatch, capsys):
+    import relucheck.cli as cli
+
+    def fail_with(error):
+        def fake_verify(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "verify", fake_verify)
+        return run(["verify", "--network", NET, "--property", LE15])
+
+    # a message that mentions a dimension does not make a mismatch
+    assert fail_with(ValueError("dimension 0 is too wide to split")) == 3
+    assert fail_with(DimensionMismatchError("box has 1 dims, network expects 2")) == 5
+    assert run(["eval", "--network", NET, "--input", "1,2,3"]) == 5

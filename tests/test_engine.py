@@ -15,7 +15,8 @@ from relucheck.engine import (
     write_report,
 )
 from relucheck.intervals import Box, IntervalOverflowError
-from relucheck.network import eval_concrete, load_network
+from relucheck.network import DimensionMismatchError, eval_concrete, load_network
+from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import (
     InputSpec,
     IsMax,
@@ -96,6 +97,17 @@ def test_verify_dim_mismatch(demo_net):
     spec = (InputSpec((Box.from_arrays([0], [1]),)), OutLE(0, 1.0))
     with pytest.raises(ValueError):
         verify(demo_net, spec, Config())
+
+
+def test_dimension_mismatch_is_typed(demo_net):
+    spec = (InputSpec((Box.from_arrays([0], [1]),)), OutLE(0, 1.0))
+    with pytest.raises(DimensionMismatchError):
+        verify(demo_net, spec, Config())
+    for forward in (symbolic_forward, naive_forward):
+        with pytest.raises(DimensionMismatchError):
+            forward(demo_net, Box.from_arrays([0], [1]))
+    with pytest.raises(DimensionMismatchError):
+        eval_concrete(demo_net, [1.0, 2.0, 3.0])
 
 
 def test_verify_multi_region(demo_net):

@@ -68,11 +68,11 @@ def test_symbolic_zero_weight_net():
 
 
 def test_out_bounds_match_out_sym(demo_net, demo_box):
-    from relucheck.symbolic import box_arrays, expr_bounds
+    from relucheck.symbolic import box_operand, expr_bounds
 
     fr = symbolic_forward(demo_net, demo_box)
-    low, _ = expr_bounds(fr.rows.low_c, fr.rows.low_k, *box_arrays(demo_box))
-    _, up = expr_bounds(fr.rows.up_c, fr.rows.up_k, *box_arrays(demo_box))
+    low, _ = expr_bounds(fr.rows.low_c, fr.rows.low_k, box_operand(demo_box))
+    _, up = expr_bounds(fr.rows.up_c, fr.rows.up_k, box_operand(demo_box))
     assert fr.out_bounds[0].lo == pytest.approx(low[0], abs=1e-12)
     assert fr.out_bounds[0].hi == pytest.approx(up[0], abs=1e-12)
 

@@ -1,5 +1,7 @@
 """The README's file-format and library examples work as written."""
 
+import gc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,11 @@ def test_readme_library_use(capsys):
     code = _first_block_after("## Library use")
     code = code.replace('"net.nnl"', repr(str(shipped_path("demonet.nnl"))))
     code = code.replace('"prop.prop"', repr(str(shipped_path("le15.prop"))))
-    exec(compile(code, "README.md", "exec"), {})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(compile(code, "README.md", "exec"), {})
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     bounds, status = capsys.readouterr().out.splitlines()
     lo, hi = (float(v) for v in bounds.strip("([],)").split(", "))
     assert lo <= 6.0 <= lo + 1e-12 and hi - 1e-12 <= 16.0 <= hi

@@ -9,7 +9,7 @@ from relucheck.symbolic import (
     SymRows,
     affine_rows,
     bounds_of_rows,
-    box_arrays,
+    box_operand,
     expr_bounds,
     relu_rows,
 )
@@ -26,7 +26,7 @@ def box(lo, hi):
 def bounds(coeffs, const, b, policy=EXACT):
     """Concrete range of the single row coeffs . x + const over box b."""
     c, k = np.array([coeffs], dtype=float), np.array([const], dtype=float)
-    lo, hi = expr_bounds(c, k, *box_arrays(b), policy)
+    lo, hi = expr_bounds(c, k, box_operand(b), policy)
     return lo[0], hi[0]
 
 
@@ -34,7 +34,7 @@ def exact_rows(coeffs, consts):
     """Rows whose lower and upper expressions coincide."""
     c = np.array(coeffs, dtype=float)
     k = np.array(consts, dtype=float)
-    return SymRows(c.copy(), k.copy(), c.copy(), k.copy())
+    return SymRows.from_parts(c, k, c, k)
 
 
 def split(W):
@@ -43,7 +43,7 @@ def split(W):
 
 
 def relu(rows, b, policy=EXACT):
-    mask = relu_rows(rows, *bounds_of_rows(rows, *box_arrays(b), policy))
+    mask = relu_rows(rows, *bounds_of_rows(rows, box_operand(b), policy))
     return rows, mask
 
 
@@ -79,9 +79,9 @@ def test_expr_bounds_rows_match_one_at_a_time():
         b = random_box(rng, d)
         c = rng.normal(size=(9, d)) * 10.0 ** rng.uniform(-3, 3, size=(9, d))
         k = rng.normal(size=9)
-        lo, hi = expr_bounds(c, k, *box_arrays(b))
+        lo, hi = expr_bounds(c, k, box_operand(b))
         for r in range(9):
-            lo_r, hi_r = expr_bounds(c[r : r + 1], k[r : r + 1], *box_arrays(b))
+            lo_r, hi_r = expr_bounds(c[r : r + 1], k[r : r + 1], box_operand(b))
             assert lo[r] == lo_r[0] and hi[r] == hi_r[0]
 
 
@@ -109,7 +109,7 @@ def test_affine_sym_zero_row():
 
 def test_affine_sym_mixed_signs_bounds_correct():
     # upper uses positive weights on upper rows and negative on lower
-    rows = SymRows(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
+    rows = SymRows.from_parts(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
     out = affine_rows(rows, *split([[-2.0]]), np.array([0.5]))
     np.testing.assert_array_equal(out.up_c, [[-2.0]])
     np.testing.assert_array_equal(out.up_k, [0.5])
@@ -145,7 +145,7 @@ def test_relu_sym_unstable_concretizes_upper():
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
     # low can be negative while up stays positive over the whole box
-    rows = SymRows(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
+    rows = SymRows.from_parts(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
     out, mask = relu(rows, box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
     np.testing.assert_array_equal(out.low_c, [[0.0]])
@@ -169,18 +169,18 @@ def _relu_unit_by_unit(rows, low_lo, up_lo, up_hi):
             low_c[i], low_k[i] = 0.0, 0.0
             if up_lo[i] <= 0.0:
                 up_c[i], up_k[i] = 0.0, up_hi[i]
-    return SymRows(low_c, low_k, up_c, up_k), states
+    return (low_c, low_k, up_c, up_k), states
 
 
 def test_relu_whole_layer_matches_unit_by_unit():
     rng = np.random.default_rng(13)
     for _ in range(50):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
-        rows = SymRows(*(rng.normal(size=s) for s in ((n, d), n, (n, d), n)))
+        rows = SymRows.from_parts(*(rng.normal(size=s) for s in ((n, d), n, (n, d), n)))
         # bounds on a coarse grid, so that some sit exactly at zero
         low_lo, up_lo, up_hi = (rng.integers(-2, 3, n) * 0.5 for _ in range(3))
         want, states = _relu_unit_by_unit(rows, low_lo, up_lo, up_hi)
-        mask = relu_rows(rows, low_lo, up_lo, up_hi)
+        mask = relu_rows(rows, np.stack((low_lo, up_lo)), np.stack((up_hi, up_hi)))
         assert mask.dtype == np.int8 and mask.tolist() == states
         for got, ref in zip(rows, want):
             np.testing.assert_array_equal(got, ref)
@@ -189,7 +189,7 @@ def test_relu_whole_layer_matches_unit_by_unit():
 def test_bounds_of_rows_overflow_raises():
     rows = exact_rows([[1e308, 1e308]], [0.0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntervalOverflowError):
-        bounds_of_rows(rows, *box_arrays(box([1, 1], [2, 2])))
+        bounds_of_rows(rows, box_operand(box([1, 1], [2, 2])))
 
 
 def test_sandwich_on_sampled_points():
