@@ -34,7 +34,7 @@ from .network import (
     split_weights,
 )
 from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
-from .gradients import IntervalJacobian, backward_gradient, smear_split_choice, NoSplittableDimensionError
+from .gradients import IntervalJacobian, backward_gradient, smear_split_choice
 from .properties import (
     And,
     DiffLE,
@@ -44,7 +44,6 @@ from .properties import (
     OutGE,
     OutLE,
     SoundCheck,
-    TriState,
     check_concrete,
     check_sound,
     desugar,
@@ -341,8 +340,11 @@ class _Run:
             if found[b] is None:
                 raw = self._to_raw_point(pts[b, s])
                 # re-check through the full network; normalization round
-                # trips can shift the point by ULPs
-                if not check_concrete(eval_concrete(self.net, raw), self.check):
+                # trips can shift the point by ULPs. Without normalization
+                # the full network is the core, and gives the same bits.
+                if not self.net.has_normalization or not check_concrete(
+                    eval_concrete(self.net, raw), self.check
+                ):
                     found[b] = raw
         return found
 

@@ -45,24 +45,12 @@ class ReluState(enum.IntEnum):
 
 class SymRows:
     """A layer's rows: `stack` is (..., 2, n, d+1), lower rows over upper
-    rows, constants in the last column. The named parts are views, and
-    iterating yields (low_c, low_k, up_c, up_k)."""
+    rows, constants in the last column. The named parts are views."""
 
     __slots__ = ("stack",)
 
     def __init__(self, stack: np.ndarray):
         self.stack = stack
-
-    @classmethod
-    def from_parts(cls, low_c, low_k, up_c, up_k) -> "SymRows":
-        """Rows low_c @ x + low_k (lower) and up_c @ x + up_k (upper)."""
-        low = np.concatenate((low_c, np.expand_dims(low_k, -1)), axis=-1)
-        up = np.concatenate((up_c, np.expand_dims(up_k, -1)), axis=-1)
-        return cls(np.stack((low, up), axis=-3))
-
-    @property
-    def n(self) -> int:
-        return self.stack.shape[-2]
 
     @property
     def flat(self) -> np.ndarray:
@@ -85,9 +73,6 @@ class SymRows:
     @property
     def up_k(self):
         return self.stack[..., 1, :, -1]
-
-    def __iter__(self):
-        return iter((self.low_c, self.low_k, self.up_c, self.up_k))
 
 
 def box_operand(x: Box) -> np.ndarray:

@@ -30,11 +30,16 @@ def bounds(coeffs, const, b, policy=EXACT):
     return lo[0], hi[0]
 
 
+def sym_rows(low_c, low_k, up_c, up_k):
+    """Rows low_c @ x + low_k (lower) and up_c @ x + up_k (upper)."""
+    low = np.column_stack((low_c, low_k))
+    up = np.column_stack((up_c, up_k))
+    return SymRows(np.stack((low, up)).astype(float))
+
+
 def exact_rows(coeffs, consts):
     """Rows whose lower and upper expressions coincide."""
-    c = np.array(coeffs, dtype=float)
-    k = np.array(consts, dtype=float)
-    return SymRows.from_parts(c, k, c, k)
+    return sym_rows(coeffs, consts, coeffs, consts)
 
 
 def split(W):
@@ -97,19 +102,17 @@ def test_affine_sym_demo_output_layer():
 def test_affine_sym_identity():
     rows = exact_rows([[1.0, 0.0], [0.0, 2.0]], [0.5, -1.0])
     out = affine_rows(rows, *split(np.eye(2)), np.zeros(2))
-    for got, want in zip(out, rows):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(out.stack, rows.stack)
 
 
 def test_affine_sym_zero_row():
     out = affine_rows(exact_rows([[1.0]], [0.0]), *split([[0.0]]), np.array([0.0]))
-    for a in out:
-        np.testing.assert_array_equal(a, np.zeros_like(a))
+    np.testing.assert_array_equal(out.stack, np.zeros_like(out.stack))
 
 
 def test_affine_sym_mixed_signs_bounds_correct():
     # upper uses positive weights on upper rows and negative on lower
-    rows = SymRows.from_parts(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
+    rows = sym_rows(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
     out = affine_rows(rows, *split([[-2.0]]), np.array([0.5]))
     np.testing.assert_array_equal(out.up_c, [[-2.0]])
     np.testing.assert_array_equal(out.up_k, [0.5])
@@ -121,15 +124,13 @@ def test_relu_sym_active():
     rows = exact_rows([[2.0, 3.0]], [0.0])
     out, mask = relu(exact_rows([[2.0, 3.0]], [0.0]), box([4, 1], [6, 5]), RoundingPolicy())
     assert mask.dtype == np.int8 and mask.tolist() == [ReluState.ACTIVE]
-    for got, want in zip(out, rows):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(out.stack, rows.stack)
 
 
 def test_relu_sym_zero():
     out, mask = relu(exact_rows([[-1.0]], [0.0]), box([1], [2]), RoundingPolicy())
     assert mask.tolist() == [ReluState.ZERO]
-    for a in out:
-        np.testing.assert_array_equal(a, np.zeros_like(a))
+    np.testing.assert_array_equal(out.stack, np.zeros_like(out.stack))
 
 
 def test_relu_sym_unstable_concretizes_upper():
@@ -145,7 +146,7 @@ def test_relu_sym_unstable_concretizes_upper():
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
     # low can be negative while up stays positive over the whole box
-    rows = SymRows.from_parts(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
+    rows = sym_rows(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
     out, mask = relu(rows, box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
     np.testing.assert_array_equal(out.low_c, [[0.0]])
@@ -156,7 +157,7 @@ def test_relu_sym_unstable_keeps_symbolic_upper():
 
 def _relu_unit_by_unit(rows, low_lo, up_lo, up_hi):
     """Reference for relu_rows: the ReLU step one unit at a time."""
-    low_c, low_k, up_c, up_k = (a.copy() for a in rows)
+    low_c, low_k, up_c, up_k = (a.copy() for a in (rows.low_c, rows.low_k, rows.up_c, rows.up_k))
     states = []
     for i in range(len(up_hi)):
         if up_hi[i] <= 0.0:
@@ -176,13 +177,13 @@ def test_relu_whole_layer_matches_unit_by_unit():
     rng = np.random.default_rng(13)
     for _ in range(50):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
-        rows = SymRows.from_parts(*(rng.normal(size=s) for s in ((n, d), n, (n, d), n)))
+        rows = sym_rows(*(rng.normal(size=s) for s in ((n, d), n, (n, d), n)))
         # bounds on a coarse grid, so that some sit exactly at zero
         low_lo, up_lo, up_hi = (rng.integers(-2, 3, n) * 0.5 for _ in range(3))
         want, states = _relu_unit_by_unit(rows, low_lo, up_lo, up_hi)
         mask = relu_rows(rows, np.stack((low_lo, up_lo)), np.stack((up_hi, up_hi)))
         assert mask.dtype == np.int8 and mask.tolist() == states
-        for got, ref in zip(rows, want):
+        for got, ref in zip((rows.low_c, rows.low_k, rows.up_c, rows.up_k), want):
             np.testing.assert_array_equal(got, ref)
 
 
