@@ -339,12 +339,10 @@ class _Run:
         for b, s in np.argwhere(~ok.reshape(pts.shape[:2])).tolist():
             if found[b] is None:
                 raw = self._to_raw_point(pts[b, s])
-                # re-check through the full network; normalization round
-                # trips can shift the point by ULPs. Without normalization
-                # the full network is the core, and gives the same bits.
-                if not self.net.has_normalization or not check_concrete(
-                    eval_concrete(self.net, raw), self.check
-                ):
+                # a point converted to raw units is re-checked through the
+                # full network, because the round trip can shift it by ULPs;
+                # any other point is already in the coordinates of the core
+                if not self.convert or not check_concrete(eval_concrete(self.net, raw), self.check):
                     found[b] = raw
         return found
 

@@ -287,6 +287,7 @@ class SoundCheck:
             bounds.extend(self._diff_bounds(fr))
         flags = np.concatenate(bounds, axis=-1)[..., self.index] * self.sign <= self.bound
         n = len(self.index) // 2
+        # an atom is TRUE where proved, else UNKNOWN unless refuted
         value = self.tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:]))
         return value == _TRUE, value == _FALSE
 

@@ -251,6 +251,16 @@ def test_normalized_network_verify():
     assert eval_concrete(net, v.counterexample)[0] > 1.5
 
 
+def test_normalized_units_counterexample():
+    # the spec speaks the normalized coordinates u = (x - 10) / 2, where
+    # y = u; its midpoint u = 0.5 violates y <= 0.25
+    net = load_network("1 1 1 1\n1,1\nnorm: 10.0,2.0\n1\n0\n")
+    text = "units: normalized\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 0.25\n"
+    v = verify(net, parse_property(text, num_outputs=1), Config())
+    assert v.status is Status.INSECURE
+    assert v.counterexample.tolist() == [0.5]
+
+
 def test_stats_accounting(demo_net, le15):
     v = verify(demo_net, le15, Config(mode="naive", sample_strategy="corners"))
     s = v.stats
