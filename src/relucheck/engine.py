@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, iv_bisect
+from .intervals import Box, IntervalOverflowError, RoundingPolicy, DEFAULT_POLICY, iv_bisect
 from .network import (
     DimensionMismatchError,
     Network,
@@ -395,10 +395,17 @@ class _Run:
         leaf status (and counterexample), or its list of child jobs."""
         cfg = self.cfg
         box = Box.stack([job.box for job in jobs])
-        if cfg.mode == "symbolic":
-            fr = symbolic_forward(self.core, box, cfg.policy, self.split)
-        else:
-            fr = naive_forward(self.core, box, cfg.policy, self.split)
+        try:
+            if cfg.mode == "symbolic":
+                fr = symbolic_forward(self.core, box, cfg.policy, self.split)
+            else:
+                fr = naive_forward(self.core, box, cfg.policy, self.split)
+        except IntervalOverflowError:
+            if len(jobs) == 1:
+                raise
+            # the overflow may be in a box the search never reaches, as in a
+            # region after a counterexample: evaluate the one it needs now
+            return self.process(jobs[:1])
 
         holds = check_sound(fr, self.check, box)
         for job in itertools.compress(jobs, holds.tolist()):

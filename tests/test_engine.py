@@ -196,6 +196,20 @@ def test_worker_exception_fails_fast(mode, workers, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("mode", ["naive", "symbolic"])
+def test_overflow_past_the_counterexample_is_not_raised(mode, recwarn):
+    # the last region is searched first and violates at its midpoint; the
+    # bounds of the first region overflow, but the search never gets there
+    net = load_network("2 1 1 1\n1,1,1\n1e300\n0\n1\n0\n")
+    text = "domain:\n0 2e10\nregion:\n1e10 2e10\nregion:\n0 1\nconstraint:\nle 0 -1\n"
+    spec = parse_property(text, num_outputs=1)
+    v = verify(net, spec, Config(mode=mode, max_depth=5))
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [0.5]
+    with pytest.raises(IntervalOverflowError):
+        enumerate_regions(net, spec, Config(mode=mode, max_depth=5))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_enumerate_partition_covers_region(demo_net, le15):
     report = enumerate_regions(demo_net, le15, Config(precision=0.25, max_depth=12))
     assert report.leaves
