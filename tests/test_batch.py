@@ -17,6 +17,7 @@ from relucheck.properties import parse_property
 from conftest import make_net, random_box, random_net
 
 PROPS = ["phi%d.prop" % k for k in range(1, 16)] + ["s1.prop", "s2.prop", "s3.prop"]
+WAVE = engine.WAVE
 
 
 def acas_net(rng):
@@ -98,7 +99,7 @@ def _leaves_key(report):
 def _runs(monkeypatch, net, spec, cfg):
     """(verdict key, enumerate leaves) at the default wave cap and at 1."""
     out = []
-    for cap in (engine.WAVE, 1):
+    for cap in (WAVE, 1):
         monkeypatch.setattr(engine, "WAVE", cap)
         v = verify(net, spec, cfg)
         rep = enumerate_regions(net, spec, cfg)
@@ -124,11 +125,8 @@ def test_wave_size_does_not_change_shipped_property_results(monkeypatch):
     for name in PROPS:
         with open(shipped_path(name), "rb") as f:
             spec = parse_property(f, num_outputs=5)
-        cfg = Config(max_depth=4, timeout=600.0)
-        monkeypatch.setattr(engine, "WAVE", engine.WAVE)
-        full = _verdict_key(verify(net, spec, cfg))
-        monkeypatch.setattr(engine, "WAVE", 1)
-        assert _verdict_key(verify(net, spec, cfg)) == full, name
+        full, single = _runs(monkeypatch, net, spec, Config(max_depth=4, timeout=600.0))
+        assert full == single, name
 
 
 @pytest.mark.parametrize("seed", range(4))
