@@ -235,7 +235,7 @@ def iv_bisect(x: Box, j):
         raise ValueError(f"need one split dimension per box, got shape {j.shape}")
     if ((j < 0) | (j >= d)).any():
         raise IndexError(f"dimension {j} out of range for box of size {d}")
-    at = (*np.indices(j.shape), j)
+    at = (np.arange(len(j)), j) if j.ndim else (j,)
     lo, hi = x.lo[at], x.hi[at]
     if (hi <= lo).any():
         raise UnsplittableError(f"unsplittable: dimension {j} has zero width")

@@ -89,7 +89,10 @@ def box_operand(x: Box) -> np.ndarray:
     amax = np.maximum(np.abs(lo), np.abs(hi))
     lead, d = lo.shape[:-1], lo.shape[-1]
     op = np.empty(lead + (2, d + 1, 3))
-    op[..., :d, :] = np.stack((lo, hi, amax, hi, lo, -amax), axis=-1).reshape(lead + (d, 2, 3)).swapaxes(-3, -2)
+    op[..., 0, :d, 0] = op[..., 1, :d, 1] = lo
+    op[..., 0, :d, 1] = op[..., 1, :d, 0] = hi
+    op[..., 0, :d, 2] = amax
+    np.negative(amax, out=op[..., 1, :d, 2])
     op[..., d, :] = _CONST_ENDS
     return op.reshape(lead + (2 * d + 2, 3))
 
