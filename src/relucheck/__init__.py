@@ -29,13 +29,11 @@ from .propagate import ForwardResult, ReluMaskMatrix, naive_forward, symbolic_fo
 from .gradients import IntervalJacobian, backward_gradient, smear_split_choice
 from .properties import (
     InputSpec,
-    RobustnessSpec,
     SoundCheck,
     TriState,
     check_concrete,
     check_sound,
     parse_property,
-    robustness_to_property,
 )
 from .engine import (
     Config,

@@ -34,20 +34,8 @@ from .network import (
     split_weights,
 )
 from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
-from .gradients import IntervalJacobian, backward_gradient, smear_split_choice
-from .properties import (
-    And,
-    DiffLE,
-    InputSpec,
-    Not,
-    Or,
-    OutGE,
-    OutLE,
-    SoundCheck,
-    check_concrete,
-    check_sound,
-    desugar,
-)
+from .gradients import backward_gradient, smear_split_choice
+from .properties import InputSpec, SoundCheck, check_concrete, check_sound
 
 __all__ = [
     "Status",
@@ -165,8 +153,12 @@ class Config:
     policy: RoundingPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
+        if not 0 < self.precision < math.inf:
+            raise ValueError("precision must be positive and finite")
+        if math.isnan(self.timeout):
+            raise ValueError("timeout must be a number of seconds, not NaN")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("symbolic", "naive"):
@@ -203,64 +195,8 @@ def default_max_depth(regions, precision: float) -> int:
     return max(1, math.ceil(bits) * d)
 
 
-# ---------------------------------------------------------------------------
-# monotonicity-reduction eligibility
-
+# the most dims one monotonicity reduction pins, so 2^3 endpoint boxes
 _MAX_REDUCED_DIMS = 3
-
-
-def _nnf_literals(node, negated=False, acc=None, or_free=None):
-    """Collect atom literals in negation normal form; track Or-freeness."""
-    if acc is None:
-        acc = []
-        or_free = [True]
-    if isinstance(node, Not):
-        _nnf_literals(node.arg, not negated, acc, or_free)
-    elif isinstance(node, And):
-        if negated:
-            or_free[0] = False
-        for a in node.args:
-            _nnf_literals(a, negated, acc, or_free)
-    elif isinstance(node, Or):
-        if not negated:
-            or_free[0] = False
-        for a in node.args:
-            _nnf_literals(a, negated, acc, or_free)
-    else:
-        acc.append(node)
-    return acc, or_free[0]
-
-
-def _margin_rows(atoms):
-    """(i, j-or-None) margin descriptors; margin of OutLE/GE is J[i], of
-    DiffLE is J[i] - J[j]. Negation does not change the margin."""
-    rows = []
-    for a in atoms:
-        if isinstance(a, (OutLE, OutGE)):
-            rows.append((a.i, None))
-        elif isinstance(a, DiffLE):
-            rows.append((a.i, a.j))
-        else:
-            return None
-    return rows
-
-
-class _MarginRows:
-    """The atoms' margins as index arrays: margin r's derivative is
-    J[i_r] - J[k_r], or J[i_r] alone for an OutLE/OutGE atom."""
-
-    def __init__(self, rows):
-        self.i = np.array([i for i, _ in rows], dtype=np.intp)
-        self.k = np.array([0 if k is None else k for _, k in rows], dtype=np.intp)
-        self.paired = np.array([k is not None for _, k in rows], dtype=bool)[:, np.newaxis]
-
-    def monotone_dims(self, J: IntervalJacobian, wide):
-        """(B, d) bool: the dims in `wide` where every margin's derivative
-        is sign-definite over the box."""
-        lo = J.lo[..., self.i, :] - np.where(self.paired, J.hi[..., self.k, :], 0.0)
-        hi = J.hi[..., self.i, :] - np.where(self.paired, J.lo[..., self.k, :], 0.0)
-        return ((lo > 0.0) | (hi < 0.0)).all(axis=-2) & wide
-
 
 # ---------------------------------------------------------------------------
 # the driver
@@ -279,8 +215,7 @@ class _Run:
             )
         self.cfg = cfg
         self.short_circuit = short_circuit
-        self.constraint = desugar(constraint, net.output_dim)
-        self.check = SoundCheck(self.constraint, net.output_dim, cfg.policy)
+        self.check = SoundCheck(constraint, net.output_dim, cfg.policy)
         self.core, self.regions = internal_view(net, input_spec)
         self.split = split_weights(self.core)
         # leaves and counterexamples are reported in the spec's units
@@ -290,14 +225,10 @@ class _Run:
             if cfg.max_depth is not None
             else default_max_depth(self.regions, cfg.precision)
         )
-        atoms, or_free = _nnf_literals(self.constraint)
-        margins = _margin_rows(atoms) if or_free else None
-        # None disables monotonicity reduction: endpoint boxes would break
-        # an enumerated partition, and they are unsound for disjunctions
-        self.margins = (
-            _MarginRows(margins)
-            if margins is not None and cfg.monotonicity and short_circuit and cfg.mode == "symbolic"
-            else None
+        # endpoint boxes would break an enumerated partition, and they are
+        # unsound for disjunctions
+        self.reduce = (
+            self.check.or_free and cfg.monotonicity and short_circuit and cfg.mode == "symbolic"
         )
         self.cex = None
         self.unknown = False
@@ -436,10 +367,10 @@ class _Run:
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
             J = backward_gradient(self.core, masks, cfg.policy, self.split)
             dims = smear_split_choice(J, box, cfg.precision)
-            if self.margins is not None:
+            if self.reduce:
                 # monotonicity reduction: a box whose margins are monotone
                 # in some dims is replaced by its endpoint boxes there
-                mono = self.margins.monotone_dims(J, widths > cfg.precision)
+                mono = self.check.monotone_dims(J, widths > cfg.precision)
                 reduced = mono.any(axis=1)
                 for b in np.flatnonzero(reduced).tolist():
                     pinned = np.flatnonzero(mono[b])[:_MAX_REDUCED_DIMS].tolist()

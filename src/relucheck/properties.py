@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .gradients import IntervalJacobian
 from .intervals import Box, RoundingPolicy, DEFAULT_POLICY
 from .propagate import ForwardResult
 from .symbolic import expr_bounds
@@ -28,7 +29,6 @@ __all__ = [
     "PropertyParseError",
     "TriState",
     "InputSpec",
-    "RobustnessSpec",
     "OutLE",
     "OutGE",
     "DiffLE",
@@ -41,7 +41,6 @@ __all__ = [
     "Not",
     "desugar",
     "parse_property",
-    "robustness_to_property",
     "SoundCheck",
     "check_sound",
     "check_concrete",
@@ -78,20 +77,6 @@ class InputSpec:
     @property
     def dim(self) -> int:
         return len(self.regions[0])
-
-
-@dataclass(frozen=True)
-class RobustnessSpec:
-    """L-infinity ball around a seed point; the label must stay on top."""
-
-    seed: np.ndarray
-    radius: float
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed", np.asarray(self.seed, dtype=np.float64))
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +196,7 @@ def check_concrete(y, c):
     y = np.asarray(y, dtype=np.float64)
     if not isinstance(c, SoundCheck):
         c = SoundCheck(c, y.shape[-1])
-    holds, _ = c.evaluate(ForwardResult(y, y))
+    holds = c.evaluate(ForwardResult(y, y))
     return holds if holds.ndim else bool(holds)
 
 
@@ -227,29 +212,42 @@ class SoundCheck:
     up_i - low_j (upper) and low_i - up_j (lower), which keeps shared input
     terms correlated; all such rows are bounded in one `expr_bounds` call
     under `policy`.
+
+    `or_free` tells whether the constraint is a conjunction of literals in
+    negation normal form: no `Or` outside a negation and no `And` under
+    one. Only then is it violated wherever a single literal is, so that
+    margins monotone in a dim put a violation, if the box has one, at an
+    end of that dim; the monotonicity reduction relies on this.
     """
 
     def __init__(self, c, m: int, policy: RoundingPolicy = DEFAULT_POLICY):
         self.policy = policy
+        self.or_free = True
         atoms, pairs = [], []  # atoms: (upper bound index, lower bound index, sign, k)
+        outputs = []  # per atom: (i, j, whether the margin is y_i - y_j)
 
-        def compile_node(node):
+        def compile_node(node, negated):
             if isinstance(node, OutLE):
                 atoms.append((m + node.i, node.i, 1.0, node.c))
+                outputs.append((node.i, node.i, False))
             elif isinstance(node, OutGE):
                 atoms.append((node.i, m + node.i, -1.0, -node.c))
+                outputs.append((node.i, node.i, False))
             elif isinstance(node, DiffLE):
                 atoms.append((2 * m + len(pairs), None, 1.0, node.c))
                 pairs.append((node.i, node.j))
+                outputs.append((node.i, node.j, True))
             elif isinstance(node, (And, Or)):
-                return type(node), tuple(compile_node(a) for a in node.args)
+                if isinstance(node, Or) != negated:
+                    self.or_free = False
+                return type(node), tuple(compile_node(a, negated) for a in node.args)
             elif isinstance(node, Not):
-                return Not, compile_node(node.arg)
+                return Not, compile_node(node.arg, not negated)
             else:
                 raise TypeError(f"unknown constraint node {node!r}")
             return len(atoms) - 1
 
-        self.tree = _kleene(compile_node(desugar(c, m)))
+        self.tree = _kleene(compile_node(desugar(c, m), False))
         p = len(pairs)
         ub = [u for u, _, _, _ in atoms]
         lb = [u + p if l is None else l for u, l, _, _ in atoms]
@@ -266,6 +264,12 @@ class SoundCheck:
         # bounds y_i - y_j: up_i - low_j from above, low_i - up_j from below
         self.row_a = np.concatenate((m + self.i, self.i))
         self.row_b = np.concatenate((self.j, m + self.j))
+        # each atom's margin has the derivative J[out_i] - J[out_j] where
+        # `paired`, else J[out_i]: the sign of `ge` does not change where
+        # a derivative is sign-definite
+        self.out_i = np.array([i for i, _, _ in outputs], dtype=np.intp)
+        self.out_j = np.array([j for _, j, _ in outputs], dtype=np.intp)
+        self.paired = np.array([q for _, _, q in outputs], dtype=bool)[:, np.newaxis]
 
     def _diff_bounds(self, fr: ForwardResult):
         """(upper, lower) bound arrays of y_i - y_j for every diffle atom."""
@@ -278,18 +282,26 @@ class SoundCheck:
         return hi[..., : len(i)], lo[..., len(i) :]
 
     def evaluate(self, fr: ForwardResult):
-        """Kleene value of the constraint over the box (or each box of the
-        stack) that `fr` bounds, as two bool arrays: where the bounds prove
-        it at every point of a box, and where they refute it at every point.
-        Neither means unknown."""
+        """Where the bounds prove the constraint at every point of the box
+        (or of each box of the stack) that `fr` bounds, as a bool array.
+
+        The tree is evaluated in Kleene's three values, so that a `Not`
+        of an atom the bounds neither prove nor refute stays unknown."""
         bounds = [fr.lo, fr.hi]
         if len(self.i):
             bounds.extend(self._diff_bounds(fr))
         flags = np.concatenate(bounds, axis=-1)[..., self.index] * self.sign <= self.bound
         n = len(self.index) // 2
         # an atom is TRUE where proved, else UNKNOWN unless refuted
-        value = self.tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:]))
-        return value == _TRUE, value == _FALSE
+        return self.tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:])) == _TRUE
+
+    def monotone_dims(self, J: IntervalJacobian, wide):
+        """(B, d) bool: the dims in `wide` where every atom's margin has a
+        sign-definite derivative over the box, by the interval Jacobian
+        `J` of its stack."""
+        lo = J.lo[..., self.out_i, :] - np.where(self.paired, J.hi[..., self.out_j, :], 0.0)
+        hi = J.hi[..., self.out_i, :] - np.where(self.paired, J.lo[..., self.out_j, :], 0.0)
+        return ((lo > 0.0) | (hi < 0.0)).all(axis=-2) & wide
 
 
 # Kleene values as integers: And is the minimum, Or the maximum, Not 2 - v
@@ -327,27 +339,10 @@ def check_sound(fr: ForwardResult, c, x: Optional[Box] = None):
     """
     if not isinstance(c, SoundCheck):
         c = SoundCheck(c, fr.lo.shape[-1])
-    holds, _ = c.evaluate(fr)
+    holds = c.evaluate(fr)
     if holds.ndim:
         return holds
     return TriState.HOLDS if holds else TriState.MAY_VIOLATE
-
-
-# ---------------------------------------------------------------------------
-# robustness ball
-
-
-def robustness_to_property(r: RobustnessSpec, domain: Optional[Box] = None):
-    """L-inf ball around the seed (clamped to the domain) + IsMax(label)."""
-    lo = r.seed - r.radius
-    hi = r.seed + r.radius
-    if domain is not None:
-        if len(domain) != r.seed.shape[0]:
-            raise ValueError("domain dimension disagrees with seed")
-        lo = np.maximum(lo, domain.lo)
-        hi = np.minimum(hi, domain.hi)
-    box = Box.from_arrays(lo, hi)
-    return InputSpec((box,)), IsMax(r.label)
 
 
 # ---------------------------------------------------------------------------

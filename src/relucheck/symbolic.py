@@ -45,7 +45,7 @@ class ReluState(enum.IntEnum):
 
 class SymRows:
     """A layer's rows: `stack` is (..., 2, n, d+1), lower rows over upper
-    rows, constants in the last column. The named parts are views."""
+    rows, constants in the last column."""
 
     __slots__ = ("stack",)
 
@@ -57,22 +57,6 @@ class SymRows:
         """The (..., 2n, d+1) view: lower row i is row i, upper row i is
         row n + i."""
         return self.stack.reshape(self.stack.shape[:-3] + (-1, self.stack.shape[-1]))
-
-    @property
-    def low_c(self):
-        return self.stack[..., 0, :, :-1]
-
-    @property
-    def low_k(self):
-        return self.stack[..., 0, :, -1]
-
-    @property
-    def up_c(self):
-        return self.stack[..., 1, :, :-1]
-
-    @property
-    def up_k(self):
-        return self.stack[..., 1, :, -1]
 
 
 def box_operand(x: Box) -> np.ndarray:

@@ -114,6 +114,24 @@ def test_unknown_flag_exit_3(capsys):
     assert run(["verify", "--network", NET, "--property", LE20, "--frobnicate"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--timeout", "nan"],
+        ["--precision", "nan"],
+        ["--precision", "nan", "--max-depth", "5"],
+        ["--precision", "inf"],
+        ["--max-depth", "-3"],
+    ],
+)
+def test_budget_it_cannot_honor_exit_3(flags, capsys):
+    for command in ("verify", "enumerate"):
+        assert run([command, "--network", NET, "--property", LE15, *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_missing_network_file_exit_3(capsys):
     assert run(["verify", "--network", "/no/such.nnl", "--property", LE20]) == 3
 

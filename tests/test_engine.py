@@ -88,6 +88,21 @@ def test_verify_unknown_on_depth_budget(demo_net, le15):
     assert v.status is Status.UNKNOWN
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", float("nan")),
+        ("precision", float("nan")),
+        ("precision", float("inf")),
+        ("precision", 0.0),
+        ("max_depth", -3),
+    ],
+)
+def test_config_rejects_budgets_it_cannot_honor(field, value):
+    with pytest.raises(ValueError, match=field):
+        Config(**{field: value})
+
+
 def test_verify_unknown_on_timeout(demo_net, le20):
     v = verify(demo_net, le20, Config(timeout=-1.0))
     assert v.status is Status.UNKNOWN
@@ -111,11 +126,10 @@ def test_dimension_mismatch_is_typed(demo_net):
 
 
 def test_verify_multi_region(demo_net):
-    spec = (
-        InputSpec((Box.from_arrays([4, 1], [5, 3]), Box.from_arrays([5, 3], [6, 5]))),
-        OutLE(0, 20.0),
-    )
-    assert verify(demo_net, spec, Config()).status is Status.SECURE
+    regions = InputSpec((Box.from_arrays([4, 1], [5, 3]), Box.from_arrays([5, 3], [6, 5])))
+    # one output: IsMax(0) desugars to an empty And, true everywhere
+    for c in (OutLE(0, 20.0), IsMax(0)):
+        assert verify(demo_net, (regions, c), Config()).status is Status.SECURE
 
 
 def test_verify_or_constraint_sound(demo_net, demo_box):
@@ -154,15 +168,17 @@ def test_monotone_endpoint_children_are_corners():
 
 
 def test_monotone_or_constraint_still_sound():
-    # y = x over [0, 10]; "y <= 1 or y > 9" fails only in the interior,
-    # so endpoint substitution alone would wrongly prove it
+    # y = x over [0, 10]; "y <= 1 or y > upper" fails only in the interior,
+    # so endpoint substitution alone would wrongly prove it. With upper = 3
+    # the root's midpoint satisfies it, so only a split can find (1, 3].
     net = make_net([np.eye(1)])
-    spec_src = "domain:\n0 10\nregion:\n*\nconstraint:\nor(le 0 1, not(le 0 9))\n"
-    spec = parse_property(spec_src, num_outputs=1)
-    v = verify(net, spec, Config(precision=0.5))
-    assert v.status is Status.INSECURE
-    y = eval_concrete(net, v.counterexample)
-    assert not check_concrete(y, spec[1])
+    for upper in (9, 3):
+        spec_src = f"domain:\n0 10\nregion:\n*\nconstraint:\nor(le 0 1, not(le 0 {upper}))\n"
+        spec = parse_property(spec_src, num_outputs=1)
+        v = verify(net, spec, Config(precision=0.5))
+        assert v.status is Status.INSECURE
+        y = eval_concrete(net, v.counterexample)
+        assert not check_concrete(y, spec[1])
 
 
 def test_worker_count_does_not_change_status(demo_net, le20, le15):
@@ -300,11 +316,3 @@ def test_write_report_partition(tmp_path, demo_net, le20):
     doc = json.loads(out.read_text())
     assert doc["leaves"][0]["status"] == "secure"
     assert len(doc["leaves"][0]["box"]) == 2
-
-
-def test_robustness_end_to_end(demo_net):
-    from relucheck.properties import RobustnessSpec, robustness_to_property
-
-    # single output: IsMax(0) desugars to an empty And, trivially true
-    spec = robustness_to_property(RobustnessSpec([5.0, 3.0], 0.5, label=0))
-    assert verify(demo_net, spec, Config()).status is Status.SECURE

@@ -42,8 +42,8 @@ def test_symbolic_demo_example(demo_net, demo_box):
     assert fr.masks.layers == ([ReluState.ACTIVE, ReluState.ACTIVE],)
     assert fr.masks[0].dtype == np.int8
     # final expression is x + 2y
-    np.testing.assert_allclose(fr.rows.low_c, [[1.0, 2.0]])
-    np.testing.assert_allclose(fr.rows.up_c, [[1.0, 2.0]])
+    np.testing.assert_allclose(fr.rows.stack[..., 0, :, :-1], [[1.0, 2.0]])
+    np.testing.assert_allclose(fr.rows.stack[..., 1, :, :-1], [[1.0, 2.0]])
 
 
 def test_symbolic_unstable_neuron(demo_net):
@@ -71,8 +71,9 @@ def test_out_bounds_match_out_sym(demo_net, demo_box):
     from relucheck.symbolic import box_operand, expr_bounds
 
     fr = symbolic_forward(demo_net, demo_box)
-    low, _ = expr_bounds(fr.rows.low_c, fr.rows.low_k, box_operand(demo_box))
-    _, up = expr_bounds(fr.rows.up_c, fr.rows.up_k, box_operand(demo_box))
+    low_rows, up_rows = fr.rows.stack
+    low, _ = expr_bounds(low_rows[:, :-1], low_rows[:, -1], box_operand(demo_box))
+    _, up = expr_bounds(up_rows[:, :-1], up_rows[:, -1], box_operand(demo_box))
     assert fr.out_bounds[0].lo == pytest.approx(low[0], abs=1e-12)
     assert fr.out_bounds[0].hi == pytest.approx(up[0], abs=1e-12)
 

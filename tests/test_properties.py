@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relucheck.data import shipped_names, shipped_path
+from relucheck.gradients import IntervalJacobian
 from relucheck.intervals import Box
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import (
@@ -13,18 +14,18 @@ from relucheck.properties import (
     IsMax,
     IsMin,
     Not,
+    NotMax,
     NotMin,
     Or,
     OutGE,
     OutLE,
     PropertyParseError,
-    RobustnessSpec,
+    SoundCheck,
     TriState,
     check_concrete,
     check_sound,
     desugar,
     parse_property,
-    robustness_to_property,
 )
 
 from conftest import random_box, random_net, sample_points
@@ -158,33 +159,46 @@ def test_check_sound_never_false_positive_fuzz():
 
 
 # ---------------------------------------------------------------------------
-# robustness
+# monotonicity-reduction eligibility
+
+_TWO = (OutLE(0, 1.0), OutGE(1, 0.0))
 
 
-def test_robustness_ball():
-    spec, c = robustness_to_property(RobustnessSpec([1.0, 2.0], 0.5, label=1))
-    (box,) = spec.regions
-    assert box.lo.tolist() == [0.5, 1.5]
-    assert box.hi.tolist() == [1.5, 2.5]
-    assert c == IsMax(1)
+@pytest.mark.parametrize(
+    "c, or_free",
+    [
+        (And(_TWO), True),
+        (Or(_TWO), False),
+        (Not(And(_TWO)), False),
+        (Not(Or(_TWO)), True),
+        (Not(Not(Or(_TWO))), False),
+        (desugar(NotMax(0), 3), False),
+        (desugar(IsMin(0), 3), True),
+        (desugar(Not(NotMax(0)), 3), True),
+        (And(()), True),
+        (desugar(IsMax(0), 1), True),
+    ],
+)
+def test_sound_check_or_free(c, or_free):
+    assert SoundCheck(c, 3).or_free is or_free
 
 
-def test_robustness_ball_clamped():
-    dom = Box.from_arrays([0.0, 0.0], [1.0, 1.0])
-    spec, _ = robustness_to_property(RobustnessSpec([0.1, 0.9], 0.3, label=0), dom)
-    (box,) = spec.regions
-    np.testing.assert_allclose(box.lo, [0.0, 0.6])
-    np.testing.assert_allclose(box.hi, [0.4, 1.0])
-
-
-def test_robustness_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        RobustnessSpec([0.0], -1.0, 0)
-
-
-def test_robustness_domain_dim_mismatch():
-    with pytest.raises(ValueError):
-        robustness_to_property(RobustnessSpec([0.0], 0.1, 0), Box.from_arrays([0, 0], [1, 1]))
+def test_monotone_dims_ge_and_diffle():
+    # d(y_0)/dx: [1, 2], [-1, 1], [0.5, 0.5]; d(y_1)/dx: [0.5, 3], [2, 3], [-2, -1]
+    J = IntervalJacobian([[1.0, -1.0, 0.5], [0.5, 2.0, -2.0]], [[2.0, 1.0, 0.5], [3.0, 3.0, -1.0]])
+    wide = np.array([True, True, True])
+    cases = [
+        (OutGE(0, 0.0), [True, False, True]),
+        # y_1 - y_0: [-1.5, 2], [1, 4], [-2.5, -1.5]
+        (DiffLE(1, 0, 0.0), [False, True, True]),
+        (And((OutGE(0, 0.0), DiffLE(1, 0, 0.0))), [False, False, True]),
+        # y_0 - y_0 is bounded through two independent intervals
+        (DiffLE(0, 0, 0.0), [False, False, False]),
+    ]
+    for c, want in cases:
+        check = SoundCheck(c, 2)
+        assert check.monotone_dims(J, wide).tolist() == want
+        assert check.monotone_dims(J, np.array([True, True, False])).tolist() == want[:2] + [False]
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,10 @@ def test_expr_bounds_rows_match_one_at_a_time():
 def test_affine_sym_demo_output_layer():
     rows = exact_rows([[2.0, 3.0], [1.0, 1.0]], [0.0, 0.0])
     out = affine_rows(rows, *split([[1.0, -1.0]]), np.array([0.0]))
-    np.testing.assert_array_equal(out.low_c, [[1.0, 2.0]])
-    np.testing.assert_array_equal(out.up_c, [[1.0, 2.0]])
-    np.testing.assert_array_equal(out.low_k, [0.0])
-    np.testing.assert_array_equal(out.up_k, [0.0])
+    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[1.0, 2.0]])
+    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[1.0, 2.0]])
+    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [0.0])
+    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [0.0])
 
 
 def test_affine_sym_identity():
@@ -114,10 +114,10 @@ def test_affine_sym_mixed_signs_bounds_correct():
     # upper uses positive weights on upper rows and negative on lower
     rows = sym_rows(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
     out = affine_rows(rows, *split([[-2.0]]), np.array([0.5]))
-    np.testing.assert_array_equal(out.up_c, [[-2.0]])
-    np.testing.assert_array_equal(out.up_k, [0.5])
-    np.testing.assert_array_equal(out.low_c, [[-2.0]])
-    np.testing.assert_array_equal(out.low_k, [-1.5])
+    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[-2.0]])
+    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [0.5])
+    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[-2.0]])
+    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [-1.5])
 
 
 def test_relu_sym_active():
@@ -138,10 +138,10 @@ def test_relu_sym_unstable_concretizes_upper():
     # constant 1 (its upper bound) and low drops to 0
     out, mask = relu(exact_rows([[1.0]], [-5.0]), box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
-    np.testing.assert_array_equal(out.low_c, [[0.0]])
-    np.testing.assert_array_equal(out.low_k, [0.0])
-    np.testing.assert_array_equal(out.up_c, [[0.0]])
-    np.testing.assert_array_equal(out.up_k, [1.0])
+    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[0.0]])
+    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [0.0])
+    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[0.0]])
+    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [1.0])
 
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
@@ -149,28 +149,29 @@ def test_relu_sym_unstable_keeps_symbolic_upper():
     rows = sym_rows(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
     out, mask = relu(rows, box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
-    np.testing.assert_array_equal(out.low_c, [[0.0]])
-    np.testing.assert_array_equal(out.low_k, [0.0])
-    np.testing.assert_array_equal(out.up_c, [[1.0]])
-    np.testing.assert_array_equal(out.up_k, [1.0])
+    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[0.0]])
+    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [0.0])
+    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[1.0]])
+    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [1.0])
 
 
 def _relu_unit_by_unit(rows, low_lo, up_lo, up_hi):
     """Reference for relu_rows: the ReLU step one unit at a time."""
-    low_c, low_k, up_c, up_k = (a.copy() for a in (rows.low_c, rows.low_k, rows.up_c, rows.up_k))
+    want = rows.stack.copy()
+    low, up = want
     states = []
     for i in range(len(up_hi)):
         if up_hi[i] <= 0.0:
             states.append(ReluState.ZERO)
-            low_c[i], low_k[i], up_c[i], up_k[i] = 0.0, 0.0, 0.0, 0.0
+            low[i], up[i] = 0.0, 0.0
         elif low_lo[i] >= 0.0:
             states.append(ReluState.ACTIVE)
         else:
             states.append(ReluState.UNSTABLE)
-            low_c[i], low_k[i] = 0.0, 0.0
+            low[i] = 0.0
             if up_lo[i] <= 0.0:
-                up_c[i], up_k[i] = 0.0, up_hi[i]
-    return (low_c, low_k, up_c, up_k), states
+                up[i, :-1], up[i, -1] = 0.0, up_hi[i]
+    return want, states
 
 
 def test_relu_whole_layer_matches_unit_by_unit():
@@ -183,8 +184,7 @@ def test_relu_whole_layer_matches_unit_by_unit():
         want, states = _relu_unit_by_unit(rows, low_lo, up_lo, up_hi)
         mask = relu_rows(rows, np.stack((low_lo, up_lo)), np.stack((up_hi, up_hi)))
         assert mask.dtype == np.int8 and mask.tolist() == states
-        for got, ref in zip((rows.low_c, rows.low_k, rows.up_c, rows.up_k), want):
-            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(rows.stack, want)
 
 
 def test_bounds_of_rows_overflow_raises():
@@ -202,8 +202,9 @@ def test_sandwich_on_sampled_points():
         out, _ = relu(exact_rows([c], [k]), b, RoundingPolicy())
         pts = rng.uniform(b.lo, b.hi, size=(200, d))
         val = np.maximum(pts @ c + k, 0.0)
-        assert np.all(pts @ out.low_c[0] + out.low_k[0] <= val + 1e-12)
-        assert np.all(pts @ out.up_c[0] + out.up_k[0] >= val - 1e-12)
+        (low,), (up,) = out.stack
+        assert np.all(pts @ low[:-1] + low[-1] <= val + 1e-12)
+        assert np.all(pts @ up[:-1] + up[-1] >= val - 1e-12)
 
 
 def test_point_box_bounds_are_tight():
