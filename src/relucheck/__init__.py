@@ -15,7 +15,7 @@ from .intervals import (
     UnsplittableError,
     iv_bisect,
 )
-from .symbolic import ReluState, SymRows
+from .symbolic import ReluState
 from .network import (
     Activation,
     DimensionMismatchError,

@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-__all__ = ["shipped_path", "shipped_names"]
+__all__ = ["shipped_path"]
 
 
 def shipped_path(name: str):
@@ -11,7 +11,3 @@ def shipped_path(name: str):
     if not ref.is_file():
         raise FileNotFoundError(f"no shipped data file named {name!r}")
     return ref
-
-
-def shipped_names():
-    return sorted(p.name for p in (resources.files("relucheck") / "props").iterdir())

@@ -119,12 +119,6 @@ class PartitionReport:
     leaves: list  # (Box raw units, SubStatus, cex or None)
     stats: RunStats = field(default_factory=RunStats)
 
-    def boxes(self, status: Optional[SubStatus] = None):
-        return [b for b, s, _ in self.leaves if status is None or s is status]
-
-    def counterexamples(self):
-        return [c for _, s, c in self.leaves if s is SubStatus.INSECURE_SUB]
-
     def to_dict(self):
         return {
             "leaves": [
@@ -338,7 +332,7 @@ class _Run:
             # region after a counterexample: evaluate the one it needs now
             return self.process(jobs[:1])
 
-        holds = check_sound(fr, self.check, box)
+        holds = check_sound(fr, self.check)
         for job in itertools.compress(jobs, holds.tolist()):
             job.outcome = SubStatus.SECURE_SUB
         idx = np.flatnonzero(~holds)
@@ -447,7 +441,6 @@ def enumerate_regions(net: Network, spec, cfg: Config = Config()) -> PartitionRe
 
 def write_report(path: str, payload) -> None:
     """Dump a verdict or partition report as JSON."""
-    doc = payload.to_dict() if hasattr(payload, "to_dict") else payload
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+        json.dump(payload.to_dict(), f, indent=2)
         f.write("\n")

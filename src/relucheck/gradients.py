@@ -46,10 +46,6 @@ class IntervalJacobian:
         if np.any(lo > hi):
             raise ValueError("inverted Jacobian entry")
 
-    @property
-    def shape(self):
-        return self.lo.shape
-
     def abs_upper(self) -> np.ndarray:
         """max(|lo|, |hi|) per entry -- the upper bound on |J_ij|."""
         return np.maximum(np.abs(self.lo), np.abs(self.hi))

@@ -60,14 +60,12 @@ DEFAULT_POLICY = RoundingPolicy()
 
 
 def round_out(lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Nudge (lo, hi) outward per policy. Works on scalars and arrays."""
+    """Nudge the arrays (lo, hi) outward per policy."""
     if policy.mode == "none":
         return lo, hi
     dt = policy.dtype
     lo = np.nextafter(np.asarray(lo, dtype=dt), dt(-np.inf))
     hi = np.nextafter(np.asarray(hi, dtype=dt), dt(np.inf))
-    if np.ndim(lo) == 0:
-        return float(lo), float(hi)
     return np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
 
 
@@ -93,12 +91,6 @@ class Interval:
             raise ValueError(f"inverted interval: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-    def subset_of(self, other: "Interval", slack: float = 0.0) -> bool:
-        return other.lo - slack <= self.lo and self.hi <= other.hi + slack
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -220,7 +212,7 @@ def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY, split=N
     ends = (pos @ ends + neg @ ends[..., ::-1, :, :])[..., 0] + b
     out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :], policy)
     _check_overflow(out_lo, out_hi)
-    return np.atleast_1d(out_lo), np.atleast_1d(out_hi)
+    return out_lo, out_hi
 
 
 def iv_bisect(x: Box, j):

@@ -185,6 +185,13 @@ def _floats(line: str, lineno: int):
         raise NetworkFormatError(f"line {lineno}: {e}") from None
 
 
+def _counts(line: str, lineno: int, what: str):
+    vals = _floats(line, lineno)
+    if not all(v.is_integer() for v in vals):
+        raise NetworkFormatError(f"line {lineno}: {what} must be finite integers, got {line!r}")
+    return [int(v) for v in vals]
+
+
 def _parse_nnet_lite(text: str) -> Network:
     lines = list(_data_lines(text))
     if not lines:
@@ -192,10 +199,10 @@ def _parse_nnet_lite(text: str) -> Network:
     it = iter(lines)
 
     lineno, header = next(it)
-    head = _floats(header, lineno)
+    head = _counts(header, lineno, "header values")
     if len(head) != 4:
         raise NetworkFormatError(f"line {lineno}: header needs 4 numbers, got {len(head)}")
-    num_layers, d, m, _max_size = (int(v) for v in head)
+    num_layers, d, m, _max_size = head
     if num_layers < 1 or d < 1 or m < 1:
         raise NetworkFormatError(f"line {lineno}: invalid header values")
 
@@ -203,7 +210,7 @@ def _parse_nnet_lite(text: str) -> Network:
         lineno, sizes_line = next(it)
     except StopIteration:
         raise NetworkFormatError("missing layer sizes line") from None
-    sizes = [int(v) for v in _floats(sizes_line, lineno)]
+    sizes = _counts(sizes_line, lineno, "layer sizes")
     if len(sizes) != num_layers + 1:
         raise NetworkFormatError(
             f"line {lineno}: expected {num_layers + 1} layer sizes, got {len(sizes)}"
@@ -300,20 +307,13 @@ def _parse_json(text: str) -> Network:
     return Network(tuple(layers), mean, rng)
 
 
-def load_network(source, fmt: str = "auto") -> Network:
-    """Load a network from bytes, text, or an open file.
-
-    fmt: "nnet" (NNET-lite text), "json", or "auto" (sniff leading '{').
-    """
+def load_network(source) -> Network:
+    """Load a network from bytes, text, or an open file: JSON when it
+    starts with '{', NNET-lite text otherwise."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if fmt == "auto":
-        stripped = source.lstrip()
-        fmt = "json" if stripped.startswith("{") else "nnet"
-    if fmt == "json":
+    if source.lstrip().startswith("{"):
         return _parse_json(source)
-    if fmt == "nnet":
-        return _parse_nnet_lite(source)
-    raise ValueError(f"unknown network format {fmt!r}")
+    return _parse_nnet_lite(source)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, matvec_bounds
 from .network import Activation, DimensionMismatchError, Network, split_weights
-from .symbolic import SymRows, affine_rows, bounds_of_rows, box_operand, relu_rows
+from .symbolic import affine_rows, bounds_of_rows, box_operand, relu_rows
 
 __all__ = ["ReluMaskMatrix", "ForwardResult", "naive_forward", "symbolic_forward"]
 
@@ -34,13 +34,14 @@ class ReluMaskMatrix(tuple):
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Output enclosure [lo, hi]; symbolic mode adds the output rows, the
-    ReLU masks and the `box_operand` the rows are bounded over. For a stack
-    of boxes, every array leads with the stack's axis."""
+    """Output enclosure [lo, hi]; symbolic mode adds the output rows (a
+    (..., 2, m, d+1) array, laid out as in `symbolic`), the ReLU masks and
+    the `box_operand` the rows are bounded over. For a stack of boxes,
+    every array leads with the stack's axis."""
 
     lo: np.ndarray
     hi: np.ndarray
-    rows: Optional[SymRows] = None
+    rows: Optional[np.ndarray] = None
     masks: Optional[ReluMaskMatrix] = None
     operand: Optional[np.ndarray] = None
 
@@ -91,9 +92,9 @@ def symbolic_forward(
     operand = box_operand(x)
     # the first layer's rows are the layer itself, lower and upper alike
     first = net.layers[0]
-    rows = SymRows(np.empty(x.lo.shape[:-1] + (2, first.out_size, first.in_size + 1)))
-    rows.stack[..., :-1] = first.W
-    rows.stack[..., -1] = first.b
+    rows = np.empty(x.lo.shape[:-1] + (2, first.out_size, first.in_size + 1))
+    rows[..., :-1] = first.W
+    rows[..., -1] = first.b
     masks = []
     for k, layer in enumerate(net.layers):
         if k:

@@ -276,9 +276,10 @@ class SoundCheck:
         i, j, rows = self.i, self.j, fr.rows
         if rows is None:
             return fr.hi[..., i] - fr.lo[..., j], fr.lo[..., i] - fr.hi[..., j]
-        flat = rows.flat
+        # lower row i is row i, upper row i is row m + i
+        flat = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
         diff = flat[..., self.row_a, :] - flat[..., self.row_b, :]
-        lo, hi = expr_bounds(diff[..., :-1], diff[..., -1], fr.operand, self.policy)
+        lo, hi = expr_bounds(diff, fr.operand, self.policy)
         return hi[..., : len(i)], lo[..., len(i) :]
 
     def evaluate(self, fr: ForwardResult):
@@ -330,9 +331,9 @@ def _kleene(node):
     return value
 
 
-def check_sound(fr: ForwardResult, c, x: Optional[Box] = None):
-    """Holds only when the bounds prove the constraint for all of x, the
-    box (or stack) that `fr` bounds; `fr` carries all that the check reads.
+def check_sound(fr: ForwardResult, c):
+    """Holds only when the bounds prove the constraint for all of the box
+    (or stack) that `fr` bounds.
 
     For a stack of boxes, a bool array of where it holds. `c` is a
     constraint tree or, for repeated checks, a `SoundCheck` compiled from it.
@@ -387,9 +388,12 @@ class _ConstraintParser:
     def number(self) -> float:
         tok = self.take()
         try:
-            return float(tok)
+            v = float(tok)
         except ValueError:
             raise PropertyParseError(f"expected a number, got {tok!r}") from None
+        if not math.isfinite(v):
+            raise PropertyParseError(f"expected a finite number, got {tok!r}")
+        return v
 
     def index(self) -> int:
         v = self.number()

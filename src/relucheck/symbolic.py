@@ -21,7 +21,6 @@ from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, _check_overflow
 
 __all__ = [
     "ReluState",
-    "SymRows",
     "box_operand",
     "expr_bounds",
     "bounds_of_rows",
@@ -41,22 +40,6 @@ class ReluState(enum.IntEnum):
     ZERO = 0
     ACTIVE = 1
     UNSTABLE = 2
-
-
-class SymRows:
-    """A layer's rows: `stack` is (..., 2, n, d+1), lower rows over upper
-    rows, constants in the last column."""
-
-    __slots__ = ("stack",)
-
-    def __init__(self, stack: np.ndarray):
-        self.stack = stack
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The (..., 2n, d+1) view: lower row i is row i, upper row i is
-        row n + i."""
-        return self.stack.reshape(self.stack.shape[:-3] + (-1, self.stack.shape[-1]))
 
 
 def box_operand(x: Box) -> np.ndarray:
@@ -108,31 +91,30 @@ def _row_bounds(rows, operand, policy: RoundingPolicy):
 _OUTWARD = np.array([-1.0, 1.0])
 
 
-def expr_bounds(coeffs, consts, operand, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Sound (lo, hi) arrays of the rows coeffs @ x + consts over the box
-    whose `box_operand` is given.
+def expr_bounds(rows, operand, policy: RoundingPolicy = DEFAULT_POLICY):
+    """Sound (lo, hi) arrays of the rows [c, k] (coefficients, constant),
+    c @ x + k, over the box whose `box_operand` is given.
 
     Each row is evaluated in a product of its own, so its bounds are those
     it would get in a batch of one.
     """
-    rows = np.concatenate((coeffs, consts[..., np.newaxis]), axis=-1)
     bounds = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :], policy)
     return bounds[..., 0, 0], bounds[..., 0, 1]
 
 
-def bounds_of_rows(rows: SymRows, operand, policy: RoundingPolicy = DEFAULT_POLICY):
+def bounds_of_rows(rows, operand, policy: RoundingPolicy = DEFAULT_POLICY):
     """Concrete (lo, hi) arrays, shaped (..., 2, n) like the rows, of every
     row of a layer over the box whose `box_operand` is given.
 
     The lower and the upper rows are bounded in one matrix product each.
     Raises IntervalOverflowError when a bound is not finite.
     """
-    bounds = _row_bounds(rows.stack, operand[..., np.newaxis, :, :], policy)
+    bounds = _row_bounds(rows, operand[..., np.newaxis, :, :], policy)
     _check_overflow(bounds)
     return bounds[..., 0], bounds[..., 1]
 
 
-def affine_rows(rows: SymRows, pos, neg, b) -> SymRows:
+def affine_rows(rows, pos, neg, b) -> np.ndarray:
     """Symbolic image of the rows under W x + b, where pos and neg are the
     positive and negative parts of W.
 
@@ -141,13 +123,12 @@ def affine_rows(rows: SymRows, pos, neg, b) -> SymRows:
     pos @ up + neg @ low, each product of one shape. Biases enter the
     constant term of both.
     """
-    stack = rows.stack
-    out = pos @ stack + neg @ stack[..., ::-1, :, :]
+    out = pos @ rows + neg @ rows[..., ::-1, :, :]
     out[..., -1] += b
-    return SymRows(out)
+    return out
 
 
-def relu_rows(rows: SymRows, lo, hi) -> np.ndarray:
+def relu_rows(rows, lo, hi) -> np.ndarray:
     """Push the rows through ReLU in place, given their `bounds_of_rows`.
 
     A unit whose upper row is never positive is ZERO: both rows become 0.
@@ -161,10 +142,9 @@ def relu_rows(rows: SymRows, lo, hi) -> np.ndarray:
     active = (low_lo >= 0.0) > zero
     off = ~active
     flat = ((up_lo <= 0.0) & off) | zero
-    stack = rows.stack
-    np.copyto(stack[..., 0, :, :], 0.0, where=off[..., np.newaxis])
-    np.copyto(stack[..., 1, :, :-1], 0.0, where=flat[..., np.newaxis])
+    np.copyto(rows[..., 0, :, :], 0.0, where=off[..., np.newaxis])
+    np.copyto(rows[..., 1, :, :-1], 0.0, where=flat[..., np.newaxis])
     # up_hi <= 0 on a ZERO unit, whose upper row goes to 0
-    np.copyto(stack[..., 1, :, -1], np.maximum(up_hi, 0.0), where=flat)
+    np.copyto(rows[..., 1, :, -1], np.maximum(up_hi, 0.0), where=flat)
     # ZERO 0, ACTIVE 1, UNSTABLE 2
     return 2 - active.view(np.int8) - 2 * zero.view(np.int8)

@@ -48,6 +48,11 @@ def random_box(rng, d, min_width=0.1, max_width=2.0, center_scale=1.0) -> Box:
     return Box.from_arrays(center - half, center + half)
 
 
+def subset_of(a: Interval, b: Interval, slack: float = 0.0) -> bool:
+    """Whether a lies inside b widened by slack on both sides."""
+    return b.lo - slack <= a.lo and a.hi <= b.hi + slack
+
+
 def sample_points(rng, box: Box, n: int) -> np.ndarray:
     lo, hi = box.lo, box.hi
     return rng.uniform(lo, hi, size=(n, len(box)))

@@ -247,7 +247,7 @@ def test_criterion_7_enumerate_consistency(demo_net, le15):
     """The partition tiles the region; leaf labels are spot-checked."""
     report = enumerate_regions(demo_net, le15, Config(precision=0.25, max_depth=16))
     region_volume = 2.0 * 4.0
-    total = sum(float(np.prod(b.widths())) for b in report.boxes())
+    total = sum(float(np.prod(b.widths())) for b, _, _ in report.leaves)
     coverage_ok = abs(total - region_volume) <= 1e-9 * region_volume
 
     rng = np.random.default_rng(77)

@@ -66,7 +66,7 @@ def test_stacked_boxes_get_their_own_bits(seed):
         one = symbolic_forward(net, box)
         assert_same_bits(sym.lo[b], one.lo)
         assert_same_bits(sym.hi[b], one.hi)
-        assert_same_bits(sym.rows.stack[b], one.rows.stack)
+        assert_same_bits(sym.rows[b], one.rows)
         for got, want in zip(sym.masks, one.masks):
             assert_same_bits(got[b], want)
         J = backward_gradient(net, one.masks)

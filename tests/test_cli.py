@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,12 +137,26 @@ def test_missing_network_file_exit_3(capsys):
     assert run(["verify", "--network", "/no/such.nnl", "--property", LE20]) == 3
 
 
+# the demo net's weight and bias lines, after its header and sizes lines
+DEMO_BODY = "2.0,3.0\n1.0,1.0\n0.0,0.0\n1.0,-1.0\n0.0\n"
+BAD_COUNTS = [
+    "inf 2 1 2\n2,2,1\n",
+    "nan 2 1 2\n2,2,1\n",
+    "2 2 1 2.5\n2,2,1\n",
+    "2 2 1 1e400\n2,2,1\n",
+    "2 2 1 2\n2,inf,1\n",
+    "2 2 1 2\n2,2.5,1\n",
+    "2 2 1 2\n2,nan,1\n",
+]
+
+
 def test_malformed_network_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.nnl"
-    for text in ("not a network\n", *MALFORMED_JSON):
+    for text in ("not a network\n", *MALFORMED_JSON, *(head + DEMO_BODY for head in BAD_COUNTS)):
         bad.write_text(text)
         assert run(["info", "--network", str(bad)]) == 4, text
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, text
 
 
 def test_malformed_property_exit_4(tmp_path, capsys):
@@ -152,12 +167,39 @@ def test_malformed_property_exit_4(tmp_path, capsys):
 
 def test_property_bad_numbers_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.prop"
+    region = "domain:\n4 6\n1 5\nregion:\n*\n*\nconstraint:\n"
     for text in (
         "outputs: one\ndomain:\n4 6\n1 5\nregion:\n*\n*\nconstraint:\nle 0 5\n",
         "domain:\n4 six\n1 5\nregion:\n*\n*\nconstraint:\nle 0 5\n",
+        *(region + c for c in ("le inf 3", "le 1e400 3", "le nan 3", "le 0 nan", "le 0 -inf")),
     ):
         bad.write_text(text)
-        assert run(["verify", "--network", NET, "--property", str(bad)]) == 4
+        assert run(["verify", "--network", NET, "--property", str(bad)]) == 4, text
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, text
+
+
+def _corruptions(path):
+    """The file's text with one token replaced by a bad value, for every
+    token and every value."""
+    text = path.read_text()
+    for tok in re.finditer(r"[^\s,]+", text):
+        for bad in ("inf", "-inf", "nan", "1e400", "2.5", "-1", "x"):
+            yield text[: tok.start()] + bad + text[tok.end() :]
+
+
+def test_corrupted_input_never_raises(tmp_path, capsys):
+    net, prop = tmp_path / "net.nnl", tmp_path / "prop.prop"
+    cases = [(net, text, net, LE15) for text in _corruptions(shipped_path("demonet.nnl"))]
+    cases += [(prop, text, NET, prop) for text in _corruptions(shipped_path("le15.prop"))]
+    flags = ["--max-depth", "8", "--timeout", "5"]
+    for target, text, net_path, prop_path in cases:
+        target.write_text(text)
+        code = run(["verify", "--network", str(net_path), "--property", str(prop_path)] + flags)
+        assert type(code) is int and 0 <= code <= 5, text
+        err = capsys.readouterr().err
+        if code in (3, 4):
+            assert err.startswith("error:") and err.count("\n") == 1, text
 
 
 def test_bound_overflow_exit_2(tmp_path, capsys, recwarn):

@@ -229,10 +229,10 @@ def test_overflow_past_the_counterexample_is_not_raised(mode, recwarn):
 def test_enumerate_partition_covers_region(demo_net, le15):
     report = enumerate_regions(demo_net, le15, Config(precision=0.25, max_depth=12))
     assert report.leaves
-    total = sum(np.prod(b.widths()) for b in report.boxes())
+    boxes = [b for b, _, _ in report.leaves]
+    total = sum(np.prod(b.widths()) for b in boxes)
     assert total == pytest.approx(2.0 * 4.0, rel=1e-9)
     # no two leaves overlap on an open set
-    boxes = report.boxes()
     for a in range(len(boxes)):
         for b in range(a + 1, len(boxes)):
             inter = 1.0
@@ -252,7 +252,7 @@ def test_enumerate_partition_covers_region(demo_net, le15):
 def test_enumerate_all_secure(demo_net, le20):
     report = enumerate_regions(demo_net, le20, Config())
     assert all(s is SubStatus.SECURE_SUB for _, s, _ in report.leaves)
-    assert report.counterexamples() == []
+    assert [c for _, s, c in report.leaves if s is SubStatus.INSECURE_SUB] == []
 
 
 def test_enumerate_deterministic_across_workers(demo_net, le15):

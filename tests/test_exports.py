@@ -1,9 +1,12 @@
 """Every exported name resolves, so a deleted function cannot leave a
-stale entry in a module's `__all__` or in the package's imports."""
+stale entry in a module's `__all__` or in the package's imports; and
+every exported name has a use outside the tests, so no API is kept for
+the tests alone."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ import pytest
 import relucheck
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(relucheck.__path__))
+SRC = Path(relucheck.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -32,3 +37,34 @@ def test_package_imports_resolve():
     for module, name, bound in imported:
         source = importlib.import_module(f"relucheck.{module}")
         assert hasattr(source, name) and hasattr(relucheck, bound), f"{module}.{name}"
+
+
+def _names_read(path: Path) -> set:
+    """The names a Python file reads: bare names, attributes, and names
+    imported from other modules. A def or class line reads no name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_used_outside_tests(name):
+    # a use in the module itself, in another module (the package's
+    # re-exports do not count), in the benchmark, or in the README
+    readers = [SRC / f"{name}.py", *sorted((ROOT / "bench").glob("*.py"))]
+    readers += [p for p in sorted(SRC.glob("*.py")) if p.stem not in (name, "__init__")]
+    used = set().union(*map(_names_read, readers))
+    readme = (ROOT / "README.md").read_text()
+    module = importlib.import_module(f"relucheck.{name}")
+    unused = [
+        attr
+        for attr in getattr(module, "__all__", ())
+        if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
+    ]
+    assert not unused, f"relucheck.{name}.__all__ names used only by tests: {unused}"

@@ -1,9 +1,10 @@
 import io
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from relucheck.data import shipped_names, shipped_path
+from relucheck.data import shipped_path
 from relucheck.gradients import IntervalJacobian
 from relucheck.intervals import Box
 from relucheck.propagate import naive_forward, symbolic_forward
@@ -90,14 +91,14 @@ def test_check_concrete_tie_counts_as_min():
 
 def test_check_sound_demo_net(demo_net, demo_box):
     fr = symbolic_forward(demo_net, demo_box)
-    assert check_sound(fr, OutLE(0, 20.0), demo_box) is TriState.HOLDS
-    assert check_sound(fr, OutLE(0, 15.0), demo_box) is TriState.MAY_VIOLATE
+    assert check_sound(fr, OutLE(0, 20.0)) is TriState.HOLDS
+    assert check_sound(fr, OutLE(0, 15.0)) is TriState.MAY_VIOLATE
     # 5.99 rather than the exact bound 6: outward rounding keeps the
     # computed lower bound a few ULPs below it
-    assert check_sound(fr, OutGE(0, 5.99), demo_box) is TriState.HOLDS
+    assert check_sound(fr, OutGE(0, 5.99)) is TriState.HOLDS
     # negation of a definitely-false atom is definitely true
-    assert check_sound(fr, Not(OutGE(0, 23.0)), demo_box) is TriState.HOLDS
-    assert check_sound(fr, Not(OutLE(0, 20.0)), demo_box) is TriState.MAY_VIOLATE
+    assert check_sound(fr, Not(OutGE(0, 23.0))) is TriState.HOLDS
+    assert check_sound(fr, Not(OutLE(0, 20.0))) is TriState.MAY_VIOLATE
 
 
 def test_check_sound_naive_vs_symbolic(demo_net, demo_box):
@@ -105,8 +106,8 @@ def test_check_sound_naive_vs_symbolic(demo_net, demo_box):
     c = OutLE(0, 18.0)
     nai = naive_forward(demo_net, demo_box)
     sym = symbolic_forward(demo_net, demo_box)
-    assert check_sound(nai, c, demo_box) is TriState.MAY_VIOLATE
-    assert check_sound(sym, c, demo_box) is TriState.HOLDS
+    assert check_sound(nai, c) is TriState.MAY_VIOLATE
+    assert check_sound(sym, c) is TriState.HOLDS
 
 
 def test_check_sound_diffle_uses_correlation():
@@ -117,9 +118,9 @@ def test_check_sound_diffle_uses_correlation():
     net = make_net([np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]])])
     box = Box.from_arrays([0.5, 0.5], [1.5, 1.5])
     fr = symbolic_forward(net, box)
-    assert check_sound(fr, DiffLE(0, 1, 1e-12), box) is TriState.HOLDS
+    assert check_sound(fr, DiffLE(0, 1, 1e-12)) is TriState.HOLDS
     nai = naive_forward(net, box)
-    assert check_sound(nai, DiffLE(0, 1, 1e-12), box) is TriState.MAY_VIOLATE
+    assert check_sound(nai, DiffLE(0, 1, 1e-12)) is TriState.MAY_VIOLATE
 
 
 def test_check_sound_or_and():
@@ -128,9 +129,9 @@ def test_check_sound_or_and():
     net = make_net([np.eye(2)])
     box = Box.from_arrays([1.0, 5.0], [2.0, 6.0])
     fr = symbolic_forward(net, box)
-    assert check_sound(fr, Or((OutLE(0, 0.0), OutLE(0, 3.0))), box) is TriState.HOLDS
-    assert check_sound(fr, And((OutLE(0, 3.0), OutGE(1, 4.9))), box) is TriState.HOLDS
-    assert check_sound(fr, And((OutLE(0, 3.0), OutGE(1, 5.5))), box) is TriState.MAY_VIOLATE
+    assert check_sound(fr, Or((OutLE(0, 0.0), OutLE(0, 3.0)))) is TriState.HOLDS
+    assert check_sound(fr, And((OutLE(0, 3.0), OutGE(1, 4.9)))) is TriState.HOLDS
+    assert check_sound(fr, And((OutLE(0, 3.0), OutGE(1, 5.5)))) is TriState.MAY_VIOLATE
 
 
 def test_check_sound_never_false_positive_fuzz():
@@ -153,7 +154,7 @@ def test_check_sound_never_false_positive_fuzz():
 
         ys = eval_concrete_batch(net, pts)
         for c in cs:
-            if check_sound(fr, c, box) is TriState.HOLDS:
+            if check_sound(fr, c) is TriState.HOLDS:
                 for y in ys:
                     assert check_concrete(y, c)
 
@@ -281,6 +282,12 @@ def test_parse_errors():
         "domain:\n0 six\nregion:\n*\nconstraint:\nle 0 5\n",  # non-numeric domain
         "domain:\n0 1\nregion:\n0 x\nconstraint:\nle 0 5\n",  # non-numeric region
         "domain:\n0 inf\nregion:\n*\nconstraint:\nle 0 5\n",  # non-finite bound
+        "domain:\n0 1\nregion:\n*\nconstraint:\nle inf 3\n",  # non-finite index
+        "domain:\n0 1\nregion:\n*\nconstraint:\nle 1e400 3\n",  # index overflows to inf
+        "domain:\n0 1\nregion:\n*\nconstraint:\nle nan 3\n",  # NaN index
+        "domain:\n0 1\nregion:\n*\nconstraint:\nle 0 nan\n",  # NaN threshold
+        "domain:\n0 1\nregion:\n*\nconstraint:\nge 0 -inf\n",  # non-finite threshold
+        "domain:\n0 1\nregion:\n*\nconstraint:\ndiffle 0 1 1e400\n",  # overflowing threshold
     ]
     parse_property(good)
     for text in bad:
@@ -304,7 +311,8 @@ def test_input_spec_validation():
 
 
 def test_all_shipped_properties_parse():
-    props = [n for n in shipped_names() if n.endswith(".prop")]
+    shipped = (resources.files("relucheck") / "props").iterdir()
+    props = sorted(p.name for p in shipped if p.name.endswith(".prop"))
     assert len(props) >= 20
     for name in props:
         with open(shipped_path(name), "rb") as f:

@@ -6,7 +6,6 @@ import pytest
 from relucheck.intervals import Box, IntervalOverflowError, RoundingPolicy
 from relucheck.symbolic import (
     ReluState,
-    SymRows,
     affine_rows,
     bounds_of_rows,
     box_operand,
@@ -25,8 +24,8 @@ def box(lo, hi):
 
 def bounds(coeffs, const, b, policy=EXACT):
     """Concrete range of the single row coeffs . x + const over box b."""
-    c, k = np.array([coeffs], dtype=float), np.array([const], dtype=float)
-    lo, hi = expr_bounds(c, k, box_operand(b), policy)
+    rows = np.array([list(coeffs) + [const]], dtype=float)
+    lo, hi = expr_bounds(rows, box_operand(b), policy)
     return lo[0], hi[0]
 
 
@@ -34,7 +33,7 @@ def sym_rows(low_c, low_k, up_c, up_k):
     """Rows low_c @ x + low_k (lower) and up_c @ x + up_k (upper)."""
     low = np.column_stack((low_c, low_k))
     up = np.column_stack((up_c, up_k))
-    return SymRows(np.stack((low, up)).astype(float))
+    return np.stack((low, up)).astype(float)
 
 
 def exact_rows(coeffs, consts):
@@ -83,54 +82,54 @@ def test_expr_bounds_rows_match_one_at_a_time():
         d = int(rng.integers(1, 8))
         b = random_box(rng, d)
         c = rng.normal(size=(9, d)) * 10.0 ** rng.uniform(-3, 3, size=(9, d))
-        k = rng.normal(size=9)
-        lo, hi = expr_bounds(c, k, box_operand(b))
+        rows = np.column_stack((c, rng.normal(size=9)))
+        lo, hi = expr_bounds(rows, box_operand(b))
         for r in range(9):
-            lo_r, hi_r = expr_bounds(c[r : r + 1], k[r : r + 1], box_operand(b))
+            lo_r, hi_r = expr_bounds(rows[r : r + 1], box_operand(b))
             assert lo[r] == lo_r[0] and hi[r] == hi_r[0]
 
 
 def test_affine_sym_demo_output_layer():
     rows = exact_rows([[2.0, 3.0], [1.0, 1.0]], [0.0, 0.0])
     out = affine_rows(rows, *split([[1.0, -1.0]]), np.array([0.0]))
-    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[1.0, 2.0]])
-    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[1.0, 2.0]])
-    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [0.0])
-    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [0.0])
+    np.testing.assert_array_equal(out[..., 0, :, :-1], [[1.0, 2.0]])
+    np.testing.assert_array_equal(out[..., 1, :, :-1], [[1.0, 2.0]])
+    np.testing.assert_array_equal(out[..., 0, :, -1], [0.0])
+    np.testing.assert_array_equal(out[..., 1, :, -1], [0.0])
 
 
 def test_affine_sym_identity():
     rows = exact_rows([[1.0, 0.0], [0.0, 2.0]], [0.5, -1.0])
     out = affine_rows(rows, *split(np.eye(2)), np.zeros(2))
-    np.testing.assert_array_equal(out.stack, rows.stack)
+    np.testing.assert_array_equal(out, rows)
 
 
 def test_affine_sym_zero_row():
     out = affine_rows(exact_rows([[1.0]], [0.0]), *split([[0.0]]), np.array([0.0]))
-    np.testing.assert_array_equal(out.stack, np.zeros_like(out.stack))
+    np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
 def test_affine_sym_mixed_signs_bounds_correct():
     # upper uses positive weights on upper rows and negative on lower
     rows = sym_rows(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), np.array([1.0]))
     out = affine_rows(rows, *split([[-2.0]]), np.array([0.5]))
-    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[-2.0]])
-    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [0.5])
-    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[-2.0]])
-    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [-1.5])
+    np.testing.assert_array_equal(out[..., 1, :, :-1], [[-2.0]])
+    np.testing.assert_array_equal(out[..., 1, :, -1], [0.5])
+    np.testing.assert_array_equal(out[..., 0, :, :-1], [[-2.0]])
+    np.testing.assert_array_equal(out[..., 0, :, -1], [-1.5])
 
 
 def test_relu_sym_active():
     rows = exact_rows([[2.0, 3.0]], [0.0])
     out, mask = relu(exact_rows([[2.0, 3.0]], [0.0]), box([4, 1], [6, 5]), RoundingPolicy())
     assert mask.dtype == np.int8 and mask.tolist() == [ReluState.ACTIVE]
-    np.testing.assert_array_equal(out.stack, rows.stack)
+    np.testing.assert_array_equal(out, rows)
 
 
 def test_relu_sym_zero():
     out, mask = relu(exact_rows([[-1.0]], [0.0]), box([1], [2]), RoundingPolicy())
     assert mask.tolist() == [ReluState.ZERO]
-    np.testing.assert_array_equal(out.stack, np.zeros_like(out.stack))
+    np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
 def test_relu_sym_unstable_concretizes_upper():
@@ -138,10 +137,10 @@ def test_relu_sym_unstable_concretizes_upper():
     # constant 1 (its upper bound) and low drops to 0
     out, mask = relu(exact_rows([[1.0]], [-5.0]), box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
-    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[0.0]])
-    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [0.0])
-    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[0.0]])
-    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [1.0])
+    np.testing.assert_array_equal(out[..., 0, :, :-1], [[0.0]])
+    np.testing.assert_array_equal(out[..., 0, :, -1], [0.0])
+    np.testing.assert_array_equal(out[..., 1, :, :-1], [[0.0]])
+    np.testing.assert_array_equal(out[..., 1, :, -1], [1.0])
 
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
@@ -149,15 +148,15 @@ def test_relu_sym_unstable_keeps_symbolic_upper():
     rows = sym_rows(np.array([[1.0]]), np.array([-5.0]), np.array([[1.0]]), np.array([1.0]))
     out, mask = relu(rows, box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
-    np.testing.assert_array_equal(out.stack[..., 0, :, :-1], [[0.0]])
-    np.testing.assert_array_equal(out.stack[..., 0, :, -1], [0.0])
-    np.testing.assert_array_equal(out.stack[..., 1, :, :-1], [[1.0]])
-    np.testing.assert_array_equal(out.stack[..., 1, :, -1], [1.0])
+    np.testing.assert_array_equal(out[..., 0, :, :-1], [[0.0]])
+    np.testing.assert_array_equal(out[..., 0, :, -1], [0.0])
+    np.testing.assert_array_equal(out[..., 1, :, :-1], [[1.0]])
+    np.testing.assert_array_equal(out[..., 1, :, -1], [1.0])
 
 
 def _relu_unit_by_unit(rows, low_lo, up_lo, up_hi):
     """Reference for relu_rows: the ReLU step one unit at a time."""
-    want = rows.stack.copy()
+    want = rows.copy()
     low, up = want
     states = []
     for i in range(len(up_hi)):
@@ -184,7 +183,7 @@ def test_relu_whole_layer_matches_unit_by_unit():
         want, states = _relu_unit_by_unit(rows, low_lo, up_lo, up_hi)
         mask = relu_rows(rows, np.stack((low_lo, up_lo)), np.stack((up_hi, up_hi)))
         assert mask.dtype == np.int8 and mask.tolist() == states
-        np.testing.assert_array_equal(rows.stack, want)
+        np.testing.assert_array_equal(rows, want)
 
 
 def test_bounds_of_rows_overflow_raises():
@@ -202,7 +201,7 @@ def test_sandwich_on_sampled_points():
         out, _ = relu(exact_rows([c], [k]), b, RoundingPolicy())
         pts = rng.uniform(b.lo, b.hi, size=(200, d))
         val = np.maximum(pts @ c + k, 0.0)
-        (low,), (up,) = out.stack
+        (low,), (up,) = out
         assert np.all(pts @ low[:-1] + low[-1] <= val + 1e-12)
         assert np.all(pts @ up[:-1] + up[-1] >= val - 1e-12)
 
