@@ -6,16 +6,21 @@ is neither proved, refuted, nor out of budget pushes its children. Jobs
 are evaluated in waves: when the cursor reaches a job that no wave has
 evaluated, the next wave takes that job and up to WAVE - 1 unevaluated
 jobs that follow it in depth-first order. It stacks their boxes into
-(B, d) arrays and bounds, checks, samples and splits all of them at once.
-Every box of a stack gets the bits it would get alone, so the tree, the
-verdict, the node count and the order of the leaves do not depend on the
-wave size. Results that a verify run never reaches because it stopped at
-a counterexample are dropped, and are not counted as nodes.
+(B, d) arrays and samples each box's midpoint first: a violating midpoint
+makes its box an insecure leaf without bounding it, and a verify wave
+stops at the first such box, since the search stops there. The other
+boxes are then bounded and checked, the undecided ones sampled at their
+corners (with that strategy) and split, all at once. Every box of a stack
+gets the bits it would get alone, so the tree, the verdict, the node count
+and the order of the leaves do not depend on the wave size. Results that a
+verify run never reaches because it stopped at a counterexample are
+dropped, and are not counted as nodes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -211,7 +216,6 @@ class _Run:
         self.short_circuit = short_circuit
         self.check = SoundCheck(constraint, net.output_dim, cfg.policy)
         self.core, self.regions = internal_view(net, input_spec)
-        self.split = split_weights(self.core)
         # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
         self.max_depth = (
@@ -231,6 +235,12 @@ class _Run:
         self.stats = RunStats()
         self.t0 = time.monotonic()
 
+    @functools.cached_property
+    def split(self) -> tuple:
+        """W+ and W- of every layer, split at the first forward pass, which
+        a run decided by its root's sample never makes."""
+        return split_weights(self.core)
+
     # -- coordinate conversion --------------------------------------------
     def _to_raw(self, box: Box) -> Box:
         if not self.convert:
@@ -241,35 +251,47 @@ class _Run:
         return self.net.denormalize(x) if self.convert else x
 
     # -- sampling ----------------------------------------------------------
-    def _samples(self, box: Box) -> np.ndarray:
-        """(B, S, d) sample points of a stack: each box's midpoint, then
-        with the corners strategy its corners over the first ten dims."""
+    def _corners(self, box: Box) -> np.ndarray:
+        """(B, S, d) sample points of a stack: each box's corners over its
+        first ten dims, with the other dims at the midpoint."""
         mid = box.midpoint()[:, np.newaxis, :]
-        if self.cfg.sample_strategy == "midpoint":
-            return mid
-        d = len(box)
-        k = min(d, 10)
+        k = min(len(box), 10)
         sides = np.array(list(itertools.islice(itertools.product((0, 1), repeat=k), 1024)), dtype=bool)
         corners = np.repeat(mid, len(sides), axis=1)
         lo, hi = box.lo[:, np.newaxis, :k], box.hi[:, np.newaxis, :k]
         corners[..., :k] = np.where(sides, hi, lo)
-        return np.concatenate((mid, corners), axis=1)
+        return corners
 
-    def _counterexamples(self, box: Box) -> list:
-        """Per box of a stack, its first sample point that violates the
-        constraint, in the spec's units, or None."""
-        pts = self._samples(box)
-        ok = check_concrete(eval_concrete_batch(self.core, pts.reshape(-1, len(box))), self.check)
-        found = [None] * len(pts)
-        for b, s in np.argwhere(~ok.reshape(pts.shape[:2])).tolist():
-            if found[b] is None:
+    def _violates(self, y: np.ndarray):
+        """Whether outputs violate the constraint. Outputs that are not all
+        finite overflowed, and certify nothing about the real ones."""
+        return np.logical_not(check_concrete(y, self.check)) & np.isfinite(y).all(axis=-1)
+
+    def _counterexamples(self, pts: np.ndarray) -> dict:
+        """The first of each box's (B, S, d) sample points that violates
+        the constraint, in the spec's units, by box index in rising order;
+        boxes without one are left out."""
+        bad = self._violates(eval_concrete_batch(self.core, pts.reshape(-1, pts.shape[-1])))
+        found = {}
+        for b, s in np.argwhere(bad.reshape(pts.shape[:2])).tolist():
+            if b not in found:
                 raw = self._to_raw_point(pts[b, s])
                 # a point converted to raw units is re-checked through the
                 # full network, because the round trip can shift it by ULPs;
                 # any other point is already in the coordinates of the core
-                if not self.convert or not check_concrete(eval_concrete(self.net, raw), self.check):
+                if not self.convert or self._violates(eval_concrete(self.net, raw)):
                     found[b] = raw
         return found
+
+    def _refute(self, jobs: list, found: dict) -> list:
+        """Make each job that has a counterexample an insecure leaf, and
+        return the indices of the others. A verify run stops at its first
+        insecure leaf, so none of the jobs after it is returned."""
+        for i, cex in found.items():
+            jobs[i].outcome, jobs[i].cex = SubStatus.INSECURE_SUB, cex
+            if self.short_circuit:
+                return list(range(i))
+        return [i for i in range(len(jobs)) if i not in found]
 
     # -- bookkeeping -------------------------------------------------------
     def _leaf(self, job: Job, status: SubStatus, cex=None):
@@ -315,11 +337,20 @@ class _Run:
         return wave
 
     def process(self, jobs: list) -> None:
-        """Evaluate a wave of jobs as one stack of boxes: bound, check,
-        sample, and choose each box's split. Sets each job's outcome: its
-        leaf status (and counterexample), or its list of child jobs."""
+        """Evaluate a wave of jobs as one stack of boxes. Sample each box's
+        midpoint first: a violating one makes its box an insecure leaf.
+        Then bound and check the other boxes, sample the corners of the
+        undecided ones, and choose the split of the rest. Sets each job's
+        outcome: its leaf status (and counterexample), or its list of
+        child jobs. Jobs after a verify run's first insecure leaf keep no
+        outcome: the search never reaches them."""
         cfg = self.cfg
         box = Box.stack([job.box for job in jobs])
+        rest = self._refute(jobs, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
+        if not rest:
+            return
+        if len(rest) < len(jobs):
+            box, jobs = box.take(rest), [jobs[i] for i in rest]
         try:
             if cfg.mode == "symbolic":
                 fr = symbolic_forward(self.core, box, cfg.policy, self.split)
@@ -340,14 +371,17 @@ class _Run:
             return
         if len(idx) < len(jobs):
             box = box.take(idx)
+        if cfg.sample_strategy == "corners":
+            found = self._counterexamples(self._corners(box))
+            rest = self._refute([jobs[i] for i in idx.tolist()], found)
+            if len(rest) < len(idx):
+                box, idx = box.take(rest), idx[rest]
         widths = box.widths()
         can_split = (widths > cfg.precision).any(axis=1).tolist()
         keep = []
-        for b, (i, cex) in enumerate(zip(idx.tolist(), self._counterexamples(box))):
+        for b, i in enumerate(idx.tolist()):
             job = jobs[i]
-            if cex is not None:
-                job.outcome, job.cex = SubStatus.INSECURE_SUB, cex
-            elif job.depth >= self.max_depth or not can_split[b]:
+            if job.depth >= self.max_depth or not can_split[b]:
                 job.outcome = SubStatus.UNKNOWN_SUB
             else:
                 keep.append(b)

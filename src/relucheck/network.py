@@ -202,7 +202,7 @@ def _parse_nnet_lite(text: str) -> Network:
     head = _counts(header, lineno, "header values")
     if len(head) != 4:
         raise NetworkFormatError(f"line {lineno}: header needs 4 numbers, got {len(head)}")
-    num_layers, d, m, _max_size = head
+    num_layers, d, m, max_size = head
     if num_layers < 1 or d < 1 or m < 1:
         raise NetworkFormatError(f"line {lineno}: invalid header values")
 
@@ -217,6 +217,10 @@ def _parse_nnet_lite(text: str) -> Network:
         )
     if sizes[0] != d or sizes[-1] != m:
         raise NetworkFormatError(f"line {lineno}: layer sizes disagree with header dims")
+    if max(sizes) != max_size:
+        raise NetworkFormatError(
+            f"line {lineno}: largest layer size is {max(sizes)}, header says {max_size}"
+        )
 
     norm_mean = norm_range = None
     pending = None

@@ -449,9 +449,10 @@ def parse_property(source, num_outputs: Optional[int] = None):
 
     Sections: ``domain:`` (d lines ``lo hi``), one or more ``region:``
     sections (``lo hi`` or ``*`` per line), ``constraint:`` (prefix
-    expression), optional ``units:`` and ``outputs:`` headers. When the
-    output count is neither given nor declared, it is inferred from the
-    largest referenced index.
+    expression), optional ``units:`` and ``outputs:`` headers. A declared
+    output count must be at least 1 and, when `num_outputs` is given, equal
+    to it. When the output count is neither given nor declared, it is
+    inferred from the largest referenced index.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -483,6 +484,8 @@ def parse_property(source, num_outputs: Optional[int] = None):
                 raise PropertyParseError(
                     f"line {lineno}: outputs must be an integer, got {text!r}"
                 ) from None
+            if declared_outputs < 1:
+                raise PropertyParseError(f"line {lineno}: outputs must be >= 1, got {text!r}")
             continue
         if low == "domain:":
             section = "domain"
@@ -536,6 +539,10 @@ def parse_property(source, num_outputs: Optional[int] = None):
         regions.append(Box.from_arrays(lo, hi))
 
     constraint = _ConstraintParser(constraint_tokens).parse()
+    if None not in (num_outputs, declared_outputs) and num_outputs != declared_outputs:
+        raise PropertyParseError(
+            f"property declares {declared_outputs} outputs, the network has {num_outputs}"
+        )
     m = num_outputs if num_outputs is not None else declared_outputs
     if m is None:
         m = max_output_index(constraint) + 1

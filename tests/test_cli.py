@@ -147,6 +147,8 @@ BAD_COUNTS = [
     "2 2 1 2\n2,inf,1\n",
     "2 2 1 2\n2,2.5,1\n",
     "2 2 1 2\n2,nan,1\n",
+    "2 2 1 -7\n2,2,1\n",
+    "2 2 1 3\n2,2,1\n",
 ]
 
 
@@ -171,6 +173,7 @@ def test_property_bad_numbers_exit_4(tmp_path, capsys):
     for text in (
         "outputs: one\ndomain:\n4 6\n1 5\nregion:\n*\n*\nconstraint:\nle 0 5\n",
         "domain:\n4 six\n1 5\nregion:\n*\n*\nconstraint:\nle 0 5\n",
+        *(f"outputs: {m}\n" + region + "le 0 15" for m in (-1, 0, 2)),
         *(region + c for c in ("le inf 3", "le 1e400 3", "le nan 3", "le 0 nan", "le 0 -inf")),
     ):
         bad.write_text(text)

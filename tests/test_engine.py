@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from relucheck import engine
 from relucheck.data import shipped_path
 from relucheck.engine import (
     Config,
@@ -29,6 +30,7 @@ from relucheck.properties import (
 )
 
 from conftest import make_net
+from test_batch import PROPS, acas_net
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,118 @@ def test_verify_insecure_corner_sampling(demo_net, le15):
     assert v.status is Status.INSECURE
     # the violating corner is found before any split
     assert v.stats.nodes_explored == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a box decided by its midpoint was bounded")
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+@pytest.mark.parametrize("strategy", ["midpoint", "corners"])
+def test_root_midpoint_counterexample_is_not_bounded(monkeypatch, demo_net, mode, strategy):
+    # y = x0 + 2*x1 is 11 at the root's midpoint (5, 3), above 10
+    for name in ("symbolic_forward", "naive_forward", "split_weights"):
+        monkeypatch.setattr(engine, name, _refuse)
+    spec = (InputSpec((Box.from_arrays([4, 1], [6, 5]),)), OutLE(0, 10.0))
+    v = verify(demo_net, spec, Config(mode=mode, sample_strategy=strategy))
+    assert v.status is Status.INSECURE
+    assert v.counterexample.tolist() == [5.0, 3.0]
+    assert v.stats.nodes_explored == 1
+
+
+def test_verify_wave_stops_at_first_midpoint_counterexample(monkeypatch):
+    # y = x; the cursor takes the regions last first, so the wave is
+    # [2,3], [1,2], [9,10], [0,1] and its third box violates y <= 5
+    net = make_net([np.eye(1)])
+    regions = [Box.from_arrays([a], [a + 1]) for a in (0, 9, 1, 2)]
+    spec = (InputSpec(tuple(regions)), OutLE(0, 5.0))
+    sizes = []
+
+    def recording(net, box, *args):
+        sizes.append(len(box.lo))
+        return symbolic_forward(net, box, *args)
+
+    monkeypatch.setattr(engine, "symbolic_forward", recording)
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [9.5]
+    assert v.stats.nodes_explored == 3
+    assert sizes == [2]
+    # enumerate bounds every box whose midpoint does not violate
+    sizes.clear()
+    report = enumerate_regions(net, spec, Config())
+    assert [s.value for _, s, _ in report.leaves] == ["secure", "secure", "insecure", "secure"]
+    assert sizes == [3]
+
+
+# verify with corner sampling on the 5-50x6-5 net of seed 6, max depth 6:
+# (property, status, nodes, points sampled by a run decided at its root,
+# counterexample). A root decided by its bounds or its midpoint samples
+# one point; a corner is sampled only after the bounds fail to decide.
+CORNER_RUNS = [
+    ("phi1.prop", "secure", 1, 1, None),
+    ("phi2.prop", "unknown", 127, None, None),
+    ("phi3.prop", "insecure", 1, 1, [1650.0, 0.0, 3.1207965, 1090.0, 1080.0]),
+    ("phi4.prop", "insecure", 1, 1, [1650.0, 0.0, 0.0, 1100.0, 750.0]),
+    ("phi5.prop", "insecure", 1, 1, [325.0, 0.30000000000000004, -3.1390919999999998, 250.0, 200.0]),
+    ("phi6.prop", "unknown", 254, None, None),
+    ("phi7.prop", "unknown", 127, None, None),
+    ("phi8.prop", "unknown", 127, None, None),
+    ("phi9.prop", "insecure", 1, 1, [4499.999999999998, 1.9207960000000002, -3.1365920000000003, 125.0, 75.0]),
+    ("phi10.prop", "unknown", 127, None, None),
+    ("phi11.prop", "insecure", 1, 1, [325.0, 0.30000000000000004, -3.1390919999999998, 250.0, 200.0]),
+    ("phi12.prop", "insecure", 3, None, [62000.0, 0.0, 3.141593, 1145.0, 60.0]),
+    ("phi13.prop", "insecure", 1, 33, [60000.0, 3.141592, 3.141592, 360.0, 0.0]),
+    ("phi14.prop", "insecure", 1, 1, [325.0, 0.30000000000000004, -3.1390919999999998, 250.0, 200.0]),
+    ("phi15.prop", "insecure", 1, 1, [325.0, -0.30000000000000004, -3.1390919999999998, 250.0, 200.0]),
+    ("s1.prop", "insecure", 1, 1, [5200.0, 0.2, -3.136592, 10.0, 10.0]),
+    ("s2.prop", "insecure", 1, 1, [400.0, -0.1, -3.136592, 1000.0, 1000.0]),
+    ("s3.prop", "insecure", 1, 1, [400.0, 0.0, -3.141592, 500.0, 600.0]),
+]
+
+
+def test_corner_sampling_counterexamples_on_shipped_properties(monkeypatch):
+    assert [row[0] for row in CORNER_RUNS] == PROPS
+    net = acas_net(np.random.default_rng(6))
+    real = engine.eval_concrete_batch
+    points = []
+
+    def counting(net, xs):
+        points.append(len(xs))
+        return real(net, xs)
+
+    monkeypatch.setattr(engine, "eval_concrete_batch", counting)
+    for name, status, nodes, root_points, cex in CORNER_RUNS:
+        with open(shipped_path(name), "rb") as f:
+            spec = parse_property(f, num_outputs=5)
+        points.clear()
+        v = verify(net, spec, Config(max_depth=6, sample_strategy="corners"))
+        got = None if v.counterexample is None else v.counterexample.tolist()
+        assert (v.status.value, v.stats.nodes_explored, got) == (status, nodes, cex), name
+        if root_points is not None:
+            assert sum(points) == root_points, name
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+def test_overflowed_sample_is_not_a_counterexample(mode):
+    # at every point of [1, 2]^2 the output overflows: to inf, and to
+    # inf - inf = nan with the second output layer
+    box = Box.from_arrays([1, 1], [2, 2])
+    pts = np.array([[[1.5, 1.5]], [[1e-199, 0.0]]])
+    # at the second point the outputs are 2e201 and 0
+    for out, want in (([[1e200, 1e200]], {1: [1e-199, 0.0]}), ([[1e200, -1e200]], {})):
+        net = make_net([np.full((2, 2), 1e200), out])
+        spec = (InputSpec((box,)), OutLE(0, 20.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(eval_concrete(net, [1.5, 1.5])).all()
+        for strategy in ("midpoint", "corners"):
+            with pytest.raises(IntervalOverflowError):
+                verify(net, spec, Config(mode=mode, sample_strategy=strategy))
+            with pytest.raises(IntervalOverflowError):
+                enumerate_regions(net, spec, Config(mode=mode, sample_strategy=strategy))
+        run = engine._Run(net, spec, Config(mode=mode), short_circuit=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = run._counterexamples(pts)
+        assert {b: x.tolist() for b, x in found.items()} == want
 
 
 def test_verify_unknown_on_depth_budget(demo_net, le15):
@@ -214,15 +328,17 @@ def test_worker_exception_fails_fast(mode, workers, recwarn):
 
 @pytest.mark.parametrize("mode", ["naive", "symbolic"])
 def test_overflow_past_the_counterexample_is_not_raised(mode, recwarn):
-    # the last region is searched first and violates at its midpoint; the
-    # bounds of the first region overflow, but the search never gets there
+    # the last region is searched first, and violates at its midpoint or,
+    # with the second bound, at the midpoint of its upper half; the bounds
+    # of the first region overflow, but the search never gets there
     net = load_network("2 1 1 1\n1,1,1\n1e300\n0\n1\n0\n")
-    text = "domain:\n0 2e10\nregion:\n1e10 2e10\nregion:\n0 1\nconstraint:\nle 0 -1\n"
-    spec = parse_property(text, num_outputs=1)
-    v = verify(net, spec, Config(mode=mode, max_depth=5))
-    assert v.status is Status.INSECURE and v.counterexample.tolist() == [0.5]
-    with pytest.raises(IntervalOverflowError):
-        enumerate_regions(net, spec, Config(mode=mode, max_depth=5))
+    for bound, cex in (("-1", 0.5), ("6e299", 0.75)):
+        text = f"domain:\n0 2e10\nregion:\n1e10 2e10\nregion:\n0 1\nconstraint:\nle 0 {bound}\n"
+        spec = parse_property(text, num_outputs=1)
+        v = verify(net, spec, Config(mode=mode, max_depth=5))
+        assert v.status is Status.INSECURE and v.counterexample.tolist() == [cex]
+        with pytest.raises(IntervalOverflowError):
+            enumerate_regions(net, spec, Config(mode=mode, max_depth=5))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

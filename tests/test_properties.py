@@ -288,11 +288,21 @@ def test_parse_errors():
         "domain:\n0 1\nregion:\n*\nconstraint:\nle 0 nan\n",  # NaN threshold
         "domain:\n0 1\nregion:\n*\nconstraint:\nge 0 -inf\n",  # non-finite threshold
         "domain:\n0 1\nregion:\n*\nconstraint:\ndiffle 0 1 1e400\n",  # overflowing threshold
+        "outputs: 0\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n",  # no outputs
+        "outputs: -1\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n",  # negative count
     ]
     parse_property(good)
+    parse_property("outputs: 2\n" + good, num_outputs=2)
     for text in bad:
         with pytest.raises(PropertyParseError):
             parse_property(text)
+        # a network's output count does not override a bad declared one
+        with pytest.raises(PropertyParseError):
+            parse_property(text, num_outputs=1)
+    # nor a declared count that disagrees with it
+    for declared in (1, 3):
+        with pytest.raises(PropertyParseError):
+            parse_property(f"outputs: {declared}\n" + good, num_outputs=2)
 
 
 def test_parse_rejects_out_of_range_index():
