@@ -17,7 +17,6 @@ from .intervals import (
 )
 from .symbolic import ReluState
 from .network import (
-    Activation,
     DimensionMismatchError,
     Layer,
     Network,

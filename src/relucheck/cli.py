@@ -1,13 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 secure, 1 insecure, 2 unknown/timeout or bound overflow,
-3 bad flags, 4 parse errors, 5 dimension mismatch.
+3 bad flags or unreadable paths, 4 parse errors, 5 dimension mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -38,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--precision", type=float, default=1e-6)
             sp.add_argument("--timeout", type=float, default=300.0)
             sp.add_argument("--max-depth", type=int, default=None)
-            sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
             sp.add_argument("--samples", choices=["midpoint", "corners"], default="midpoint")
             sp.add_argument("--report", default=None, help="write a JSON run report here")
             sp.add_argument("--fp32", action="store_true", help="32-bit outward rounding")
@@ -74,7 +72,6 @@ def _config(args) -> Config:
         precision=args.precision,
         timeout=args.timeout,
         max_depth=args.max_depth,
-        workers=args.workers,
         mode=args.mode,
         sample_strategy=args.samples,
         policy=RoundingPolicy(precision=32 if args.fp32 else 64),
@@ -173,7 +170,8 @@ def run(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return EXIT_BAD_FLAGS
-    except FileNotFoundError as e:
+    except OSError as e:
+        # a missing or unreadable --network, --property or --report path
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_FLAGS
     except (NetworkFormatError, PropertyParseError) as e:

@@ -148,7 +148,6 @@ class Config:
     workers: int = 1
     mode: str = "symbolic"  # "symbolic" | "naive"
     sample_strategy: str = "midpoint"  # "midpoint" | "corners"
-    monotonicity: bool = True
     policy: RoundingPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
@@ -225,9 +224,7 @@ class _Run:
         )
         # endpoint boxes would break an enumerated partition, and they are
         # unsound for disjunctions
-        self.reduce = (
-            self.check.or_free and cfg.monotonicity and short_circuit and cfg.mode == "symbolic"
-        )
+        self.reduce = self.check.or_free and short_circuit and cfg.mode == "symbolic"
         self.cex = None
         self.unknown = False
         self.timed_out = False

@@ -1,9 +1,10 @@
 """Outward-rounded interval arithmetic primitives.
 
-Every primitive returns bounds that contain the exact real result: lower
-bounds are nudged toward -inf and upper bounds toward +inf by one ULP
-(per the active rounding policy), instead of switching FPU rounding modes.
-This keeps the kernel portable and thread-safe.
+Results are rounded outward: lower bounds are nudged toward -inf and
+upper bounds toward +inf by one ULP of the rounding policy's precision,
+once per output entry, instead of switching FPU rounding modes. This keeps
+the kernel portable and thread-safe. One ULP covers a single rounding; it
+does not cover all the error an n-term sum can accumulate.
 """
 
 from __future__ import annotations
@@ -36,18 +37,13 @@ class UnsplittableError(ValueError):
 
 @dataclass(frozen=True)
 class RoundingPolicy:
-    """How bounds are widened after each primitive operation.
+    """The float format bounds are rounded outward in: `round_out` widens
+    by one ULP of a `precision`-bit float, and a concretized symbolic row
+    by a slack scaled by that format's unit roundoff."""
 
-    mode "ulp" nudges lo down / hi up by one ULP; "none" leaves results as
-    computed (useful only for exactly-representable test data).
-    """
-
-    mode: str = "ulp"  # "ulp" | "none"
     precision: int = 64  # 64 | 32
 
     def __post_init__(self):
-        if self.mode not in ("ulp", "none"):
-            raise ValueError(f"unknown rounding mode {self.mode!r}")
         if self.precision not in (32, 64):
             raise ValueError(f"unsupported precision {self.precision}")
 
@@ -60,9 +56,8 @@ DEFAULT_POLICY = RoundingPolicy()
 
 
 def round_out(lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Nudge the arrays (lo, hi) outward per policy."""
-    if policy.mode == "none":
-        return lo, hi
+    """Nudge the arrays (lo, hi) outward by one ULP of the policy's
+    precision."""
     dt = policy.dtype
     lo = np.nextafter(np.asarray(lo, dtype=dt), dt(-np.inf))
     hi = np.nextafter(np.asarray(hi, dtype=dt), dt(np.inf))

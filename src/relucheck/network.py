@@ -11,15 +11,13 @@ Two on-disk formats are accepted:
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "Activation",
     "DimensionMismatchError",
     "Layer",
     "Network",
@@ -37,16 +35,12 @@ class DimensionMismatchError(ValueError):
     """An input, box or property does not have the network's input dimension."""
 
 
-class Activation(enum.Enum):
-    RELU = "relu"
-    IDENTITY = "identity"
-
-
 @dataclass(frozen=True)
 class Layer:
+    """An affine map W x + b; its position in a `Network` gives its activation."""
+
     W: np.ndarray
     b: np.ndarray
-    activation: Activation
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
@@ -92,10 +86,6 @@ class Network:
                     f"layer {k} expects {layers[k].in_size} inputs, "
                     f"layer {k - 1} produces {layers[k - 1].out_size}"
                 )
-        for k, layer in enumerate(layers):
-            want = Activation.IDENTITY if k == len(layers) - 1 else Activation.RELU
-            if layer.activation is not want:
-                raise NetworkFormatError(f"layer {k} must use {want.value} activation")
         if (self.norm_mean is None) != (self.norm_range is None):
             raise NetworkFormatError("normalization needs both mean and range")
         if self.norm_mean is not None:
@@ -154,7 +144,7 @@ def eval_concrete_batch(net: Network, xs) -> np.ndarray:
         v = (v - net.norm_mean) / net.norm_range
     for k, layer in enumerate(net.layers):
         v = (layer.W @ v[..., np.newaxis])[..., 0] + layer.b
-        if layer.activation is Activation.RELU:
+        if k < net.num_hidden:
             v = np.maximum(v, 0.0)
     return v
 
@@ -268,8 +258,7 @@ def _parse_nnet_lite(text: str) -> Network:
             raise NetworkFormatError(
                 f"line {lineno}: layer {k} bias has {len(bias)} entries, expected {out_size}"
             )
-        act = Activation.IDENTITY if k == num_layers - 1 else Activation.RELU
-        layers.append(Layer(np.array(rows), np.array(bias), act))
+        layers.append(Layer(np.array(rows), np.array(bias)))
 
     if pending is not None or any(True for _ in it):
         raise NetworkFormatError("trailing data after last layer")
@@ -293,11 +282,12 @@ def _parse_json(text: str) -> Network:
             b = np.array(entry["b"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as e:
             raise NetworkFormatError(f"layer {k}: {e}") from None
-        act = Activation.IDENTITY if k == len(raw_layers) - 1 else Activation.RELU
+        # a declared activation must be the one the layer's position gives it
+        act = "identity" if k == len(raw_layers) - 1 else "relu"
         declared = entry.get("activation")
-        if declared is not None and declared != act.value:
+        if declared is not None and declared != act:
             raise NetworkFormatError(f"layer {k}: unsupported activation {declared!r}")
-        layers.append(Layer(W, b, act))
+        layers.append(Layer(W, b))
     norm = doc.get("norm")
     mean = rng = None
     if norm is not None:
@@ -317,7 +307,10 @@ def load_network(source) -> Network:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise NetworkFormatError(f"network file is not UTF-8 text: {e}") from None
     if source.lstrip().startswith("{"):
         return _parse_json(source)
     return _parse_nnet_lite(source)

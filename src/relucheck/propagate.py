@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, matvec_bounds
-from .network import Activation, DimensionMismatchError, Network, split_weights
+from .network import DimensionMismatchError, Network, split_weights
 from .symbolic import affine_rows, bounds_of_rows, box_operand, relu_rows
 
 __all__ = ["ReluMaskMatrix", "ForwardResult", "naive_forward", "symbolic_forward"]
@@ -67,9 +67,9 @@ def naive_forward(
     if split is None:
         split = split_weights(net)
     lo, hi = x.lo, x.hi
-    for layer, parts in zip(net.layers, split):
+    for k, (layer, parts) in enumerate(zip(net.layers, split)):
         lo, hi = matvec_bounds(layer.W, layer.b, lo, hi, policy, parts)
-        if layer.activation is Activation.RELU:
+        if k < net.num_hidden:
             lo = np.maximum(lo, 0.0)
             hi = np.maximum(hi, 0.0)
     return ForwardResult(lo, hi)
@@ -99,7 +99,7 @@ def symbolic_forward(
     for k, layer in enumerate(net.layers):
         if k:
             rows = affine_rows(rows, *split[k], layer.b)
-        if layer.activation is Activation.RELU:
+        if k < net.num_hidden:
             masks.append(relu_rows(rows, *bounds_of_rows(rows, operand, policy)))
     lo, hi = bounds_of_rows(rows, operand, policy)
     return ForwardResult(lo[..., 0, :], hi[..., 1, :], rows, ReluMaskMatrix(masks), operand)

@@ -457,7 +457,10 @@ def parse_property(source, num_outputs: Optional[int] = None):
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise PropertyParseError(f"property file is not UTF-8 text: {e}") from None
 
     units = "raw"
     declared_outputs = None

@@ -81,8 +81,6 @@ def _row_bounds(rows, operand, policy: RoundingPolicy):
     roundoff bound, n * u * sum(|terms|) with u the unit roundoff.
     """
     ends = np.concatenate((np.maximum(rows, 0.0), np.minimum(rows, 0.0)), axis=-1) @ operand
-    if policy.mode == "none":
-        return ends[..., :2]
     fi = np.finfo(policy.dtype)
     slack = rows.shape[-1] * (fi.eps / 2) * ends[..., 2:] + 2 * fi.tiny
     return ends[..., :2] + slack * _OUTWARD

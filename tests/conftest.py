@@ -3,7 +3,7 @@ import pytest
 
 from relucheck.data import shipped_path
 from relucheck.intervals import Box, Interval
-from relucheck.network import Activation, Layer, Network, load_network
+from relucheck.network import Layer, Network, load_network
 
 
 @pytest.fixture(scope="session")
@@ -20,12 +20,10 @@ def demo_box() -> Box:
 
 def make_net(weights, biases=None) -> Network:
     layers = []
-    n = len(weights)
     for k, W in enumerate(weights):
         W = np.asarray(W, dtype=np.float64)
         b = np.zeros(W.shape[0]) if biases is None else np.asarray(biases[k], dtype=np.float64)
-        act = Activation.IDENTITY if k == n - 1 else Activation.RELU
-        layers.append(Layer(W, b, act))
+        layers.append(Layer(W, b))
     return Network(tuple(layers))
 
 

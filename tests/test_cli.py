@@ -41,10 +41,6 @@ def test_verify_fp32(capsys):
     assert run(["verify", "--network", NET, "--property", LE20, "--fp32"]) == 0
 
 
-def test_verify_workers(capsys):
-    assert run(["verify", "--network", NET, "--property", LE15, "--workers", "4"]) == 1
-
-
 def test_verify_report(tmp_path, capsys):
     report = tmp_path / "r.json"
     run(["verify", "--network", NET, "--property", LE15, "--report", str(report)])
@@ -137,6 +133,21 @@ def test_missing_network_file_exit_3(capsys):
     assert run(["verify", "--network", "/no/such.nnl", "--property", LE20]) == 3
 
 
+def test_directory_path_exit_3(tmp_path, capsys):
+    # a path that cannot be read or written is a bad flag, never a verdict's
+    # exit code; --report is written after a verdict that would exit 0
+    for args in (
+        ["--network", str(tmp_path), "--property", LE20],
+        ["--network", NET, "--property", str(tmp_path)],
+        ["--network", NET, "--property", LE20, "--report", str(tmp_path)],
+    ):
+        for command in ("verify", "enumerate"):
+            assert run([command, *args]) == 3, (command, args)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 # the demo net's weight and bias lines, after its header and sizes lines
 DEMO_BODY = "2.0,3.0\n1.0,1.0\n0.0,0.0\n1.0,-1.0\n0.0\n"
 BAD_COUNTS = [
@@ -152,19 +163,30 @@ BAD_COUNTS = [
 ]
 
 
+# the shipped files with a byte that is not UTF-8 at the start, or in a comment
+NOT_UTF8 = [b"\xff", b"# caf\xe9\n"]
+
+
 def test_malformed_network_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.nnl"
-    for text in ("not a network\n", *MALFORMED_JSON, *(head + DEMO_BODY for head in BAD_COUNTS)):
-        bad.write_text(text)
-        assert run(["info", "--network", str(bad)]) == 4, text
+    texts = ("not a network\n", *MALFORMED_JSON, *(head + DEMO_BODY for head in BAD_COUNTS))
+    demo = shipped_path("demonet.nnl").read_bytes()
+    for data in (*(t.encode() for t in texts), *(b + demo for b in NOT_UTF8)):
+        bad.write_bytes(data)
+        assert run(["info", "--network", str(bad)]) == 4, data
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, text
+        assert err.startswith("error:") and err.count("\n") == 1, data
 
 
 def test_malformed_property_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.prop"
-    bad.write_text("domain:\n0 1\nregion:\n*\nconstraint:\nfrob 0 1\n")
-    assert run(["verify", "--network", NET, "--property", str(bad)]) == 4
+    le15 = shipped_path("le15.prop").read_bytes()
+    frob = b"domain:\n0 1\nregion:\n*\nconstraint:\nfrob 0 1\n"
+    for data in (frob, *(b + le15 for b in NOT_UTF8)):
+        bad.write_bytes(data)
+        assert run(["verify", "--network", NET, "--property", str(bad)]) == 4, data
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, data
 
 
 def test_property_bad_numbers_exit_4(tmp_path, capsys):
@@ -210,11 +232,10 @@ def test_bound_overflow_exit_2(tmp_path, capsys, recwarn):
     big = "1e200,1e200\n1e200,1e200\n0,0\n"
     net.write_text("3 2 1 2\n2,2,2,1\n" + big + big + "1,1\n0\n")
     for mode in ("naive", "symbolic"):
-        for workers in ("1", "2"):
-            args = ["--property", LE20, "--mode", mode, "--workers", workers]
-            assert run(["verify", "--network", str(net)] + args) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+        args = ["--property", LE20, "--mode", mode]
+        assert run(["verify", "--network", str(net)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

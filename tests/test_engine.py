@@ -25,6 +25,7 @@ from relucheck.properties import (
     Or,
     OutGE,
     OutLE,
+    SoundCheck,
     check_concrete,
     parse_property,
 )
@@ -254,20 +255,31 @@ def test_verify_or_constraint_sound(demo_net, demo_box):
     assert verify(demo_net, spec, Config()).status is Status.INSECURE
 
 
-def test_monotonicity_reduction_prunes(demo_net, le20, le15):
+def _without_reduction(monkeypatch):
+    """Turn the monotonicity reduction off: no margin is monotone in any dim."""
+    monkeypatch.setattr(SoundCheck, "monotone_dims", lambda self, J, wide: np.zeros_like(wide))
+
+
+def test_monotonicity_reduction_prunes(demo_net, le20, le15, monkeypatch):
     """Same verdicts with the reduction on and off; never a wrong Secure."""
+    nodes = []
     for spec in (le20, le15):
-        on = verify(demo_net, spec, Config(monotonicity=True))
-        off = verify(demo_net, spec, Config(monotonicity=False))
+        on = verify(demo_net, spec, Config())
+        with monkeypatch.context() as m:
+            _without_reduction(m)
+            off = verify(demo_net, spec, Config())
         assert on.status is off.status
+        nodes.append((on.stats.nodes_explored, off.stats.nodes_explored))
+    # le15 is refuted at a corner the reduction reaches without bisecting
+    assert nodes == [(1, 1), (2, 6)]
 
 
-def test_monotonicity_reduction_with_negation(demo_net, demo_box):
+def test_monotonicity_reduction_with_negation(demo_net, demo_box, monkeypatch):
     # not(ge 0 23) is an Or-free literal tree, so the reduction applies
     spec = (InputSpec((demo_box,)), Not(OutGE(0, 23.0)))
-    for mono in (True, False):
-        v = verify(demo_net, spec, Config(monotonicity=mono))
-        assert v.status is Status.SECURE
+    assert verify(demo_net, spec, Config()).status is Status.SECURE
+    _without_reduction(monkeypatch)
+    assert verify(demo_net, spec, Config()).status is Status.SECURE
 
 
 def test_monotone_endpoint_children_are_corners():

@@ -1,9 +1,11 @@
 """Every exported name resolves, so a deleted function cannot leave a
-stale entry in a module's `__all__` or in the package's imports; and
-every exported name has a use outside the tests, so no API is kept for
-the tests alone."""
+stale entry in a module's `__all__` or in the package's imports; every
+exported name has a use outside the tests, and every field of a settings
+class is set outside the tests, so no API or setting is kept for the
+tests alone."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import relucheck
+from relucheck import engine, intervals
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(relucheck.__path__))
 SRC = Path(relucheck.__file__).parent
@@ -68,3 +71,26 @@ def test_module_all_used_outside_tests(name):
         if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
     ]
     assert not unused, f"relucheck.{name}.__all__ names used only by tests: {unused}"
+
+
+def _keywords_passed(cls_name: str, paths) -> set:
+    """The keywords that calls of `cls_name` (bare or as an attribute) pass."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == cls_name:
+                    passed.update(k.arg for k in node.keywords)
+    return passed
+
+
+@pytest.mark.parametrize("cls", [engine.Config, intervals.RoundingPolicy], ids=lambda c: c.__name__)
+def test_settings_are_set_outside_tests(cls):
+    # a field that no caller outside the tests sets has one value in use,
+    # and is a constant, not a setting
+    callers = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+    passed = _keywords_passed(cls.__name__, callers)
+    unset = [f.name for f in dataclasses.fields(cls) if f.name not in passed]
+    assert not unset, f"{cls.__name__} fields set only by tests: {unset}"

@@ -18,8 +18,6 @@ from relucheck.intervals import (
 
 from conftest import subset_of
 
-EXACT = RoundingPolicy(mode="none")
-
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 
 
@@ -42,6 +40,11 @@ def scale(c: float, a: Interval, policy: RoundingPolicy = RoundingPolicy()) -> I
     return Interval(lo[0], hi[0])
 
 
+def one_ulp_out(lo, hi):
+    """The bounds of an exactly computed [lo, hi] after outward rounding."""
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
 def test_interval_rejects_bad_bounds():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
@@ -52,8 +55,8 @@ def test_interval_rejects_bad_bounds():
 
 
 def test_add_exact_cases():
-    assert add(Interval(1, 2), Interval(3, 4), EXACT) == Interval(4, 6)
-    assert add(Interval(0, 0), Interval(-5, 7), EXACT) == Interval(-5, 7)
+    assert add(Interval(1, 2), Interval(3, 4)) == Interval(*one_ulp_out(4.0, 6.0))
+    assert add(Interval(0, 0), Interval(-5, 7)) == Interval(*one_ulp_out(-5.0, 7.0))
 
 
 def test_add_outward_rounding_contains_extended_precision_sum():
@@ -73,24 +76,28 @@ def test_add_overflow():
 
 
 def test_scale_cases():
-    assert scale(2.0, Interval(1, 2), EXACT) == Interval(2, 4)
-    assert scale(-1.0, Interval(1, 2), EXACT) == Interval(-2, -1)
-    assert scale(0.0, Interval(-9, 9), EXACT) == Interval(0, 0)
+    assert scale(2.0, Interval(1, 2)) == Interval(*one_ulp_out(2.0, 4.0))
+    assert scale(-1.0, Interval(1, 2)) == Interval(*one_ulp_out(-2.0, -1.0))
+    assert scale(0.0, Interval(-9, 9)) == Interval(*one_ulp_out(0.0, 0.0))
     # outward rounding widens an exact zero by one subnormal each way
     r = scale(0.0, Interval(-9, 9))
     assert r.lo <= 0.0 <= r.hi and r.hi - r.lo <= 2 * math.ulp(0.0)
 
 
 def test_matvec_demo_hidden_layer():
-    lo, hi = matvec_bounds([[2, 3], [1, 1]], [0, 0], [4, 1], [6, 5], EXACT)
-    assert (lo.tolist(), hi.tolist()) == ([11, 5], [27, 11])
-    lo2, hi2 = matvec_bounds([[1, -1]], [0], lo, hi, EXACT)
-    assert (lo2.tolist(), hi2.tolist()) == ([0], [22])
+    lo, hi = matvec_bounds([[2, 3], [1, 1]], [0, 0], [4, 1], [6, 5])
+    np.testing.assert_array_equal((lo, hi), one_ulp_out([11.0, 5.0], [27.0, 11.0]))
+    # the output layer over the exact hidden bounds [11, 27] x [5, 11]
+    lo2, hi2 = matvec_bounds([[1, -1]], [0], [11, 5], [27, 11])
+    np.testing.assert_array_equal((lo2, hi2), one_ulp_out([0.0], [22.0]))
+    # and over the rounded ones, which it contains
+    lo3, hi3 = matvec_bounds([[1, -1]], [0], lo, hi)
+    assert lo3[0] < lo2[0] and hi2[0] < hi3[0] and hi3[0] - lo3[0] <= 22 + 8 * math.ulp(22.0)
 
 
 def test_matvec_identity():
-    lo, hi = matvec_bounds(np.eye(2), [0, 0], [-1, 0], [2, 3], EXACT)
-    assert (lo.tolist(), hi.tolist()) == ([-1, 0], [2, 3])
+    lo, hi = matvec_bounds(np.eye(2), [0, 0], [-1, 0], [2, 3])
+    np.testing.assert_array_equal((lo, hi), one_ulp_out([-1.0, 0.0], [2.0, 3.0]))
 
 
 def test_matvec_shape_mismatch():

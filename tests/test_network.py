@@ -5,7 +5,6 @@ import pytest
 
 from relucheck.intervals import Box
 from relucheck.network import (
-    Activation,
     Layer,
     Network,
     NetworkFormatError,
@@ -24,8 +23,6 @@ def test_load_demo_net(demo_net):
     assert len(demo_net.layers) == 2
     np.testing.assert_array_equal(demo_net.layers[0].W, [[2, 3], [1, 1]])
     np.testing.assert_array_equal(demo_net.layers[1].W, [[1, -1]])
-    assert demo_net.layers[0].activation is Activation.RELU
-    assert demo_net.layers[1].activation is Activation.IDENTITY
 
 
 def test_load_empty_stream():
@@ -90,9 +87,15 @@ def test_json_rejects_malformed_documents():
 
 
 def test_json_rejects_bad_activation():
-    doc = {"layers": [{"W": [[1.0]], "b": [0.0], "activation": "tanh"}]}
-    with pytest.raises(NetworkFormatError):
-        load_network(json.dumps(doc))
+    # a declared activation must be the one the layer's position gives it:
+    # relu on a hidden layer, identity on the last
+    layer = {"W": [[1.0]], "b": [0.0]}
+    for declared in (["tanh"], ["identity", None], [None, "relu"]):
+        layers = [layer if a is None else dict(layer, activation=a) for a in declared]
+        with pytest.raises(NetworkFormatError):
+            load_network(json.dumps({"layers": layers}))
+    layers = [dict(layer, activation="relu"), dict(layer, activation="identity")]
+    assert load_network(json.dumps({"layers": layers})).num_hidden == 1
 
 
 def test_eval_demo_points(demo_net):
@@ -101,7 +104,7 @@ def test_eval_demo_points(demo_net):
 
 
 def test_eval_identity_layer():
-    net = Network((Layer(np.eye(3), np.zeros(3), Activation.IDENTITY),))
+    net = Network((Layer(np.eye(3), np.zeros(3)),))
     x = np.array([1.5, -2.0, 0.25])
     np.testing.assert_array_equal(eval_concrete(net, x), x)
 
@@ -115,8 +118,8 @@ def test_layer_chain_validation():
     with pytest.raises(NetworkFormatError):
         Network(
             (
-                Layer(np.ones((3, 2)), np.zeros(3), Activation.RELU),
-                Layer(np.ones((1, 4)), np.zeros(1), Activation.IDENTITY),
+                Layer(np.ones((3, 2)), np.zeros(3)),
+                Layer(np.ones((1, 4)), np.zeros(1)),
             )
         )
 

@@ -290,6 +290,7 @@ def test_parse_errors():
         "domain:\n0 1\nregion:\n*\nconstraint:\ndiffle 0 1 1e400\n",  # overflowing threshold
         "outputs: 0\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n",  # no outputs
         "outputs: -1\ndomain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n",  # negative count
+        b"\xff" + good.encode(),  # not UTF-8
     ]
     parse_property(good)
     parse_property("outputs: 2\n" + good, num_outputs=2)

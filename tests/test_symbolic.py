@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relucheck.intervals import Box, IntervalOverflowError, RoundingPolicy
+from relucheck.intervals import Box, IntervalOverflowError
 from relucheck.symbolic import (
     ReluState,
     affine_rows,
@@ -15,18 +15,24 @@ from relucheck.symbolic import (
 
 from conftest import random_box
 
-EXACT = RoundingPolicy(mode="none")
-
 
 def box(lo, hi):
     return Box.from_arrays(lo, hi)
 
 
-def bounds(coeffs, const, b, policy=EXACT):
+def bounds(coeffs, const, b):
     """Concrete range of the single row coeffs . x + const over box b."""
     rows = np.array([list(coeffs) + [const]], dtype=float)
-    lo, hi = expr_bounds(rows, box_operand(b), policy)
+    lo, hi = expr_bounds(rows, box_operand(b))
     return lo[0], hi[0]
+
+
+def rounded_out(got, want, scale):
+    """Whether the bounds `got` of a row lie strictly outside its exact range
+    `want`, by at most 8 ULPs of `scale`, the magnitude of its terms."""
+    (lo, hi), (want_lo, want_hi) = got, want
+    tol = 8 * math.ulp(scale)
+    return want_lo - tol <= lo < want_lo and want_hi < hi <= want_hi + tol
 
 
 def sym_rows(low_c, low_k, up_c, up_k):
@@ -46,21 +52,21 @@ def split(W):
     return np.maximum(W, 0.0), np.minimum(W, 0.0)
 
 
-def relu(rows, b, policy=EXACT):
-    mask = relu_rows(rows, *bounds_of_rows(rows, box_operand(b), policy))
+def relu(rows, b):
+    mask = relu_rows(rows, *bounds_of_rows(rows, box_operand(b)))
     return rows, mask
 
 
 def test_expr_bounds_demo_hidden_neuron():
-    assert bounds([2.0, 3.0], 0.0, box([4, 1], [6, 5])) == (11.0, 27.0)
+    assert rounded_out(bounds([2.0, 3.0], 0.0, box([4, 1], [6, 5])), (11.0, 27.0), 27.0)
 
 
 def test_expr_bounds_constant():
-    assert bounds([0.0, 0.0], 7.0, box([0, 0], [1, 1])) == (7.0, 7.0)
+    assert rounded_out(bounds([0.0, 0.0], 7.0, box([0, 0], [1, 1])), (7.0, 7.0), 7.0)
 
 
 def test_expr_bounds_sign_split():
-    assert bounds([1.0], -5.0, box([4], [6])) == (-1.0, 1.0)
+    assert rounded_out(bounds([1.0], -5.0, box([4], [6])), (-1.0, 1.0), 11.0)
 
 
 def test_expr_bounds_dimension_mismatch():
@@ -69,7 +75,7 @@ def test_expr_bounds_dimension_mismatch():
 
 
 def test_expr_bounds_outward_contains_true_range():
-    lo, hi = bounds([0.1, -0.2], 0.3, box([-1.7, 0.3], [2.9, 1.1]), RoundingPolicy())
+    lo, hi = bounds([0.1, -0.2], 0.3, box([-1.7, 0.3], [2.9, 1.1]))
     lo_true = 0.1 * -1.7 - 0.2 * 1.1 + 0.3
     hi_true = 0.1 * 2.9 - 0.2 * 0.3 + 0.3
     assert lo <= lo_true and hi >= hi_true
@@ -121,26 +127,27 @@ def test_affine_sym_mixed_signs_bounds_correct():
 
 def test_relu_sym_active():
     rows = exact_rows([[2.0, 3.0]], [0.0])
-    out, mask = relu(exact_rows([[2.0, 3.0]], [0.0]), box([4, 1], [6, 5]), RoundingPolicy())
+    out, mask = relu(exact_rows([[2.0, 3.0]], [0.0]), box([4, 1], [6, 5]))
     assert mask.dtype == np.int8 and mask.tolist() == [ReluState.ACTIVE]
     np.testing.assert_array_equal(out, rows)
 
 
 def test_relu_sym_zero():
-    out, mask = relu(exact_rows([[-1.0]], [0.0]), box([1], [2]), RoundingPolicy())
+    out, mask = relu(exact_rows([[-1.0]], [0.0]), box([1], [2]))
     assert mask.tolist() == [ReluState.ZERO]
     np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
 def test_relu_sym_unstable_concretizes_upper():
     # x - 5 over [4,6]: upper's lower bound is -1 <= 0, so up becomes the
-    # constant 1 (its upper bound) and low drops to 0
+    # constant 1 (its upper bound, rounded up) and low drops to 0
     out, mask = relu(exact_rows([[1.0]], [-5.0]), box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
     np.testing.assert_array_equal(out[..., 0, :, :-1], [[0.0]])
     np.testing.assert_array_equal(out[..., 0, :, -1], [0.0])
     np.testing.assert_array_equal(out[..., 1, :, :-1], [[0.0]])
-    np.testing.assert_array_equal(out[..., 1, :, -1], [1.0])
+    (up_hi,) = out[..., 1, :, -1]
+    assert 1.0 < up_hi <= 1.0 + 8 * math.ulp(11.0)
 
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
@@ -198,7 +205,7 @@ def test_sandwich_on_sampled_points():
         d = int(rng.integers(1, 4))
         b = random_box(rng, d)
         c, k = rng.uniform(-2, 2, d), rng.uniform(-1, 1)
-        out, _ = relu(exact_rows([c], [k]), b, RoundingPolicy())
+        out, _ = relu(exact_rows([c], [k]), b)
         pts = rng.uniform(b.lo, b.hi, size=(200, d))
         val = np.maximum(pts @ c + k, 0.0)
         (low,), (up,) = out
@@ -209,7 +216,7 @@ def test_sandwich_on_sampled_points():
 def test_point_box_bounds_are_tight():
     c, k = np.array([0.3, -0.7]), 0.11
     p = np.array([1.234, -5.678])
-    lo, hi = bounds(c, k, Box.from_arrays(p, p), RoundingPolicy())
+    lo, hi = bounds(c, k, Box.from_arrays(p, p))
     v = float(c @ p + k)
     assert lo <= v <= hi
     assert hi - lo <= 8 * math.ulp(max(abs(v), 4.0))
