@@ -7,6 +7,7 @@ Exit codes: 0 secure, 1 insecure, 2 unknown/timeout or bound overflow,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -78,12 +79,20 @@ def _config(args) -> Config:
     )
 
 
+def _open_report(args):
+    """A context that gives the --report file open for writing, or None
+    without --report. It opens the file before the search, so that a path
+    that cannot be written fails before the search spends its time."""
+    return open(args.report, "w") if args.report else contextlib.nullcontext()
+
+
 def _cmd_verify(args) -> int:
     net = _load_net(args.network)
     spec = _load_prop(args.property, net.output_dim)
-    verdict = verify(net, spec, _config(args))
-    if args.report:
-        write_report(args.report, verdict)
+    with _open_report(args) as out:
+        verdict = verify(net, spec, _config(args))
+        if out:
+            write_report(out, verdict)
     s = verdict.stats
     if verdict.status is Status.SECURE:
         print(f"Secure (nodes={s.nodes_explored} max_depth={s.max_depth} time={s.wall_time:.2f}s)")
@@ -99,9 +108,10 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     net = _load_net(args.network)
     spec = _load_prop(args.property, net.output_dim)
-    report = enumerate_regions(net, spec, _config(args))
-    if args.report:
-        write_report(args.report, report)
+    with _open_report(args) as out:
+        report = enumerate_regions(net, spec, _config(args))
+        if out:
+            write_report(out, report)
     counts = {"secure": 0, "insecure": 0, "unknown": 0}
     for _, status, _ in report.leaves:
         counts[status.value] += 1

@@ -1,20 +1,24 @@
 """Verification driver: bisection tree, sampling, monotonicity reduction,
 verdicts and sub-interval enumeration.
 
-The search is depth-first. A cursor pops the job pushed last; a job that
-is neither proved, refuted, nor out of budget pushes its children. Jobs
-are evaluated in waves: when the cursor reaches a job that no wave has
-evaluated, the next wave takes that job and up to WAVE - 1 unevaluated
-jobs that follow it in depth-first order. It stacks their boxes into
-(B, d) arrays and samples each box's midpoint first: a violating midpoint
-makes its box an insecure leaf without bounding it, and a verify wave
-stops at the first such box, since the search stops there. The other
-boxes are then bounded and checked, the undecided ones sampled at their
-corners (with that strategy) and split, all at once. Every box of a stack
-gets the bits it would get alone, so the tree, the verdict, the node count
-and the order of the leaves do not depend on the wave size. Results that a
-verify run never reaches because it stopped at a counterexample are
-dropped, and are not counted as nodes.
+The search tree is kept in arrays: a job is a row of the float64 blocks
+`lo` and `hi`, and its depth, its outcome and the counterexample of an
+insecure leaf are kept by row. The search is depth-first. A cursor pops
+the row pushed last; a row that is neither proved, refuted, nor out of
+budget pushes its children. Rows are evaluated in waves: when the cursor
+reaches a row that no wave has evaluated, the next wave takes that row
+and up to WAVE - 1 unevaluated rows that follow it in depth-first order.
+One index into the blocks stacks their boxes into (B, d) arrays, and the
+wave samples each box's midpoint first: a violating midpoint makes its box
+an insecure leaf without bounding it, and a verify wave stops at the first
+such box, since the search stops there. The other boxes are then bounded
+and checked, the undecided ones sampled at their corners (with that
+strategy) and split, all at once; their children are appended to the
+blocks as one block. Every box of a stack gets the bits it would get
+alone, so the tree, the verdict, the node count and the order of the
+leaves do not depend on the wave size. Results that a verify run never
+reaches because it stopped at a counterexample are dropped, and are not
+counted as nodes.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .properties import InputSpec, SoundCheck, check_concrete, check_sound
 __all__ = [
     "Status",
     "SubStatus",
-    "Job",
     "Verdict",
     "Config",
     "PartitionReport",
@@ -66,20 +69,6 @@ class SubStatus(enum.Enum):
     SECURE_SUB = "secure"
     INSECURE_SUB = "insecure"
     UNKNOWN_SUB = "unknown"
-
-
-@dataclass(eq=False, slots=True)
-class Job:
-    """A sub-box of an input region and its depth in the bisection tree.
-
-    The wave that evaluates it sets `outcome`: its leaf status (with the
-    counterexample of an insecure leaf), or the list of its child jobs.
-    """
-
-    box: Box
-    depth: int = 0
-    outcome: object = None
-    cex: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -201,9 +190,21 @@ _MAX_REDUCED_DIMS = 3
 
 # the most boxes one wave evaluates together
 WAVE = 256
+# the rows a verify run may hold beyond twice its pending ones before it
+# drops the consumed ones. A drop costs time in the rows it keeps, and it
+# comes after at least half as many new rows, so its cost per node is bounded.
+_SLACK_ROWS = 1024
+# the fewest rows the blocks grow to, so that a short run grows them once
+_MIN_ROWS = 256
 
 
 class _Run:
+    """One search. A row's outcome is None until a wave evaluates it, then
+    its leaf status or the range of its child rows. A verify run drops the
+    rows the cursor has consumed (`_compact`), so its memory follows its
+    pending jobs; an enumerate run keeps every row, since its leaves are
+    read from them at the end."""
+
     def __init__(self, net: Network, spec, cfg: Config, short_circuit: bool):
         self.net = net
         input_spec, constraint = spec
@@ -225,10 +226,17 @@ class _Run:
         # endpoint boxes would break an enumerated partition, and they are
         # unsound for disjunctions
         self.reduce = self.check.or_free and short_circuit and cfg.mode == "symbolic"
+        # the regions are the first rows
+        self.lo = np.array([r.lo for r in self.regions])
+        self.hi = np.array([r.hi for r in self.regions])
+        self.depth = [0] * len(self.regions)
+        self.outcome = [None] * len(self.regions)
+        self.witness = {}  # row -> counterexample of an evaluated insecure row
+        self.limit = _SLACK_ROWS if short_circuit else math.inf  # rows before a drop
         self.cex = None
         self.unknown = False
         self.timed_out = False
-        self.leaves = []
+        self.leaves = []  # (row, status, cex), in the order the cursor reaches them
         self.stats = RunStats()
         self.t0 = time.monotonic()
 
@@ -238,11 +246,62 @@ class _Run:
         a run decided by its root's sample never makes."""
         return split_weights(self.core)
 
-    # -- coordinate conversion --------------------------------------------
-    def _to_raw(self, box: Box) -> Box:
-        if not self.convert:
-            return box
-        return Box.from_arrays(self.net.denormalize(box.lo), self.net.denormalize(box.hi))
+    # -- the rows ------------------------------------------------------------
+    def _append(self, depth: list) -> slice:
+        """Add unevaluated rows at the given depths; return their slice,
+        whose bounds in `lo` and `hi` the caller fills in."""
+        start = len(self.depth)
+        end = start + len(depth)
+        if end > len(self.lo):
+            room = np.empty((max(end, 2 * len(self.lo), _MIN_ROWS) - start, self.lo.shape[1]))
+            self.lo, self.hi = (np.concatenate((a[:start], room)) for a in (self.lo, self.hi))
+        self.depth.extend(depth)
+        self.outcome.extend([None] * len(depth))
+        return slice(start, end)
+
+    def _add_children(self, rows: list, sizes: list, steps: list) -> slice:
+        """Append the children of `rows`: sizes[k] consecutive rows for
+        rows[k], each steps[k] levels deeper than it. Each parent's outcome
+        becomes the range of its children. Returns the slice of all the new
+        rows, whose bounds the caller fills in."""
+        new = self._append([self.depth[r] + s for r, n, s in zip(rows, sizes, steps) for _ in range(n)])
+        start = new.start
+        for r, n in zip(rows, sizes):
+            self.outcome[r] = range(start, start + n)
+            start += n
+        return new
+
+    def _compact(self, stack: list) -> list:
+        """Drop the rows the cursor has consumed and number the others from
+        0 in their old order; return `stack` renumbered. The rows it has
+        not consumed are the stack's and, through their outcomes, the
+        descendants of those."""
+        live, todo = [], stack[:]
+        while todo:
+            row = todo.pop()
+            live.append(row)
+            if type(self.outcome[row]) is range:
+                todo.extend(self.outcome[row])
+        live.sort()
+        new = dict(zip(live, range(len(live))))
+        self.lo, self.hi = self.lo[live], self.hi[live]
+        self.depth = [self.depth[r] for r in live]
+        self.outcome = [
+            range(new[o.start], new[o.start] + len(o)) if type(o) is range else o
+            for o in (self.outcome[r] for r in live)
+        ]
+        self.witness = {new[r]: x for r, x in self.witness.items() if r in new}
+        self.limit = 2 * len(live) + _SLACK_ROWS
+        return [new[r] for r in stack]
+
+    def partition(self) -> list:
+        """The leaves as (Box, status, cex), boxes in the spec's units."""
+        rows = [row for row, _, _ in self.leaves]
+        lo, hi = self.lo[rows], self.hi[rows]
+        if self.convert:
+            lo, hi = self.net.denormalize(lo), self.net.denormalize(hi)
+        boxes = Box.stack(lo, hi).unstack()
+        return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
     def _to_raw_point(self, x: np.ndarray) -> np.ndarray:
         return self.net.denormalize(x) if self.convert else x
@@ -280,40 +339,39 @@ class _Run:
                     found[b] = raw
         return found
 
-    def _refute(self, jobs: list, found: dict) -> list:
-        """Make each job that has a counterexample an insecure leaf, and
+    def _refute(self, rows: list, found: dict) -> list:
+        """Make each row that has a counterexample an insecure leaf, and
         return the indices of the others. A verify run stops at its first
-        insecure leaf, so none of the jobs after it is returned."""
+        insecure leaf, so none of the rows after it is returned."""
         for i, cex in found.items():
-            jobs[i].outcome, jobs[i].cex = SubStatus.INSECURE_SUB, cex
+            self.outcome[rows[i]] = SubStatus.INSECURE_SUB
+            self.witness[rows[i]] = cex
             if self.short_circuit:
                 return list(range(i))
-        return [i for i in range(len(jobs)) if i not in found]
+        return [i for i in range(len(rows)) if i not in found]
 
     # -- bookkeeping -------------------------------------------------------
-    def _leaf(self, job: Job, status: SubStatus, cex=None):
+    def _leaf(self, row: int, status: SubStatus, cex=None):
         self.stats.leaves += 1
-        self.stats.depth_total += job.depth
+        self.stats.depth_total += self.depth[row]
         if status is SubStatus.UNKNOWN_SUB:
             self.unknown = True
         if status is SubStatus.INSECURE_SUB and cex is not None and self.cex is None:
             self.cex = cex
         if not self.short_circuit:
-            self.leaves.append((self._to_raw(job.box), status, cex))
-
-    def _out_of_budget(self) -> bool:
-        return time.monotonic() - self.t0 > self.cfg.timeout
+            self.leaves.append((row, status, cex))
 
     # -- one wave ----------------------------------------------------------
-    def _frontier(self, job: Job, stack: list) -> list:
-        """`job` and the unevaluated jobs after it in depth-first order, at
+    def _frontier(self, row: int, stack: list) -> list:
+        """`row` and the unevaluated rows after it in depth-first order, at
         most WAVE in all.
 
         The order is the one the cursor will take: the stack from its top,
-        where an evaluated job stands for its children. An evaluated
+        where an evaluated row stands for its children. An evaluated
         insecure leaf ends a verify run, so nothing after it is taken.
         """
-        wave = [job]
+        outcome = self.outcome
+        wave = [row]
         below = len(stack)
         expanded = []
         while len(wave) < WAVE:
@@ -324,69 +382,71 @@ class _Run:
                 nxt = stack[below]
             else:
                 break
-            outcome = nxt.outcome
-            if outcome is None:
+            o = outcome[nxt]
+            if o is None:
                 wave.append(nxt)
-            elif type(outcome) is list:
-                expanded.extend(outcome)
-            elif outcome is SubStatus.INSECURE_SUB and self.short_circuit:
+            elif type(o) is range:
+                expanded.extend(o)
+            elif o is SubStatus.INSECURE_SUB and self.short_circuit:
                 break
         return wave
 
-    def process(self, jobs: list) -> None:
-        """Evaluate a wave of jobs as one stack of boxes. Sample each box's
+    def process(self, rows: list) -> None:
+        """Evaluate a wave of rows as one stack of boxes. Sample each box's
         midpoint first: a violating one makes its box an insecure leaf.
         Then bound and check the other boxes, sample the corners of the
-        undecided ones, and choose the split of the rest. Sets each job's
-        outcome: its leaf status (and counterexample), or its list of
-        child jobs. Jobs after a verify run's first insecure leaf keep no
-        outcome: the search never reaches them."""
+        undecided ones, and choose the split of the rest. Sets each row's
+        outcome: its leaf status (and counterexample), or the range of its
+        children, appended as one block per wave and kind of split. Rows
+        after a verify run's first insecure leaf keep no outcome: the
+        search never reaches them."""
         cfg = self.cfg
-        box = Box.stack([job.box for job in jobs])
-        rest = self._refute(jobs, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
+        outcome = self.outcome
+        at = np.array(rows)
+        box = Box.stack(self.lo.take(at, axis=0), self.hi.take(at, axis=0))
+        rest = self._refute(rows, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
         if not rest:
             return
-        if len(rest) < len(jobs):
-            box, jobs = box.take(rest), [jobs[i] for i in rest]
+        if len(rest) < len(rows):
+            box, rows = box.take(rest), [rows[i] for i in rest]
         try:
             if cfg.mode == "symbolic":
                 fr = symbolic_forward(self.core, box, cfg.policy, self.split)
             else:
                 fr = naive_forward(self.core, box, cfg.policy, self.split)
         except IntervalOverflowError:
-            if len(jobs) == 1:
+            if len(rows) == 1:
                 raise
             # the overflow may be in a box the search never reaches, as in a
             # region after a counterexample: evaluate the one it needs now
-            return self.process(jobs[:1])
+            return self.process(rows[:1])
 
         holds = check_sound(fr, self.check)
-        for job in itertools.compress(jobs, holds.tolist()):
-            job.outcome = SubStatus.SECURE_SUB
+        for r in itertools.compress(rows, holds.tolist()):
+            outcome[r] = SubStatus.SECURE_SUB
         idx = np.flatnonzero(~holds)
         if not len(idx):
             return
-        if len(idx) < len(jobs):
+        if len(idx) < len(rows):
             box = box.take(idx)
         if cfg.sample_strategy == "corners":
             found = self._counterexamples(self._corners(box))
-            rest = self._refute([jobs[i] for i in idx.tolist()], found)
+            rest = self._refute([rows[i] for i in idx.tolist()], found)
             if len(rest) < len(idx):
                 box, idx = box.take(rest), idx[rest]
         widths = box.widths()
         can_split = (widths > cfg.precision).any(axis=1).tolist()
         keep = []
         for b, i in enumerate(idx.tolist()):
-            job = jobs[i]
-            if job.depth >= self.max_depth or not can_split[b]:
-                job.outcome = SubStatus.UNKNOWN_SUB
+            if self.depth[rows[i]] >= self.max_depth or not can_split[b]:
+                outcome[rows[i]] = SubStatus.UNKNOWN_SUB
             else:
                 keep.append(b)
         if not keep:
             return
         if len(keep) < len(idx):
             box, widths, idx = box.take(keep), widths[keep], idx[keep]
-        jobs = [jobs[i] for i in idx.tolist()]
+        rows = [rows[i] for i in idx.tolist()]
 
         if cfg.mode == "symbolic":
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
@@ -397,57 +457,72 @@ class _Run:
                 # in some dims is replaced by its endpoint boxes there
                 mono = self.check.monotone_dims(J, widths > cfg.precision)
                 reduced = mono.any(axis=1)
-                for b in np.flatnonzero(reduced).tolist():
-                    pinned = np.flatnonzero(mono[b])[:_MAX_REDUCED_DIMS].tolist()
-                    jobs[b].outcome = _endpoint_children(jobs[b], pinned)
                 if reduced.any():
-                    keep = np.flatnonzero(~reduced)
+                    red, keep = np.flatnonzero(reduced), np.flatnonzero(~reduced)
+                    self._add_endpoints([rows[b] for b in red.tolist()], box.take(red), mono[red])
                     box, dims = box.take(keep), dims[keep]
-                    jobs = [jobs[b] for b in keep.tolist()]
+                    rows = [rows[b] for b in keep.tolist()]
         else:
             dims = np.argmax(np.where(widths > cfg.precision, widths, -np.inf), axis=1)
         left, right = iv_bisect(box, dims)
-        for job, l, r in zip(jobs, left.unstack(), right.unstack()):
-            job.outcome = [Job(l, job.depth + 1), Job(r, job.depth + 1)]
+        new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
+        # left then right child of each box, so the right one is popped first
+        start, stop = new.start, new.stop
+        self.lo[start:stop:2], self.hi[start:stop:2] = left.lo, left.hi
+        self.lo[start + 1 : stop : 2], self.hi[start + 1 : stop : 2] = right.lo, right.hi
+
+    def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
+        """Make the children of each row the 2^k boxes that pin the first k
+        (at most _MAX_REDUCED_DIMS) of its box's monotone dims, a row of
+        `mono`, to one of their ends."""
+        los, his, sizes, steps = [], [], [], []
+        for b, dims in enumerate(mono.tolist()):
+            pinned = np.flatnonzero(dims)[:_MAX_REDUCED_DIMS]
+            sides = np.array(list(itertools.product((False, True), repeat=len(pinned))))
+            v = np.where(sides, box.hi[b, pinned], box.lo[b, pinned])
+            lo = np.repeat(box.lo[b : b + 1], len(sides), axis=0)
+            hi = np.repeat(box.hi[b : b + 1], len(sides), axis=0)
+            lo[:, pinned] = hi[:, pinned] = v
+            los.append(lo)
+            his.append(hi)
+            sizes.append(len(sides))
+            steps.append(len(pinned))
+        new = self._add_children(rows, sizes, steps)
+        self.lo[new], self.hi[new] = np.concatenate(los), np.concatenate(his)
 
     # -- entry points ------------------------------------------------------
     def execute(self):
-        """Consume the job tree depth-first, last pushed first, evaluating
-        the frontier in waves whenever the cursor reaches a job that no
-        wave has evaluated yet."""
-        stack = [Job(r) for r in self.regions]
+        """Consume the rows depth-first, last pushed first, evaluating the
+        frontier in waves whenever the cursor reaches a row that no wave
+        has evaluated yet."""
+        stack = list(range(len(self.regions)))
         stats = self.stats
+        depth, outcomes = self.depth, self.outcome
+        t0, timeout = self.t0, self.cfg.timeout
         # bounds that overflow raise IntervalOverflowError; numpy's
         # warnings about them would only repeat that on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             while stack:
-                job = stack.pop()
+                if len(depth) > self.limit:
+                    stack = self._compact(stack)
+                    depth, outcomes = self.depth, self.outcome
+                row = stack.pop()
                 stats.nodes_explored += 1
-                stats.max_depth = max(stats.max_depth, job.depth)
-                if self._out_of_budget():
+                stats.max_depth = max(stats.max_depth, depth[row])
+                if time.monotonic() - t0 > timeout:
                     self.timed_out = True
-                    self._leaf(job, SubStatus.UNKNOWN_SUB)
+                    self._leaf(row, SubStatus.UNKNOWN_SUB)
                     continue
-                if job.outcome is None:
-                    self.process(self._frontier(job, stack))
-                if type(job.outcome) is list:
-                    stack.extend(job.outcome)
+                if outcomes[row] is None:
+                    self.process(self._frontier(row, stack))
+                outcome = outcomes[row]
+                if type(outcome) is range:
+                    stack.extend(outcome)
                     continue
-                self._leaf(job, job.outcome, job.cex)
-                if job.outcome is SubStatus.INSECURE_SUB and self.short_circuit:
+                self._leaf(row, outcome, self.witness.pop(row, None))
+                if outcome is SubStatus.INSECURE_SUB and self.short_circuit:
                     break
         stats.wall_time = time.monotonic() - self.t0
-
-
-def _endpoint_children(job: Job, dims: list) -> list:
-    """The 2^k boxes that pin each of the k dims to one of its ends."""
-    box, children = job.box, []
-    for sides in itertools.product((False, True), repeat=len(dims)):
-        v = np.where(sides, box.hi[dims], box.lo[dims])
-        lo, hi = box.lo.copy(), box.hi.copy()
-        lo[dims] = hi[dims] = v
-        children.append(Job(Box.from_arrays(lo, hi), job.depth + len(dims)))
-    return children
 
 
 def verify(net: Network, spec, cfg: Config = Config()) -> Verdict:
@@ -467,11 +542,10 @@ def enumerate_regions(net: Network, spec, cfg: Config = Config()) -> PartitionRe
     recorded counterexample), and unresolved sub-boxes."""
     run = _Run(net, spec, cfg, short_circuit=False)
     run.execute()
-    return PartitionReport(run.leaves, run.stats)
+    return PartitionReport(run.partition(), run.stats)
 
 
-def write_report(path: str, payload) -> None:
-    """Dump a verdict or partition report as JSON."""
-    with open(path, "w") as f:
-        json.dump(payload.to_dict(), f, indent=2)
-        f.write("\n")
+def write_report(f, payload) -> None:
+    """Dump a verdict or partition report as JSON to the text file f."""
+    json.dump(payload.to_dict(), f, indent=2)
+    f.write("\n")

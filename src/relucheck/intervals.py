@@ -58,10 +58,11 @@ DEFAULT_POLICY = RoundingPolicy()
 def round_out(lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
     """Nudge the arrays (lo, hi) outward by one ULP of the policy's
     precision."""
-    dt = policy.dtype
-    lo = np.nextafter(np.asarray(lo, dtype=dt), dt(-np.inf))
-    hi = np.nextafter(np.asarray(hi, dtype=dt), dt(np.inf))
-    return np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if policy.precision == 64:
+        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    lo = np.nextafter(np.asarray(lo, dtype=np.float32), np.float32(-np.inf))
+    hi = np.nextafter(np.asarray(hi, dtype=np.float32), np.float32(np.inf))
+    return lo.astype(np.float64), hi.astype(np.float64)
 
 
 def _check_overflow(*values):
@@ -97,7 +98,7 @@ class Box:
     `lo` and `hi`, finite, with lo <= hi in every dimension.
 
     The constructor checks a single box, with (d,) arrays. `Box.stack`
-    builds a stack of B boxes, with (B, d) arrays, which the analysis
+    makes a stack of B boxes, with (B, d) arrays, which the analysis
     evaluates together. `len()` is d either way.
     """
 
@@ -123,11 +124,12 @@ class Box:
         return cls(lo, hi)
 
     @classmethod
-    def stack(cls, boxes) -> "Box":
-        """One (B, d) box holding the given single boxes as its rows."""
-        return _sub_box(
-            _read_only(np.array([b.lo for b in boxes])), _read_only(np.array([b.hi for b in boxes]))
-        )
+    def stack(cls, lo: np.ndarray, hi: np.ndarray) -> "Box":
+        """The stack of the boxes whose bounds are the rows of the (B, d)
+        arrays lo and hi, which it makes read-only. The rows must lie
+        inside boxes already checked: they get none of the constructor's
+        checks."""
+        return _sub_box(_read_only(lo), _read_only(hi))
 
     def unstack(self) -> list:
         """The single boxes of a stack, as read-only views of its rows."""
@@ -203,7 +205,9 @@ def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY, split=N
         raise ValueError(f"shape mismatch: W has {W.shape[0]} rows, bias has {b.shape[0]}")
     pos, neg = split if split is not None else (np.maximum(W, 0.0), np.minimum(W, 0.0))
     # W+ lo + W- hi and W+ hi + W- lo, each product of one shape
-    ends = np.stack((lo, hi), axis=-2)[..., np.newaxis]
+    ends = np.empty(lo.shape[:-1] + (2, lo.shape[-1], 1))
+    ends[..., 0, :, 0] = lo
+    ends[..., 1, :, 0] = hi
     ends = (pos @ ends + neg @ ends[..., ::-1, :, :])[..., 0] + b
     out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :], policy)
     _check_overflow(out_lo, out_hi)

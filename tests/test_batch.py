@@ -7,12 +7,12 @@ import pytest
 
 from relucheck import engine
 from relucheck.data import shipped_path
-from relucheck.engine import Config, enumerate_regions, verify
+from relucheck.engine import Config, Status, enumerate_regions, verify
 from relucheck.gradients import backward_gradient
 from relucheck.intervals import Box
 from relucheck.network import Network
 from relucheck.propagate import naive_forward, symbolic_forward
-from relucheck.properties import parse_property
+from relucheck.properties import InputSpec, OutLE, parse_property
 
 from conftest import make_net, random_box, random_net
 
@@ -40,6 +40,10 @@ def assert_same_bits(stacked, alone):
     assert bits(stacked) == bits(alone)
 
 
+def stack_of(boxes):
+    return Box.stack(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]))
+
+
 def _boxes(rng, d, n):
     boxes = [random_box(rng, d, min_width=0.0, max_width=3.0) for _ in range(n)]
     # some point boxes and some very thin ones
@@ -58,7 +62,7 @@ def test_stacked_boxes_get_their_own_bits(seed):
     else:
         net = random_net(rng, max_width=30, max_layers=5)
         boxes = _boxes(rng, net.input_dim, int(rng.integers(1, 301)))
-    stack = Box.stack(boxes)
+    stack = stack_of(boxes)
     sym = symbolic_forward(net, stack)
     nai = naive_forward(net, stack)
     jac = backward_gradient(net, sym.masks)
@@ -79,7 +83,7 @@ def test_stacked_boxes_get_their_own_bits(seed):
 
 def test_mask_layers_count_over_a_stack(demo_net):
     boxes = [Box.from_arrays([-10, 1], [6, 5]), Box.from_arrays([4, 1], [6, 5])]
-    fr = symbolic_forward(demo_net, Box.stack(boxes))
+    fr = symbolic_forward(demo_net, stack_of(boxes))
     counts = [symbolic_forward(demo_net, b).masks.layers[0].count(2) for b in boxes]
     assert fr.masks.layers[0].count(2) == sum(counts) == 2
 
@@ -143,3 +147,34 @@ def test_wave_size_does_not_change_random_net_results(monkeypatch, seed):
         for mode in ("symbolic", "naive"):
             full, single = _runs(monkeypatch, net, spec, Config(max_depth=7, mode=mode))
             assert full == single, (constraint, mode)
+
+
+def test_dropping_consumed_rows_does_not_change_verdicts(monkeypatch):
+    # with no slack a verify run drops its consumed rows whenever they
+    # outnumber the pending ones, and renumbers the pending ones
+    net = acas_net(np.random.default_rng(5))
+    for name in PROPS:
+        with open(shipped_path(name), "rb") as f:
+            spec = parse_property(f, num_outputs=5)
+        for mode in ("symbolic", "naive"):
+            cfg = Config(max_depth=5, mode=mode, sample_strategy="corners", timeout=600.0)
+            want = _verdict_key(verify(net, spec, cfg))
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_SLACK_ROWS", 0)
+                assert _verdict_key(verify(net, spec, cfg)) == want, (name, mode)
+
+
+def test_dropping_rows_keeps_a_pending_counterexample(monkeypatch):
+    # y = relu(x - 10) is 0 over [0, 1], where rounded-out bounds never
+    # prove y <= 0 and no sample violates it, so that region is split down
+    # to max_depth. The second wave finds the midpoint 10.125 of the upper
+    # half of [9, 10.5] to violate; that leaf stays pending while the cursor
+    # consumes the 2047 nodes of [0, 1], dropping consumed rows as it goes
+    # and renumbering the others, the leaf's among them.
+    net = make_net([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
+    spec = (InputSpec((Box.from_arrays([9], [10.5]), Box.from_arrays([0], [1]))), OutLE(0, 0.0))
+    for slack in (engine._SLACK_ROWS, 0):
+        monkeypatch.setattr(engine, "_SLACK_ROWS", slack)
+        v = verify(net, spec, Config(mode="naive", max_depth=10))
+        assert v.status is Status.INSECURE and v.counterexample.tolist() == [10.125]
+        assert v.stats.nodes_explored == 2049

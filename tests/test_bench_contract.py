@@ -50,8 +50,8 @@ def test_traced_names_resolve(spans):
     assert callable(rc.engine._Run._leaf) and callable(rc.engine._Run.process)
 
 
-def test_traced_run(spans, child):
-    cases = _cases()
+def _traced(spans, child, cases):
+    """The results of the cases and the metrics of their traced run."""
     tracer = spans.Tracer(rc)
     originals = [getattr(getattr(rc, m), a) for m, a, _ in spans.TARGETS]
     tracer.install()
@@ -62,13 +62,28 @@ def test_traced_run(spans, child):
     finally:
         tracer.uninstall()
     assert [getattr(getattr(rc, m), a) for m, a, _ in spans.TARGETS] == originals
+    return results, tracer.metrics(nets[0], 1.0, 1.0)
+
+
+def test_traced_run(spans, child):
+    cases = _cases()
+    results, metrics = _traced(spans, child, cases)
     assert results[0][2] == "insecure"
     assert {r[2] for r in results} <= {"secure", "insecure", "unknown"}
-    metrics = tracer.metrics(nets[0], 1.0, 1.0)
     for name in ("propagate.symbolic_forward", "symbolic.bounds_of_rows", "properties.check_sound"):
         assert metrics[name + ".calls"]["value"] > 0, name
     assert metrics["propagate.unstable_relus.L1"]["value"] >= 0.0
     assert metrics["network.sample_hit_frac"]["value"] > 0.0
+    # the engine calls each layer through the module name the tracer
+    # patches; a name bound anywhere else would read 0 calls here
+    _, metrics = _traced(spans, child, cases[2:])
+    for name in (
+        "engine.node",
+        "intervals.iv_bisect",
+        "propagate.naive_forward",
+        "network.eval_concrete_batch",
+    ):
+        assert metrics[name + ".calls"]["value"] > 0, name
 
 
 def test_partition_leaves_shape(child):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from relucheck import cli
 from relucheck.cli import run
 from relucheck.data import shipped_path
 from relucheck.network import DimensionMismatchError
@@ -133,9 +134,15 @@ def test_missing_network_file_exit_3(capsys):
     assert run(["verify", "--network", "/no/such.nnl", "--property", LE20]) == 3
 
 
-def test_directory_path_exit_3(tmp_path, capsys):
+def _no_search(*args, **kwargs):
+    raise AssertionError("searched although a path was bad")
+
+
+def test_directory_path_exit_3(tmp_path, capsys, monkeypatch):
     # a path that cannot be read or written is a bad flag, never a verdict's
-    # exit code; --report is written after a verdict that would exit 0
+    # exit code, and it is found before any search
+    monkeypatch.setattr(cli, "verify", _no_search)
+    monkeypatch.setattr(cli, "enumerate_regions", _no_search)
     for args in (
         ["--network", str(tmp_path), "--property", LE20],
         ["--network", NET, "--property", str(tmp_path)],

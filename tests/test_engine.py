@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,76 @@ def test_verify_unknown_on_timeout(demo_net, le20):
     assert v.status is Status.UNKNOWN
 
 
+class _Clock:
+    """A clock that reads one second later at every reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_timeout_after_k_nodes(monkeypatch, demo_net, demo_box, le15):
+    # a run reads the clock at its start and once per node, so with timeout
+    # k its deadline passes at node k + 1. From there on each node is an
+    # unknown leaf, and the run goes on until no job is pending.
+    monkeypatch.setattr(engine.time, "monotonic", _Clock())
+    # naive bounds never prove y <= 16 near the corner (6, 5) where y = 16
+    spec = (InputSpec((demo_box,)), OutLE(0, 16.0))
+    v = verify(demo_net, spec, Config(mode="naive", timeout=20.0))
+    assert (v.status, v.stats.nodes_explored, v.stats.max_depth) == (Status.UNKNOWN, 41, 20)
+
+    k = 8
+    monkeypatch.setattr(engine.time, "monotonic", _Clock())
+    cfg = Config(precision=0.25, max_depth=12, timeout=float(k))
+    report = enumerate_regions(demo_net, le15, cfg)
+    got = [
+        (b.lo.tolist(), b.hi.tolist(), s.value, None if c is None else c.tolist())
+        for b, s, c in report.leaves
+    ]
+    assert got == [
+        ([5.5, 4.5], [6.0, 5.0], "insecure", [5.75, 4.75]),
+        ([5.25, 4.75], [5.5, 5.0], "unknown", None),
+        ([5.0, 4.75], [5.25, 5.0], "unknown", None),
+        ([5.0, 4.5], [5.5, 4.75], "unknown", None),
+        ([5.0, 4.0], [6.0, 4.5], "unknown", None),
+        ([4.0, 4.0], [5.0, 5.0], "unknown", None),
+        ([4.0, 3.0], [6.0, 4.0], "unknown", None),
+        ([4.0, 1.0], [6.0, 3.0], "unknown", None),
+    ]
+    _assert_tiles(report.leaves, 2.0 * 4.0)
+    # every node after the k-th is a leaf, the last ones the cursor reaches
+    late = report.leaves[len(report.leaves) - (report.stats.nodes_explored - k) :]
+    assert len(late) == 7
+    assert all(s is SubStatus.UNKNOWN_SUB and c is None for _, s, c in late)
+
+
+def test_verify_memory_does_not_grow_with_nodes(monkeypatch):
+    # y = 0 is never proved <= 0, since its bounds are rounded out, and it
+    # is never violated, so verify splits every box down to max_depth. Small
+    # waves keep the pending jobs few, and without slack the run drops its
+    # consumed rows as soon as they outnumber the pending ones, so that
+    # memory held for consumed jobs would show in the peak of both runs.
+    monkeypatch.setattr(engine, "WAVE", 8)
+    monkeypatch.setattr(engine, "_SLACK_ROWS", 0)
+    net = make_net([np.zeros((1, 2))])
+    spec = (InputSpec((Box.from_arrays([0, 0], [1, 1]),)), OutLE(0, 0.0))
+    peaks = []
+    for depth in (9, 12):
+        tracemalloc.start()
+        try:
+            v = verify(net, spec, Config(mode="naive", max_depth=depth))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert v.status is Status.UNKNOWN
+        assert v.stats.nodes_explored == 2 ** (depth + 1) - 1
+    # 8x the nodes
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_verify_dim_mismatch(demo_net):
     spec = (InputSpec((Box.from_arrays([0], [1]),)), OutLE(0, 1.0))
     with pytest.raises(ValueError):
@@ -274,12 +345,33 @@ def test_monotonicity_reduction_prunes(demo_net, le20, le15, monkeypatch):
     assert nodes == [(1, 1), (2, 6)]
 
 
-def test_monotonicity_reduction_with_negation(demo_net, demo_box, monkeypatch):
-    # not(ge 0 23) is an Or-free literal tree, so the reduction applies
-    spec = (InputSpec((demo_box,)), Not(OutGE(0, 23.0)))
-    assert verify(demo_net, spec, Config()).status is Status.SECURE
-    _without_reduction(monkeypatch)
-    assert verify(demo_net, spec, Config()).status is Status.SECURE
+def test_monotonicity_reduction_with_negation(monkeypatch):
+    # y = relu(x0 - x1) + relu(x0 + x1) + relu(x0 + 10) over [0, 2] x [-1, 1]
+    # rises in x0 (dy/dx0 is in [1, 3]), and its maximum 16 is at x0 = 2.
+    # The root's bounds [10, 18] decide neither not(ge 0 c) below: the
+    # first two units are unstable there. Not(ge) is an Or-free literal
+    # tree, so the reduction pins x0 to its ends, where the bounds are tight.
+    weights = [[[1.0, -1.0], [1.0, 1.0], [1.0, 0.0]], [[1.0, 1.0, 1.0]]]
+    net = make_net(weights, [[0.0, 0.0, 10.0], [0.0]])
+    region = InputSpec((Box.from_arrays([0, -1], [2, 1]),))
+    runs = []
+    for c in (16.5, 15.5):
+        spec = (region, Not(OutGE(0, c)))
+        on = verify(net, spec, Config())
+        with monkeypatch.context() as m:
+            _without_reduction(m)
+            off = verify(net, spec, Config())
+        for v in (on, off):
+            cex = None if v.counterexample is None else v.counterexample.tolist()
+            runs.append((v.status.value, v.stats.nodes_explored, cex))
+    assert runs == [
+        # the two endpoint boxes x0 = 0 and x0 = 2 are proved
+        ("secure", 3, None),
+        ("secure", 7, None),
+        # the endpoint box x0 = 2 violates y < 15.5 at its midpoint
+        ("insecure", 2, [2.0, 0.0]),
+        ("insecure", 4, [1.875, 0.0]),
+    ]
 
 
 def test_monotone_endpoint_children_are_corners():
@@ -354,19 +446,23 @@ def test_overflow_past_the_counterexample_is_not_raised(mode, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_enumerate_partition_covers_region(demo_net, le15):
-    report = enumerate_regions(demo_net, le15, Config(precision=0.25, max_depth=12))
-    assert report.leaves
-    boxes = [b for b, _, _ in report.leaves]
+def _assert_tiles(leaves, volume):
+    """The leaves' boxes fill `volume`, and no two overlap on an open set."""
+    boxes = [b for b, _, _ in leaves]
     total = sum(np.prod(b.widths()) for b in boxes)
-    assert total == pytest.approx(2.0 * 4.0, rel=1e-9)
-    # no two leaves overlap on an open set
+    assert total == pytest.approx(volume, rel=1e-9)
     for a in range(len(boxes)):
         for b in range(a + 1, len(boxes)):
             inter = 1.0
             for da, db in zip(boxes[a].dims, boxes[b].dims):
                 inter *= max(0.0, min(da.hi, db.hi) - max(da.lo, db.lo))
             assert inter == 0.0
+
+
+def test_enumerate_partition_covers_region(demo_net, le15):
+    report = enumerate_regions(demo_net, le15, Config(precision=0.25, max_depth=12))
+    assert report.leaves
+    _assert_tiles(report.leaves, 2.0 * 4.0)
     # both secure and insecure leaves exist, and every insecure leaf
     # carries a genuine counterexample
     statuses = {s for _, s, _ in report.leaves}
@@ -430,7 +526,8 @@ def test_stats_accounting(demo_net, le15):
 def test_write_report_verdict(tmp_path, demo_net, le15):
     v = verify(demo_net, le15, Config())
     out = tmp_path / "verdict.json"
-    write_report(str(out), v)
+    with open(out, "w") as f:
+        write_report(f, v)
     doc = json.loads(out.read_text())
     assert doc["status"] == "insecure"
     assert len(doc["counterexample"]) == 2
@@ -440,7 +537,8 @@ def test_write_report_verdict(tmp_path, demo_net, le15):
 def test_write_report_partition(tmp_path, demo_net, le20):
     report = enumerate_regions(demo_net, le20, Config())
     out = tmp_path / "partition.json"
-    write_report(str(out), report)
+    with open(out, "w") as f:
+        write_report(f, report)
     doc = json.loads(out.read_text())
     assert doc["leaves"][0]["status"] == "secure"
     assert len(doc["leaves"][0]["box"]) == 2
