@@ -19,6 +19,19 @@ alone, so the tree, the verdict, the node count and the order of the
 leaves do not depend on the wave size. Results that a verify run never
 reaches because it stopped at a counterexample are dropped, and are not
 counted as nodes.
+
+A verify run whose constraint is Or-free, a conjunction of literals,
+also attacks each undecided root box (an input region) before splitting
+it. From the midpoint and a few seeded uniform points, projected
+signed-gradient steps (PGD, Madry et al., arXiv 1706.06083) climb each
+literal's violation margin; a point that violates the constraint makes
+the root an insecure leaf, so the run ends at its first node. Sampling
+alone refutes a box only where its midpoint or a corner violates, so
+without the attack such a run bisects until a sample hits the violation
+or the depth budget runs out. Each root is attacked on its own, from
+points drawn by a generator seeded with its region's index, so the
+attack keeps the search independent of the wave size. Enumerate runs do
+not attack, since an attacked root would not be partitioned.
 """
 
 from __future__ import annotations
@@ -28,13 +41,14 @@ import functools
 import itertools
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, IntervalOverflowError, RoundingPolicy, DEFAULT_POLICY, iv_bisect
+from .intervals import Box, IntervalOverflowError, RoundingPolicy, DEFAULT_POLICY, iv_bisect, midpoint
 from .network import (
     DimensionMismatchError,
     Network,
@@ -43,7 +57,7 @@ from .network import (
     split_weights,
 )
 from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
-from .gradients import backward_gradient, smear_split_choice
+from .gradients import backward_gradient, margin_gradients, smear_split_choice
 from .properties import InputSpec, SoundCheck, check_concrete, check_sound
 
 __all__ = [
@@ -78,6 +92,8 @@ class RunStats:
     depth_total: int = 0
     leaves: int = 0
     wall_time: float = 0.0
+    # insecure leaves whose counterexample the root attack found
+    attack_hits: int = 0
 
     @property
     def avg_depth(self) -> float:
@@ -89,6 +105,7 @@ class RunStats:
             "max_depth": self.max_depth,
             "avg_depth": self.avg_depth,
             "wall_time": self.wall_time,
+            "attack_hits": self.attack_hits,
         }
 
 
@@ -184,6 +201,12 @@ def default_max_depth(regions, precision: float) -> int:
 
 # the most dims one monotonicity reduction pins, so 2^3 endpoint boxes
 _MAX_REDUCED_DIMS = 3
+# the root attack: starts per literal (the midpoint and uniform points),
+# signed-gradient steps per start, and the size of each step in quarters
+# of the box's widths
+_ATTACK_STARTS = 4
+_ATTACK_STEPS = 8
+_ATTACK_STEP_SIZES = 2.0 ** (-np.arange(_ATTACK_STEPS)[:, np.newaxis] / 4)
 
 # ---------------------------------------------------------------------------
 # the driver
@@ -226,12 +249,16 @@ class _Run:
         # endpoint boxes would break an enumerated partition, and they are
         # unsound for disjunctions
         self.reduce = self.check.or_free and short_circuit and cfg.mode == "symbolic"
+        # an Or-free constraint is violated wherever one literal is, so
+        # climbing one literal's margin can refute it
+        self.attack = self.check.or_free and short_circuit
         # the regions are the first rows
         self.lo = np.array([r.lo for r in self.regions])
         self.hi = np.array([r.hi for r in self.regions])
         self.depth = [0] * len(self.regions)
         self.outcome = [None] * len(self.regions)
         self.witness = {}  # row -> counterexample of an evaluated insecure row
+        self.attacked = set()  # the rows whose counterexample the attack found
         self.limit = _SLACK_ROWS if short_circuit else math.inf  # rows before a drop
         self.cex = None
         self.unknown = False
@@ -291,6 +318,7 @@ class _Run:
             for o in (self.outcome[r] for r in live)
         ]
         self.witness = {new[r]: x for r, x in self.witness.items() if r in new}
+        self.attacked = {new[r] for r in self.attacked if r in new}
         self.limit = 2 * len(live) + _SLACK_ROWS
         return [new[r] for r in stack]
 
@@ -339,6 +367,64 @@ class _Run:
                     found[b] = raw
         return found
 
+    def _sample_corners(self, rows: list, box: Box) -> dict:
+        """Counterexamples at the corners of a stack's boxes, as
+        `_counterexamples` gives them."""
+        return self._counterexamples(self._corners(box))
+
+    def _attack(self, rows: list, box: Box) -> dict:
+        """The first root box of a stack in which gradient steps find a
+        counterexample, as {box index: counterexample in the spec's units},
+        or {}. A verify run stops at that root, so the roots after it are
+        not attacked. Each root is attacked on its own, so its result does
+        not depend on the boxes that share its stack."""
+        for b, row in enumerate(rows):
+            if self.depth[row] == 0:
+                cex = self._attack_root(row, box.lo[b], box.hi[b])
+                if cex is not None:
+                    self.attacked.add(row)
+                    return {b: cex}
+        return {}
+
+    def _attack_root(self, region: int, lo: np.ndarray, hi: np.ndarray):
+        """A counterexample in the root box [lo, hi] of a region, found by
+        signed-gradient ascent on the constraint's literal margins, or None.
+
+        Each literal gets _ATTACK_STARTS starts: the box's midpoint and
+        uniform points drawn by a generator seeded with the region's index
+        (a root's row: a drop of consumed rows renumbers no root, since the
+        roots still pending are the first rows). Each start takes
+        _ATTACK_STEPS steps up its literal's margin, the t-th of
+        0.25 * width * 2^(-t/4) in each dim, clipped to the box. The starts
+        and then the points after every step whose margin is >= 0 go to
+        `_counterexamples`."""
+        k, d = len(self.check.t), len(lo)
+        rng = random.Random(region)
+        draws = [rng.random() for _ in range(k * (_ATTACK_STARTS - 1) * d)]
+        u = np.reshape(draws, (k, _ATTACK_STARTS - 1, d))
+        x = np.empty((k, _ATTACK_STARTS, d))
+        x[:, 0] = midpoint(lo, hi)
+        # no term overflows, even where hi - lo would
+        x[:, 1:] = np.minimum(np.maximum(lo * (1.0 - u) + hi * u, lo), hi)
+        x = x.reshape(-1, d)
+        a = np.repeat(self.check.A, _ATTACK_STARTS, axis=0)
+        t = np.repeat(self.check.t, _ATTACK_STARTS)
+        # a quarter of the widths, taken so that it does not overflow
+        steps = _ATTACK_STEP_SIZES * (0.5 * (hi / 2.0 - lo / 2.0))
+        for step in range(_ATTACK_STEPS + 1):
+            if step < _ATTACK_STEPS:
+                y, g = margin_gradients(self.core, x, a)
+            else:
+                y = eval_concrete_batch(self.core, x)
+            hit = (y * a).sum(axis=1) >= t
+            if hit.any():
+                found = self._counterexamples(x[hit][np.newaxis])
+                if found:
+                    return found[0]
+            if step < _ATTACK_STEPS:
+                x = np.minimum(np.maximum(x + steps[step] * np.sign(g), lo), hi)
+        return None
+
     def _refute(self, rows: list, found: dict) -> list:
         """Make each row that has a counterexample an insecure leaf, and
         return the indices of the others. A verify run stops at its first
@@ -358,6 +444,7 @@ class _Run:
             self.unknown = True
         if status is SubStatus.INSECURE_SUB and cex is not None and self.cex is None:
             self.cex = cex
+            self.stats.attack_hits += row in self.attacked
         if not self.short_circuit:
             self.leaves.append((row, status, cex))
 
@@ -395,11 +482,11 @@ class _Run:
         """Evaluate a wave of rows as one stack of boxes. Sample each box's
         midpoint first: a violating one makes its box an insecure leaf.
         Then bound and check the other boxes, sample the corners of the
-        undecided ones, and choose the split of the rest. Sets each row's
-        outcome: its leaf status (and counterexample), or the range of its
-        children, appended as one block per wave and kind of split. Rows
-        after a verify run's first insecure leaf keep no outcome: the
-        search never reaches them."""
+        undecided ones, attack the undecided roots, and choose the split
+        of the rest. Sets each row's outcome: its leaf status (and
+        counterexample), or the range of its children, appended as one
+        block per wave and kind of split. Rows after a verify run's first
+        insecure leaf keep no outcome: the search never reaches them."""
         cfg = self.cfg
         outcome = self.outcome
         at = np.array(rows)
@@ -429,9 +516,12 @@ class _Run:
             return
         if len(idx) < len(rows):
             box = box.take(idx)
-        if cfg.sample_strategy == "corners":
-            found = self._counterexamples(self._corners(box))
-            rest = self._refute([rows[i] for i in idx.tolist()], found)
+        samplers = [self._sample_corners] if cfg.sample_strategy == "corners" else []
+        if self.attack:
+            samplers.append(self._attack)
+        for sample in samplers:
+            undecided = [rows[i] for i in idx.tolist()]
+            rest = self._refute(undecided, sample(undecided, box))
             if len(rest) < len(idx):
                 box, idx = box.take(rest), idx[rest]
         widths = box.widths()

@@ -1,4 +1,5 @@
-"""Backward interval Jacobian and smear-based split selection.
+"""Backward interval Jacobian, smear-based split selection, and the
+gradients of output margins at concrete points.
 
 The Jacobian pass starts from the output layer's weights and walks the
 hidden layers backwards, taking a Hadamard product with each unit's
@@ -20,6 +21,7 @@ __all__ = [
     "IntervalJacobian",
     "NoSplittableDimensionError",
     "backward_gradient",
+    "margin_gradients",
     "smear_split_choice",
 ]
 
@@ -109,3 +111,28 @@ def smear_split_choice(
     influence = J.abs_upper().max(axis=-2)
     smear = np.where(splittable, influence * widths, -np.inf)
     return np.argmax(smear, axis=-1)
+
+
+def margin_gradients(net: Network, xs: np.ndarray, a: np.ndarray) -> tuple:
+    """(y, g) at a batch of points xs (n, d) of a network without input
+    normalization: the outputs y (n, m), and the gradient g (n, d) of each
+    point's margin a[p] . y in its input, back-propagated through the
+    point's own activation pattern (a unit at exactly 0 passes none).
+
+    Each layer is one matrix product over the whole batch, so a point's
+    bits may depend on the batch it is in: a caller that needs them
+    repeatable forms its batches from its own state alone.
+    """
+    v = xs
+    active = []
+    for k, layer in enumerate(net.layers):
+        v = v @ layer.W.T + layer.b
+        if k < net.num_hidden:
+            active.append(v > 0.0)
+            v = np.maximum(v, 0.0)
+    g = a
+    for k in range(net.num_hidden, -1, -1):
+        g = g @ net.layers[k].W
+        if k:
+            g = g * active[k - 1]
+    return v, g

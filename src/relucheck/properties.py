@@ -213,30 +213,46 @@ class SoundCheck:
     terms correlated; all such rows are bounded in one `expr_bounds` call
     under `policy`.
 
+    Each literal, an atom under its negations, is also a row a_k over
+    the outputs (e_i, -e_i or e_i - e_j) with a threshold t_k, in `A` and
+    `t`: the literal is violated where a_k . y - t_k > 0, or >= 0 where
+    `negated[k]`, its atom being under an odd number of `Not`s.
+
     `or_free` tells whether the constraint is a conjunction of literals in
     negation normal form: no `Or` outside a negation and no `And` under
     one. Only then is it violated wherever a single literal is, so that
     margins monotone in a dim put a violation, if the box has one, at an
-    end of that dim; the monotonicity reduction relies on this.
+    end of that dim; the monotonicity reduction and the gradient attack
+    rely on this.
     """
 
     def __init__(self, c, m: int, policy: RoundingPolicy = DEFAULT_POLICY):
         self.policy = policy
         self.or_free = True
         atoms, pairs = [], []  # atoms: (upper bound index, lower bound index, sign, k)
-        outputs = []  # per atom: (i, j, whether the margin is y_i - y_j)
+        literals = []  # per atom: (row over the outputs, threshold, negated)
+
+        def literal(terms, threshold, negated):
+            # the atom sum(s * y_i) <= threshold over its (i, s) terms is
+            # violated where row . y - threshold > 0; under a Not, where it
+            # holds, so both are negated there
+            sign = -1.0 if negated else 1.0
+            row = [0.0] * m
+            for i, s in terms:
+                row[i] += sign * s
+            literals.append((row, sign * threshold, negated))
 
         def compile_node(node, negated):
             if isinstance(node, OutLE):
                 atoms.append((m + node.i, node.i, 1.0, node.c))
-                outputs.append((node.i, node.i, False))
+                literal([(node.i, 1.0)], node.c, negated)
             elif isinstance(node, OutGE):
                 atoms.append((node.i, m + node.i, -1.0, -node.c))
-                outputs.append((node.i, node.i, False))
+                literal([(node.i, -1.0)], -node.c, negated)
             elif isinstance(node, DiffLE):
                 atoms.append((2 * m + len(pairs), None, 1.0, node.c))
                 pairs.append((node.i, node.j))
-                outputs.append((node.i, node.j, True))
+                literal([(node.i, 1.0), (node.j, -1.0)], node.c, negated)
             elif isinstance(node, (And, Or)):
                 if isinstance(node, Or) != negated:
                     self.or_free = False
@@ -264,12 +280,9 @@ class SoundCheck:
         # bounds y_i - y_j: up_i - low_j from above, low_i - up_j from below
         self.row_a = np.concatenate((m + self.i, self.i))
         self.row_b = np.concatenate((self.j, m + self.j))
-        # each atom's margin has the derivative J[out_i] - J[out_j] where
-        # `paired`, else J[out_i]: the sign of `ge` does not change where
-        # a derivative is sign-definite
-        self.out_i = np.array([i for i, _, _ in outputs], dtype=np.intp)
-        self.out_j = np.array([j for _, j, _ in outputs], dtype=np.intp)
-        self.paired = np.array([q for _, _, q in outputs], dtype=bool)[:, np.newaxis]
+        self.A = np.array([a for a, _, _ in literals], dtype=np.float64).reshape(-1, m)
+        self.t = np.array([t for _, t, _ in literals], dtype=np.float64)
+        self.negated = np.array([n for _, _, n in literals], dtype=bool)
 
     def _diff_bounds(self, fr: ForwardResult):
         """(upper, lower) bound arrays of y_i - y_j for every diffle atom."""
@@ -297,11 +310,12 @@ class SoundCheck:
         return self.tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:])) == _TRUE
 
     def monotone_dims(self, J: IntervalJacobian, wide):
-        """(B, d) bool: the dims in `wide` where every atom's margin has a
-        sign-definite derivative over the box, by the interval Jacobian
-        `J` of its stack."""
-        lo = J.lo[..., self.out_i, :] - np.where(self.paired, J.hi[..., self.out_j, :], 0.0)
-        hi = J.hi[..., self.out_i, :] - np.where(self.paired, J.lo[..., self.out_j, :], 0.0)
+        """(B, d) bool: the dims in `wide` where every literal's margin has
+        a sign-definite derivative over the box, by the interval product of
+        `A` with the interval Jacobian `J` of its stack."""
+        pos, neg = np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
+        lo = pos @ J.lo + neg @ J.hi
+        hi = pos @ J.hi + neg @ J.lo
         return ((lo > 0.0) | (hi < 0.0)).all(axis=-2) & wide
 
 

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from relucheck import engine
 from relucheck.data import shipped_path
 from relucheck.intervals import Box, Interval
 from relucheck.network import Layer, Network, load_network
@@ -54,3 +57,24 @@ def subset_of(a: Interval, b: Interval, slack: float = 0.0) -> bool:
 def sample_points(rng, box: Box, n: int) -> np.ndarray:
     lo, hi = box.lo, box.hi
     return rng.uniform(lo, hi, size=(n, len(box)))
+
+
+def without_attack(monkeypatch):
+    """Turn the root attack off: it finds no counterexample."""
+    monkeypatch.setattr(engine._Run, "_attack", lambda self, rows, box: {})
+
+
+def exact_outputs(net: Network, x) -> list:
+    """The outputs at the float point x in exact rational arithmetic."""
+    v = [Fraction(float(a)) for a in x]
+    if net.has_normalization:
+        norm = zip(net.norm_mean, net.norm_range)
+        v = [(a - Fraction(float(m))) / Fraction(float(r)) for a, (m, r) in zip(v, norm)]
+    for k, layer in enumerate(net.layers):
+        v = [
+            sum((Fraction(float(w)) * a for w, a in zip(row, v)), Fraction(0)) + Fraction(float(b))
+            for row, b in zip(layer.W, layer.b)
+        ]
+        if k < net.num_hidden:
+            v = [max(a, Fraction(0)) for a in v]
+    return v

@@ -4,6 +4,7 @@ the public types. These tests pin every name and shape it relies on, so a
 change to the package cannot break the benchmark unnoticed."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,11 @@ def spans():
 @pytest.fixture(scope="module")
 def child():
     return _load("child")
+
+
+@pytest.fixture(scope="module")
+def harness():
+    return _load("run")
 
 
 def _cases():
@@ -96,3 +102,22 @@ def test_partition_leaves_shape(child):
     _, _, _, nodes, extra = child.run_case(rc, case, net, spec)
     assert nodes == report.stats.nodes_explored
     assert len(extra["leaves"]) == len(report.leaves)
+
+
+def test_attack_decided_case_passes_the_exact_check(spans, child, harness):
+    # le 15 on the demo net holds at the root's midpoint (5, 3), and its
+    # bounds do not decide it; the root attack climbs to a violating point
+    case = _cases()[0]
+    (net,), (spec,) = child.load_all(rc, [case])
+    v = rc.verify(net, spec, rc.Config(max_depth=case["max_depth"], mode=case["mode"]))
+    assert (v.status.value, v.stats.nodes_explored, v.stats.attack_hits) == ("insecure", 1, 1)
+    (result,), metrics = _traced(spans, child, [case])
+    _, _, status, nodes, extra = result
+    assert (status, nodes) == ("insecure", 1)
+    assert metrics["propagate.symbolic_forward.calls"]["value"] == 1
+    exact = harness.read_net(case["net"]), harness.read_prop(case["prop"])
+    res = {"status": status, "cex": extra["cex"]}
+    assert harness.check_verify(res, *exact, random.Random(0), 8) is None
+    # the exact check does fail a counterexample that does not violate
+    res["cex"] = [5.0, 3.0]
+    assert harness.check_verify(res, *exact, random.Random(0), 8) is not None

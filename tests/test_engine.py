@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import threading
 import tracemalloc
 
@@ -17,7 +18,7 @@ from relucheck.engine import (
     write_report,
 )
 from relucheck.intervals import Box, IntervalOverflowError
-from relucheck.network import DimensionMismatchError, eval_concrete, load_network
+from relucheck.network import DimensionMismatchError, Network, eval_concrete, load_network
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import (
     InputSpec,
@@ -31,8 +32,8 @@ from relucheck.properties import (
     parse_property,
 )
 
-from conftest import make_net
-from test_batch import PROPS, acas_net
+from conftest import exact_outputs, make_net, without_attack
+from test_batch import PROPS, _verdict_key, acas_net
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +199,10 @@ def test_overflowed_sample_is_not_a_counterexample(mode):
         assert {b: x.tolist() for b, x in found.items()} == want
 
 
-def test_verify_unknown_on_depth_budget(demo_net, le15):
-    # forbid splitting and sample only the midpoint, which satisfies le 15
+def test_verify_unknown_on_depth_budget(monkeypatch, demo_net, le15):
+    # forbid splitting and sample only the midpoint, which satisfies le 15;
+    # the root attack, which would climb to the violating corner, is off
+    without_attack(monkeypatch)
     v = verify(demo_net, le15, Config(max_depth=0))
     assert v.status is Status.UNKNOWN
 
@@ -332,7 +335,9 @@ def _without_reduction(monkeypatch):
 
 
 def test_monotonicity_reduction_prunes(demo_net, le20, le15, monkeypatch):
-    """Same verdicts with the reduction on and off; never a wrong Secure."""
+    """Same verdicts with the reduction on and off; never a wrong Secure.
+    The root attack is off: it would refute le15 at the root."""
+    without_attack(monkeypatch)
     nodes = []
     for spec in (le20, le15):
         on = verify(demo_net, spec, Config())
@@ -351,6 +356,8 @@ def test_monotonicity_reduction_with_negation(monkeypatch):
     # The root's bounds [10, 18] decide neither not(ge 0 c) below: the
     # first two units are unstable there. Not(ge) is an Or-free literal
     # tree, so the reduction pins x0 to its ends, where the bounds are tight.
+    # The root attack is off: it would refute c = 15.5 at the root.
+    without_attack(monkeypatch)
     weights = [[[1.0, -1.0], [1.0, 1.0], [1.0, 0.0]], [[1.0, 1.0, 1.0]]]
     net = make_net(weights, [[0.0, 0.0, 10.0], [0.0]])
     region = InputSpec((Box.from_arrays([0, -1], [2, 1]),))
@@ -374,9 +381,11 @@ def test_monotonicity_reduction_with_negation(monkeypatch):
     ]
 
 
-def test_monotone_endpoint_children_are_corners():
+def test_monotone_endpoint_children_are_corners(monkeypatch):
     # y = 2*x0 - x1 over [1, 2]^2 rises in x0 and falls in x1, so the root
-    # splits into its four corners; only the corner (2, 1) violates y <= 2.999
+    # splits into its four corners; only the corner (2, 1) violates y <= 2.999.
+    # The root attack, which would climb to that corner, is off.
+    without_attack(monkeypatch)
     net = make_net([np.eye(2), [[2.0, -1.0]]])
     spec = (InputSpec((Box.from_arrays([1, 1], [2, 2]),)), OutLE(0, 2.999))
     v = verify(net, spec, Config())
@@ -431,10 +440,13 @@ def test_worker_exception_fails_fast(mode, workers, recwarn):
 
 
 @pytest.mark.parametrize("mode", ["naive", "symbolic"])
-def test_overflow_past_the_counterexample_is_not_raised(mode, recwarn):
+def test_overflow_past_the_counterexample_is_not_raised(monkeypatch, mode, recwarn):
     # the last region is searched first, and violates at its midpoint or,
     # with the second bound, at the midpoint of its upper half; the bounds
-    # of the first region overflow, but the search never gets there
+    # of the first region overflow, but the search never gets there. The
+    # root attack is off, so that the second counterexample is found by
+    # bisection.
+    without_attack(monkeypatch)
     net = load_network("2 1 1 1\n1,1,1\n1e300\n0\n1\n0\n")
     for bound, cex in (("-1", 0.5), ("6e299", 0.75)):
         text = f"domain:\n0 2e10\nregion:\n1e10 2e10\nregion:\n0 1\nconstraint:\nle 0 {bound}\n"
@@ -532,6 +544,8 @@ def test_write_report_verdict(tmp_path, demo_net, le15):
     assert doc["status"] == "insecure"
     assert len(doc["counterexample"]) == 2
     assert "nodes_explored" in doc["stats"]
+    # the root attack found the counterexample
+    assert doc["stats"]["attack_hits"] == 1
 
 
 def test_write_report_partition(tmp_path, demo_net, le20):
@@ -542,3 +556,108 @@ def test_write_report_partition(tmp_path, demo_net, le20):
     doc = json.loads(out.read_text())
     assert doc["leaves"][0]["status"] == "secure"
     assert len(doc["leaves"][0]["box"]) == 2
+
+
+# y = relu(x - 9/16) - 2 relu(x - 3/4) over [0, 1] peaks at 3/16 at x = 3/4
+# and exceeds 1/8 only on (11/16, 13/16); it is 0 at the midpoint 1/2 and
+# at 0, and -1/16 at 1, so neither the midpoint nor a corner violates y <= 1/8
+_BUMP = ([[[1.0], [1.0]], [[1.0, -2.0]]], [[-0.5625, -0.75], [0.0]])
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+@pytest.mark.parametrize("strategy", ["midpoint", "corners"])
+def test_attack_refutes_the_root_where_samples_miss(monkeypatch, mode, strategy):
+    net = make_net(*_BUMP)
+    spec = (InputSpec((Box.from_arrays([0.0], [1.0]),)), OutLE(0, 0.125))
+    cfg = Config(mode=mode, sample_strategy=strategy, max_depth=12)
+    v = verify(net, spec, cfg)
+    assert v.status is Status.INSECURE
+    assert (v.stats.nodes_explored, v.stats.attack_hits) == (1, 1)
+    (x,) = v.counterexample.tolist()
+    assert 0.0 <= x <= 1.0
+    assert exact_outputs(net, [x])[0] > Fraction(1, 8)
+    # without the attack the samples find the violation only after splits
+    without_attack(monkeypatch)
+    off = verify(net, spec, cfg)
+    assert off.status is Status.INSECURE and off.stats.nodes_explored > 1
+    assert off.stats.attack_hits == 0
+
+
+def test_attack_counterexample_in_raw_units():
+    # the bump net behind a normalization u = (x - 100) / 8, over x in [100, 108]
+    bump = make_net(*_BUMP)
+    net = Network(bump.layers, np.array([100.0]), np.array([8.0]))
+    spec = (InputSpec((Box.from_arrays([100.0], [108.0]),)), OutLE(0, 0.125))
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE and v.stats.attack_hits == 1
+    (x,) = v.counterexample.tolist()
+    assert 100.0 <= x <= 108.0
+    assert exact_outputs(net, [x])[0] > Fraction(1, 8)
+
+
+def test_attack_skips_enumerate_and_or_constraints(monkeypatch):
+    net = make_net(*_BUMP)
+    region = InputSpec((Box.from_arrays([0.0], [1.0]),))
+    attacked = []
+    real = engine._Run._attack_root
+
+    def recording(self, *args):
+        attacked.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(engine._Run, "_attack_root", recording)
+    enumerate_regions(net, (region, OutLE(0, 0.125)), Config(max_depth=3))
+    verify(net, (region, Or((OutLE(0, 0.125), OutGE(0, 5.0)))), Config(max_depth=3))
+    assert attacked == []
+    verify(net, (region, OutLE(0, 0.125)), Config(max_depth=3))
+    assert len(attacked) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 4, 6])
+def test_attack_only_turns_unknown_into_insecure(monkeypatch, seed):
+    # attack on against off on the shipped properties: a run the attack
+    # does not decide is the same run, and a decided one ends sooner. On
+    # the nets of these seeds the attack decides some runs, Unknown ones
+    # among them on seeds 0 and 6, and phi6 has two regions on seed 4.
+    net = acas_net(np.random.default_rng(seed))
+    hits = 0
+    for name in PROPS:
+        with open(shipped_path(name), "rb") as f:
+            spec = parse_property(f, num_outputs=5)
+        for mode in ("symbolic", "naive"):
+            cfg = Config(max_depth=4, mode=mode, timeout=600.0)
+            on = verify(net, spec, cfg)
+            with monkeypatch.context() as m:
+                without_attack(m)
+                off = verify(net, spec, cfg)
+            if not on.stats.attack_hits:
+                assert _verdict_key(on) == _verdict_key(off), (name, mode)
+                continue
+            hits += 1
+            assert on.status is Status.INSECURE, (name, mode)
+            assert off.status in (Status.INSECURE, Status.UNKNOWN), (name, mode)
+            assert on.stats.nodes_explored <= off.stats.nodes_explored, (name, mode)
+            assert not check_concrete(eval_concrete(net, on.counterexample), spec[1])
+    assert hits
+
+
+def test_attack_of_a_root_does_not_depend_on_its_stack():
+    # the bump's midpoint 1/2 lies where no unit is active, so the attack
+    # refutes [0, 1] from one of its uniform starts; y < 0 holds on [2, 3]
+    net = make_net(*_BUMP)
+    regions = (Box.from_arrays([2.0], [3.0]), Box.from_arrays([0.0], [1.0]))
+    run = engine._Run(net, (InputSpec(regions), OutLE(0, 0.125)), Config(), short_circuit=True)
+    alone = run._attack([1], Box.stack(run.lo[1:], run.hi[1:]))
+    stacked = run._attack([0, 1], Box.stack(run.lo, run.hi))
+    assert list(alone) == [0] and list(stacked) == [1]
+    assert alone[0].tolist() == stacked[1].tolist()
+
+
+def test_attack_hits_a_violation_on_the_boundary():
+    # y = x over [0, 1] violates y < 1 only at x = 1, where the margin of
+    # not(ge 0 1) is exactly 0; the steps reach it by clipping
+    net = make_net([np.eye(1)])
+    spec = (InputSpec((Box.from_arrays([0.0], [1.0]),)), Not(OutGE(0, 1.0)))
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [1.0]
+    assert (v.stats.nodes_explored, v.stats.attack_hits) == (1, 1)

@@ -5,10 +5,11 @@ from relucheck.gradients import (
     IntervalJacobian,
     NoSplittableDimensionError,
     backward_gradient,
+    margin_gradients,
     smear_split_choice,
 )
 from relucheck.intervals import Box
-from relucheck.network import eval_concrete
+from relucheck.network import eval_concrete, eval_concrete_batch
 from relucheck.propagate import ReluMaskMatrix, symbolic_forward
 from relucheck.symbolic import ReluState
 
@@ -129,3 +130,28 @@ def test_refinement_monotonicity_of_jacobian():
         slack = 1e-9 * np.maximum(np.abs(Jo.lo) + np.abs(Jo.hi), 1.0)
         assert np.all(Ji.lo >= Jo.lo - slack)
         assert np.all(Ji.hi <= Jo.hi + slack)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_margin_gradients_match_the_point_jacobian(seed):
+    # at a point no unit is at exactly 0, so the interval Jacobian of the
+    # point box is the Jacobian, up to its outward rounding
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, max_width=30, max_layers=5)
+    d, m = net.input_dim, net.output_dim
+    xs = rng.uniform(-1.0, 1.0, size=(7, d))
+    a = rng.normal(size=(7, m))
+    y, g = margin_gradients(net, xs, a)
+    np.testing.assert_allclose(y, eval_concrete_batch(net, xs), rtol=1e-12, atol=1e-12)
+    for p in range(len(xs)):
+        J = backward_gradient(net, symbolic_forward(net, Box.from_arrays(xs[p], xs[p])).masks)
+        assert J.lo == pytest.approx(J.hi, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(g[p], a[p] @ J.lo, rtol=1e-9, atol=1e-9)
+
+
+def test_margin_gradients_stop_at_inactive_units(demo_net):
+    # y = relu(2 x0 + 3 x1) - relu(x0 + x1): only the second unit is
+    # active at (1, -0.75); at (1, -1) it is at exactly 0 and passes none
+    y, g = margin_gradients(demo_net, np.array([[1.0, -0.75], [1.0, -1.0]]), np.array([[1.0], [2.0]]))
+    assert y.tolist() == [[-0.25], [0.0]]
+    assert g.tolist() == [[-1.0, -1.0], [0.0, 0.0]]

@@ -193,13 +193,38 @@ def test_monotone_dims_ge_and_diffle():
         # y_1 - y_0: [-1.5, 2], [1, 4], [-2.5, -1.5]
         (DiffLE(1, 0, 0.0), [False, True, True]),
         (And((OutGE(0, 0.0), DiffLE(1, 0, 0.0))), [False, False, True]),
-        # y_0 - y_0 is bounded through two independent intervals
+        # the row of y_0 - y_0 is zero: never sign-definite
         (DiffLE(0, 0, 0.0), [False, False, False]),
     ]
     for c, want in cases:
         check = SoundCheck(c, 2)
         assert check.monotone_dims(J, wide).tolist() == want
         assert check.monotone_dims(J, np.array([True, True, False])).tolist() == want[:2] + [False]
+
+
+def test_literal_rows():
+    c = And((OutLE(0, 1.0), OutGE(1, 2.0), DiffLE(0, 2, 3.0), Not(OutLE(2, 4.0)), Not(DiffLE(1, 0, -1.0))))
+    check = SoundCheck(c, 3)
+    assert check.A.tolist() == [[1, 0, 0], [0, -1, 0], [1, 0, -1], [0, 0, -1], [1, -1, 0]]
+    assert check.t.tolist() == [1.0, -2.0, 3.0, -4.0, 1.0]
+    assert check.negated.tolist() == [False, False, False, True, True]
+    assert SoundCheck(And(()), 2).A.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [OutLE(0, 0.5), OutGE(1, 0.5), DiffLE(0, 1, 0.25), Not(OutLE(0, 0.5)), Not(OutGE(1, 0.5)), Not(DiffLE(1, 0, 0.0))],
+    ids=repr,
+)
+def test_literal_row_is_violated_where_the_constraint_is(literal):
+    # a literal is violated where a . y - t > 0, or >= 0 under a Not;
+    # outputs on a grid of quarters hit every threshold exactly
+    check = SoundCheck(literal, 2)
+    (a,), (t,), (negated,) = check.A, check.t, check.negated
+    y = np.array([[u, v] for u in np.arange(-1, 2, 0.25) for v in np.arange(-1, 2, 0.25)])
+    margin = y @ a - t
+    violated = margin >= 0.0 if negated else margin > 0.0
+    assert (~check_concrete(y, check)).tolist() == violated.tolist()
 
 
 # ---------------------------------------------------------------------------
