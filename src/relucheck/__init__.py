@@ -11,7 +11,6 @@ from .intervals import (
     Box,
     Interval,
     IntervalOverflowError,
-    RoundingPolicy,
     UnsplittableError,
     iv_bisect,
 )

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .engine import Config, Status, enumerate_regions, internal_view, verify, write_report
-from .intervals import IntervalOverflowError, RoundingPolicy
+from .intervals import IntervalOverflowError
 from .network import DimensionMismatchError, NetworkFormatError, eval_concrete, load_network
 from .propagate import naive_forward, symbolic_forward
 from .properties import PropertyParseError, parse_property
@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-depth", type=int, default=None)
             sp.add_argument("--samples", choices=["midpoint", "corners"], default="midpoint")
             sp.add_argument("--report", default=None, help="write a JSON run report here")
-            sp.add_argument("--fp32", action="store_true", help="32-bit outward rounding")
 
     add_common(sub.add_parser("verify", help="prove or refute a property"))
     add_common(sub.add_parser("enumerate", help="partition into secure/insecure sub-boxes"))
@@ -75,7 +74,6 @@ def _config(args) -> Config:
         max_depth=args.max_depth,
         mode=args.mode,
         sample_strategy=args.samples,
-        policy=RoundingPolicy(precision=32 if args.fp32 else 64),
     )
 
 
@@ -131,7 +129,9 @@ def _cmd_eval(args) -> int:
     try:
         x = np.array([float(v) for v in args.input.split(",")])
     except ValueError:
-        print("error: --input must be comma-separated numbers", file=sys.stderr)
+        x = None
+    if x is None or not np.isfinite(x).all():
+        print("error: --input must be comma-separated finite numbers", file=sys.stderr)
         return EXIT_BAD_FLAGS
     y = eval_concrete(net, x)
     print(",".join(f"{v:g}" for v in y))
@@ -153,7 +153,7 @@ def _cmd_bench(args) -> int:
     input_spec, _ = _load_prop(args.property, net.output_dim)
     print(f"{'box':>4} {'out':>4} {'naive width':>14} {'symbolic width':>14} {'reduction':>10}")
     core, regions = internal_view(net, input_spec)
-    for bi, box in enumerate(regions):
+    for bi, box in enumerate(regions.unstack()):
         nv = naive_forward(core, box)
         sy = symbolic_forward(core, box)
         for i, (wn, ws) in enumerate(zip(nv.hi - nv.lo, sy.hi - sy.lo)):

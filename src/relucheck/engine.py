@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, IntervalOverflowError, RoundingPolicy, DEFAULT_POLICY, iv_bisect, midpoint
+from .intervals import Box, IntervalOverflowError, iv_bisect, midpoint
 from .network import (
     DimensionMismatchError,
     Network,
@@ -154,7 +154,6 @@ class Config:
     workers: int = 1
     mode: str = "symbolic"  # "symbolic" | "naive"
     sample_strategy: str = "midpoint"  # "midpoint" | "corners"
-    policy: RoundingPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         if not 0 < self.precision < math.inf:
@@ -173,26 +172,28 @@ class Config:
 
 def internal_view(net: Network, input_spec: InputSpec):
     """(core, regions): `net` without its input normalization, and the
-    spec's regions in the coordinates that core reads. The analysis runs
-    on these."""
-    core = Network(net.layers)
-    if not (net.has_normalization and input_spec.units == "raw"):
-        return core, list(input_spec.regions)
-    return core, [
-        Box.from_arrays(net.normalize(r.lo), net.normalize(r.hi)) for r in input_spec.regions
-    ]
+    spec's regions as one stack of boxes in the coordinates that core
+    reads. The analysis runs on these."""
+    bounds = np.array([(r.lo, r.hi) for r in input_spec.regions])
+    if net.has_normalization and input_spec.units == "raw":
+        # normalizing keeps lo <= hi, but it may overflow
+        bounds = net.normalize(bounds)
+        if not np.isfinite(bounds).all():
+            raise ValueError("a region's bounds overflow when normalized")
+    return Network(net.layers), Box.stack(bounds[:, 0], bounds[:, 1])
 
 
-def default_max_depth(regions, precision: float) -> int:
-    """ceil(log2(max initial width / precision)) * d, at least 1."""
-    d = len(regions[0])
+def default_max_depth(regions: Box, precision: float) -> int:
+    """ceil(log2(max initial width / precision)) * d, at least 1, over a
+    box or a stack of boxes."""
+    d = len(regions)
     with np.errstate(over="ignore"):
-        wmax = max((w for r in regions for w in r.widths()), default=0.0)
+        wmax = float(regions.widths().max())
     if wmax <= precision:
         return 1
     ratio = wmax / precision
     if math.isinf(ratio):  # past the float range; halved widths are not
-        half = max(float(np.max(r.hi / 2 - r.lo / 2)) for r in regions)
+        half = float(np.max(regions.hi / 2 - regions.lo / 2))
         bits = math.log2(half) + 1.0 - math.log2(precision)
     else:
         bits = math.log2(ratio)
@@ -237,14 +238,14 @@ class _Run:
             )
         self.cfg = cfg
         self.short_circuit = short_circuit
-        self.check = SoundCheck(constraint, net.output_dim, cfg.policy)
-        self.core, self.regions = internal_view(net, input_spec)
+        self.check = SoundCheck(constraint, net.output_dim)
+        self.core, regions = internal_view(net, input_spec)
         # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
         self.max_depth = (
             cfg.max_depth
             if cfg.max_depth is not None
-            else default_max_depth(self.regions, cfg.precision)
+            else default_max_depth(regions, cfg.precision)
         )
         # endpoint boxes would break an enumerated partition, and they are
         # unsound for disjunctions
@@ -253,10 +254,9 @@ class _Run:
         # climbing one literal's margin can refute it
         self.attack = self.check.or_free and short_circuit
         # the regions are the first rows
-        self.lo = np.array([r.lo for r in self.regions])
-        self.hi = np.array([r.hi for r in self.regions])
-        self.depth = [0] * len(self.regions)
-        self.outcome = [None] * len(self.regions)
+        self.lo, self.hi = regions.lo.copy(), regions.hi.copy()
+        self.depth = [0] * len(self.lo)
+        self.outcome = [None] * len(self.lo)
         self.witness = {}  # row -> counterexample of an evaluated insecure row
         self.attacked = set()  # the rows whose counterexample the attack found
         self.limit = _SLACK_ROWS if short_circuit else math.inf  # rows before a drop
@@ -331,9 +331,6 @@ class _Run:
         boxes = Box.stack(lo, hi).unstack()
         return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
-    def _to_raw_point(self, x: np.ndarray) -> np.ndarray:
-        return self.net.denormalize(x) if self.convert else x
-
     # -- sampling ----------------------------------------------------------
     def _corners(self, box: Box) -> np.ndarray:
         """(B, S, d) sample points of a stack: each box's corners over its
@@ -359,11 +356,17 @@ class _Run:
         found = {}
         for b, s in np.argwhere(bad.reshape(pts.shape[:2])).tolist():
             if b not in found:
-                raw = self._to_raw_point(pts[b, s])
-                # a point converted to raw units is re-checked through the
-                # full network, because the round trip can shift it by ULPs;
-                # any other point is already in the coordinates of the core
-                if not self.convert or self._violates(eval_concrete(self.net, raw)):
+                x = pts[b, s]
+                raw = self.net.denormalize(x) if self.convert else x
+                # the full network normalizes a raw point first. Where that
+                # gives back x bit for bit, it computes the outputs just
+                # checked; where the round trip shifted x by ULPs, the raw
+                # point is re-checked through the full network
+                if (
+                    not self.convert
+                    or self.net.normalize(raw).tobytes() == x.tobytes()
+                    or self._violates(eval_concrete(self.net, raw))
+                ):
                     found[b] = raw
         return found
 
@@ -498,9 +501,9 @@ class _Run:
             box, rows = box.take(rest), [rows[i] for i in rest]
         try:
             if cfg.mode == "symbolic":
-                fr = symbolic_forward(self.core, box, cfg.policy, self.split)
+                fr = symbolic_forward(self.core, box, self.split)
             else:
-                fr = naive_forward(self.core, box, cfg.policy, self.split)
+                fr = naive_forward(self.core, box, self.split)
         except IntervalOverflowError:
             if len(rows) == 1:
                 raise
@@ -540,7 +543,7 @@ class _Run:
 
         if cfg.mode == "symbolic":
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
-            J = backward_gradient(self.core, masks, cfg.policy, self.split)
+            J = backward_gradient(self.core, masks, self.split)
             dims = smear_split_choice(J, box, cfg.precision)
             if self.reduce:
                 # monotonicity reduction: a box whose margins are monotone
@@ -585,7 +588,7 @@ class _Run:
         """Consume the rows depth-first, last pushed first, evaluating the
         frontier in waves whenever the cursor reaches a row that no wave
         has evaluated yet."""
-        stack = list(range(len(self.regions)))
+        stack = list(range(len(self.depth)))  # the regions, the only rows yet
         stats = self.stats
         depth, outcomes = self.depth, self.outcome
         t0, timeout = self.t0, self.cfg.timeout

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, round_out
+from .intervals import Box, round_out
 from .network import Network, split_weights
 from .propagate import ReluMaskMatrix
 
@@ -58,9 +58,7 @@ _GRAD_LO = np.array([0.0, 1.0, 0.0])
 _GRAD_HI = np.array([0.0, 1.0, 1.0])
 
 
-def backward_gradient(
-    net: Network, masks: ReluMaskMatrix, policy: RoundingPolicy = DEFAULT_POLICY, split=None
-) -> IntervalJacobian:
+def backward_gradient(net: Network, masks: ReluMaskMatrix, split=None) -> IntervalJacobian:
     """Interval Jacobian of outputs w.r.t. inputs, given activation masks.
 
     The masks are those of one box or of a stack; each box of a stack
@@ -91,7 +89,7 @@ def backward_gradient(
         # g_hi W+ + g_lo W-, each product of one shape; outward-rounded
         pos, neg = split[k]
         g = g @ pos + g[..., ::-1, :, :] @ neg
-        g_lo, g_hi = round_out(g[..., 0, :, :], g[..., 1, :, :], policy)
+        g_lo, g_hi = round_out(g[..., 0, :, :], g[..., 1, :, :])
     return IntervalJacobian(g_lo, g_hi)
 
 

@@ -1,10 +1,10 @@
 """Outward-rounded interval arithmetic primitives.
 
 Results are rounded outward: lower bounds are nudged toward -inf and
-upper bounds toward +inf by one ULP of the rounding policy's precision,
-once per output entry, instead of switching FPU rounding modes. This keeps
-the kernel portable and thread-safe. One ULP covers a single rounding; it
-does not cover all the error an n-term sum can accumulate.
+upper bounds toward +inf by one float64 ULP, once per output entry,
+instead of switching FPU rounding modes. This keeps the kernel portable
+and thread-safe. One ULP covers a single rounding; it does not cover all
+the error an n-term sum can accumulate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "Box",
-    "RoundingPolicy",
     "IntervalOverflowError",
     "UnsplittableError",
     "iv_bisect",
@@ -35,34 +34,9 @@ class UnsplittableError(ValueError):
     """Raised when asked to bisect a zero-width dimension."""
 
 
-@dataclass(frozen=True)
-class RoundingPolicy:
-    """The float format bounds are rounded outward in: `round_out` widens
-    by one ULP of a `precision`-bit float, and a concretized symbolic row
-    by a slack scaled by that format's unit roundoff."""
-
-    precision: int = 64  # 64 | 32
-
-    def __post_init__(self):
-        if self.precision not in (32, 64):
-            raise ValueError(f"unsupported precision {self.precision}")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == 32 else np.float64
-
-
-DEFAULT_POLICY = RoundingPolicy()
-
-
-def round_out(lo, hi, policy: RoundingPolicy = DEFAULT_POLICY):
-    """Nudge the arrays (lo, hi) outward by one ULP of the policy's
-    precision."""
-    if policy.precision == 64:
-        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-    lo = np.nextafter(np.asarray(lo, dtype=np.float32), np.float32(-np.inf))
-    hi = np.nextafter(np.asarray(hi, dtype=np.float32), np.float32(np.inf))
-    return lo.astype(np.float64), hi.astype(np.float64)
+def round_out(lo, hi):
+    """Nudge the arrays (lo, hi) outward by one ULP."""
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
 
 
 def _check_overflow(*values):
@@ -186,7 +160,7 @@ def midpoint(lo, hi):
     return mid
 
 
-def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY, split=None):
+def matvec_bounds(W, b, lo, hi, split=None):
     """Vectorized interval W @ [lo, hi] + b. Returns (lo, hi) arrays.
 
     Row i contains {sum_j W[i,j] x_j + b[i] : x_j in [lo_j, hi_j]},
@@ -209,7 +183,7 @@ def matvec_bounds(W, b, lo, hi, policy: RoundingPolicy = DEFAULT_POLICY, split=N
     ends[..., 0, :, 0] = lo
     ends[..., 1, :, 0] = hi
     ends = (pos @ ends + neg @ ends[..., ::-1, :, :])[..., 0] + b
-    out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :], policy)
+    out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :])
     _check_overflow(out_lo, out_hi)
     return out_lo, out_hi
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, Interval, RoundingPolicy, DEFAULT_POLICY, matvec_bounds
+from .intervals import Box, Interval, matvec_bounds
 from .network import DimensionMismatchError, Network, split_weights
 from .symbolic import affine_rows, bounds_of_rows, box_operand, relu_rows
 
@@ -55,9 +55,7 @@ def _check_dims(net: Network, x: Box):
         raise DimensionMismatchError(f"box has {len(x)} dims, network expects {net.input_dim}")
 
 
-def naive_forward(
-    net: Network, x: Box, policy: RoundingPolicy = DEFAULT_POLICY, split=None
-) -> ForwardResult:
+def naive_forward(net: Network, x: Box, split=None) -> ForwardResult:
     """Layerwise interval matvec + ReLU clamp; no dependency tracking.
 
     `x` is a box or a stack of boxes. `split` is `split_weights(net)`,
@@ -68,16 +66,14 @@ def naive_forward(
         split = split_weights(net)
     lo, hi = x.lo, x.hi
     for k, (layer, parts) in enumerate(zip(net.layers, split)):
-        lo, hi = matvec_bounds(layer.W, layer.b, lo, hi, policy, parts)
+        lo, hi = matvec_bounds(layer.W, layer.b, lo, hi, parts)
         if k < net.num_hidden:
             lo = np.maximum(lo, 0.0)
             hi = np.maximum(hi, 0.0)
     return ForwardResult(lo, hi)
 
 
-def symbolic_forward(
-    net: Network, x: Box, policy: RoundingPolicy = DEFAULT_POLICY, split=None
-) -> ForwardResult:
+def symbolic_forward(net: Network, x: Box, split=None) -> ForwardResult:
     """Symbolic interval analysis with per-ReLU concretization.
 
     Keeps one lower and one upper linear expression per neuron, dropping
@@ -100,6 +96,6 @@ def symbolic_forward(
         if k:
             rows = affine_rows(rows, *split[k], layer.b)
         if k < net.num_hidden:
-            masks.append(relu_rows(rows, *bounds_of_rows(rows, operand, policy)))
-    lo, hi = bounds_of_rows(rows, operand, policy)
+            masks.append(relu_rows(rows, *bounds_of_rows(rows, operand)))
+    lo, hi = bounds_of_rows(rows, operand)
     return ForwardResult(lo[..., 0, :], hi[..., 1, :], rows, ReluMaskMatrix(masks), operand)

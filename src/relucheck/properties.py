@@ -5,7 +5,10 @@ Atoms compare raw output scores (`le`, `ge`), pairwise differences
 `ismax`, `notmin`, `notmax`). Rank atoms desugar into difference atoms
 with non-strict comparisons, so a tie counts as minimal/maximal.
 
-Sound evaluation over a box is three-valued internally: an atom is
+A constraint is compiled once, into a `SoundCheck`, where every atom is a
+row r over the outputs with a threshold k. At a point the check is
+two-valued: one product gives the atoms' truths r . y <= k, and the tree
+is evaluated on those booleans. Over a box it is three-valued: an atom is
 definitely-true when the bounds prove it for every point, definitely-false
 when they refute it everywhere, otherwise unknown. Only definitely-true
 maps to the Holds verdict.
@@ -14,6 +17,7 @@ maps to the Holds verdict.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .gradients import IntervalJacobian
-from .intervals import Box, RoundingPolicy, DEFAULT_POLICY
+from .intervals import Box
 from .propagate import ForwardResult
 from .symbolic import expr_bounds
 
@@ -165,21 +169,11 @@ def desugar(c, m: int):
 
 
 def max_output_index(c) -> int:
-    idx = [-1]
-
-    def walk(node):
-        if isinstance(node, (OutLE, OutGE, IsMin, IsMax, NotMin, NotMax)):
-            idx[0] = max(idx[0], node.i)
-        if isinstance(node, DiffLE):
-            idx[0] = max(idx[0], node.i, node.j)
-        if isinstance(node, (And, Or)):
-            for a in node.args:
-                walk(a)
-        if isinstance(node, Not):
-            walk(node.arg)
-
-    walk(c)
-    return idx[0]
+    if isinstance(c, (And, Or)):
+        return max((max_output_index(a) for a in c.args), default=-1)
+    if isinstance(c, Not):
+        return max_output_index(c.arg)
+    return max(c.i, c.j) if isinstance(c, DiffLE) else c.i
 
 
 # ---------------------------------------------------------------------------
@@ -187,36 +181,42 @@ def max_output_index(c) -> int:
 
 
 def check_concrete(y, c):
-    """Exact truth of the constraint at one output vector: its sound check
-    over the point enclosure [y, y], where every atom is decided. For an
-    (n, m) batch of outputs, a bool array of the n truths.
+    """Float64 truth of the constraint at one output vector y: each atom
+    r . y <= k is decided on its float64 value, for `diffle` y_i - y_j
+    after its one rounding; truth over the reals is open work. Defined for
+    finite y only. For an (n, m) batch of outputs, a bool array of the n
+    truths.
 
     `c` is a constraint tree or a `SoundCheck` compiled from it.
     """
     y = np.asarray(y, dtype=np.float64)
     if not isinstance(c, SoundCheck):
         c = SoundCheck(c, y.shape[-1])
-    holds = c.evaluate(ForwardResult(y, y))
+    holds = c.truth(y @ c.rows_t <= c.thresholds)
     return holds if holds.ndim else bool(holds)
 
 
 class SoundCheck:
-    """A constraint compiled once for sound evaluation on many boxes or
-    points.
+    """A constraint compiled once for evaluation on many boxes or points.
 
-    Each atom becomes a margin v <= k: v = y_i for `le`, v = -y_i for `ge`
-    (so that -y_i <= -c), v = y_i - y_j for `diffle`. The bounds of every
-    margin are read, with their sign, from the vector [lo, hi, upper
-    bounds of the differences, lower bounds of the differences]. Over a
-    symbolic result, y_i - y_j is bounded through the combined rows
-    up_i - low_j (upper) and low_i - up_j (lower), which keeps shared input
-    terms correlated; all such rows are bounded in one `expr_bounds` call
-    under `policy`.
+    Each atom is a row r over the outputs (e_i for `le`, -e_i for `ge`,
+    e_i - e_j for `diffle`) and a threshold k, and holds where r . y <= k.
+    The rows are the columns of `rows_t`, the thresholds `thresholds`;
+    `truth` evaluates the constraint's tree on the atoms' truths.
 
-    Each literal, an atom under its negations, is also a row a_k over
-    the outputs (e_i, -e_i or e_i - e_j) with a threshold t_k, in `A` and
-    `t`: the literal is violated where a_k . y - t_k > 0, or >= 0 where
-    `negated[k]`, its atom being under an odd number of `Not`s.
+    The sound check over a box reads the bounds of every atom's r . y, with
+    their sign, from the vector [lo, hi, upper bounds of the differences,
+    lower bounds of the differences], and evaluates the tree in Kleene's
+    three values. Over a symbolic result, y_i - y_j is bounded through the
+    combined rows up_i - low_j (upper) and low_i - up_j (lower), which
+    keeps shared input terms correlated; all such rows are bounded in one
+    `expr_bounds` call. What it reads is built at its first use, which a
+    run decided by its root's sample never makes.
+
+    Each literal, an atom under its negations, is also a row a_k with a
+    threshold t_k, in `A` and `t`: its atom's, negated where `negated[k]`,
+    the atom being under an odd number of `Not`s. The literal is violated
+    where a_k . y - t_k > 0, or >= 0 where negated.
 
     `or_free` tells whether the constraint is a conjunction of literals in
     negation normal form: no `Or` outside a negation and no `And` under
@@ -226,74 +226,86 @@ class SoundCheck:
     rely on this.
     """
 
-    def __init__(self, c, m: int, policy: RoundingPolicy = DEFAULT_POLICY):
-        self.policy = policy
+    def __init__(self, c, m: int):
         self.or_free = True
-        atoms, pairs = [], []  # atoms: (upper bound index, lower bound index, sign, k)
-        literals = []  # per atom: (row over the outputs, threshold, negated)
+        atoms, negated = [], []
 
-        def literal(terms, threshold, negated):
-            # the atom sum(s * y_i) <= threshold over its (i, s) terms is
-            # violated where row . y - threshold > 0; under a Not, where it
-            # holds, so both are negated there
-            sign = -1.0 if negated else 1.0
-            row = [0.0] * m
-            for i, s in terms:
-                row[i] += sign * s
-            literals.append((row, sign * threshold, negated))
-
-        def compile_node(node, negated):
-            if isinstance(node, OutLE):
-                atoms.append((m + node.i, node.i, 1.0, node.c))
-                literal([(node.i, 1.0)], node.c, negated)
-            elif isinstance(node, OutGE):
-                atoms.append((node.i, m + node.i, -1.0, -node.c))
-                literal([(node.i, -1.0)], -node.c, negated)
-            elif isinstance(node, DiffLE):
-                atoms.append((2 * m + len(pairs), None, 1.0, node.c))
-                pairs.append((node.i, node.j))
-                literal([(node.i, 1.0), (node.j, -1.0)], node.c, negated)
-            elif isinstance(node, (And, Or)):
-                if isinstance(node, Or) != negated:
+        def compile_node(node, neg):
+            if isinstance(node, (OutLE, OutGE, DiffLE)):
+                atoms.append(node)
+                negated.append(neg)
+                return len(atoms) - 1
+            if isinstance(node, (And, Or)):
+                if isinstance(node, Or) != neg:
                     self.or_free = False
-                return type(node), tuple(compile_node(a, negated) for a in node.args)
-            elif isinstance(node, Not):
-                return Not, compile_node(node.arg, not negated)
+                return type(node), tuple(compile_node(a, neg) for a in node.args)
+            if isinstance(node, Not):
+                return Not, compile_node(node.arg, not neg)
+            if isinstance(node, (IsMin, IsMax, NotMin, NotMax)):
+                return compile_node(desugar(node, m), neg)
+            raise TypeError(f"unknown constraint node {node!r}")
+
+        self._node = compile_node(c, False)
+        self._atoms, self._m = atoms, m
+        self.truth = _tree(self._node, np.logical_not, True, False)
+        rows = np.zeros((len(atoms), m))
+        for k, a in enumerate(atoms):
+            rows[k, a.i] = -1.0 if isinstance(a, OutGE) else 1.0
+            if isinstance(a, DiffLE):
+                rows[k, a.j] -= 1.0
+        self.rows_t = rows.T
+        self.thresholds = np.array([-a.c if isinstance(a, OutGE) else a.c for a in atoms])
+        self.negated = np.array(negated, dtype=bool)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        # 0 - r rather than -r, so that a zero coefficient stays +0.0
+        rows = self.rows_t.T
+        return np.where(self.negated[:, np.newaxis], 0.0 - rows, rows)
+
+    @functools.cached_property
+    def t(self) -> np.ndarray:
+        return np.where(self.negated, -self.thresholds, self.thresholds)
+
+    @functools.cached_property
+    def _sound(self) -> tuple:
+        """What `evaluate` reads: the Kleene tree; the index, sign and
+        threshold of every atom's upper, then lower bound, so that one
+        comparison gives each atom's "proved", then its "not refuted"; and
+        the row pairs (a, b) whose differences a - b bound every y_i - y_j,
+        up_i - low_j from above, then low_i - up_j from below."""
+        m = self._m
+        pairs = [a for a in self._atoms if isinstance(a, DiffLE)]
+        index, p = [], 2 * m
+        for a in self._atoms:
+            if isinstance(a, DiffLE):
+                index.append((p, p + len(pairs)))
+                p += 1
             else:
-                raise TypeError(f"unknown constraint node {node!r}")
-            return len(atoms) - 1
+                index.append((m + a.i, a.i) if isinstance(a, OutLE) else (a.i, m + a.i))
+        sign = [-1.0 if isinstance(a, OutGE) else 1.0 for a in self._atoms]
+        i = np.array([a.i for a in pairs], dtype=np.intp)
+        j = np.array([a.j for a in pairs], dtype=np.intp)
+        return (
+            _tree(self._node, lambda v: _TRUE - v, _TRUE, _FALSE),
+            np.array([u for u, _ in index] + [l for _, l in index], dtype=np.intp),
+            np.array(sign + sign),
+            np.concatenate((self.thresholds, self.thresholds)),
+            np.concatenate((m + i, i)),
+            np.concatenate((j, m + j)),
+        )
 
-        self.tree = _kleene(compile_node(desugar(c, m), False))
-        p = len(pairs)
-        ub = [u for u, _, _, _ in atoms]
-        lb = [u + p if l is None else l for u, l, _, _ in atoms]
-        sign = [s for _, _, s, _ in atoms]
-        bound = [k for _, _, _, k in atoms]
-        # one comparison gives each atom's "proved" (ub <= k), then its
-        # "not refuted" (lb <= k)
-        self.index = np.array(ub + lb, dtype=np.intp)
-        self.sign = np.array(sign + sign, dtype=np.float64)
-        self.bound = np.array(bound + bound, dtype=np.float64)
-        self.i = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.j = np.array([j for _, j in pairs], dtype=np.intp)
-        # row pairs (a, b) of a symbolic result whose difference a - b
-        # bounds y_i - y_j: up_i - low_j from above, low_i - up_j from below
-        self.row_a = np.concatenate((m + self.i, self.i))
-        self.row_b = np.concatenate((self.j, m + self.j))
-        self.A = np.array([a for a, _, _ in literals], dtype=np.float64).reshape(-1, m)
-        self.t = np.array([t for _, t, _ in literals], dtype=np.float64)
-        self.negated = np.array([n for _, _, n in literals], dtype=bool)
-
-    def _diff_bounds(self, fr: ForwardResult):
+    def _diff_bounds(self, fr: ForwardResult, row_a, row_b):
         """(upper, lower) bound arrays of y_i - y_j for every diffle atom."""
-        i, j, rows = self.i, self.j, fr.rows
-        if rows is None:
-            return fr.hi[..., i] - fr.lo[..., j], fr.lo[..., i] - fr.hi[..., j]
+        p = len(row_a) // 2
+        if fr.rows is None:
+            ends = np.concatenate((fr.lo, fr.hi), axis=-1)
+            diff = ends[..., row_a] - ends[..., row_b]
+            return diff[..., :p], diff[..., p:]
         # lower row i is row i, upper row i is row m + i
-        flat = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
-        diff = flat[..., self.row_a, :] - flat[..., self.row_b, :]
-        lo, hi = expr_bounds(diff, fr.operand, self.policy)
-        return hi[..., : len(i)], lo[..., len(i) :]
+        flat = fr.rows.reshape(fr.rows.shape[:-3] + (-1, fr.rows.shape[-1]))
+        lo, hi = expr_bounds(flat[..., row_a, :] - flat[..., row_b, :], fr.operand)
+        return hi[..., :p], lo[..., p:]
 
     def evaluate(self, fr: ForwardResult):
         """Where the bounds prove the constraint at every point of the box
@@ -301,13 +313,14 @@ class SoundCheck:
 
         The tree is evaluated in Kleene's three values, so that a `Not`
         of an atom the bounds neither prove nor refute stays unknown."""
+        tree, index, sign, bound, row_a, row_b = self._sound
         bounds = [fr.lo, fr.hi]
-        if len(self.i):
-            bounds.extend(self._diff_bounds(fr))
-        flags = np.concatenate(bounds, axis=-1)[..., self.index] * self.sign <= self.bound
-        n = len(self.index) // 2
+        if len(row_a):
+            bounds.extend(self._diff_bounds(fr, row_a, row_b))
+        flags = np.concatenate(bounds, axis=-1)[..., index] * sign <= bound
+        n = len(index) // 2
         # an atom is TRUE where proved, else UNKNOWN unless refuted
-        return self.tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:])) == _TRUE
+        return tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:])) == _TRUE
 
     def monotone_dims(self, J: IntervalJacobian, wide):
         """(B, d) bool: the dims in `wide` where every literal's margin has
@@ -323,21 +336,26 @@ class SoundCheck:
 _FALSE, _UNKNOWN, _TRUE = 0, 1, 2
 
 
-def _kleene(node):
+def _tree(node, negate, true, false):
     """The function from atom values (last axis) to the value of a
-    compiled node."""
+    compiled node, in a logic whose And is the minimum, Or the maximum and
+    Not `negate`, with `true` and `false` its ends: Boolean logic on bool
+    arrays, Kleene's on its values as integers."""
     if isinstance(node, int):
         return lambda v: v[..., node]
     op, arg = node
     if op is Not:
-        inner = _kleene(arg)
-        return lambda v: _TRUE - inner(v)
-    atoms = np.array([a for a in arg if isinstance(a, int)], dtype=np.intp)
-    subs = [_kleene(a) for a in arg if not isinstance(a, int)]
-    reduce, pair, empty = (np.min, np.minimum, _TRUE) if op is And else (np.max, np.maximum, _FALSE)
+        inner = _tree(arg, negate, true, false)
+        return lambda v: negate(inner(v))
+    pair, empty = (np.minimum, true) if op is And else (np.maximum, false)
+    atoms = [a for a in arg if isinstance(a, int)]
+    subs = [_tree(a, negate, true, false) for a in arg if not isinstance(a, int)]
+    # a run of consecutive atoms, the usual case, is read as a view
+    run = atoms and atoms == list(range(atoms[0], atoms[0] + len(atoms)))
+    at = slice(atoms[0], atoms[0] + len(atoms)) if run else np.array(atoms, dtype=np.intp)
 
     def value(v):
-        out = reduce(v[..., atoms], axis=-1) if len(atoms) else np.full(v.shape[:-1], empty)
+        out = pair.reduce(v[..., at], axis=-1, initial=empty)
         for sub in subs:
             out = pair(out, sub(v))
         return out

@@ -17,7 +17,7 @@ import enum
 
 import numpy as np
 
-from .intervals import Box, RoundingPolicy, DEFAULT_POLICY, _check_overflow
+from .intervals import Box, _check_overflow
 
 __all__ = [
     "ReluState",
@@ -69,7 +69,7 @@ def box_operand(x: Box) -> np.ndarray:
 _CONST_ENDS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
-def _row_bounds(rows, operand, policy: RoundingPolicy):
+def _row_bounds(rows, operand):
     """Sound bounds of rows [c, k] (coefficients, constant), through the
     product of their sign split with the (broadcast) `box_operand`: a
     sign-split evaluation widened by the slack. The last axis of the
@@ -81,33 +81,35 @@ def _row_bounds(rows, operand, policy: RoundingPolicy):
     roundoff bound, n * u * sum(|terms|) with u the unit roundoff.
     """
     ends = np.concatenate((np.maximum(rows, 0.0), np.minimum(rows, 0.0)), axis=-1) @ operand
-    fi = np.finfo(policy.dtype)
-    slack = rows.shape[-1] * (fi.eps / 2) * ends[..., 2:] + 2 * fi.tiny
+    slack = rows.shape[-1] * _UNIT_ROUNDOFF * ends[..., 2:] + 2 * _TINY
     return ends[..., :2] + slack * _OUTWARD
 
 
 _OUTWARD = np.array([-1.0, 1.0])
+# float64's unit roundoff and its smallest normal number
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
 
 
-def expr_bounds(rows, operand, policy: RoundingPolicy = DEFAULT_POLICY):
+def expr_bounds(rows, operand):
     """Sound (lo, hi) arrays of the rows [c, k] (coefficients, constant),
     c @ x + k, over the box whose `box_operand` is given.
 
     Each row is evaluated in a product of its own, so its bounds are those
     it would get in a batch of one.
     """
-    bounds = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :], policy)
+    bounds = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :])
     return bounds[..., 0, 0], bounds[..., 0, 1]
 
 
-def bounds_of_rows(rows, operand, policy: RoundingPolicy = DEFAULT_POLICY):
+def bounds_of_rows(rows, operand):
     """Concrete (lo, hi) arrays, shaped (..., 2, n) like the rows, of every
     row of a layer over the box whose `box_operand` is given.
 
     The lower and the upper rows are bounded in one matrix product each.
     Raises IntervalOverflowError when a bound is not finite.
     """
-    bounds = _row_bounds(rows, operand[..., np.newaxis, :, :], policy)
+    bounds = _row_bounds(rows, operand[..., np.newaxis, :, :])
     _check_overflow(bounds)
     return bounds[..., 0], bounds[..., 1]
 

@@ -41,10 +41,6 @@ def test_verify_naive_mode(capsys):
     assert run(["verify", "--network", NET, "--property", LE20, "--mode", "naive"]) == 0
 
 
-def test_verify_fp32(capsys):
-    assert run(["verify", "--network", NET, "--property", LE20, "--fp32"]) == 0
-
-
 def test_verify_report(tmp_path, capsys):
     report = tmp_path / "r.json"
     run(["verify", "--network", NET, "--property", LE15, "--report", str(report)])
@@ -88,6 +84,15 @@ def test_eval(capsys):
 
 def test_eval_bad_input_exit_3(capsys):
     assert run(["eval", "--network", NET, "--input", "4,banana"]) == 3
+
+
+@pytest.mark.parametrize("values", ["nan,0", "inf,1", "4,-inf"])
+def test_eval_non_finite_input_exit_3(capsys, recwarn, values):
+    assert run(["eval", "--network", NET, "--input", values]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_eval_wrong_dim_exit_5(capsys):

@@ -17,7 +17,7 @@ from relucheck.engine import (
     verify,
     write_report,
 )
-from relucheck.intervals import Box, IntervalOverflowError
+from relucheck.intervals import Box, IntervalOverflowError, midpoint
 from relucheck.network import DimensionMismatchError, Network, eval_concrete, load_network
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import (
@@ -49,7 +49,7 @@ def le15(demo_net):
 
 
 def test_default_max_depth():
-    regions = [Box.from_arrays([0, 0], [4, 1])]
+    regions = Box.from_arrays([0, 0], [4, 1])
     # ceil(log2(4 / 0.7)) * 2 = 6
     assert default_max_depth(regions, 0.7) == 6
     assert default_max_depth(regions, 100.0) == 1
@@ -525,6 +525,77 @@ def test_normalized_units_counterexample():
     v = verify(net, parse_property(text, num_outputs=1), Config())
     assert v.status is Status.INSECURE
     assert v.counterexample.tolist() == [0.5]
+
+
+def _count_full_passes(monkeypatch) -> list:
+    """The points the engine passes to eval_concrete, the full network's
+    one-point pass, from now on."""
+    points, real = [], engine.eval_concrete
+    monkeypatch.setattr(engine, "eval_concrete", lambda net, x: points.append(x.tolist()) or real(net, x))
+    return points
+
+
+def _round_trip(net, a, b):
+    """The midpoint u of the raw region [a, b] in the coordinates of the
+    core, the raw point it converts to, and that point normalized again."""
+    u = midpoint(net.normalize(np.array([a])), net.normalize(np.array([b])))
+    raw = net.denormalize(u)
+    return float(u[0]), float(raw[0]), float(net.normalize(raw)[0])
+
+
+def test_exact_round_trip_takes_no_second_pass(monkeypatch):
+    # u = (x - 1) / 2 and back are exact at the midpoint x = 3, u = 1,
+    # where y = u violates y <= 0.5
+    net = load_network("1 1 1 1\n1,1\nnorm: 1.0,2.0\n1\n0\n")
+    assert _round_trip(net, 1.0, 5.0) == (1.0, 3.0, 1.0)
+    spec = parse_property("domain:\n1 5\nregion:\n*\nconstraint:\nle 0 0.5\n", num_outputs=1)
+    points = _count_full_passes(monkeypatch)
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [3.0]
+    assert v.stats.nodes_explored == 1
+    assert points == []
+
+
+def test_inexact_round_trip_is_checked_through_the_full_network(monkeypatch):
+    # u = (x - 0.1) / 0.3 at the midpoint of [0.2, 0.7] does not survive the
+    # round trip, so the raw point is evaluated through the full network
+    net = load_network("1 1 1 1\n1,1\nnorm: 0.1,0.3\n1\n0\n")
+    u, raw, back = _round_trip(net, 0.2, 0.7)
+    assert back != u
+    c = u - 0.25
+    spec = parse_property(f"domain:\n0.2 0.7\nregion:\n*\nconstraint:\nle 0 {c!r}\n", num_outputs=1)
+    points = _count_full_passes(monkeypatch)
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [raw]
+    assert points == [[raw]]
+    assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
+
+
+@pytest.mark.parametrize("attack", [True, False])
+def test_point_that_fails_its_recheck_is_not_reported(monkeypatch, attack):
+    # at the midpoint of [0, 0.5] the core computes y = u, but the full
+    # network computes y = back < u at the raw point; with the threshold at
+    # back, the core's point violates and the raw one does not
+    net = load_network("1 1 1 1\n1,1\nnorm: 0.1,0.3\n1\n0\n")
+    u, raw, back = _round_trip(net, 0.0, 0.5)
+    assert back < u
+    spec = parse_property(f"domain:\n0 0.5\nregion:\n*\nconstraint:\nle 0 {back!r}\n", num_outputs=1)
+    if not attack:
+        without_attack(monkeypatch)
+    points = _count_full_passes(monkeypatch)
+    v = verify(net, spec, Config())
+    # the search goes on past the refused point and finds another one
+    assert points[0] == [raw]
+    assert v.status is Status.INSECURE and v.counterexample.tolist() != [raw]
+    assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
+    assert v.stats.nodes_explored == 1 if attack else v.stats.nodes_explored > 1
+
+
+def test_region_that_overflows_when_normalized_is_rejected():
+    net = load_network("1 1 1 1\n1,1\nnorm: 0.0,1e-300\n1\n0\n")
+    spec = parse_property("domain:\n-1e10 1e10\nregion:\n*\nconstraint:\nle 0 1\n", num_outputs=1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        verify(net, spec, Config())
 
 
 def test_stats_accounting(demo_net, le15):

@@ -86,7 +86,7 @@ def _keywords_passed(cls_name: str, paths) -> set:
     return passed
 
 
-@pytest.mark.parametrize("cls", [engine.Config, intervals.RoundingPolicy], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [engine.Config], ids=lambda c: c.__name__)
 def test_settings_are_set_outside_tests(cls):
     # a field that no caller outside the tests sets has one value in use,
     # and is a constant, not a setting

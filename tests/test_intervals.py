@@ -10,7 +10,6 @@ from relucheck.intervals import (
     Box,
     Interval,
     IntervalOverflowError,
-    RoundingPolicy,
     UnsplittableError,
     iv_bisect,
     matvec_bounds,
@@ -28,15 +27,15 @@ def intervals(draw):
     return Interval(min(a, b), max(a, b))
 
 
-def add(a: Interval, b: Interval, policy: RoundingPolicy = RoundingPolicy()) -> Interval:
+def add(a: Interval, b: Interval) -> Interval:
     """a + b as the 1x2 interval product [1, 1] @ (a, b)."""
-    lo, hi = matvec_bounds([[1.0, 1.0]], [0.0], [a.lo, b.lo], [a.hi, b.hi], policy)
+    lo, hi = matvec_bounds([[1.0, 1.0]], [0.0], [a.lo, b.lo], [a.hi, b.hi])
     return Interval(lo[0], hi[0])
 
 
-def scale(c: float, a: Interval, policy: RoundingPolicy = RoundingPolicy()) -> Interval:
+def scale(c: float, a: Interval) -> Interval:
     """c * a as the 1x1 interval product [[c]] @ a."""
-    lo, hi = matvec_bounds([[c]], [0.0], [a.lo], [a.hi], policy)
+    lo, hi = matvec_bounds([[c]], [0.0], [a.lo], [a.hi])
     return Interval(lo[0], hi[0])
 
 
@@ -181,10 +180,3 @@ def test_inclusion_isotonicity(a, b):
     slack = 2 * math.ulp(max(abs(r.lo), abs(r.hi), 1.0))
     assert subset_of(r2, r, slack)
 
-
-def test_fp32_policy_rounds_in_float32():
-    p32 = RoundingPolicy(precision=32)
-    r = add(Interval(0.1, 0.1), Interval(0.2, 0.2), p32)
-    exact = Fraction(0.1) + Fraction(0.2)
-    assert Fraction(r.lo) <= exact <= Fraction(r.hi)
-    assert r.hi - r.lo >= float(np.spacing(np.float32(0.3)))

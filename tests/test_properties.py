@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -225,6 +226,86 @@ def test_literal_row_is_violated_where_the_constraint_is(literal):
     margin = y @ a - t
     violated = margin >= 0.0 if negated else margin > 0.0
     assert (~check_concrete(y, check)).tolist() == violated.tolist()
+
+
+def _exact_truth(c, y) -> bool:
+    """The constraint at outputs y, every atom compared in exact rational
+    arithmetic and rank atoms read from their definitions."""
+    v = [Fraction(float(a)) for a in y]
+    others = lambda i: [v[j] for j in range(len(v)) if j != i]
+    if isinstance(c, OutLE):
+        return v[c.i] <= Fraction(c.c)
+    if isinstance(c, OutGE):
+        return v[c.i] >= Fraction(c.c)
+    if isinstance(c, DiffLE):
+        return v[c.i] - v[c.j] <= Fraction(c.c)
+    if isinstance(c, IsMin):
+        return all(v[c.i] <= w for w in others(c.i))
+    if isinstance(c, IsMax):
+        return all(w <= v[c.i] for w in others(c.i))
+    if isinstance(c, NotMin):
+        return any(w <= v[c.i] for w in others(c.i))
+    if isinstance(c, NotMax):
+        return any(v[c.i] <= w for w in others(c.i))
+    if isinstance(c, Not):
+        return not _exact_truth(c.arg, y)
+    combine = all if isinstance(c, And) else any
+    return combine(_exact_truth(a, y) for a in c.args)
+
+
+def _random_constraint(rng, m, values, depth, general_diffle):
+    """A random tree of every atom kind (general `diffle` thresholds only
+    where `general_diffle`) under Not, And and Or; thresholds from `values`."""
+    if depth == 0 or rng.random() < 0.3:
+        i, j = (int(k) for k in rng.integers(0, m, size=2))
+        c = float(rng.choice(values))
+        kinds = [OutLE(i, c), OutGE(i, c), IsMin(i), IsMax(i), NotMin(i), NotMax(i), DiffLE(i, j, 0.0)]
+        if general_diffle:
+            kinds.append(DiffLE(i, j, c))
+        return kinds[rng.integers(len(kinds))]
+    kind = rng.integers(3)
+    if kind == 0:
+        return Not(_random_constraint(rng, m, values, depth - 1, general_diffle))
+    args = tuple(_random_constraint(rng, m, values, depth - 1, general_diffle) for _ in range(rng.integers(1, 4)))
+    return And(args) if kind == 1 else Or(args)
+
+
+def _atoms(c):
+    if isinstance(c, (And, Or)):
+        return [a for arg in c.args for a in _atoms(arg)]
+    return _atoms(c.arg) if isinstance(c, Not) else [c]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_concrete_matches_exact_atoms(seed):
+    rng = np.random.default_rng(seed)
+    m, ties = 3, 0
+    # outputs and thresholds on a grid of quarters, where every y_i - y_j
+    # is exact and many atoms sit exactly at their threshold; then random
+    # doubles of many magnitudes, thresholds drawn from the outputs
+    # themselves, and no general diffle, whose float difference may round
+    grid = rng.integers(-6, 7, size=(40, m)) / 4.0
+    wide = rng.standard_normal((40, m)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))
+    for ys, general in ((grid, True), (wide, False)):
+        values = np.unique(np.concatenate((ys.ravel(), np.arange(-6, 7) / 4.0)))
+        for _ in range(25):
+            c = _random_constraint(rng, m, values, 3, general)
+            want = [_exact_truth(c, y) for y in ys]
+            for compiled in (c, desugar(c, m), SoundCheck(c, m)):
+                assert check_concrete(ys, compiled).tolist() == want, c
+                assert [check_concrete(y, compiled) for y in ys] == want, c
+            ties += sum(
+                y[a.i] == a.c for a in _atoms(c) if isinstance(a, (OutLE, OutGE)) for y in ys
+            )
+    assert ties > 0
+
+
+def test_check_concrete_is_a_plain_bool_for_one_vector():
+    assert check_concrete(np.array([1.0, 2.0]), OutLE(0, 1.0)) is True
+    assert check_concrete(np.array([1.0, 2.0]), Not(OutLE(0, 1.0))) is False
+    assert check_concrete(np.array([1.0, 2.0]), And(())) is True
+    assert check_concrete(np.array([1.0, 2.0]), Or(())) is False
+    assert check_concrete(np.zeros((4, 2)), Or(())).tolist() == [False] * 4
 
 
 # ---------------------------------------------------------------------------
