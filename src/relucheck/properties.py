@@ -5,13 +5,13 @@ Atoms compare raw output scores (`le`, `ge`), pairwise differences
 `ismax`, `notmin`, `notmax`). Rank atoms desugar into difference atoms
 with non-strict comparisons, so a tie counts as minimal/maximal.
 
-A constraint is compiled once, into a `SoundCheck`, where every atom is a
-row r over the outputs with a threshold k. At a point the check is
-two-valued: one product gives the atoms' truths r . y <= k, and the tree
-is evaluated on those booleans. Over a box it is three-valued: an atom is
-definitely-true when the bounds prove it for every point, definitely-false
-when they refute it everywhere, otherwise unknown. Only definitely-true
-maps to the Holds verdict.
+A constraint is compiled once, into a `SoundCheck`: negations pushed down
+to the atoms, one And/Or tree over literals, and literal k a row a_k over
+the outputs that holds where a_k . y <= bound_k. Both checks run that one
+Boolean tree. At a point it reads the literals' truths from one product,
+y @ A.T <= bound. Over a box a literal counts as true where an upper bound
+of a_k . y over the box is <= bound_k; in negation normal form this is
+Kleene's definitely-true, and only it maps to the Holds verdict.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .gradients import IntervalJacobian
 from .intervals import Box
+from .network import DimensionMismatchError
 from .propagate import ForwardResult
 from .symbolic import expr_bounds
 
@@ -181,181 +182,132 @@ def max_output_index(c) -> int:
 
 
 def check_concrete(y, c):
-    """Float64 truth of the constraint at one output vector y: each atom
-    r . y <= k is decided on its float64 value, for `diffle` y_i - y_j
-    after its one rounding; truth over the reals is open work. Defined for
-    finite y only. For an (n, m) batch of outputs, a bool array of the n
-    truths.
+    """Float64 truth of the constraint at one output vector y: each literal
+    a . y <= bound is decided on its float64 value, for a difference
+    y_i - y_j after its one rounding; truth over the reals is open work.
+    Defined for finite y only. For an (n, m) batch of outputs, a bool array
+    of the n truths.
 
     `c` is a constraint tree or a `SoundCheck` compiled from it.
     """
     y = np.asarray(y, dtype=np.float64)
     if not isinstance(c, SoundCheck):
         c = SoundCheck(c, y.shape[-1])
-    holds = c.truth(y @ c.rows_t <= c.thresholds)
+    holds = c.truth(y @ c.A.T <= c.bound)
     return holds if holds.ndim else bool(holds)
 
 
 class SoundCheck:
     """A constraint compiled once for evaluation on many boxes or points.
 
-    Each atom is a row r over the outputs (e_i for `le`, -e_i for `ge`,
-    e_i - e_j for `diffle`) and a threshold k, and holds where r . y <= k.
-    The rows are the columns of `rows_t`, the thresholds `thresholds`;
-    `truth` evaluates the constraint's tree on the atoms' truths.
+    Every `Not` is pushed down to the atoms (De Morgan), leaving one And/Or
+    tree over literals; `truth` evaluates it on the literals' truths (last
+    axis). Literal k is a row a_k of `A` (e_i for `le`, -e_i for `ge`,
+    e_i - e_j for `diffle`, negated under an odd number of `Not`s) with a
+    threshold t_k in `t`. A negated literal is strict, a_k . y < t_k, so
+    `bound[k]` is t_k, or the float below it where strict: every literal
+    holds exactly where a_k . y <= bound[k].
 
-    The sound check over a box reads the bounds of every atom's r . y, with
-    their sign, from the vector [lo, hi, upper bounds of the differences,
-    lower bounds of the differences], and evaluates the tree in Kleene's
-    three values. Over a symbolic result, y_i - y_j is bounded through the
-    combined rows up_i - low_j (upper) and low_i - up_j (lower), which
-    keeps shared input terms correlated; all such rows are bounded in one
-    `expr_bounds` call. What it reads is built at its first use, which a
-    run decided by its root's sample never makes.
+    Over a box a literal counts as true where an upper bound of a_k . y is
+    <= bound[k]. That is Kleene's definitely-true: in negation normal form
+    an And or Or is definitely true where all or any of its arguments are,
+    and a negated atom where the bounds refute the atom. The upper bound is
+    hi @ A+ + lo @ A- over the output bounds or, over a symbolic result,
+    that of the row A+ @ up + A- @ low, which keeps the input terms shared
+    by y_i and y_j correlated. A+ and A- are built at their first use,
+    which a run decided by its root's sample never makes.
 
-    Each literal, an atom under its negations, is also a row a_k with a
-    threshold t_k, in `A` and `t`: its atom's, negated where `negated[k]`,
-    the atom being under an odd number of `Not`s. The literal is violated
-    where a_k . y - t_k > 0, or >= 0 where negated.
+    `or_free` tells whether the tree has no `Or`. Only then is the
+    constraint violated wherever a single literal is, so that margins
+    monotone in a dim put a violation, if the box has one, at an end of
+    that dim; the monotonicity reduction and the gradient attack rely on
+    this.
 
-    `or_free` tells whether the constraint is a conjunction of literals in
-    negation normal form: no `Or` outside a negation and no `And` under
-    one. Only then is it violated wherever a single literal is, so that
-    margins monotone in a dim put a violation, if the box has one, at an
-    end of that dim; the monotonicity reduction and the gradient attack
-    rely on this.
+    Raises DimensionMismatchError for an output index outside range(m),
+    ValueError for a threshold that is not finite.
     """
 
     def __init__(self, c, m: int):
         self.or_free = True
-        atoms, negated = [], []
+        table = []  # per literal: a_k, t_k, bound[k]
 
         def compile_node(node, neg):
             if isinstance(node, (OutLE, OutGE, DiffLE)):
-                atoms.append(node)
-                negated.append(neg)
-                return len(atoms) - 1
-            if isinstance(node, (And, Or)):
-                if isinstance(node, Or) != neg:
-                    self.or_free = False
-                return type(node), tuple(compile_node(a, neg) for a in node.args)
+                diff = isinstance(node, DiffLE)
+                if node.i not in range(m) or diff and node.j not in range(m):
+                    raise DimensionMismatchError(f"{node!r} reads an output outside range({m})")
+                c = float(node.c)
+                if not math.isfinite(c):
+                    raise ValueError(f"threshold of {node!r} is not finite")
+                # the literal s (y_i - y_j) <= s c, no y_j outside `diffle`,
+                # with s = -1 for `ge`, flipped under a negation
+                s = -1.0 if isinstance(node, OutGE) != neg else 1.0
+                row = [0.0] * (m + 2)
+                row[node.i] = s
+                if diff:
+                    row[node.j] -= s
+                row[m] = row[m + 1] = s * c
+                if neg:
+                    row[m + 1] = math.nextafter(s * c, -math.inf)
+                table.append(row)
+                return len(table) - 1
             if isinstance(node, Not):
-                return Not, compile_node(node.arg, not neg)
+                return compile_node(node.arg, not neg)
+            if isinstance(node, (And, Or)):
+                op = (Or if isinstance(node, And) else And) if neg else type(node)
+                self.or_free = self.or_free and op is And
+                return op, tuple(compile_node(a, neg) for a in node.args)
             if isinstance(node, (IsMin, IsMax, NotMin, NotMax)):
                 return compile_node(desugar(node, m), neg)
             raise TypeError(f"unknown constraint node {node!r}")
 
-        self._node = compile_node(c, False)
-        self._atoms, self._m = atoms, m
-        self.truth = _tree(self._node, np.logical_not, True, False)
-        rows = np.zeros((len(atoms), m))
-        for k, a in enumerate(atoms):
-            rows[k, a.i] = -1.0 if isinstance(a, OutGE) else 1.0
-            if isinstance(a, DiffLE):
-                rows[k, a.j] -= 1.0
-        self.rows_t = rows.T
-        self.thresholds = np.array([-a.c if isinstance(a, OutGE) else a.c for a in atoms])
-        self.negated = np.array(negated, dtype=bool)
+        self.truth = _tree(compile_node(c, False))
+        table = np.array(table).reshape(len(table), m + 2)
+        self.A, self.t, self.bound = table[:, :m], table[:, m], table[:, m + 1]
 
     @functools.cached_property
-    def A(self) -> np.ndarray:
-        # 0 - r rather than -r, so that a zero coefficient stays +0.0
-        rows = self.rows_t.T
-        return np.where(self.negated[:, np.newaxis], 0.0 - rows, rows)
-
-    @functools.cached_property
-    def t(self) -> np.ndarray:
-        return np.where(self.negated, -self.thresholds, self.thresholds)
-
-    @functools.cached_property
-    def _sound(self) -> tuple:
-        """What `evaluate` reads: the Kleene tree; the index, sign and
-        threshold of every atom's upper, then lower bound, so that one
-        comparison gives each atom's "proved", then its "not refuted"; and
-        the row pairs (a, b) whose differences a - b bound every y_i - y_j,
-        up_i - low_j from above, then low_i - up_j from below."""
-        m = self._m
-        pairs = [a for a in self._atoms if isinstance(a, DiffLE)]
-        index, p = [], 2 * m
-        for a in self._atoms:
-            if isinstance(a, DiffLE):
-                index.append((p, p + len(pairs)))
-                p += 1
-            else:
-                index.append((m + a.i, a.i) if isinstance(a, OutLE) else (a.i, m + a.i))
-        sign = [-1.0 if isinstance(a, OutGE) else 1.0 for a in self._atoms]
-        i = np.array([a.i for a in pairs], dtype=np.intp)
-        j = np.array([a.j for a in pairs], dtype=np.intp)
-        return (
-            _tree(self._node, lambda v: _TRUE - v, _TRUE, _FALSE),
-            np.array([u for u, _ in index] + [l for _, l in index], dtype=np.intp),
-            np.array(sign + sign),
-            np.concatenate((self.thresholds, self.thresholds)),
-            np.concatenate((m + i, i)),
-            np.concatenate((j, m + j)),
-        )
-
-    def _diff_bounds(self, fr: ForwardResult, row_a, row_b):
-        """(upper, lower) bound arrays of y_i - y_j for every diffle atom."""
-        p = len(row_a) // 2
-        if fr.rows is None:
-            ends = np.concatenate((fr.lo, fr.hi), axis=-1)
-            diff = ends[..., row_a] - ends[..., row_b]
-            return diff[..., :p], diff[..., p:]
-        # lower row i is row i, upper row i is row m + i
-        flat = fr.rows.reshape(fr.rows.shape[:-3] + (-1, fr.rows.shape[-1]))
-        lo, hi = expr_bounds(flat[..., row_a, :] - flat[..., row_b, :], fr.operand)
-        return hi[..., :p], lo[..., p:]
+    def _split(self) -> np.ndarray:
+        """[A- | A+]: the negative and the positive part of `A`, side by side."""
+        return np.concatenate((np.minimum(self.A, 0.0), np.maximum(self.A, 0.0)), axis=1)
 
     def evaluate(self, fr: ForwardResult):
         """Where the bounds prove the constraint at every point of the box
-        (or of each box of the stack) that `fr` bounds, as a bool array.
-
-        The tree is evaluated in Kleene's three values, so that a `Not`
-        of an atom the bounds neither prove nor refute stays unknown."""
-        tree, index, sign, bound, row_a, row_b = self._sound
-        bounds = [fr.lo, fr.hi]
-        if len(row_a):
-            bounds.extend(self._diff_bounds(fr, row_a, row_b))
-        flags = np.concatenate(bounds, axis=-1)[..., index] * sign <= bound
-        n = len(index) // 2
-        # an atom is TRUE where proved, else UNKNOWN unless refuted
-        return tree(np.maximum(_TRUE * flags[..., :n], flags[..., n:])) == _TRUE
+        (or of each box of the stack) that `fr` bounds, as a bool array."""
+        if fr.rows is None:
+            upper = np.concatenate((fr.lo, fr.hi), axis=-1) @ self._split.T
+        else:
+            # the lower rows of the outputs, then their upper rows
+            flat = fr.rows.reshape(fr.rows.shape[:-3] + (-1, fr.rows.shape[-1]))
+            _, upper = expr_bounds(self._split @ flat, fr.operand)
+        return self.truth(upper <= self.bound)
 
     def monotone_dims(self, J: IntervalJacobian, wide):
         """(B, d) bool: the dims in `wide` where every literal's margin has
         a sign-definite derivative over the box, by the interval product of
         `A` with the interval Jacobian `J` of its stack."""
-        pos, neg = np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
+        m = self.A.shape[1]
+        neg, pos = self._split[:, :m], self._split[:, m:]
         lo = pos @ J.lo + neg @ J.hi
         hi = pos @ J.hi + neg @ J.lo
         return ((lo > 0.0) | (hi < 0.0)).all(axis=-2) & wide
 
 
-# Kleene values as integers: And is the minimum, Or the maximum, Not 2 - v
-_FALSE, _UNKNOWN, _TRUE = 0, 1, 2
-
-
-def _tree(node, negate, true, false):
-    """The function from atom values (last axis) to the value of a
-    compiled node, in a logic whose And is the minimum, Or the maximum and
-    Not `negate`, with `true` and `false` its ends: Boolean logic on bool
-    arrays, Kleene's on its values as integers."""
+def _tree(node):
+    """The function from literal truths (last axis) to the truth of a
+    compiled node: a literal's index, or an (And or Or, arguments) pair."""
     if isinstance(node, int):
         return lambda v: v[..., node]
-    op, arg = node
-    if op is Not:
-        inner = _tree(arg, negate, true, false)
-        return lambda v: negate(inner(v))
-    pair, empty = (np.minimum, true) if op is And else (np.maximum, false)
-    atoms = [a for a in arg if isinstance(a, int)]
-    subs = [_tree(a, negate, true, false) for a in arg if not isinstance(a, int)]
-    # a run of consecutive atoms, the usual case, is read as a view
-    run = atoms and atoms == list(range(atoms[0], atoms[0] + len(atoms)))
-    at = slice(atoms[0], atoms[0] + len(atoms)) if run else np.array(atoms, dtype=np.intp)
+    op, args = node
+    pair = np.logical_and if op is And else np.logical_or
+    literals = [a for a in args if isinstance(a, int)]
+    subs = [_tree(a) for a in args if not isinstance(a, int)]
+    # a run of consecutive literals, the usual case, is read as a view
+    first = literals[0] if literals else 0
+    run = literals == list(range(first, first + len(literals)))
+    at = slice(first, first + len(literals)) if run else np.array(literals, dtype=np.intp)
 
     def value(v):
-        out = pair.reduce(v[..., at], axis=-1, initial=empty)
+        out = pair.reduce(v[..., at], axis=-1)
         for sub in subs:
             out = pair(out, sub(v))
         return out

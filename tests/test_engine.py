@@ -21,6 +21,7 @@ from relucheck.intervals import Box, IntervalOverflowError, midpoint
 from relucheck.network import DimensionMismatchError, Network, eval_concrete, load_network
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import (
+    DiffLE,
     InputSpec,
     IsMax,
     Not,
@@ -312,6 +313,13 @@ def test_dimension_mismatch_is_typed(demo_net):
             forward(demo_net, Box.from_arrays([0], [1]))
     with pytest.raises(DimensionMismatchError):
         eval_concrete(demo_net, [1.0, 2.0, 3.0])
+
+
+def test_verify_rejects_an_output_index_out_of_range(demo_net, demo_box):
+    # the demo net has one output: -1 would read it from the end
+    for c in (OutLE(-1, 20.0), DiffLE(0, -1, 0.0), OutLE(1, 20.0)):
+        with pytest.raises(DimensionMismatchError):
+            verify(demo_net, (InputSpec((demo_box,)), c), Config())
 
 
 def test_verify_multi_region(demo_net):

@@ -8,7 +8,8 @@ import pytest
 from relucheck.data import shipped_path
 from relucheck.gradients import IntervalJacobian
 from relucheck.intervals import Box
-from relucheck.propagate import naive_forward, symbolic_forward
+from relucheck.network import DimensionMismatchError
+from relucheck.propagate import ForwardResult, naive_forward, symbolic_forward
 from relucheck.properties import (
     And,
     DiffLE,
@@ -29,8 +30,9 @@ from relucheck.properties import (
     desugar,
     parse_property,
 )
+from relucheck.symbolic import expr_bounds
 
-from conftest import random_box, random_net, sample_points
+from conftest import make_net, random_box, random_net, sample_points
 
 
 def load_prop(name, m):
@@ -208,7 +210,8 @@ def test_literal_rows():
     check = SoundCheck(c, 3)
     assert check.A.tolist() == [[1, 0, 0], [0, -1, 0], [1, 0, -1], [0, 0, -1], [1, -1, 0]]
     assert check.t.tolist() == [1.0, -2.0, 3.0, -4.0, 1.0]
-    assert check.negated.tolist() == [False, False, False, True, True]
+    # a negated literal is strict: its bound is the float below t
+    assert check.bound.tolist() == [1.0, -2.0, 3.0, np.nextafter(-4.0, -np.inf), np.nextafter(1.0, -np.inf)]
     assert SoundCheck(And(()), 2).A.shape == (0, 2)
 
 
@@ -218,14 +221,18 @@ def test_literal_rows():
     ids=repr,
 )
 def test_literal_row_is_violated_where_the_constraint_is(literal):
-    # a literal is violated where a . y - t > 0, or >= 0 under a Not;
-    # outputs on a grid of quarters hit every threshold exactly
+    # a literal is violated where a . y - t > 0, or >= 0 under a Not,
+    # that is where a . y > bound; outputs on a grid of quarters hit every
+    # threshold exactly
     check = SoundCheck(literal, 2)
-    (a,), (t,), (negated,) = check.A, check.t, check.negated
+    (a,), (t,), (bound,) = check.A, check.t, check.bound
+    negated = bound < t
+    assert negated == isinstance(literal, Not)
     y = np.array([[u, v] for u in np.arange(-1, 2, 0.25) for v in np.arange(-1, 2, 0.25)])
     margin = y @ a - t
     violated = margin >= 0.0 if negated else margin > 0.0
     assert (~check_concrete(y, check)).tolist() == violated.tolist()
+    assert (y @ a > bound).tolist() == violated.tolist()
 
 
 def _exact_truth(c, y) -> bool:
@@ -298,6 +305,85 @@ def test_check_concrete_matches_exact_atoms(seed):
                 y[a.i] == a.c for a in _atoms(c) if isinstance(a, (OutLE, OutGE)) for y in ys
             )
     assert ties > 0
+
+
+def _kleene(c, lo, hi, m):
+    """Kleene's value of the constraint over the box of outputs [lo, hi]:
+    True, False or None (unknown). Each atom is decided from the exact
+    range of its expression over the box, in rational arithmetic."""
+    lo, hi = [Fraction(float(a)) for a in lo], [Fraction(float(a)) for a in hi]
+
+    def at_most(low, high, k):
+        return True if high <= k else (False if low > k else None)
+
+    if isinstance(c, OutLE):
+        return at_most(lo[c.i], hi[c.i], Fraction(c.c))
+    if isinstance(c, OutGE):
+        return at_most(-hi[c.i], -lo[c.i], -Fraction(c.c))
+    if isinstance(c, DiffLE):
+        if c.i == c.j:
+            return at_most(0, 0, Fraction(c.c))
+        return at_most(lo[c.i] - hi[c.j], hi[c.i] - lo[c.j], Fraction(c.c))
+    if isinstance(c, (IsMin, IsMax, NotMin, NotMax)):
+        return _kleene(desugar(c, m), lo, hi, m)
+    if isinstance(c, Not):
+        v = _kleene(c.arg, lo, hi, m)
+        return None if v is None else not v
+    vals = [_kleene(a, lo, hi, m) for a in c.args]
+    decided, other = (False, True) if isinstance(c, And) else (True, False)
+    if decided in vals:
+        return decided
+    return other if all(v is other for v in vals) else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_check_is_kleene_definitely_true(seed):
+    # naive bounds on a grid of quarters, where every bound of a literal is
+    # exact and many sit exactly at their threshold
+    rng = np.random.default_rng(seed)
+    m, n = 3, 12
+    lo = rng.integers(-6, 7, size=(n, m)) / 4.0
+    hi = lo + rng.integers(0, 5, size=(n, m)) / 4.0
+    stack = ForwardResult(lo, hi)
+    values = np.arange(-8, 9) / 4.0
+    for _ in range(60):
+        c = _random_constraint(rng, m, values, 3, True)
+        want = [_kleene(c, lo[b], hi[b], m) is True for b in range(n)]
+        check = SoundCheck(c, m)
+        assert check_sound(stack, check).tolist() == want, c
+        holds = [check_sound(ForwardResult(lo[b], hi[b]), c) is TriState.HOLDS for b in range(n)]
+        assert holds == want, c
+
+
+def test_negated_literal_is_strict():
+    # Not(le 0 c) is proved only where the lower bound of y_0 exceeds c
+    c = 0.75
+    for lo0, holds in ((c, False), (np.nextafter(c, np.inf), True)):
+        fr = ForwardResult(np.array([lo0, 0.0]), np.array([2.0, 1.0]))
+        assert (check_sound(fr, Not(OutLE(0, c))) is TriState.HOLDS) is holds
+    # symbolic: the lower bound of y_0 is the one its rows give, through
+    # the upper bound of -y_0
+    fr = symbolic_forward(make_net([np.eye(2)]), Box.from_arrays([c, 0.0], [2.0, 1.0]))
+    lo0 = -expr_bounds(0.0 - fr.rows[0, :1], fr.operand)[1][0]
+    assert lo0 < c
+    assert check_sound(fr, Not(OutLE(0, lo0))) is TriState.MAY_VIOLATE
+    assert check_sound(fr, Not(OutLE(0, np.nextafter(lo0, -np.inf)))) is TriState.HOLDS
+
+
+@pytest.mark.parametrize(
+    "c",
+    [OutLE(-1, 20.0), OutGE(1, 20.0), DiffLE(0, -1, 0.0), DiffLE(2, 0, 0.0), IsMin(1), Not(OutLE(1.0, 0.0))],
+    ids=repr,
+)
+def test_sound_check_rejects_an_output_index_out_of_range(c):
+    with pytest.raises(DimensionMismatchError):
+        SoundCheck(c, 1)
+
+
+@pytest.mark.parametrize("c", [OutLE(0, np.inf), OutGE(0, -np.inf), Not(DiffLE(0, 0, np.nan))], ids=repr)
+def test_sound_check_rejects_a_threshold_that_is_not_finite(c):
+    with pytest.raises(ValueError, match="not finite"):
+        SoundCheck(c, 1)
 
 
 def test_check_concrete_is_a_plain_bool_for_one_vector():

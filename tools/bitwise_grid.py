@@ -1,0 +1,90 @@
+"""Compare two relucheck source trees, run by run, on one benchmark workload.
+
+Usage: python tools/bitwise_grid.py ROOT_A ROOT_B WORKLOAD SEED
+
+ROOT_A and ROOT_B are source checkouts, each holding src/relucheck. The
+workload's cases are generated with bench/workloads.py into a temporary
+directory (the property files come from ROOT_A). Each case runs through
+bench/child.py's `run_case` twice, in its own mode and in the other mode,
+once against each tree, each tree in a child process of its own with one
+BLAS thread. Every run whose status, node count, counterexample or leaves
+differ between the trees is printed. Exits 1 on any difference, else 0.
+Nothing under bench/ is written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+MODES = ("symbolic", "naive")
+
+
+def run_tree(src, cases_path):
+    """In a child process: every case in both modes against the relucheck
+    under `src`, as one JSON line per run on stdout."""
+    sys.path[:0] = [os.path.abspath(src), BENCH]
+    import relucheck as rc
+    from child import load_all, run_case
+
+    if not os.path.abspath(rc.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise SystemExit(f"relucheck imported from {rc.__file__}, not from {src}")
+
+    with open(cases_path) as f:
+        cases = json.load(f)
+    nets, specs = load_all(rc, cases)
+    for i, (case, net, spec) in enumerate(zip(cases, nets, specs)):
+        for mode in MODES:
+            _, _, status, nodes, extra = run_case(rc, dict(case, mode=mode), net, spec)
+            print(json.dumps({"i": i, "mode": mode, "status": status, "nodes": nodes, **extra}))
+
+
+def main(argv):
+    if argv[1:2] == ["--tree"]:
+        run_tree(argv[2], argv[3])
+        return 0
+    if len(argv) != 5:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots, name, seed = argv[1:3], argv[3], int(argv[4])
+    sys.path.insert(0, BENCH)
+    import workloads
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = workloads.generate(
+            name, seed, os.path.join(tmp, "cases"), os.path.join(roots[0], "src", "relucheck", "props"),
+            workers=min(workloads.SPEC[name]["workers"], nproc),
+        )
+        cases_path = os.path.join(tmp, "cases", "cases.json")
+        runs = []
+        for root in roots:
+            out = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--tree", os.path.join(root, "src"), cases_path],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            runs.append([json.loads(line) for line in out.splitlines()])
+    differ = 0
+    for a, b in zip(*runs):
+        if a != b:
+            differ += 1
+            case = cases[a["i"]]
+            same = (a["status"], a["nodes"]) == (b["status"], b["nodes"])
+            print(f"case {a['i']} ({os.path.basename(case['net'])}, {os.path.basename(case['prop'])}), "
+                  f"mode {a['mode']}: {a['status']}/{a['nodes']} nodes vs {b['status']}/{b['nodes']} nodes"
+                  + (", counterexample or leaves differ" if same else ""))
+    total = len(runs[0])
+    if total != len(runs[1]) or total != 2 * len(cases):
+        print(f"run counts differ: {total} vs {len(runs[1])}, {len(cases)} cases")
+        differ += 1
+    print(f"{name} seed {seed}: {total} runs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
