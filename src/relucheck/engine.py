@@ -37,7 +37,6 @@ not attack, since an attacked root would not be partitioned.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import json
 import math
@@ -49,13 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, IntervalOverflowError, iv_bisect, midpoint
-from .network import (
-    DimensionMismatchError,
-    Network,
-    eval_concrete,
-    eval_concrete_batch,
-    split_weights,
-)
+from .network import DimensionMismatchError, Network, eval_concrete, eval_concrete_batch
 from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
 from .gradients import backward_gradient, margin_gradients, smear_split_choice
 from .properties import InputSpec, SoundCheck, check_concrete, check_sound
@@ -173,7 +166,8 @@ class Config:
 def internal_view(net: Network, input_spec: InputSpec):
     """(core, regions): `net` without its input normalization, and the
     spec's regions as one stack of boxes in the coordinates that core
-    reads. The analysis runs on these."""
+    reads. The analysis runs on these. The core is new on every call, so
+    the `split_weights` it computes are freed with the run, not kept on `net`."""
     bounds = np.array([(r.lo, r.hi) for r in input_spec.regions])
     if net.has_normalization and input_spec.units == "raw":
         # normalizing keeps lo <= hi, but it may overflow
@@ -266,12 +260,6 @@ class _Run:
         self.leaves = []  # (row, status, cex), in the order the cursor reaches them
         self.stats = RunStats()
         self.t0 = time.monotonic()
-
-    @functools.cached_property
-    def split(self) -> tuple:
-        """W+ and W- of every layer, split at the first forward pass, which
-        a run decided by its root's sample never makes."""
-        return split_weights(self.core)
 
     # -- the rows ------------------------------------------------------------
     def _append(self, depth: list) -> slice:
@@ -501,9 +489,9 @@ class _Run:
             box, rows = box.take(rest), [rows[i] for i in rest]
         try:
             if cfg.mode == "symbolic":
-                fr = symbolic_forward(self.core, box, self.split)
+                fr = symbolic_forward(self.core, box)
             else:
-                fr = naive_forward(self.core, box, self.split)
+                fr = naive_forward(self.core, box)
         except IntervalOverflowError:
             if len(rows) == 1:
                 raise
@@ -543,7 +531,7 @@ class _Run:
 
         if cfg.mode == "symbolic":
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
-            J = backward_gradient(self.core, masks, self.split)
+            J = backward_gradient(self.core, masks)
             dims = smear_split_choice(J, box, cfg.precision)
             if self.reduce:
                 # monotonicity reduction: a box whose margins are monotone

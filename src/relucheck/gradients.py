@@ -4,7 +4,8 @@ gradients of output margins at concrete points.
 The Jacobian pass starts from the output layer's weights and walks the
 hidden layers backwards, taking a Hadamard product with each unit's
 gradient interval ([0,0] / [1,1] / [0,1] depending on its mask) followed
-by an interval product with the layer's weights.
+by an interval product with the layer's positive and negative parts,
+read from the network's `split_weights`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import Box, round_out
-from .network import Network, split_weights
-from .propagate import ReluMaskMatrix
+from .network import Network
+from .propagate import ReluMaskMatrix, _check_unnormalized
 
 __all__ = [
     "IntervalJacobian",
@@ -58,19 +59,18 @@ _GRAD_LO = np.array([0.0, 1.0, 0.0])
 _GRAD_HI = np.array([0.0, 1.0, 1.0])
 
 
-def backward_gradient(net: Network, masks: ReluMaskMatrix, split=None) -> IntervalJacobian:
+def backward_gradient(net: Network, masks: ReluMaskMatrix) -> IntervalJacobian:
     """Interval Jacobian of outputs w.r.t. inputs, given activation masks.
 
     The masks are those of one box or of a stack; each box of a stack
-    gets the bits it would get alone. `split` is `split_weights(net)`,
-    passed in by callers that run many boxes through one network.
+    gets the bits it would get alone. The inputs are those the first
+    layer reads: `net` has no input normalization.
     """
+    _check_unnormalized(net)
     if len(masks) != net.num_hidden:
         raise ValueError(
             f"mask has {len(masks)} hidden layers, network has {net.num_hidden}"
         )
-    if split is None:
-        split = split_weights(net)
     lead = masks[0].shape[:-1] if masks else ()
     g_lo = g_hi = np.broadcast_to(net.layers[-1].W, lead + net.layers[-1].W.shape)
     for k in range(net.num_hidden - 1, -1, -1):
@@ -87,7 +87,7 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix, split=None) -> Interv
         np.maximum(m_lo * g_hi, m_hi * g_hi, out=g[..., 1, :, :])
         # [g_lo, g_hi] @ W with exact-weight columns: g_lo W+ + g_hi W- and
         # g_hi W+ + g_lo W-, each product of one shape; outward-rounded
-        pos, neg = split[k]
+        pos, neg = net.split_weights[k]
         g = g @ pos + g[..., ::-1, :, :] @ neg
         g_lo, g_hi = round_out(g[..., 0, :, :], g[..., 1, :, :])
     return IntervalJacobian(g_lo, g_hi)

@@ -11,6 +11,7 @@ Two on-disk formats are accepted:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -124,6 +125,17 @@ class Network:
             return np.asarray(x, dtype=np.float64)
         return np.asarray(x, dtype=np.float64) * self.norm_range + self.norm_mean
 
+    @functools.cached_property
+    def split_weights(self) -> tuple:
+        """(W+, W-) of every layer: the positive and negative parts of W.
+
+        Computed at first use and kept on this network. The engine
+        analyses a fresh copy of a loaded network's layers in each run, so
+        a run that never bounds a box never computes them, and a loaded
+        network never keeps them, which would triple its weight memory.
+        """
+        return tuple((np.maximum(l.W, 0.0), np.minimum(l.W, 0.0)) for l in self.layers)
+
 
 def eval_concrete(net: Network, x) -> np.ndarray:
     """Exact forward pass at a single point (raw units when normalized)."""
@@ -147,15 +159,6 @@ def eval_concrete_batch(net: Network, xs) -> np.ndarray:
         if k < net.num_hidden:
             v = np.maximum(v, 0.0)
     return v
-
-
-def split_weights(net: Network) -> tuple:
-    """(W+, W-) of every layer: the positive and negative parts of W.
-
-    Callers compute them once per run; they are not kept on `Layer`, where
-    they would triple the weight memory of every loaded network.
-    """
-    return tuple((np.maximum(l.W, 0.0), np.minimum(l.W, 0.0)) for l in net.layers)
 
 
 def _data_lines(text: str):

@@ -3,7 +3,8 @@
 Both produce sound overestimates of the network image over a box; the
 symbolic mode additionally yields per-neuron activation masks consumed by
 the backward gradient pass, and output rows used for tight pairwise
-property checks.
+property checks. Both read only the layers and their `split_weights`, so
+they refuse a network with an input normalization.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, Interval, matvec_bounds
-from .network import DimensionMismatchError, Network, split_weights
+from .network import DimensionMismatchError, Network
 from .symbolic import affine_rows, bounds_of_rows, box_operand, relu_rows
 
 __all__ = ["ReluMaskMatrix", "ForwardResult", "naive_forward", "symbolic_forward"]
@@ -50,22 +51,29 @@ class ForwardResult:
         return tuple(Interval(a, b) for a, b in zip(self.lo, self.hi))
 
 
+def _check_unnormalized(net: Network):
+    if net.has_normalization:
+        raise ValueError(
+            "the analysis passes apply no input normalization: analyse "
+            "Network(net.layers) over bounds mapped by net.normalize, as engine.internal_view does"
+        )
+
+
 def _check_dims(net: Network, x: Box):
+    _check_unnormalized(net)
     if len(x) != net.input_dim:
         raise DimensionMismatchError(f"box has {len(x)} dims, network expects {net.input_dim}")
 
 
-def naive_forward(net: Network, x: Box, split=None) -> ForwardResult:
+def naive_forward(net: Network, x: Box) -> ForwardResult:
     """Layerwise interval matvec + ReLU clamp; no dependency tracking.
 
-    `x` is a box or a stack of boxes. `split` is `split_weights(net)`,
-    passed in by callers that run many boxes through one network.
+    `x` is a box or a stack of boxes, in the coordinates the first layer
+    reads: `net` has no input normalization.
     """
     _check_dims(net, x)
-    if split is None:
-        split = split_weights(net)
     lo, hi = x.lo, x.hi
-    for k, (layer, parts) in enumerate(zip(net.layers, split)):
+    for k, (layer, parts) in enumerate(zip(net.layers, net.split_weights)):
         lo, hi = matvec_bounds(layer.W, layer.b, lo, hi, parts)
         if k < net.num_hidden:
             lo = np.maximum(lo, 0.0)
@@ -73,18 +81,16 @@ def naive_forward(net: Network, x: Box, split=None) -> ForwardResult:
     return ForwardResult(lo, hi)
 
 
-def symbolic_forward(net: Network, x: Box, split=None) -> ForwardResult:
+def symbolic_forward(net: Network, x: Box) -> ForwardResult:
     """Symbolic interval analysis with per-ReLU concretization.
 
     Keeps one lower and one upper linear expression per neuron, dropping
     to concrete bounds only where a ReLU's sign is unresolved over the box.
-    `x` is a box or a stack of boxes; each box of a stack gets the bits it
-    would get alone. `split` is `split_weights(net)`, passed in by callers
-    that run many boxes through one network.
+    `x` is a box or a stack of boxes, in the coordinates the first layer
+    reads: `net` has no input normalization. Each box of a stack gets the
+    bits it would get alone.
     """
     _check_dims(net, x)
-    if split is None:
-        split = split_weights(net)
     operand = box_operand(x)
     # the first layer's rows are the layer itself, lower and upper alike
     first = net.layers[0]
@@ -94,7 +100,7 @@ def symbolic_forward(net: Network, x: Box, split=None) -> ForwardResult:
     masks = []
     for k, layer in enumerate(net.layers):
         if k:
-            rows = affine_rows(rows, *split[k], layer.b)
+            rows = affine_rows(rows, *net.split_weights[k], layer.b)
         if k < net.num_hidden:
             masks.append(relu_rows(rows, *bounds_of_rows(rows, operand)))
     lo, hi = bounds_of_rows(rows, operand)

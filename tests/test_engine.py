@@ -96,13 +96,51 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("strategy", ["midpoint", "corners"])
 def test_root_midpoint_counterexample_is_not_bounded(monkeypatch, demo_net, mode, strategy):
     # y = x0 + 2*x1 is 11 at the root's midpoint (5, 3), above 10
-    for name in ("symbolic_forward", "naive_forward", "split_weights"):
+    for name in ("symbolic_forward", "naive_forward"):
         monkeypatch.setattr(engine, name, _refuse)
+    monkeypatch.setattr(Network, "split_weights", property(_refuse))
     spec = (InputSpec((Box.from_arrays([4, 1], [6, 5]),)), OutLE(0, 10.0))
     v = verify(demo_net, spec, Config(mode=mode, sample_strategy=strategy))
     assert v.status is Status.INSECURE
     assert v.counterexample.tolist() == [5.0, 3.0]
     assert v.stats.nodes_explored == 1
+
+
+# y = relu(x - 10) is never proved <= 0 over [0, 1] (its bounds are rounded
+# out) nor violated there, so a run splits that region down to max_depth
+_FLAT = ([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
+
+
+def test_runs_leave_split_weights_off_the_callers_net():
+    # the runs bound boxes, so their core computes W+ and W-; the net the
+    # caller passed, with or without a normalization, never keeps them
+    flat = make_net(*_FLAT)
+    scaled = Network(flat.layers, np.array([100.0]), np.array([8.0]))
+    for net, lo, hi in ((flat, 0.0, 1.0), (scaled, 100.0, 108.0)):
+        spec = (InputSpec((Box.from_arrays([lo], [hi]),)), OutLE(0, 0.0))
+        for run in (verify, enumerate_regions):
+            assert run(net, spec, Config(max_depth=3)).stats.nodes_explored == 15
+            assert "split_weights" not in net.__dict__
+
+
+def test_a_multi_wave_run_splits_the_weights_once(monkeypatch):
+    # eight boxes a wave; every wave reads the same W+ and W-
+    monkeypatch.setattr(engine, "WAVE", 8)
+    seen = []
+    for name in ("symbolic_forward", "naive_forward"):
+
+        def recording(net, box, real=getattr(engine, name)):
+            seen.append(net.split_weights)
+            return real(net, box)
+
+        monkeypatch.setattr(engine, name, recording)
+    net = make_net(*_FLAT)
+    spec = (InputSpec((Box.from_arrays([0.0], [1.0]),)), OutLE(0, 0.0))
+    for mode in ("symbolic", "naive"):
+        seen.clear()
+        v = verify(net, spec, Config(mode=mode, max_depth=6))
+        assert v.status is Status.UNKNOWN and v.stats.nodes_explored == 127
+        assert len(seen) > 1 and all(s is seen[0] for s in seen), mode
 
 
 def test_verify_wave_stops_at_first_midpoint_counterexample(monkeypatch):
@@ -660,6 +698,22 @@ def test_attack_refutes_the_root_where_samples_miss(monkeypatch, mode, strategy)
     off = verify(net, spec, cfg)
     assert off.status is Status.INSECURE and off.stats.nodes_explored > 1
     assert off.stats.attack_hits == 0
+
+
+@pytest.mark.parametrize("mode, nodes", [("symbolic", 10), ("naive", 22)])
+def test_dropping_rows_keeps_a_pending_attack_hit(monkeypatch, mode, nodes):
+    # the attack refutes [0, 1] in the first wave, but the cursor consumes
+    # the last region, [0, 11/16], first, where y <= 1/8 holds; the hit on
+    # [0, 1] stays pending while the run drops consumed rows and renumbers
+    # the others, and it must still count as the attack's
+    net = make_net(*_BUMP)
+    regions = (Box.from_arrays([0.0], [1.0]), Box.from_arrays([0.0], [0.6875]))
+    spec = (InputSpec(regions), OutLE(0, 0.125))
+    for slack in (engine._SLACK_ROWS, 0):
+        monkeypatch.setattr(engine, "_SLACK_ROWS", slack)
+        v = verify(net, spec, Config(mode=mode, max_depth=10))
+        assert v.status is Status.INSECURE, slack
+        assert (v.stats.attack_hits, v.stats.nodes_explored) == (1, nodes), slack
 
 
 def test_attack_counterexample_in_raw_units():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from relucheck.gradients import backward_gradient
 from relucheck.intervals import Box, Interval
-from relucheck.network import eval_concrete_batch
+from relucheck.network import Network, eval_concrete, eval_concrete_batch
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.symbolic import ReluState
 
@@ -83,6 +84,26 @@ def test_dim_mismatch(demo_net):
         naive_forward(demo_net, Box.from_arrays([0], [1]))
     with pytest.raises(ValueError):
         symbolic_forward(demo_net, Box.from_arrays([0, 0, 0], [1, 1, 1]))
+
+
+def test_passes_refuse_a_normalized_network():
+    # eval_concrete maps x = 104 to (104 - 100) / 8 = 0.5 before the first
+    # layer; the passes read the layers alone, so they would bound the net
+    # at 104 and miss 0.5. Their input is the core over normalized bounds.
+    net = Network(make_net([np.eye(1), np.eye(1)]).layers, np.array([100.0]), np.array([8.0]))
+    assert eval_concrete(net, [104.0]).tolist() == [0.5]
+    raw = Box.from_arrays([104.0], [104.0])
+    core, box = Network(net.layers), Box.from_arrays(net.normalize([104.0]), net.normalize([104.0]))
+    for analyse in (naive_forward, symbolic_forward):
+        with pytest.raises(ValueError, match="normalize"):
+            analyse(net, raw)
+        (out,) = analyse(core, box).out_bounds
+        assert out.lo <= 0.5 <= out.hi
+    masks = symbolic_forward(core, box).masks
+    with pytest.raises(ValueError, match="normalize"):
+        backward_gradient(net, masks)
+    J = backward_gradient(core, masks)
+    assert J.lo[0, 0] <= 1.0 <= J.hi[0, 0]
 
 
 def test_sandwich_fuzz():

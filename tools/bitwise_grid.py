@@ -1,15 +1,17 @@
-"""Compare two relucheck source trees, run by run, on one benchmark workload.
+"""Compare two relucheck source trees, run by run, on benchmark workloads.
 
-Usage: python tools/bitwise_grid.py ROOT_A ROOT_B WORKLOAD SEED
+Usage: python tools/bitwise_grid.py ROOT_A ROOT_B WORKLOADS SEED [SEED ...]
 
-ROOT_A and ROOT_B are source checkouts, each holding src/relucheck. The
-workload's cases are generated with bench/workloads.py into a temporary
-directory (the property files come from ROOT_A). Each case runs through
-bench/child.py's `run_case` twice, in its own mode and in the other mode,
-once against each tree, each tree in a child process of its own with one
-BLAS thread. Every run whose status, node count, counterexample or leaves
-differ between the trees is printed. Exits 1 on any difference, else 0.
-Nothing under bench/ is written.
+ROOT_A and ROOT_B are source checkouts, each holding src/relucheck.
+WORKLOADS is `all` or a comma-separated list of bench/workloads.py names.
+For each workload and seed, the cases are generated with bench/workloads.py
+into a temporary directory (the property files come from ROOT_A). Each case
+runs through bench/child.py's `run_case` twice, in its own mode and in the
+other mode, once against each tree, the two trees at once in child
+processes of their own with one BLAS thread each. Every run whose status,
+node count, counterexample or leaves differ between the trees is printed,
+then one summary line per workload and seed. Exits 1 on any difference,
+else 0. Nothing under bench/ is written.
 """
 
 from __future__ import annotations
@@ -43,32 +45,29 @@ def run_tree(src, cases_path):
             print(json.dumps({"i": i, "mode": mode, "status": status, "nodes": nodes, **extra}))
 
 
-def main(argv):
-    if argv[1:2] == ["--tree"]:
-        run_tree(argv[2], argv[3])
-        return 0
-    if len(argv) != 5:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    roots, name, seed = argv[1:3], argv[3], int(argv[4])
-    sys.path.insert(0, BENCH)
+def compare(roots, name, seed, env, nproc):
+    """Run one workload at one seed against both trees; print every run
+    that differs and a summary line. Returns the number of differences."""
     import workloads
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with tempfile.TemporaryDirectory() as tmp:
         cases = workloads.generate(
             name, seed, os.path.join(tmp, "cases"), os.path.join(roots[0], "src", "relucheck", "props"),
             workers=min(workloads.SPEC[name]["workers"], nproc),
         )
         cases_path = os.path.join(tmp, "cases", "cases.json")
-        runs = []
-        for root in roots:
-            out = subprocess.run(
+        procs = [
+            subprocess.Popen(
                 [sys.executable, os.path.abspath(__file__), "--tree", os.path.join(root, "src"), cases_path],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            runs.append([json.loads(line) for line in out.splitlines()])
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for root in roots
+        ]
+        outs = [p.communicate()[0] for p in procs]
+    for root, p in zip(roots, procs):
+        if p.returncode:
+            raise SystemExit(f"{name} seed {seed}: the run against {root} exited {p.returncode}")
+    runs = [[json.loads(line) for line in out.splitlines()] for out in outs]
     differ = 0
     for a, b in zip(*runs):
         if a != b:
@@ -82,7 +81,31 @@ def main(argv):
     if total != len(runs[1]) or total != 2 * len(cases):
         print(f"run counts differ: {total} vs {len(runs[1])}, {len(cases)} cases")
         differ += 1
-    print(f"{name} seed {seed}: {total} runs, {differ} differ")
+    print(f"{name} seed {seed}: {total} runs, {differ} differ", flush=True)
+    return differ
+
+
+def main(argv):
+    if argv[1:2] == ["--tree"]:
+        run_tree(argv[2], argv[3])
+        return 0
+    if len(argv) < 5:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    sys.path.insert(0, BENCH)
+    import workloads
+
+    roots, names = argv[1:3], argv[3].split(",")
+    if names == ["all"]:
+        names = list(workloads.SPEC)
+    unknown = [n for n in names if n not in workloads.SPEC]
+    if unknown:
+        print(f"unknown workloads {unknown}; known: {', '.join(workloads.SPEC)}", file=sys.stderr)
+        return 2
+    seeds = [int(a) for a in argv[4:]]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    differ = sum(compare(roots, name, seed, env, nproc) for name in names for seed in seeds)
     return 1 if differ else 0
 
 
