@@ -19,6 +19,7 @@ __all__ = [
     "Box",
     "IntervalOverflowError",
     "UnsplittableError",
+    "affine_rows",
     "iv_bisect",
     "matvec_bounds",
     "midpoint",
@@ -160,29 +161,37 @@ def midpoint(lo, hi):
     return mid
 
 
-def matvec_bounds(W, b, lo, hi, split=None):
+def affine_rows(rows, pos, neg, b) -> np.ndarray:
+    """The lower rows over the upper rows, (..., 2, n, k), mapped through
+    W x + b, with pos and neg the positive and negative parts of W and b
+    added to the last column: the lower rows become pos @ low + neg @ up
+    and the upper rows pos @ up + neg @ low, each product of one shape, so
+    rows that coincide keep coinciding. Nothing is rounded.
+    """
+    out = pos @ rows + neg @ rows[..., ::-1, :, :]
+    out[..., -1] += b
+    return out
+
+
+def matvec_bounds(split, b, lo, hi):
     """Vectorized interval W @ [lo, hi] + b. Returns (lo, hi) arrays.
 
     Row i contains {sum_j W[i,j] x_j + b[i] : x_j in [lo_j, hi_j]},
-    outward-rounded once per output entry. `lo` and `hi` are (m,) or a
-    (B, m) stack; each box of a stack gets the bits it would get alone.
-    `split` is (W+, W-), the positive and negative parts of W, passed in
-    by callers that reuse them.
+    outward-rounded once per output entry. `split` is (W+, W-), the
+    positive and negative parts of W. `lo` and `hi` are (m,) or a (B, m)
+    stack; each box of a stack gets the bits it would get alone.
     """
-    W = np.asarray(W, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if W.shape[1] != lo.shape[-1]:
-        raise ValueError(f"shape mismatch: W has {W.shape[1]} cols, vector has {lo.shape[-1]}")
-    if W.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: W has {W.shape[0]} rows, bias has {b.shape[0]}")
-    pos, neg = split if split is not None else (np.maximum(W, 0.0), np.minimum(W, 0.0))
-    # W+ lo + W- hi and W+ hi + W- lo, each product of one shape
-    ends = np.empty(lo.shape[:-1] + (2, lo.shape[-1], 1))
+    n, m = split[0].shape
+    if m != lo.shape[-1]:
+        raise ValueError(f"shape mismatch: W has {m} cols, vector has {lo.shape[-1]}")
+    if n != b.shape[0]:
+        raise ValueError(f"shape mismatch: W has {n} rows, bias has {b.shape[0]}")
+    ends = np.empty(lo.shape[:-1] + (2, m, 1))
     ends[..., 0, :, 0] = lo
     ends[..., 1, :, 0] = hi
-    ends = (pos @ ends + neg @ ends[..., ::-1, :, :])[..., 0] + b
+    ends = affine_rows(ends, *split, b)[..., 0]
     out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :])
     _check_overflow(out_lo, out_hi)
     return out_lo, out_hi

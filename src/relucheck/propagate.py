@@ -2,9 +2,9 @@
 
 Both produce sound overestimates of the network image over a box; the
 symbolic mode additionally yields per-neuron activation masks consumed by
-the backward gradient pass, and output rows used for tight pairwise
-property checks. Both read only the layers and their `split_weights`, so
-they refuse a network with an input normalization.
+the backward gradient pass, and the output rows, which the property check
+maps through its literal rows. Both read only the layers and their
+`split_weights`, so they refuse a network with an input normalization.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Box, Interval, matvec_bounds
+from .intervals import Box, Interval, affine_rows, matvec_bounds
 from .network import DimensionMismatchError, Network
-from .symbolic import affine_rows, bounds_of_rows, box_operand, relu_rows
+from .symbolic import bounds_of_rows, box_operand, relu_rows
 
 __all__ = ["ReluMaskMatrix", "ForwardResult", "naive_forward", "symbolic_forward"]
 
@@ -74,7 +74,7 @@ def naive_forward(net: Network, x: Box) -> ForwardResult:
     _check_dims(net, x)
     lo, hi = x.lo, x.hi
     for k, (layer, parts) in enumerate(zip(net.layers, net.split_weights)):
-        lo, hi = matvec_bounds(layer.W, layer.b, lo, hi, parts)
+        lo, hi = matvec_bounds(parts, layer.b, lo, hi)
         if k < net.num_hidden:
             lo = np.maximum(lo, 0.0)
             hi = np.maximum(hi, 0.0)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .gradients import IntervalJacobian
-from .intervals import Box
+from .intervals import Box, affine_rows
 from .network import DimensionMismatchError
 from .propagate import ForwardResult
 from .symbolic import expr_bounds
@@ -211,11 +211,13 @@ class SoundCheck:
     Over a box a literal counts as true where an upper bound of a_k . y is
     <= bound[k]. That is Kleene's definitely-true: in negation normal form
     an And or Or is definitely true where all or any of its arguments are,
-    and a negated atom where the bounds refute the atom. The upper bound is
-    hi @ A+ + lo @ A- over the output bounds or, over a symbolic result,
-    that of the row A+ @ up + A- @ low, which keeps the input terms shared
-    by y_i and y_j correlated. A+ and A- are built at their first use,
-    which a run decided by its root's sample never makes.
+    and a negated atom where the bounds refute the atom. Over the output
+    bounds, the upper bound is hi @ A+ + lo @ A-, rounded up exactly. Over
+    a symbolic result it is that of the upper row A+ @ up + A- @ low of
+    `affine_rows`, which keeps the input terms shared by y_i and y_j
+    correlated. (A+, A-), the positive and the negative part of `A`, are
+    built at their first use, which a run decided by its root's sample
+    never makes.
 
     `or_free` tells whether the tree has no `Or`. Only then is the
     constraint violated wherever a single literal is, so that margins
@@ -266,30 +268,40 @@ class SoundCheck:
         self.A, self.t, self.bound = table[:, :m], table[:, m], table[:, m + 1]
 
     @functools.cached_property
-    def _split(self) -> np.ndarray:
-        """[A- | A+]: the negative and the positive part of `A`, side by side."""
-        return np.concatenate((np.minimum(self.A, 0.0), np.maximum(self.A, 0.0)), axis=1)
+    def _split(self) -> tuple:
+        """(A+, A-): the positive and the negative part of `A`."""
+        return np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
 
     def evaluate(self, fr: ForwardResult):
         """Where the bounds prove the constraint at every point of the box
         (or of each box of the stack) that `fr` bounds, as a bool array."""
+        pos, neg = self._split
         if fr.rows is None:
-            upper = np.concatenate((fr.lo, fr.hi), axis=-1) @ self._split.T
+            upper = _sum_up(fr.hi @ pos.T, fr.lo @ neg.T)
         else:
-            # the lower rows of the outputs, then their upper rows
-            flat = fr.rows.reshape(fr.rows.shape[:-3] + (-1, fr.rows.shape[-1]))
-            _, upper = expr_bounds(self._split @ flat, fr.operand)
+            _, upper = expr_bounds(affine_rows(fr.rows, pos, neg, 0.0)[..., 1, :, :], fr.operand)
         return self.truth(upper <= self.bound)
 
     def monotone_dims(self, J: IntervalJacobian, wide):
         """(B, d) bool: the dims in `wide` where every literal's margin has
         a sign-definite derivative over the box, by the interval product of
         `A` with the interval Jacobian `J` of its stack."""
-        m = self.A.shape[1]
-        neg, pos = self._split[:, :m], self._split[:, m:]
-        lo = pos @ J.lo + neg @ J.hi
-        hi = pos @ J.hi + neg @ J.lo
-        return ((lo > 0.0) | (hi < 0.0)).all(axis=-2) & wide
+        ends = affine_rows(np.stack((J.lo, J.hi), axis=-3), *self._split, 0.0)
+        return ((ends[..., 0, :, :] > 0.0) | (ends[..., 1, :, :] < 0.0)).all(axis=-2) & wide
+
+
+def _sum_up(p, q):
+    """The least float >= p + q, entrywise (inf above the float range).
+    The rounded sum s is one ULP up where it rounded down, that is where
+    TwoSum's error term is positive. Where |p| >= |q|, s - p is exact
+    (as in Fast2Sum), so that is where s - p < q; likewise with p and q
+    swapped. Each of a literal's products, hi @ A+ and lo @ A-, has at
+    most one nonzero term of coefficient +-1, so it is exact."""
+    with np.errstate(over="ignore"):
+        s = p + q
+        down = (s - p < q) | (s - q < p)
+    s[down] = np.nextafter(s[down], np.inf)
+    return s
 
 
 def _tree(node):

@@ -6,9 +6,9 @@ expressions as the rows of one (2, n, d+1) array: the n lower rows over
 the n upper rows, each row its d coefficients followed by its constant. A
 stack of B boxes has a (B, 2, n, d+1) array, and every function here
 works on either shape. Lower and upper rows always go through products of
-one shape, so rows that coincide keep coinciding. Affine layers transform
-the rows exactly; ReLU keeps a unit's rows, zeroes them, or concretizes
-the upper row, depending on the sign information available over the box.
+one shape, so rows that coincide keep coinciding. Affine layers map the
+rows through `intervals.affine_rows`; ReLU keeps a unit's rows, zeroes
+them, or concretizes the upper row, depending on the signs over the box.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "box_operand",
     "expr_bounds",
     "bounds_of_rows",
-    "affine_rows",
     "relu_rows",
 ]
 
@@ -112,20 +111,6 @@ def bounds_of_rows(rows, operand):
     bounds = _row_bounds(rows, operand[..., np.newaxis, :, :])
     _check_overflow(bounds)
     return bounds[..., 0], bounds[..., 1]
-
-
-def affine_rows(rows, pos, neg, b) -> np.ndarray:
-    """Symbolic image of the rows under W x + b, where pos and neg are the
-    positive and negative parts of W.
-
-    Positive weights propagate like bounds, negative weights swap them:
-    the lower rows become pos @ low + neg @ up and the upper rows
-    pos @ up + neg @ low, each product of one shape. Biases enter the
-    constant term of both.
-    """
-    out = pos @ rows + neg @ rows[..., ::-1, :, :]
-    out[..., -1] += b
-    return out
 
 
 def relu_rows(rows, lo, hi) -> np.ndarray:

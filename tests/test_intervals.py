@@ -16,6 +16,7 @@ from relucheck.intervals import (
 )
 
 from conftest import subset_of
+from test_symbolic import split
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 
@@ -29,13 +30,13 @@ def intervals(draw):
 
 def add(a: Interval, b: Interval) -> Interval:
     """a + b as the 1x2 interval product [1, 1] @ (a, b)."""
-    lo, hi = matvec_bounds([[1.0, 1.0]], [0.0], [a.lo, b.lo], [a.hi, b.hi])
+    lo, hi = matvec_bounds(split([[1.0, 1.0]]), [0.0], [a.lo, b.lo], [a.hi, b.hi])
     return Interval(lo[0], hi[0])
 
 
 def scale(c: float, a: Interval) -> Interval:
     """c * a as the 1x1 interval product [[c]] @ a."""
-    lo, hi = matvec_bounds([[c]], [0.0], [a.lo], [a.hi])
+    lo, hi = matvec_bounds(split([[c]]), [0.0], [a.lo], [a.hi])
     return Interval(lo[0], hi[0])
 
 
@@ -84,24 +85,24 @@ def test_scale_cases():
 
 
 def test_matvec_demo_hidden_layer():
-    lo, hi = matvec_bounds([[2, 3], [1, 1]], [0, 0], [4, 1], [6, 5])
+    lo, hi = matvec_bounds(split([[2, 3], [1, 1]]), [0, 0], [4, 1], [6, 5])
     np.testing.assert_array_equal((lo, hi), one_ulp_out([11.0, 5.0], [27.0, 11.0]))
     # the output layer over the exact hidden bounds [11, 27] x [5, 11]
-    lo2, hi2 = matvec_bounds([[1, -1]], [0], [11, 5], [27, 11])
+    lo2, hi2 = matvec_bounds(split([[1, -1]]), [0], [11, 5], [27, 11])
     np.testing.assert_array_equal((lo2, hi2), one_ulp_out([0.0], [22.0]))
     # and over the rounded ones, which it contains
-    lo3, hi3 = matvec_bounds([[1, -1]], [0], lo, hi)
+    lo3, hi3 = matvec_bounds(split([[1, -1]]), [0], lo, hi)
     assert lo3[0] < lo2[0] and hi2[0] < hi3[0] and hi3[0] - lo3[0] <= 22 + 8 * math.ulp(22.0)
 
 
 def test_matvec_identity():
-    lo, hi = matvec_bounds(np.eye(2), [0, 0], [-1, 0], [2, 3])
+    lo, hi = matvec_bounds(split(np.eye(2)), [0, 0], [-1, 0], [2, 3])
     np.testing.assert_array_equal((lo, hi), one_ulp_out([-1.0, 0.0], [2.0, 3.0]))
 
 
 def test_matvec_shape_mismatch():
     with pytest.raises(ValueError):
-        matvec_bounds([[1, 2, 3]], [0], [0], [1])
+        matvec_bounds(split([[1, 2, 3]]), [0], [0], [1])
 
 
 def test_box_rejects_bad_bounds():

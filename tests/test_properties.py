@@ -1,4 +1,6 @@
 import io
+import math
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -8,7 +10,7 @@ import pytest
 from relucheck.data import shipped_path
 from relucheck.gradients import IntervalJacobian
 from relucheck.intervals import Box
-from relucheck.network import DimensionMismatchError
+from relucheck.network import DimensionMismatchError, eval_concrete_batch
 from relucheck.propagate import ForwardResult, naive_forward, symbolic_forward
 from relucheck.properties import (
     And,
@@ -32,7 +34,7 @@ from relucheck.properties import (
 )
 from relucheck.symbolic import expr_bounds
 
-from conftest import make_net, random_box, random_net, sample_points
+from conftest import exact_outputs, make_net, random_box, random_net, sample_points
 
 
 def load_prop(name, m):
@@ -138,7 +140,10 @@ def test_check_sound_or_and():
 
 
 def test_check_sound_never_false_positive_fuzz():
-    """Holds must imply the constraint is true at every sampled point."""
+    """Holds must imply the constraint is true, in exact arithmetic, at
+    every sampled point. The negated (strict) `le` and `diffle` literals
+    take thresholds from the sampled values of their expressions: below
+    all of them, and at their 10% quantile, where Holds would be wrong."""
     rng = np.random.default_rng(41)
     for _ in range(30):
         net = random_net(rng, m=3)
@@ -153,13 +158,16 @@ def test_check_sound_never_false_positive_fuzz():
             Or((OutLE(0, 0.0), NotMin(1))),
         ]
         pts = sample_points(rng, box, 100)
-        from relucheck.network import eval_concrete_batch
-
         ys = eval_concrete_batch(net, pts)
+        y0, gap = ys[:, 0], ys[:, 2] - ys[:, 0]
+        for v, negated in ((y0, lambda c: Not(OutLE(0, c))), (gap, lambda c: Not(DiffLE(2, 0, c)))):
+            levels = (v.min() - np.ptp(v) / 2, v.min() - np.ptp(v) / 10, np.quantile(v, 0.1))
+            cs += [negated(float(c)) for c in levels]
+        exact = None
         for c in cs:
             if check_sound(fr, c) is TriState.HOLDS:
-                for y in ys:
-                    assert check_concrete(y, c)
+                exact = exact or [exact_outputs(net, x) for x in pts]
+                assert all(_exact_truth(c, y) for y in exact), c
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +244,10 @@ def test_literal_row_is_violated_where_the_constraint_is(literal):
 
 
 def _exact_truth(c, y) -> bool:
-    """The constraint at outputs y, every atom compared in exact rational
-    arithmetic and rank atoms read from their definitions."""
-    v = [Fraction(float(a)) for a in y]
+    """The constraint at outputs y (floats or Fractions), every atom
+    compared in exact rational arithmetic and rank atoms read from their
+    definitions."""
+    v = [Fraction(a) for a in y]
     others = lambda i: [v[j] for j in range(len(v)) if j != i]
     if isinstance(c, OutLE):
         return v[c.i] <= Fraction(c.c)
@@ -368,6 +377,45 @@ def test_negated_literal_is_strict():
     assert lo0 < c
     assert check_sound(fr, Not(OutLE(0, lo0))) is TriState.MAY_VIOLATE
     assert check_sound(fr, Not(OutLE(0, np.nextafter(lo0, -np.inf)))) is TriState.HOLDS
+
+
+def test_naive_difference_bound_is_rounded_up():
+    # y = (1, -1e-17) lies in the box, and y_0 - y_1 = 1 + 1e-17 > 1
+    # exactly, though its float difference is 1
+    fr = ForwardResult(np.array([0.0, -1e-17]), np.array([1.0, 0.0]))
+    assert check_sound(fr, DiffLE(0, 1, 1.0)) is TriState.MAY_VIOLATE
+
+
+def _least_float_at_least(x: Fraction) -> float:
+    try:
+        f = float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -sys.float_info.max
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def test_naive_difference_bound_is_the_least_float_above_the_exact_one():
+    # over naive bounds, the upper bound of y_0 - y_1 is hi_0 - lo_1; a
+    # check of diffle 0 1 c holds exactly where that bound is <= c
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((300, 2)) * 2.0 ** rng.integers(-60, 61, size=(300, 2))
+    grid = rng.integers(-8, 9, size=(50, 2)) / 4.0
+    rounded = 0
+    for hi0, lo1 in wide.tolist() + grid.tolist() + [[1e308, -1e308], [-1e308, 1e308]]:
+        exact = Fraction(hi0) - Fraction(lo1)
+        up = _least_float_at_least(exact)
+        fr = ForwardResult(np.array([hi0, lo1]), np.array([hi0, lo1]))
+        if math.isinf(up):
+            # an overflowing bound decides nothing, and raises no
+            # RuntimeWarning (an error under the test configuration)
+            assert check_sound(fr, DiffLE(0, 1, sys.float_info.max)) is TriState.MAY_VIOLATE
+            continue
+        rounded += Fraction(up) != exact
+        assert check_sound(fr, DiffLE(0, 1, up)) is TriState.HOLDS
+        below = math.nextafter(up, -math.inf)
+        if math.isfinite(below):
+            assert check_sound(fr, DiffLE(0, 1, below)) is TriState.MAY_VIOLATE
+    assert 0 < rounded < 300
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from relucheck.intervals import Box, IntervalOverflowError
+from relucheck.intervals import Box, IntervalOverflowError, affine_rows
 from relucheck.symbolic import (
     ReluState,
-    affine_rows,
     bounds_of_rows,
     box_operand,
     expr_bounds,

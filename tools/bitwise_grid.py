@@ -6,8 +6,10 @@ ROOT_A and ROOT_B are source checkouts, each holding src/relucheck.
 WORKLOADS is `all` or a comma-separated list of bench/workloads.py names.
 For each workload and seed, the cases are generated with bench/workloads.py
 into a temporary directory (the property files come from ROOT_A). Each case
-runs through bench/child.py's `run_case` twice, in its own mode and in the
-other mode, once against each tree, the two trees at once in child
+runs through bench/child.py's `run_case` four times, in its own mode and in
+the other mode, each with its constraint as parsed and wrapped in a `Not`
+(no workload property has a negated literal, so only the wrapped runs reach
+the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
 node count, counterexample or leaves differ between the trees is printed,
 then one summary line per workload and seed. Exits 1 on any difference,
@@ -27,8 +29,9 @@ MODES = ("symbolic", "naive")
 
 
 def run_tree(src, cases_path):
-    """In a child process: every case in both modes against the relucheck
-    under `src`, as one JSON line per run on stdout."""
+    """In a child process: every case in both modes, as parsed and
+    negated, against the relucheck under `src`, as one JSON line per run on
+    stdout."""
     sys.path[:0] = [os.path.abspath(src), BENCH]
     import relucheck as rc
     from child import load_all, run_case
@@ -39,10 +42,11 @@ def run_tree(src, cases_path):
     with open(cases_path) as f:
         cases = json.load(f)
     nets, specs = load_all(rc, cases)
-    for i, (case, net, spec) in enumerate(zip(cases, nets, specs)):
-        for mode in MODES:
-            _, _, status, nodes, extra = run_case(rc, dict(case, mode=mode), net, spec)
-            print(json.dumps({"i": i, "mode": mode, "status": status, "nodes": nodes, **extra}))
+    for i, (case, net, (regions, constraint)) in enumerate(zip(cases, nets, specs)):
+        for negated, c in ((False, constraint), (True, rc.properties.Not(constraint))):
+            for mode in MODES:
+                _, _, status, nodes, extra = run_case(rc, dict(case, mode=mode), net, (regions, c))
+                print(json.dumps({"i": i, "mode": mode, "negated": negated, "status": status, "nodes": nodes, **extra}))
 
 
 def compare(roots, name, seed, env, nproc):
@@ -75,13 +79,15 @@ def compare(roots, name, seed, env, nproc):
             case = cases[a["i"]]
             same = (a["status"], a["nodes"]) == (b["status"], b["nodes"])
             print(f"case {a['i']} ({os.path.basename(case['net'])}, {os.path.basename(case['prop'])}), "
-                  f"mode {a['mode']}: {a['status']}/{a['nodes']} nodes vs {b['status']}/{b['nodes']} nodes"
+                  f"mode {a['mode']}{', negated' if a['negated'] else ''}: "
+                  f"{a['status']}/{a['nodes']} nodes vs {b['status']}/{b['nodes']} nodes"
                   + (", counterexample or leaves differ" if same else ""))
     total = len(runs[0])
-    if total != len(runs[1]) or total != 2 * len(cases):
+    if total != len(runs[1]) or total != 4 * len(cases):
         print(f"run counts differ: {total} vs {len(runs[1])}, {len(cases)} cases")
         differ += 1
-    print(f"{name} seed {seed}: {total} runs, {differ} differ", flush=True)
+    negated = sum(r["negated"] for r in runs[0])
+    print(f"{name} seed {seed}: {total} runs ({negated} negated), {differ} differ", flush=True)
     return differ
 
 
