@@ -24,7 +24,7 @@ from .network import (
     load_network,
 )
 from .propagate import ForwardResult, ReluMaskMatrix, naive_forward, symbolic_forward
-from .gradients import IntervalJacobian, backward_gradient, smear_split_choice
+from .gradients import backward_gradient, smear_split_choice
 from .properties import (
     InputSpec,
     SoundCheck,

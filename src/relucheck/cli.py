@@ -30,16 +30,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="relucheck", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_property=True):
+    def add_common(sp):
         sp.add_argument("--network", required=True, help="network file (NNET-lite or JSON)")
-        if with_property:
-            sp.add_argument("--property", required=True, help="property file")
-            sp.add_argument("--mode", choices=["naive", "symbolic"], default="symbolic")
-            sp.add_argument("--precision", type=float, default=1e-6)
-            sp.add_argument("--timeout", type=float, default=300.0)
-            sp.add_argument("--max-depth", type=int, default=None)
-            sp.add_argument("--samples", choices=["midpoint", "corners"], default="midpoint")
-            sp.add_argument("--report", default=None, help="write a JSON run report here")
+        sp.add_argument("--property", required=True, help="property file")
+        sp.add_argument("--mode", choices=["naive", "symbolic"], default="symbolic")
+        sp.add_argument("--precision", type=float, default=1e-6)
+        sp.add_argument("--timeout", type=float, default=300.0)
+        sp.add_argument("--max-depth", type=int, default=None)
+        sp.add_argument("--samples", choices=["midpoint", "corners"], default="midpoint")
+        sp.add_argument("--report", default=None, help="write a JSON run report here")
 
     add_common(sub.add_parser("verify", help="prove or refute a property"))
     add_common(sub.add_parser("enumerate", help="partition into secure/insecure sub-boxes"))
@@ -151,8 +150,8 @@ def _cmd_info(args) -> int:
 def _cmd_bench(args) -> int:
     net = _load_net(args.network)
     input_spec, _ = _load_prop(args.property, net.output_dim)
-    print(f"{'box':>4} {'out':>4} {'naive width':>14} {'symbolic width':>14} {'reduction':>10}")
     core, regions = internal_view(net, input_spec)
+    print(f"{'box':>4} {'out':>4} {'naive width':>14} {'symbolic width':>14} {'reduction':>10}")
     for bi, box in enumerate(regions.unstack()):
         nv = naive_forward(core, box)
         sy = symbolic_forward(core, box)

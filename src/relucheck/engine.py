@@ -1,20 +1,21 @@
 """Verification driver: bisection tree, sampling, monotonicity reduction,
 verdicts and sub-interval enumeration.
 
-The search tree is kept in arrays: a job is a row of the float64 blocks
-`lo` and `hi`, and its depth, its outcome and the counterexample of an
-insecure leaf are kept by row. The search is depth-first. A cursor pops
-the row pushed last; a row that is neither proved, refuted, nor out of
-budget pushes its children. Rows are evaluated in waves: when the cursor
-reaches a row that no wave has evaluated, the next wave takes that row
-and up to WAVE - 1 unevaluated rows that follow it in depth-first order.
-One index into the blocks stacks their boxes into (B, d) arrays, and the
-wave samples each box's midpoint first: a violating midpoint makes its box
-an insecure leaf without bounding it, and a verify wave stops at the first
-such box, since the search stops there. The other boxes are then bounded
-and checked, the undecided ones sampled at their corners (with that
+The search tree is kept in arrays: a job is a row of the float64 block
+`ends`, its box's lower ends over its upper ends, and its depth, its
+outcome and the counterexample of an insecure leaf are kept by row. The
+search is depth-first. A cursor pops the row pushed last; a row that is
+neither proved, refuted, nor out of budget pushes its children. Rows are
+evaluated in waves: when the cursor reaches a row that no wave has
+evaluated, the next wave takes that row and up to WAVE - 1 unevaluated
+rows that follow it in depth-first order. One index into the block
+stacks their boxes into a (B, 2, d) array, and the wave samples each
+box's midpoint first: a violating midpoint makes its box an insecure
+leaf without bounding it, and a verify wave stops at the first such box,
+since the search stops there. The other boxes are then bounded and
+checked, the undecided ones sampled at their corners (with that
 strategy) and split, all at once; their children are appended to the
-blocks as one block. Every box of a stack gets the bits it would get
+block together. Every box of a stack gets the bits it would get
 alone, so the tree, the verdict, the node count and the order of the
 leaves do not depend on the wave size. Results that a verify run never
 reaches because it stopped at a counterexample are dropped, and are not
@@ -127,7 +128,7 @@ class PartitionReport:
         return {
             "leaves": [
                 {
-                    "box": [[a, b] for a, b in zip(box.lo.tolist(), box.hi.tolist())],
+                    "box": box.ends.T.tolist(),
                     "status": status.value,
                     "counterexample": None if cex is None else [float(v) for v in cex],
                 }
@@ -167,14 +168,21 @@ def internal_view(net: Network, input_spec: InputSpec):
     """(core, regions): `net` without its input normalization, and the
     spec's regions as one stack of boxes in the coordinates that core
     reads. The analysis runs on these. The core is new on every call, so
-    the `split_weights` it computes are freed with the run, not kept on `net`."""
-    bounds = np.array([(r.lo, r.hi) for r in input_spec.regions])
+    the `split_weights` it computes are freed with the run, not kept on `net`.
+
+    Raises DimensionMismatchError when the spec's input dimension is not
+    the network's."""
+    if input_spec.dim != net.input_dim:
+        raise DimensionMismatchError(
+            f"property has {input_spec.dim} input dims, network expects {net.input_dim}"
+        )
+    ends = np.array([r.ends for r in input_spec.regions])
     if net.has_normalization and input_spec.units == "raw":
         # normalizing keeps lo <= hi, but it may overflow
-        bounds = net.normalize(bounds)
-        if not np.isfinite(bounds).all():
+        ends = net.normalize(ends)
+        if not np.isfinite(ends).all():
             raise ValueError("a region's bounds overflow when normalized")
-    return Network(net.layers), Box.stack(bounds[:, 0], bounds[:, 1])
+    return Network(net.layers), Box.stack(ends)
 
 
 def default_max_depth(regions: Box, precision: float) -> int:
@@ -226,14 +234,10 @@ class _Run:
     def __init__(self, net: Network, spec, cfg: Config, short_circuit: bool):
         self.net = net
         input_spec, constraint = spec
-        if input_spec.dim != net.input_dim:
-            raise DimensionMismatchError(
-                f"property has {input_spec.dim} input dims, network expects {net.input_dim}"
-            )
+        self.core, regions = internal_view(net, input_spec)
         self.cfg = cfg
         self.short_circuit = short_circuit
         self.check = SoundCheck(constraint, net.output_dim)
-        self.core, regions = internal_view(net, input_spec)
         # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
         self.max_depth = (
@@ -248,9 +252,9 @@ class _Run:
         # climbing one literal's margin can refute it
         self.attack = self.check.or_free and short_circuit
         # the regions are the first rows
-        self.lo, self.hi = regions.lo.copy(), regions.hi.copy()
-        self.depth = [0] * len(self.lo)
-        self.outcome = [None] * len(self.lo)
+        self.ends = regions.ends.copy()
+        self.depth = [0] * len(self.ends)
+        self.outcome = [None] * len(self.ends)
         self.witness = {}  # row -> counterexample of an evaluated insecure row
         self.attacked = set()  # the rows whose counterexample the attack found
         self.limit = _SLACK_ROWS if short_circuit else math.inf  # rows before a drop
@@ -264,12 +268,12 @@ class _Run:
     # -- the rows ------------------------------------------------------------
     def _append(self, depth: list) -> slice:
         """Add unevaluated rows at the given depths; return their slice,
-        whose bounds in `lo` and `hi` the caller fills in."""
+        whose `ends` the caller fills in."""
         start = len(self.depth)
         end = start + len(depth)
-        if end > len(self.lo):
-            room = np.empty((max(end, 2 * len(self.lo), _MIN_ROWS) - start, self.lo.shape[1]))
-            self.lo, self.hi = (np.concatenate((a[:start], room)) for a in (self.lo, self.hi))
+        if end > len(self.ends):
+            room = np.empty((max(end, 2 * len(self.ends), _MIN_ROWS) - start,) + self.ends.shape[1:])
+            self.ends = np.concatenate((self.ends[:start], room))
         self.depth.extend(depth)
         self.outcome.extend([None] * len(depth))
         return slice(start, end)
@@ -299,7 +303,7 @@ class _Run:
                 todo.extend(self.outcome[row])
         live.sort()
         new = dict(zip(live, range(len(live))))
-        self.lo, self.hi = self.lo[live], self.hi[live]
+        self.ends = self.ends[live]
         self.depth = [self.depth[r] for r in live]
         self.outcome = [
             range(new[o.start], new[o.start] + len(o)) if type(o) is range else o
@@ -312,11 +316,10 @@ class _Run:
 
     def partition(self) -> list:
         """The leaves as (Box, status, cex), boxes in the spec's units."""
-        rows = [row for row, _, _ in self.leaves]
-        lo, hi = self.lo[rows], self.hi[rows]
+        ends = self.ends[[row for row, _, _ in self.leaves]]
         if self.convert:
-            lo, hi = self.net.denormalize(lo), self.net.denormalize(hi)
-        boxes = Box.stack(lo, hi).unstack()
+            ends = self.net.denormalize(ends)
+        boxes = Box.stack(ends).unstack()
         return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
     # -- sampling ----------------------------------------------------------
@@ -481,7 +484,7 @@ class _Run:
         cfg = self.cfg
         outcome = self.outcome
         at = np.array(rows)
-        box = Box.stack(self.lo.take(at, axis=0), self.hi.take(at, axis=0))
+        box = Box.stack(self.ends.take(at, axis=0))
         rest = self._refute(rows, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
         if not rest:
             return
@@ -548,28 +551,24 @@ class _Run:
         left, right = iv_bisect(box, dims)
         new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
         # left then right child of each box, so the right one is popped first
-        start, stop = new.start, new.stop
-        self.lo[start:stop:2], self.hi[start:stop:2] = left.lo, left.hi
-        self.lo[start + 1 : stop : 2], self.hi[start + 1 : stop : 2] = right.lo, right.hi
+        self.ends[new.start : new.stop : 2] = left.ends
+        self.ends[new.start + 1 : new.stop : 2] = right.ends
 
     def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
         """Make the children of each row the 2^k boxes that pin the first k
         (at most _MAX_REDUCED_DIMS) of its box's monotone dims, a row of
         `mono`, to one of their ends."""
-        los, his, sizes, steps = [], [], [], []
+        blocks, sizes, steps = [], [], []
         for b, dims in enumerate(mono.tolist()):
             pinned = np.flatnonzero(dims)[:_MAX_REDUCED_DIMS]
             sides = np.array(list(itertools.product((False, True), repeat=len(pinned))))
-            v = np.where(sides, box.hi[b, pinned], box.lo[b, pinned])
-            lo = np.repeat(box.lo[b : b + 1], len(sides), axis=0)
-            hi = np.repeat(box.hi[b : b + 1], len(sides), axis=0)
-            lo[:, pinned] = hi[:, pinned] = v
-            los.append(lo)
-            his.append(hi)
+            ends = np.repeat(box.ends[b : b + 1], len(sides), axis=0)
+            ends[..., pinned] = np.where(sides, box.hi[b, pinned], box.lo[b, pinned])[:, np.newaxis, :]
+            blocks.append(ends)
             sizes.append(len(sides))
             steps.append(len(pinned))
         new = self._add_children(rows, sizes, steps)
-        self.lo[new], self.hi[new] = np.concatenate(los), np.concatenate(his)
+        self.ends[new] = np.concatenate(blocks)
 
     # -- entry points ------------------------------------------------------
     def execute(self):

@@ -10,8 +10,6 @@ read from the network's `split_weights`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .intervals import Box, round_out
@@ -19,7 +17,6 @@ from .network import Network
 from .propagate import ReluMaskMatrix, _check_unnormalized
 
 __all__ = [
-    "IntervalJacobian",
     "NoSplittableDimensionError",
     "backward_gradient",
     "margin_gradients",
@@ -31,40 +28,20 @@ class NoSplittableDimensionError(ValueError):
     """All dimensions are at or below the splitting precision."""
 
 
-@dataclass(frozen=True)
-class IntervalJacobian:
-    """Entrywise bounds on d(output_i)/d(input_j) over a box; shape m x d,
-    or B x m x d for a stack of boxes."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim < 2:
-            raise ValueError(f"Jacobian bound shapes disagree: {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
-            raise ValueError("inverted Jacobian entry")
-
-    def abs_upper(self) -> np.ndarray:
-        """max(|lo|, |hi|) per entry -- the upper bound on |J_ij|."""
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-
 # gradient interval [lo, hi] of a unit, indexed by its ReluState code
 _GRAD_LO = np.array([0.0, 1.0, 0.0])
 _GRAD_HI = np.array([0.0, 1.0, 1.0])
 
 
-def backward_gradient(net: Network, masks: ReluMaskMatrix) -> IntervalJacobian:
-    """Interval Jacobian of outputs w.r.t. inputs, given activation masks.
+def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
+    """Interval Jacobian of outputs w.r.t. inputs, given activation masks:
+    entrywise bounds on d(output_i)/d(input_j), the (m, d) lower bounds
+    over the (m, d) upper bounds in one (2, m, d) array.
 
-    The masks are those of one box or of a stack; each box of a stack
-    gets the bits it would get alone. The inputs are those the first
-    layer reads: `net` has no input normalization.
+    The masks are those of one box or of a stack, whose Jacobian is
+    (B, 2, m, d); each box of a stack gets the bits it would get alone.
+    The inputs are those the first layer reads: `net` has no input
+    normalization.
     """
     _check_unnormalized(net)
     if len(masks) != net.num_hidden:
@@ -72,32 +49,32 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> IntervalJacobian:
             f"mask has {len(masks)} hidden layers, network has {net.num_hidden}"
         )
     lead = masks[0].shape[:-1] if masks else ()
-    g_lo = g_hi = np.broadcast_to(net.layers[-1].W, lead + net.layers[-1].W.shape)
+    W = net.layers[-1].W
+    g = np.broadcast_to(W, lead + (2,) + W.shape)
     for k in range(net.num_hidden - 1, -1, -1):
         states = masks[k]
         n = net.layers[k].out_size
         if states.shape != lead + (n,):
             raise ValueError(f"mask layer {k} size disagrees with network")
-        m_lo = _GRAD_LO[states][..., np.newaxis, :]
-        m_hi = _GRAD_HI[states][..., np.newaxis, :]
+        m_lo = _GRAD_LO[states][..., np.newaxis, np.newaxis, :]
+        m_hi = _GRAD_HI[states][..., np.newaxis, np.newaxis, :]
         # Hadamard with the mask gradient interval (columns = layer-k units);
-        # the mask ends are 0 or 1, so the lower end takes g_lo, the upper g_hi
-        g = np.empty(g_lo.shape[:-2] + (2,) + g_lo.shape[-2:])
-        np.minimum(m_lo * g_lo, m_hi * g_lo, out=g[..., 0, :, :])
-        np.maximum(m_lo * g_hi, m_hi * g_hi, out=g[..., 1, :, :])
-        # [g_lo, g_hi] @ W with exact-weight columns: g_lo W+ + g_hi W- and
-        # g_hi W+ + g_lo W-, each product of one shape; outward-rounded
+        # the mask ends are 0 or 1, so the lower end is the lesser product
+        # of g_lo, the upper end the greater product of g_hi
+        h, h_hi = m_lo * g, m_hi * g
+        np.minimum(h[..., 0, :, :], h_hi[..., 0, :, :], out=h[..., 0, :, :])
+        np.maximum(h[..., 1, :, :], h_hi[..., 1, :, :], out=h[..., 1, :, :])
+        # [h_lo, h_hi] @ W with exact-weight columns: h_lo W+ + h_hi W- and
+        # h_hi W+ + h_lo W-, each product of one shape; outward-rounded
         pos, neg = net.split_weights[k]
-        g = g @ pos + g[..., ::-1, :, :] @ neg
-        g_lo, g_hi = round_out(g[..., 0, :, :], g[..., 1, :, :])
-    return IntervalJacobian(g_lo, g_hi)
+        g = h @ pos + h[..., ::-1, :, :] @ neg
+        round_out(g[..., 0, :, :], g[..., 1, :, :])
+    return g
 
 
-def smear_split_choice(
-    J: IntervalJacobian, x: Box, precision: float = 0.0
-):
+def smear_split_choice(J: np.ndarray, x: Box, precision: float = 0.0):
     """Index of the most influential splittable input, one per box of a
-    stack.
+    stack, given the `backward_gradient` J of the box or stack.
 
     Score per input j: max over outputs of upper|J_ij| times width(x_j).
     Dimensions no wider than `precision` are excluded; ties break low.
@@ -106,7 +83,7 @@ def smear_split_choice(
     splittable = widths > precision
     if not splittable.any(axis=-1).all():
         raise NoSplittableDimensionError("exhausted: no dimension wider than precision")
-    influence = J.abs_upper().max(axis=-2)
+    influence = np.abs(J).max(axis=(-3, -2))
     smear = np.where(splittable, influence * widths, -np.inf)
     return np.argmax(smear, axis=-1)
 

@@ -5,6 +5,10 @@ upper bounds toward +inf by one float64 ULP, once per output entry,
 instead of switching FPU rounding modes. This keeps the kernel portable
 and thread-safe. One ULP covers a single rounding; it does not cover all
 the error an n-term sum can accumulate.
+
+An interval pair is one array, the lower ends over the upper ends: a
+box's `ends` is (2, d) and `matvec_bounds` maps (2, m) to (2, n), each
+with a leading axis for a stack of boxes.
 """
 
 from __future__ import annotations
@@ -36,15 +40,15 @@ class UnsplittableError(ValueError):
 
 
 def round_out(lo, hi):
-    """Nudge the arrays (lo, hi) outward by one ULP."""
-    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    """Nudge the arrays lo and hi outward by one ULP, in place."""
+    np.nextafter(lo, -np.inf, out=lo)
+    np.nextafter(hi, np.inf, out=hi)
 
 
-def _check_overflow(*values):
-    """Raise IntervalOverflowError unless every entry is finite."""
-    for v in values:
-        if not np.isfinite(v).all():
-            raise IntervalOverflowError("interval overflow")
+def _check_overflow(v):
+    """Raise IntervalOverflowError unless every entry of v is finite."""
+    if not np.isfinite(v).all():
+        raise IntervalOverflowError("interval overflow")
 
 
 @dataclass(frozen=True)
@@ -67,60 +71,62 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Box:
-    """Axis-aligned box over the network inputs: read-only float64 arrays
-    `lo` and `hi`, finite, with lo <= hi in every dimension.
+    """Axis-aligned box over the network inputs: one read-only float64
+    array `ends`, the lower ends over the upper ends, finite, with
+    lo <= hi in every dimension. `lo` and `hi` are views of it.
 
-    The constructor checks a single box, with (d,) arrays. `Box.stack`
-    makes a stack of B boxes, with (B, d) arrays, which the analysis
-    evaluates together. `len()` is d either way.
+    The constructor checks a single box, given its (d,) bounds, and makes
+    a (2, d) `ends`. `Box.stack` makes a stack of B boxes, whose `ends` is
+    (B, 2, d) and which the analysis evaluates together. `len()` is d
+    either way.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
+    ends: np.ndarray
 
-    def __post_init__(self):
-        lo = np.array(self.lo, dtype=np.float64)
-        hi = np.array(self.hi, dtype=np.float64)
+    def __init__(self, lo, hi):
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError(f"box bounds must be 1-d and of one shape: {lo.shape} vs {hi.shape}")
         # a loop over the few inputs of a box beats numpy's reductions
         for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
             if not -math.inf < a <= b < math.inf:
                 raise ValueError(f"box bounds must be finite with lo <= hi: dim {j} is [{a}, {b}]")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "ends", _read_only(np.stack((lo, hi))))
 
     @classmethod
-    def from_arrays(cls, lo, hi) -> "Box":
-        return cls(lo, hi)
-
-    @classmethod
-    def stack(cls, lo: np.ndarray, hi: np.ndarray) -> "Box":
-        """The stack of the boxes whose bounds are the rows of the (B, d)
-        arrays lo and hi, which it makes read-only. The rows must lie
+    def stack(cls, ends: np.ndarray) -> "Box":
+        """The stack of the boxes whose ends are the (2, d) rows of the
+        (B, 2, d) array `ends`, which it makes read-only. The rows must lie
         inside boxes already checked: they get none of the constructor's
         checks."""
-        return _sub_box(_read_only(lo), _read_only(hi))
+        return _sub_box(_read_only(ends))
 
     def unstack(self) -> list:
         """The single boxes of a stack, as read-only views of its rows."""
-        return [_sub_box(a, b) for a, b in zip(self.lo, self.hi)]
+        return [_sub_box(e) for e in self.ends]
 
     def take(self, rows) -> "Box":
         """The stack of the given rows."""
-        return _sub_box(_read_only(self.lo[rows]), _read_only(self.hi[rows]))
+        return _sub_box(_read_only(self.ends[rows]))
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.ends[..., 0, :]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.ends[..., 1, :]
 
     @property
     def dims(self) -> tuple:
         """One Interval per input."""
-        return tuple(Interval(a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist()))
+        return tuple(Interval(a, b) for a, b in zip(*self.ends.tolist()))
 
     def __len__(self):
-        return self.lo.shape[-1]
+        return self.ends.shape[-1]
 
     def midpoint(self) -> np.ndarray:
         return midpoint(self.lo, self.hi)
@@ -135,12 +141,11 @@ class Box:
         return "Box(" + ", ".join(repr(d) for d in self.dims) + ")"
 
 
-def _sub_box(lo: np.ndarray, hi: np.ndarray) -> Box:
-    """The Box of read-only bounds that lie inside boxes already checked;
+def _sub_box(ends: np.ndarray) -> Box:
+    """The Box of read-only ends that lie inside boxes already checked;
     they need none of the constructor's checks."""
     box = object.__new__(Box)
-    object.__setattr__(box, "lo", lo)
-    object.__setattr__(box, "hi", hi)
+    object.__setattr__(box, "ends", ends)
     return box
 
 
@@ -173,28 +178,26 @@ def affine_rows(rows, pos, neg, b) -> np.ndarray:
     return out
 
 
-def matvec_bounds(split, b, lo, hi):
-    """Vectorized interval W @ [lo, hi] + b. Returns (lo, hi) arrays.
+def matvec_bounds(split, b, ends):
+    """Vectorized interval W @ [lo, hi] + b, on and to (..., 2, n) arrays
+    of the lower ends over the upper ends.
 
     Row i contains {sum_j W[i,j] x_j + b[i] : x_j in [lo_j, hi_j]},
     outward-rounded once per output entry. `split` is (W+, W-), the
-    positive and negative parts of W. `lo` and `hi` are (m,) or a (B, m)
+    positive and negative parts of W. `ends` is (2, m) or a (B, 2, m)
     stack; each box of a stack gets the bits it would get alone.
     """
     b = np.asarray(b, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
     n, m = split[0].shape
-    if m != lo.shape[-1]:
-        raise ValueError(f"shape mismatch: W has {m} cols, vector has {lo.shape[-1]}")
+    if ends.shape[-2:] != (2, m):
+        raise ValueError(f"shape mismatch: W has {m} cols, bounds are {ends.shape}")
     if n != b.shape[0]:
         raise ValueError(f"shape mismatch: W has {n} rows, bias has {b.shape[0]}")
-    ends = np.empty(lo.shape[:-1] + (2, m, 1))
-    ends[..., 0, :, 0] = lo
-    ends[..., 1, :, 0] = hi
-    ends = affine_rows(ends, *split, b)[..., 0]
-    out_lo, out_hi = round_out(ends[..., 0, :], ends[..., 1, :])
-    _check_overflow(out_lo, out_hi)
-    return out_lo, out_hi
+    out = affine_rows(ends[..., np.newaxis], *split, b)[..., 0]
+    round_out(out[..., 0, :], out[..., 1, :])
+    _check_overflow(out)
+    return out
 
 
 def iv_bisect(x: Box, j):
@@ -205,7 +208,7 @@ def iv_bisect(x: Box, j):
     """
     j = np.asarray(j)
     d = len(x)
-    if j.shape != x.lo.shape[:-1]:
+    if j.shape != x.ends.shape[:-2]:
         raise ValueError(f"need one split dimension per box, got shape {j.shape}")
     if ((j < 0) | (j >= d)).any():
         raise IndexError(f"dimension {j} out of range for box of size {d}")
@@ -214,6 +217,6 @@ def iv_bisect(x: Box, j):
     if (hi <= lo).any():
         raise UnsplittableError(f"unsplittable: dimension {j} has zero width")
     mid = midpoint(lo, hi)
-    left_hi, right_lo = x.hi.copy(), x.lo.copy()
-    left_hi[at] = right_lo[at] = mid
-    return _sub_box(x.lo, _read_only(left_hi)), _sub_box(_read_only(right_lo), x.hi)
+    left, right = x.ends.copy(), x.ends.copy()
+    left[..., 1, :][at] = right[..., 0, :][at] = mid
+    return _sub_box(_read_only(left)), _sub_box(_read_only(right))

@@ -72,13 +72,13 @@ def naive_forward(net: Network, x: Box) -> ForwardResult:
     reads: `net` has no input normalization.
     """
     _check_dims(net, x)
-    lo, hi = x.lo, x.hi
+    ends = x.ends
     for k, (layer, parts) in enumerate(zip(net.layers, net.split_weights)):
-        lo, hi = matvec_bounds(parts, layer.b, lo, hi)
+        # a new array on every layer, so the clamp never writes into x
+        ends = matvec_bounds(parts, layer.b, ends)
         if k < net.num_hidden:
-            lo = np.maximum(lo, 0.0)
-            hi = np.maximum(hi, 0.0)
-    return ForwardResult(lo, hi)
+            np.maximum(ends, 0.0, out=ends)
+    return ForwardResult(ends[..., 0, :], ends[..., 1, :])
 
 
 def symbolic_forward(net: Network, x: Box) -> ForwardResult:
@@ -94,7 +94,7 @@ def symbolic_forward(net: Network, x: Box) -> ForwardResult:
     operand = box_operand(x)
     # the first layer's rows are the layer itself, lower and upper alike
     first = net.layers[0]
-    rows = np.empty(x.lo.shape[:-1] + (2, first.out_size, first.in_size + 1))
+    rows = np.empty(x.ends.shape[:-2] + (2, first.out_size, first.in_size + 1))
     rows[..., :-1] = first.W
     rows[..., -1] = first.b
     masks = []

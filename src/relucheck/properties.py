@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from .gradients import IntervalJacobian
 from .intervals import Box, affine_rows
 from .network import DimensionMismatchError
 from .propagate import ForwardResult
@@ -150,6 +149,9 @@ class Not:
     arg: object
 
 
+# every run compiles its constraint anew, and the same rank atoms recur
+# across runs: their difference atoms are built once
+@functools.lru_cache(maxsize=256)
 def desugar(c, m: int):
     """Rewrite rank atoms into difference atoms over m outputs."""
     if isinstance(c, IsMin):
@@ -282,11 +284,11 @@ class SoundCheck:
             _, upper = expr_bounds(affine_rows(fr.rows, pos, neg, 0.0)[..., 1, :, :], fr.operand)
         return self.truth(upper <= self.bound)
 
-    def monotone_dims(self, J: IntervalJacobian, wide):
+    def monotone_dims(self, J: np.ndarray, wide):
         """(B, d) bool: the dims in `wide` where every literal's margin has
         a sign-definite derivative over the box, by the interval product of
-        `A` with the interval Jacobian `J` of its stack."""
-        ends = affine_rows(np.stack((J.lo, J.hi), axis=-3), *self._split, 0.0)
+        `A` with the (B, 2, m, d) interval Jacobian `J` of its stack."""
+        ends = affine_rows(J, *self._split, 0.0)
         return ((ends[..., 0, :, :] > 0.0) | (ends[..., 1, :, :] < 0.0)).all(axis=-2) & wide
 
 
@@ -441,14 +443,16 @@ def _bound_pair(vals, lineno: int):
 
 
 def parse_property(source, num_outputs: Optional[int] = None):
-    """Parse a property file into (InputSpec, desugared constraint).
+    """Parse a property file into (InputSpec, constraint), the constraint
+    tree as written: rank atoms are desugared when a `SoundCheck` compiles
+    it against the network's output count.
 
     Sections: ``domain:`` (d lines ``lo hi``), one or more ``region:``
     sections (``lo hi`` or ``*`` per line), ``constraint:`` (prefix
     expression), optional ``units:`` and ``outputs:`` headers. A declared
     output count must be at least 1 and, when `num_outputs` is given, equal
-    to it. When the output count is neither given nor declared, it is
-    inferred from the largest referenced index.
+    to it. When either is known, every output index the constraint reads
+    must be below it.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -535,7 +539,7 @@ def parse_property(source, num_outputs: Optional[int] = None):
                 raise PropertyParseError(f"region {k} dim {j}: empty range [{a}, {b}]")
             lo.append(a)
             hi.append(b)
-        regions.append(Box.from_arrays(lo, hi))
+        regions.append(Box(lo, hi))
 
     constraint = _ConstraintParser(constraint_tokens).parse()
     if None not in (num_outputs, declared_outputs) and num_outputs != declared_outputs:
@@ -543,8 +547,6 @@ def parse_property(source, num_outputs: Optional[int] = None):
             f"property declares {declared_outputs} outputs, the network has {num_outputs}"
         )
     m = num_outputs if num_outputs is not None else declared_outputs
-    if m is None:
-        m = max_output_index(constraint) + 1
-    if max_output_index(constraint) >= m:
+    if m is not None and max_output_index(constraint) >= m:
         raise PropertyParseError("constraint references an output index out of range")
-    return InputSpec(tuple(regions), units), desugar(constraint, m)
+    return InputSpec(tuple(regions), units), constraint

@@ -18,7 +18,7 @@ def demo_net() -> Network:
 
 @pytest.fixture(scope="session")
 def demo_box() -> Box:
-    return Box.from_arrays([4.0, 1.0], [6.0, 5.0])
+    return Box([4.0, 1.0], [6.0, 5.0])
 
 
 def make_net(weights, biases=None) -> Network:
@@ -46,7 +46,7 @@ def random_net(rng, d=None, m=None, max_width=20, max_layers=4, weight_scale=2.0
 def random_box(rng, d, min_width=0.1, max_width=2.0, center_scale=1.0) -> Box:
     center = rng.uniform(-center_scale, center_scale, size=d)
     half = rng.uniform(min_width / 2, max_width / 2, size=d)
-    return Box.from_arrays(center - half, center + half)
+    return Box(center - half, center + half)
 
 
 def subset_of(a: Interval, b: Interval, slack: float = 0.0) -> bool:

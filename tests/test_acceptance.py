@@ -104,7 +104,7 @@ def _grid_union_widths(net, box, n):
     union_lo = np.full(net.output_dim, np.inf)
     union_hi = np.full(net.output_dim, -np.inf)
     for idx in np.ndindex(*([n] * d)):
-        cell = Box.from_arrays(
+        cell = Box(
             [edges[j][idx[j]] for j in range(d)],
             [edges[j][idx[j] + 1] for j in range(d)],
         )
@@ -165,7 +165,7 @@ def test_criterion_4_gradient_containment():
                 xm[j] -= h[j]
                 g[:, j] = (eval_concrete(net, xp) - eval_concrete(net, xm)) / (2 * h[j])
             tol = 1e-4 * np.maximum(np.abs(g), 1.0)
-            if np.any(g < J.lo - tol) or np.any(g > J.hi + tol):
+            if np.any(g < J[0] - tol) or np.any(g > J[1] + tol):
                 violations += 1
             points_done += 1
         nets_done += 1

@@ -41,15 +41,15 @@ def assert_same_bits(stacked, alone):
 
 
 def stack_of(boxes):
-    return Box.stack(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]))
+    return Box.stack(np.array([b.ends for b in boxes]))
 
 
 def _boxes(rng, d, n):
     boxes = [random_box(rng, d, min_width=0.0, max_width=3.0) for _ in range(n)]
     # some point boxes and some very thin ones
-    boxes[0] = Box.from_arrays(boxes[0].lo, boxes[0].lo)
+    boxes[0] = Box(boxes[0].lo, boxes[0].lo)
     if n > 1:
-        boxes[1] = Box.from_arrays(boxes[1].lo, boxes[1].lo + 1e-9)
+        boxes[1] = Box(boxes[1].lo, boxes[1].lo + 1e-9)
     return boxes
 
 
@@ -74,15 +74,15 @@ def test_stacked_boxes_get_their_own_bits(seed):
         for got, want in zip(sym.masks, one.masks):
             assert_same_bits(got[b], want)
         J = backward_gradient(net, one.masks)
-        assert_same_bits(jac.lo[b], J.lo)
-        assert_same_bits(jac.hi[b], J.hi)
+        assert_same_bits(jac[b, 0], J[0])
+        assert_same_bits(jac[b, 1], J[1])
         alone = naive_forward(net, box)
         assert_same_bits(nai.lo[b], alone.lo)
         assert_same_bits(nai.hi[b], alone.hi)
 
 
 def test_mask_layers_count_over_a_stack(demo_net):
-    boxes = [Box.from_arrays([-10, 1], [6, 5]), Box.from_arrays([4, 1], [6, 5])]
+    boxes = [Box([-10, 1], [6, 5]), Box([4, 1], [6, 5])]
     fr = symbolic_forward(demo_net, stack_of(boxes))
     counts = [symbolic_forward(demo_net, b).masks.layers[0].count(2) for b in boxes]
     assert fr.masks.layers[0].count(2) == sum(counts) == 2
@@ -181,7 +181,7 @@ def test_dropping_rows_keeps_a_pending_counterexample(monkeypatch):
     # is off, so that the counterexample is one that bisection finds.
     without_attack(monkeypatch)
     net = make_net([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
-    spec = (InputSpec((Box.from_arrays([9], [10.5]), Box.from_arrays([0], [1]))), OutLE(0, 0.0))
+    spec = (InputSpec((Box([9], [10.5]), Box([0], [1]))), OutLE(0, 0.0))
     for slack in (engine._SLACK_ROWS, 0):
         monkeypatch.setattr(engine, "_SLACK_ROWS", slack)
         v = verify(net, spec, Config(mode="naive", max_depth=10))

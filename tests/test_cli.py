@@ -257,7 +257,17 @@ def test_bound_overflow_exit_2(tmp_path, capsys, recwarn):
 def test_property_dim_mismatch_exit_5(tmp_path, capsys):
     bad = tmp_path / "wrongdim.prop"
     bad.write_text("domain:\n0 1\nregion:\n*\nconstraint:\nle 0 5\n")
-    assert run(["verify", "--network", NET, "--property", str(bad)]) == 5
+    # a normalized network maps a region's bounds before any pass checks
+    # their dimension; every command checks it first, and bench prints
+    # no table
+    net = tmp_path / "norm.json"
+    layers = [{"W": [[2, 3], [1, 1]], "b": [0, 0]}, {"W": [[1, -1]], "b": [0]}]
+    net.write_text(json.dumps({"layers": layers, "norm": {"mean": [1, 2], "range": [3, 4]}}))
+    for network in (NET, str(net)):
+        for command in ("verify", "enumerate", "bench"):
+            assert run([command, "--network", network, "--property", str(bad)]) == 5
+            out, err = capsys.readouterr()
+            assert out == "" and "1 input dims, network expects 2" in err
 
 
 def _exact_output(weights, x):

@@ -50,7 +50,7 @@ def le15(demo_net):
 
 
 def test_default_max_depth():
-    regions = Box.from_arrays([0, 0], [4, 1])
+    regions = Box([0, 0], [4, 1])
     # ceil(log2(4 / 0.7)) * 2 = 6
     assert default_max_depth(regions, 0.7) == 6
     assert default_max_depth(regions, 100.0) == 1
@@ -99,7 +99,7 @@ def test_root_midpoint_counterexample_is_not_bounded(monkeypatch, demo_net, mode
     for name in ("symbolic_forward", "naive_forward"):
         monkeypatch.setattr(engine, name, _refuse)
     monkeypatch.setattr(Network, "split_weights", property(_refuse))
-    spec = (InputSpec((Box.from_arrays([4, 1], [6, 5]),)), OutLE(0, 10.0))
+    spec = (InputSpec((Box([4, 1], [6, 5]),)), OutLE(0, 10.0))
     v = verify(demo_net, spec, Config(mode=mode, sample_strategy=strategy))
     assert v.status is Status.INSECURE
     assert v.counterexample.tolist() == [5.0, 3.0]
@@ -117,7 +117,7 @@ def test_runs_leave_split_weights_off_the_callers_net():
     flat = make_net(*_FLAT)
     scaled = Network(flat.layers, np.array([100.0]), np.array([8.0]))
     for net, lo, hi in ((flat, 0.0, 1.0), (scaled, 100.0, 108.0)):
-        spec = (InputSpec((Box.from_arrays([lo], [hi]),)), OutLE(0, 0.0))
+        spec = (InputSpec((Box([lo], [hi]),)), OutLE(0, 0.0))
         for run in (verify, enumerate_regions):
             assert run(net, spec, Config(max_depth=3)).stats.nodes_explored == 15
             assert "split_weights" not in net.__dict__
@@ -135,7 +135,7 @@ def test_a_multi_wave_run_splits_the_weights_once(monkeypatch):
 
         monkeypatch.setattr(engine, name, recording)
     net = make_net(*_FLAT)
-    spec = (InputSpec((Box.from_arrays([0.0], [1.0]),)), OutLE(0, 0.0))
+    spec = (InputSpec((Box([0.0], [1.0]),)), OutLE(0, 0.0))
     for mode in ("symbolic", "naive"):
         seen.clear()
         v = verify(net, spec, Config(mode=mode, max_depth=6))
@@ -147,7 +147,7 @@ def test_verify_wave_stops_at_first_midpoint_counterexample(monkeypatch):
     # y = x; the cursor takes the regions last first, so the wave is
     # [2,3], [1,2], [9,10], [0,1] and its third box violates y <= 5
     net = make_net([np.eye(1)])
-    regions = [Box.from_arrays([a], [a + 1]) for a in (0, 9, 1, 2)]
+    regions = [Box([a], [a + 1]) for a in (0, 9, 1, 2)]
     spec = (InputSpec(tuple(regions)), OutLE(0, 5.0))
     sizes = []
 
@@ -219,7 +219,7 @@ def test_corner_sampling_counterexamples_on_shipped_properties(monkeypatch):
 def test_overflowed_sample_is_not_a_counterexample(mode):
     # at every point of [1, 2]^2 the output overflows: to inf, and to
     # inf - inf = nan with the second output layer
-    box = Box.from_arrays([1, 1], [2, 2])
+    box = Box([1, 1], [2, 2])
     pts = np.array([[[1.5, 1.5]], [[1e-199, 0.0]]])
     # at the second point the outputs are 2e201 and 0
     for out, want in (([[1e200, 1e200]], {1: [1e-199, 0.0]}), ([[1e200, -1e200]], {})):
@@ -321,7 +321,7 @@ def test_verify_memory_does_not_grow_with_nodes(monkeypatch):
     monkeypatch.setattr(engine, "WAVE", 8)
     monkeypatch.setattr(engine, "_SLACK_ROWS", 0)
     net = make_net([np.zeros((1, 2))])
-    spec = (InputSpec((Box.from_arrays([0, 0], [1, 1]),)), OutLE(0, 0.0))
+    spec = (InputSpec((Box([0, 0], [1, 1]),)), OutLE(0, 0.0))
     peaks = []
     for depth in (9, 12):
         tracemalloc.start()
@@ -337,18 +337,18 @@ def test_verify_memory_does_not_grow_with_nodes(monkeypatch):
 
 
 def test_verify_dim_mismatch(demo_net):
-    spec = (InputSpec((Box.from_arrays([0], [1]),)), OutLE(0, 1.0))
+    spec = (InputSpec((Box([0], [1]),)), OutLE(0, 1.0))
     with pytest.raises(ValueError):
         verify(demo_net, spec, Config())
 
 
 def test_dimension_mismatch_is_typed(demo_net):
-    spec = (InputSpec((Box.from_arrays([0], [1]),)), OutLE(0, 1.0))
+    spec = (InputSpec((Box([0], [1]),)), OutLE(0, 1.0))
     with pytest.raises(DimensionMismatchError):
         verify(demo_net, spec, Config())
     for forward in (symbolic_forward, naive_forward):
         with pytest.raises(DimensionMismatchError):
-            forward(demo_net, Box.from_arrays([0], [1]))
+            forward(demo_net, Box([0], [1]))
     with pytest.raises(DimensionMismatchError):
         eval_concrete(demo_net, [1.0, 2.0, 3.0])
 
@@ -361,7 +361,7 @@ def test_verify_rejects_an_output_index_out_of_range(demo_net, demo_box):
 
 
 def test_verify_multi_region(demo_net):
-    regions = InputSpec((Box.from_arrays([4, 1], [5, 3]), Box.from_arrays([5, 3], [6, 5])))
+    regions = InputSpec((Box([4, 1], [5, 3]), Box([5, 3], [6, 5])))
     # one output: IsMax(0) desugars to an empty And, true everywhere
     for c in (OutLE(0, 20.0), IsMax(0)):
         assert verify(demo_net, (regions, c), Config()).status is Status.SECURE
@@ -406,7 +406,7 @@ def test_monotonicity_reduction_with_negation(monkeypatch):
     without_attack(monkeypatch)
     weights = [[[1.0, -1.0], [1.0, 1.0], [1.0, 0.0]], [[1.0, 1.0, 1.0]]]
     net = make_net(weights, [[0.0, 0.0, 10.0], [0.0]])
-    region = InputSpec((Box.from_arrays([0, -1], [2, 1]),))
+    region = InputSpec((Box([0, -1], [2, 1]),))
     runs = []
     for c in (16.5, 15.5):
         spec = (region, Not(OutGE(0, c)))
@@ -433,7 +433,7 @@ def test_monotone_endpoint_children_are_corners(monkeypatch):
     # The root attack, which would climb to that corner, is off.
     without_attack(monkeypatch)
     net = make_net([np.eye(2), [[2.0, -1.0]]])
-    spec = (InputSpec((Box.from_arrays([1, 1], [2, 2]),)), OutLE(0, 2.999))
+    spec = (InputSpec((Box([1, 1], [2, 2]),)), OutLE(0, 2.999))
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE
     assert v.counterexample.tolist() == [2.0, 1.0]
@@ -467,7 +467,7 @@ def test_worker_exception_fails_fast(mode, workers, recwarn):
     # 1e200 weights overflow in the second layer; every worker count must
     # raise the worker's error rather than wait for jobs that never finish
     net = make_net([np.full((3, 2), 1e200), np.full((3, 3), 1e200), np.ones((1, 3))])
-    spec = (InputSpec((Box.from_arrays([0, 0], [1, 1]),)), OutLE(0, 0.0))
+    spec = (InputSpec((Box([0, 0], [1, 1]),)), OutLE(0, 0.0))
     cfg = Config(workers=workers, mode=mode, timeout=2.0)
     raised = []
 
@@ -685,7 +685,7 @@ _BUMP = ([[[1.0], [1.0]], [[1.0, -2.0]]], [[-0.5625, -0.75], [0.0]])
 @pytest.mark.parametrize("strategy", ["midpoint", "corners"])
 def test_attack_refutes_the_root_where_samples_miss(monkeypatch, mode, strategy):
     net = make_net(*_BUMP)
-    spec = (InputSpec((Box.from_arrays([0.0], [1.0]),)), OutLE(0, 0.125))
+    spec = (InputSpec((Box([0.0], [1.0]),)), OutLE(0, 0.125))
     cfg = Config(mode=mode, sample_strategy=strategy, max_depth=12)
     v = verify(net, spec, cfg)
     assert v.status is Status.INSECURE
@@ -707,7 +707,7 @@ def test_dropping_rows_keeps_a_pending_attack_hit(monkeypatch, mode, nodes):
     # [0, 1] stays pending while the run drops consumed rows and renumbers
     # the others, and it must still count as the attack's
     net = make_net(*_BUMP)
-    regions = (Box.from_arrays([0.0], [1.0]), Box.from_arrays([0.0], [0.6875]))
+    regions = (Box([0.0], [1.0]), Box([0.0], [0.6875]))
     spec = (InputSpec(regions), OutLE(0, 0.125))
     for slack in (engine._SLACK_ROWS, 0):
         monkeypatch.setattr(engine, "_SLACK_ROWS", slack)
@@ -720,7 +720,7 @@ def test_attack_counterexample_in_raw_units():
     # the bump net behind a normalization u = (x - 100) / 8, over x in [100, 108]
     bump = make_net(*_BUMP)
     net = Network(bump.layers, np.array([100.0]), np.array([8.0]))
-    spec = (InputSpec((Box.from_arrays([100.0], [108.0]),)), OutLE(0, 0.125))
+    spec = (InputSpec((Box([100.0], [108.0]),)), OutLE(0, 0.125))
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE and v.stats.attack_hits == 1
     (x,) = v.counterexample.tolist()
@@ -730,7 +730,7 @@ def test_attack_counterexample_in_raw_units():
 
 def test_attack_skips_enumerate_and_or_constraints(monkeypatch):
     net = make_net(*_BUMP)
-    region = InputSpec((Box.from_arrays([0.0], [1.0]),))
+    region = InputSpec((Box([0.0], [1.0]),))
     attacked = []
     real = engine._Run._attack_root
 
@@ -778,10 +778,10 @@ def test_attack_of_a_root_does_not_depend_on_its_stack():
     # the bump's midpoint 1/2 lies where no unit is active, so the attack
     # refutes [0, 1] from one of its uniform starts; y < 0 holds on [2, 3]
     net = make_net(*_BUMP)
-    regions = (Box.from_arrays([2.0], [3.0]), Box.from_arrays([0.0], [1.0]))
+    regions = (Box([2.0], [3.0]), Box([0.0], [1.0]))
     run = engine._Run(net, (InputSpec(regions), OutLE(0, 0.125)), Config(), short_circuit=True)
-    alone = run._attack([1], Box.stack(run.lo[1:], run.hi[1:]))
-    stacked = run._attack([0, 1], Box.stack(run.lo, run.hi))
+    alone = run._attack([1], Box.stack(run.ends[1:]))
+    stacked = run._attack([0, 1], Box.stack(run.ends))
     assert list(alone) == [0] and list(stacked) == [1]
     assert alone[0].tolist() == stacked[1].tolist()
 
@@ -790,7 +790,7 @@ def test_attack_hits_a_violation_on_the_boundary():
     # y = x over [0, 1] violates y < 1 only at x = 1, where the margin of
     # not(ge 0 1) is exactly 0; the steps reach it by clipping
     net = make_net([np.eye(1)])
-    spec = (InputSpec((Box.from_arrays([0.0], [1.0]),)), Not(OutGE(0, 1.0)))
+    spec = (InputSpec((Box([0.0], [1.0]),)), Not(OutGE(0, 1.0)))
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE and v.counterexample.tolist() == [1.0]
     assert (v.stats.nodes_explored, v.stats.attack_hits) == (1, 1)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from relucheck.gradients import (
-    IntervalJacobian,
     NoSplittableDimensionError,
     backward_gradient,
     margin_gradients,
@@ -20,24 +19,29 @@ def masks_of(*layers):
     return ReluMaskMatrix(tuple(np.array(l, dtype=np.int8) for l in layers))
 
 
+def jacobian(lo, hi):
+    """The interval Jacobian with entrywise bounds lo and hi."""
+    return np.array([lo, hi], dtype=np.float64)
+
+
 def test_backward_demo_active(demo_net):
     J = backward_gradient(demo_net, masks_of([ReluState.ACTIVE, ReluState.ACTIVE]))
-    np.testing.assert_allclose(J.lo, [[1.0, 2.0]])
-    np.testing.assert_allclose(J.hi, [[1.0, 2.0]])
+    np.testing.assert_allclose(J[0], [[1.0, 2.0]])
+    np.testing.assert_allclose(J[1], [[1.0, 2.0]])
 
 
 def test_backward_all_zero(demo_net):
     J = backward_gradient(demo_net, masks_of([ReluState.ZERO, ReluState.ZERO]))
     # outward rounding may leave a one-subnormal fringe around zero
-    np.testing.assert_allclose(J.lo, [[0.0, 0.0]], atol=1e-300)
-    np.testing.assert_allclose(J.hi, [[0.0, 0.0]], atol=1e-300)
+    np.testing.assert_allclose(J[0], [[0.0, 0.0]], atol=1e-300)
+    np.testing.assert_allclose(J[1], [[0.0, 0.0]], atol=1e-300)
 
 
 def test_backward_unstable_hull(demo_net):
     # right neuron unstable: d/dy = hull{3-1, 3-0} = [2, 3]
     J = backward_gradient(demo_net, masks_of([ReluState.ACTIVE, ReluState.UNSTABLE]))
-    assert J.lo[0, 1] == pytest.approx(2.0)
-    assert J.hi[0, 1] == pytest.approx(3.0)
+    assert J[0, 0, 1] == pytest.approx(2.0)
+    assert J[1, 0, 1] == pytest.approx(3.0)
 
 
 def test_backward_shape_mismatch(demo_net):
@@ -48,31 +52,31 @@ def test_backward_shape_mismatch(demo_net):
 
 
 def test_smear_demo_choice(demo_net, demo_box):
-    J = IntervalJacobian(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
+    J = jacobian(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
     # smear(y) = 2*4 = 8 beats smear(x) = 1*2 = 2
     assert smear_split_choice(J, demo_box) == 1
 
 
 def test_smear_tie_breaks_low():
-    J = IntervalJacobian(np.ones((1, 2)), np.ones((1, 2)))
-    assert smear_split_choice(J, Box.from_arrays([0, 0], [1, 1])) == 0
+    J = jacobian(np.ones((1, 2)), np.ones((1, 2)))
+    assert smear_split_choice(J, Box([0, 0], [1, 1])) == 0
 
 
 def test_smear_skips_point_dims():
-    J = IntervalJacobian(np.ones((1, 2)), np.ones((1, 2)))
-    assert smear_split_choice(J, Box.from_arrays([0, 0], [0, 1])) == 1
+    J = jacobian(np.ones((1, 2)), np.ones((1, 2)))
+    assert smear_split_choice(J, Box([0, 0], [0, 1])) == 1
 
 
 def test_smear_exhausted():
-    J = IntervalJacobian(np.ones((1, 1)), np.ones((1, 1)))
+    J = jacobian(np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(NoSplittableDimensionError):
-        smear_split_choice(J, Box.from_arrays([2.0], [2.0]))
+        smear_split_choice(J, Box([2.0], [2.0]))
 
 
 def test_smear_uses_abs_upper():
     # |[-5,-4]| upper is 5; beats [1,2] on equal widths
-    J = IntervalJacobian(np.array([[-5.0, 1.0]]), np.array([[-4.0, 2.0]]))
-    assert smear_split_choice(J, Box.from_arrays([0, 0], [1, 1])) == 0
+    J = jacobian(np.array([[-5.0, 1.0]]), np.array([[-4.0, 2.0]]))
+    assert smear_split_choice(J, Box([0, 0], [1, 1])) == 0
 
 
 def _fd_gradient(net, x, h):
@@ -112,8 +116,8 @@ def test_finite_difference_containment():
                 continue
             g = _fd_gradient(net, x, h)
             scale = np.maximum(np.abs(g), 1.0)
-            assert np.all(g >= J.lo - 1e-4 * scale)
-            assert np.all(g <= J.hi + 1e-4 * scale)
+            assert np.all(g >= J[0] - 1e-4 * scale)
+            assert np.all(g <= J[1] + 1e-4 * scale)
             checked += 1
 
 
@@ -124,12 +128,12 @@ def test_refinement_monotonicity_of_jacobian():
         outer = random_box(rng, net.input_dim)
         lo, hi = outer.lo, outer.hi
         mid = (lo + hi) / 2
-        inner = Box.from_arrays(lo, mid)
+        inner = Box(lo, mid)
         Jo = backward_gradient(net, symbolic_forward(net, outer).masks)
         Ji = backward_gradient(net, symbolic_forward(net, inner).masks)
-        slack = 1e-9 * np.maximum(np.abs(Jo.lo) + np.abs(Jo.hi), 1.0)
-        assert np.all(Ji.lo >= Jo.lo - slack)
-        assert np.all(Ji.hi <= Jo.hi + slack)
+        slack = 1e-9 * np.maximum(np.abs(Jo[0]) + np.abs(Jo[1]), 1.0)
+        assert np.all(Ji[0] >= Jo[0] - slack)
+        assert np.all(Ji[1] <= Jo[1] + slack)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -144,9 +148,9 @@ def test_margin_gradients_match_the_point_jacobian(seed):
     y, g = margin_gradients(net, xs, a)
     np.testing.assert_allclose(y, eval_concrete_batch(net, xs), rtol=1e-12, atol=1e-12)
     for p in range(len(xs)):
-        J = backward_gradient(net, symbolic_forward(net, Box.from_arrays(xs[p], xs[p])).masks)
-        assert J.lo == pytest.approx(J.hi, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(g[p], a[p] @ J.lo, rtol=1e-9, atol=1e-9)
+        J = backward_gradient(net, symbolic_forward(net, Box(xs[p], xs[p])).masks)
+        assert J[0] == pytest.approx(J[1], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(g[p], a[p] @ J[0], rtol=1e-9, atol=1e-9)
 
 
 def test_margin_gradients_stop_at_inactive_units(demo_net):

@@ -30,13 +30,13 @@ def intervals(draw):
 
 def add(a: Interval, b: Interval) -> Interval:
     """a + b as the 1x2 interval product [1, 1] @ (a, b)."""
-    lo, hi = matvec_bounds(split([[1.0, 1.0]]), [0.0], [a.lo, b.lo], [a.hi, b.hi])
+    lo, hi = matvec_bounds(split([[1.0, 1.0]]), [0.0], [[a.lo, b.lo], [a.hi, b.hi]])
     return Interval(lo[0], hi[0])
 
 
 def scale(c: float, a: Interval) -> Interval:
     """c * a as the 1x1 interval product [[c]] @ a."""
-    lo, hi = matvec_bounds(split([[c]]), [0.0], [a.lo], [a.hi])
+    lo, hi = matvec_bounds(split([[c]]), [0.0], [[a.lo], [a.hi]])
     return Interval(lo[0], hi[0])
 
 
@@ -85,45 +85,48 @@ def test_scale_cases():
 
 
 def test_matvec_demo_hidden_layer():
-    lo, hi = matvec_bounds(split([[2, 3], [1, 1]]), [0, 0], [4, 1], [6, 5])
+    lo, hi = matvec_bounds(split([[2, 3], [1, 1]]), [0, 0], [[4, 1], [6, 5]])
     np.testing.assert_array_equal((lo, hi), one_ulp_out([11.0, 5.0], [27.0, 11.0]))
     # the output layer over the exact hidden bounds [11, 27] x [5, 11]
-    lo2, hi2 = matvec_bounds(split([[1, -1]]), [0], [11, 5], [27, 11])
+    lo2, hi2 = matvec_bounds(split([[1, -1]]), [0], [[11, 5], [27, 11]])
     np.testing.assert_array_equal((lo2, hi2), one_ulp_out([0.0], [22.0]))
     # and over the rounded ones, which it contains
-    lo3, hi3 = matvec_bounds(split([[1, -1]]), [0], lo, hi)
+    lo3, hi3 = matvec_bounds(split([[1, -1]]), [0], [lo, hi])
     assert lo3[0] < lo2[0] and hi2[0] < hi3[0] and hi3[0] - lo3[0] <= 22 + 8 * math.ulp(22.0)
 
 
 def test_matvec_identity():
-    lo, hi = matvec_bounds(split(np.eye(2)), [0, 0], [-1, 0], [2, 3])
+    lo, hi = matvec_bounds(split(np.eye(2)), [0, 0], [[-1, 0], [2, 3]])
     np.testing.assert_array_equal((lo, hi), one_ulp_out([-1.0, 0.0], [2.0, 3.0]))
 
 
 def test_matvec_shape_mismatch():
     with pytest.raises(ValueError):
-        matvec_bounds(split([[1, 2, 3]]), [0], [0], [1])
+        matvec_bounds(split([[1, 2, 3]]), [0], [[0], [1]])
 
 
 def test_box_rejects_bad_bounds():
     for lo, hi in (([2.0], [1.0]), ([float("nan")], [1.0]), ([0.0], [float("inf")]),
                    ([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])):
         with pytest.raises(ValueError):
-            Box.from_arrays(lo, hi)
+            Box(lo, hi)
 
 
 def test_box_arrays_are_read_only_copies():
     lo = np.array([0.0, 1.0])
-    box = Box.from_arrays(lo, [1.0, 2.0])
+    box = Box(lo, [1.0, 2.0])
     lo[0] = -5.0
     assert box.lo.tolist() == [0.0, 1.0] and box.lo.dtype == np.float64
     with pytest.raises(ValueError):
         box.hi[0] = 3.0
     assert box.dims == (Interval(0, 1), Interval(1, 2)) and len(box) == 2
+    # lo and hi are views of the one (2, d) array of the box's ends
+    assert box.ends.tolist() == [[0.0, 1.0], [1.0, 2.0]] and not box.ends.flags.writeable
+    assert np.shares_memory(box.lo, box.ends) and np.shares_memory(box.hi, box.ends)
 
 
 def test_bisect_demo_example():
-    x = Box.from_arrays([4, 1], [6, 5])
+    x = Box([4, 1], [6, 5])
     a, b = iv_bisect(x, 1)
     assert (a.lo.tolist(), a.hi.tolist()) == ([4, 1], [6, 3])
     assert (b.lo.tolist(), b.hi.tolist()) == ([4, 3], [6, 5])
@@ -131,7 +134,7 @@ def test_bisect_demo_example():
 
 
 def test_bisect_unit():
-    a, b = iv_bisect(Box.from_arrays([0.0], [1.0]), 0)
+    a, b = iv_bisect(Box([0.0], [1.0]), 0)
     assert (a.lo[0], a.hi[0]) == (0, 0.5) and (b.lo[0], b.hi[0]) == (0.5, 1)
     with pytest.raises(ValueError):
         a.hi[0] = 2.0
@@ -139,18 +142,18 @@ def test_bisect_unit():
 
 def test_bisect_point_errors():
     with pytest.raises(UnsplittableError):
-        iv_bisect(Box.from_arrays([1.0], [1.0]), 0)
+        iv_bisect(Box([1.0], [1.0]), 0)
 
 
 def test_widths():
-    w = Box.from_arrays([1, 2], [4, 2]).widths()
+    w = Box([1, 2], [4, 2]).widths()
     assert w.tolist() == [math.nextafter(3.0, math.inf), 0.0]
-    w = Box.from_arrays([0, 0], [1, 3]).widths()
+    w = Box([0, 0], [1, 3]).widths()
     assert w[1] == pytest.approx(3.0) and int(np.argmax(w)) == 1
 
 
 def test_box_max_width_tie_breaks_low():
-    assert int(np.argmax(Box.from_arrays([0, 0], [2, 2]).widths())) == 0
+    assert int(np.argmax(Box([0, 0], [2, 2]).widths())) == 0
 
 @given(intervals(), intervals(), finite, finite)
 @settings(max_examples=300)

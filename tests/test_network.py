@@ -132,7 +132,7 @@ def test_interval_extension_agrees_on_points():
         b = random_box(rng, net.input_dim)
         for p in sample_points(rng, b, 5):
             y = eval_concrete(net, p)
-            point = Box.from_arrays(p, p)
+            point = Box(p, p)
             for fr in (naive_forward(net, point), symbolic_forward(net, point)):
                 for i, iv in enumerate(fr.out_bounds):
                     # concrete eval sums in a different order, so allow

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relucheck.gradients import backward_gradient
-from relucheck.intervals import Box, Interval
+from relucheck.intervals import Box, Interval, iv_bisect
 from relucheck.network import Network, eval_concrete, eval_concrete_batch
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.symbolic import ReluState
@@ -22,14 +22,14 @@ def test_naive_demo_example(demo_net, demo_box):
 
 
 def test_naive_point_box(demo_net):
-    (out,) = naive_forward(demo_net, Box.from_arrays([4.0, 1.0], [4.0, 1.0])).out_bounds
+    (out,) = naive_forward(demo_net, Box([4.0, 1.0], [4.0, 1.0])).out_bounds
     assert out.lo <= 6.0 <= out.hi
     assert out.hi - out.lo <= 4 * np.spacing(11.0)
 
 
 def test_naive_identity_net():
     net = make_net([np.eye(2)])
-    fr = naive_forward(net, Box.from_arrays([-1, 0], [2, 3]))
+    fr = naive_forward(net, Box([-1, 0], [2, 3]))
     assert subset_of(fr.out_bounds[0], Interval(-1, 2), 1e-12)
     assert subset_of(fr.out_bounds[1], Interval(0, 3), 1e-12)
     assert subset_of(Interval(-1, 2), fr.out_bounds[0])
@@ -49,7 +49,7 @@ def test_symbolic_demo_example(demo_net, demo_box):
 
 def test_symbolic_unstable_neuron(demo_net):
     # widening x to negative values drives the x+y neuron across zero
-    box = Box.from_arrays([-10, 1], [6, 5])
+    box = Box([-10, 1], [6, 5])
     fr = symbolic_forward(demo_net, box)
     assert fr.masks[0][1] == ReluState.UNSTABLE
     assert fr.masks.layers[0].count(ReluState.UNSTABLE) == 2  # 2x+3y is unstable too
@@ -61,7 +61,7 @@ def test_symbolic_unstable_neuron(demo_net):
 
 def test_symbolic_zero_weight_net():
     net = make_net([np.zeros((2, 2)), np.zeros((1, 2))], [[0.5, -3.0], [0.25]])
-    fr = symbolic_forward(net, Box.from_arrays([0, 0], [1, 1]))
+    fr = symbolic_forward(net, Box([0, 0], [1, 1]))
     (out,) = fr.out_bounds
     assert out.lo == pytest.approx(0.25) and out.hi == pytest.approx(0.25)
     assert fr.masks[0][0] == ReluState.ACTIVE
@@ -81,9 +81,9 @@ def test_out_bounds_match_out_sym(demo_net, demo_box):
 
 def test_dim_mismatch(demo_net):
     with pytest.raises(ValueError):
-        naive_forward(demo_net, Box.from_arrays([0], [1]))
+        naive_forward(demo_net, Box([0], [1]))
     with pytest.raises(ValueError):
-        symbolic_forward(demo_net, Box.from_arrays([0, 0, 0], [1, 1, 1]))
+        symbolic_forward(demo_net, Box([0, 0, 0], [1, 1, 1]))
 
 
 def test_passes_refuse_a_normalized_network():
@@ -92,8 +92,8 @@ def test_passes_refuse_a_normalized_network():
     # at 104 and miss 0.5. Their input is the core over normalized bounds.
     net = Network(make_net([np.eye(1), np.eye(1)]).layers, np.array([100.0]), np.array([8.0]))
     assert eval_concrete(net, [104.0]).tolist() == [0.5]
-    raw = Box.from_arrays([104.0], [104.0])
-    core, box = Network(net.layers), Box.from_arrays(net.normalize([104.0]), net.normalize([104.0]))
+    raw = Box([104.0], [104.0])
+    core, box = Network(net.layers), Box(net.normalize([104.0]), net.normalize([104.0]))
     for analyse in (naive_forward, symbolic_forward):
         with pytest.raises(ValueError, match="normalize"):
             analyse(net, raw)
@@ -103,7 +103,24 @@ def test_passes_refuse_a_normalized_network():
     with pytest.raises(ValueError, match="normalize"):
         backward_gradient(net, masks)
     J = backward_gradient(core, masks)
-    assert J.lo[0, 0] <= 1.0 <= J.hi[0, 0]
+    assert J[0, 0, 0] <= 1.0 <= J[1, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_passes_do_not_write_into_their_input(seed):
+    # the passes update fresh arrays in place; the box they read, alone
+    # or stacked, keeps its bytes and stays read-only
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, max_width=20, max_layers=2 + seed)
+    boxes = [random_box(rng, net.input_dim) for _ in range(3)]
+    for box in boxes + [Box.stack(np.array([b.ends for b in boxes]))]:
+        before = box.ends.tobytes()
+        fr = symbolic_forward(net, box)
+        naive_forward(net, box)
+        backward_gradient(net, fr.masks)
+        iv_bisect(box, np.zeros(box.ends.shape[:-2], dtype=int))
+        assert box.ends.tobytes() == before
+        assert not box.ends.flags.writeable
 
 
 def test_sandwich_fuzz():
@@ -128,7 +145,7 @@ def test_inclusion_isotonicity_forward():
         outer = random_box(rng, net.input_dim)
         lo, hi = outer.lo, outer.hi
         mid = (lo + hi) / 2
-        inner = Box.from_arrays((lo + mid) / 2, (hi + mid) / 2)
+        inner = Box((lo + mid) / 2, (hi + mid) / 2)
         fo = symbolic_forward(net, outer)
         fi = symbolic_forward(net, inner)
         for i in range(net.output_dim):

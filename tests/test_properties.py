@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from relucheck.data import shipped_path
-from relucheck.gradients import IntervalJacobian
+from relucheck.engine import Config, Status, verify
 from relucheck.intervals import Box
 from relucheck.network import DimensionMismatchError, eval_concrete_batch
 from relucheck.propagate import ForwardResult, naive_forward, symbolic_forward
@@ -121,7 +121,7 @@ def test_check_sound_diffle_uses_correlation():
     from conftest import make_net
 
     net = make_net([np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]])])
-    box = Box.from_arrays([0.5, 0.5], [1.5, 1.5])
+    box = Box([0.5, 0.5], [1.5, 1.5])
     fr = symbolic_forward(net, box)
     assert check_sound(fr, DiffLE(0, 1, 1e-12)) is TriState.HOLDS
     nai = naive_forward(net, box)
@@ -132,7 +132,7 @@ def test_check_sound_or_and():
     from conftest import make_net
 
     net = make_net([np.eye(2)])
-    box = Box.from_arrays([1.0, 5.0], [2.0, 6.0])
+    box = Box([1.0, 5.0], [2.0, 6.0])
     fr = symbolic_forward(net, box)
     assert check_sound(fr, Or((OutLE(0, 0.0), OutLE(0, 3.0)))) is TriState.HOLDS
     assert check_sound(fr, And((OutLE(0, 3.0), OutGE(1, 4.9)))) is TriState.HOLDS
@@ -197,7 +197,7 @@ def test_sound_check_or_free(c, or_free):
 
 def test_monotone_dims_ge_and_diffle():
     # d(y_0)/dx: [1, 2], [-1, 1], [0.5, 0.5]; d(y_1)/dx: [0.5, 3], [2, 3], [-2, -1]
-    J = IntervalJacobian([[1.0, -1.0, 0.5], [0.5, 2.0, -2.0]], [[2.0, 1.0, 0.5], [3.0, 3.0, -1.0]])
+    J = np.array([[[1.0, -1.0, 0.5], [0.5, 2.0, -2.0]], [[2.0, 1.0, 0.5], [3.0, 3.0, -1.0]]])
     wide = np.array([True, True, True])
     cases = [
         (OutGE(0, 0.0), [True, False, True]),
@@ -372,7 +372,7 @@ def test_negated_literal_is_strict():
         assert (check_sound(fr, Not(OutLE(0, c))) is TriState.HOLDS) is holds
     # symbolic: the lower bound of y_0 is the one its rows give, through
     # the upper bound of -y_0
-    fr = symbolic_forward(make_net([np.eye(2)]), Box.from_arrays([c, 0.0], [2.0, 1.0]))
+    fr = symbolic_forward(make_net([np.eye(2)]), Box([c, 0.0], [2.0, 1.0]))
     lo0 = -expr_bounds(0.0 - fr.rows[0, :1], fr.operand)[1][0]
     assert lo0 < c
     assert check_sound(fr, Not(OutLE(0, lo0))) is TriState.MAY_VIOLATE
@@ -473,20 +473,51 @@ def test_parse_wildcard_uses_domain():
     assert spec.regions[0].lo[1] == 0.5
 
 
+def compiled(c, m):
+    """What a SoundCheck compiles c to over m outputs: its or_free flag,
+    its literal table (rows of A, t and bound) and the tree's truth on
+    every assignment of the literals."""
+    check = SoundCheck(c, m)
+    table = np.column_stack((check.A, check.t, check.bound))
+    k = len(table)
+    assignments = (np.arange(2**k)[:, np.newaxis] >> np.arange(k) & 1).astype(bool)
+    return check.or_free, table.tolist(), check.truth(assignments).tolist()
+
+
 def test_parse_multiple_regions():
     with open(shipped_path("phi6.prop"), "rb") as f:
         spec, c = parse_property(f, num_outputs=5)
     assert len(spec.regions) == 2
     assert spec.regions[0].lo[1] == pytest.approx(0.7)
     assert spec.regions[1].hi[1] == pytest.approx(-0.7)
-    assert c == desugar(IsMin(0), 5)
+    # parsed as written, compiled as its desugaring
+    assert c == IsMin(0)
+    assert compiled(c, 5) == compiled(desugar(IsMin(0), 5), 5)
 
 
 def test_parse_desugars_rank_atoms():
+    # phi5 is `ismin 4`: the check compiles it to the And of y_4 - y_j <= 0
     with open(shipped_path("phi5.prop"), "rb") as f:
         _, c = parse_property(f, num_outputs=5)
-    assert isinstance(c, And)
-    assert set(c.args) == {DiffLE(4, j, 0.0) for j in range(4)}
+    or_free, table, truth = compiled(c, 5)
+    assert or_free and truth == [False] * 15 + [True]
+    rows = {tuple(row) for row in table}
+    assert rows == {tuple(np.eye(5)[4] - np.eye(5)[j]) + (0.0, 0.0) for j in range(4)}
+    assert len(table) == 4
+
+
+def test_rank_atoms_are_desugared_over_the_network_outputs():
+    # without an output count, `ismax 0` reads output 0 alone; it must
+    # still mean y_0 >= y_1 on a net with two outputs
+    text = "domain:\n0 1\n0 1\nregion:\n*\n*\nconstraint:\nismax 0\n"
+    spec = parse_property(text)
+    assert spec[1] == IsMax(0)
+    net = make_net([np.eye(2), np.eye(2)])
+    assert not check_concrete(eval_concrete_batch(net, [[0.2, 0.9]])[0], SoundCheck(spec[1], 2))
+    for mode in ("symbolic", "naive"):
+        v = verify(net, spec, Config(mode=mode))
+        assert v.status is Status.INSECURE
+        assert not check_concrete(eval_concrete_batch(net, [v.counterexample])[0], SoundCheck(spec[1], 2))
 
 
 def test_parse_nested_combinators():
@@ -556,9 +587,9 @@ def test_input_spec_validation():
     with pytest.raises(PropertyParseError):
         InputSpec(())
     with pytest.raises(PropertyParseError):
-        InputSpec((Box.from_arrays([0], [1]),), units="furlongs")
+        InputSpec((Box([0], [1]),), units="furlongs")
     with pytest.raises(PropertyParseError):
-        InputSpec((Box.from_arrays([0], [1]), Box.from_arrays([0, 0], [1, 1])))
+        InputSpec((Box([0], [1]), Box([0, 0], [1, 1])))
 
 
 def test_all_shipped_properties_parse():

@@ -16,7 +16,7 @@ from conftest import random_box
 
 
 def box(lo, hi):
-    return Box.from_arrays(lo, hi)
+    return Box(lo, hi)
 
 
 def bounds(coeffs, const, b):
@@ -215,7 +215,7 @@ def test_sandwich_on_sampled_points():
 def test_point_box_bounds_are_tight():
     c, k = np.array([0.3, -0.7]), 0.11
     p = np.array([1.234, -5.678])
-    lo, hi = bounds(c, k, Box.from_arrays(p, p))
+    lo, hi = bounds(c, k, Box(p, p))
     v = float(c @ p + k)
     assert lo <= v <= hi
     assert hi - lo <= 8 * math.ulp(max(abs(v), 4.0))
