@@ -52,7 +52,7 @@ from .intervals import Box, IntervalOverflowError, iv_bisect, midpoint
 from .network import DimensionMismatchError, Network, eval_concrete, eval_concrete_batch
 from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
 from .gradients import backward_gradient, margin_gradients, smear_split_choice
-from .properties import InputSpec, SoundCheck, check_concrete, check_sound
+from .properties import InputSpec, check_concrete, check_sound, compile_check
 
 __all__ = [
     "Status",
@@ -167,8 +167,10 @@ class Config:
 def internal_view(net: Network, input_spec: InputSpec):
     """(core, regions): `net` without its input normalization, and the
     spec's regions as one stack of boxes in the coordinates that core
-    reads. The analysis runs on these. The core is new on every call, so
-    the `split_weights` it computes are freed with the run, not kept on `net`.
+    reads. The analysis runs on these. The core holds `net.layers` itself,
+    which `net` checked when it was built, so it is made without those
+    checks. It is new on every call, so the `split_weights` it computes
+    are freed with the run, not kept on `net`.
 
     Raises DimensionMismatchError when the spec's input dimension is not
     the network's."""
@@ -182,7 +184,9 @@ def internal_view(net: Network, input_spec: InputSpec):
         ends = net.normalize(ends)
         if not np.isfinite(ends).all():
             raise ValueError("a region's bounds overflow when normalized")
-    return Network(net.layers), Box.stack(ends)
+    core = object.__new__(Network)
+    vars(core).update(layers=net.layers, norm_mean=None, norm_range=None)
+    return core, Box.stack(ends)
 
 
 def default_max_depth(regions: Box, precision: float) -> int:
@@ -237,7 +241,7 @@ class _Run:
         self.core, regions = internal_view(net, input_spec)
         self.cfg = cfg
         self.short_circuit = short_circuit
-        self.check = SoundCheck(constraint, net.output_dim)
+        self.check = compile_check(constraint, net.output_dim)
         # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
         self.max_depth = (
@@ -344,6 +348,8 @@ class _Run:
         the constraint, in the spec's units, by box index in rising order;
         boxes without one are left out."""
         bad = self._violates(eval_concrete_batch(self.core, pts.reshape(-1, pts.shape[-1])))
+        if not bad.any():
+            return {}
         found = {}
         for b, s in np.argwhere(bad.reshape(pts.shape[:2])).tolist():
             if b not in found:

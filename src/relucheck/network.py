@@ -130,9 +130,10 @@ class Network:
         """(W+, W-) of every layer: the positive and negative parts of W.
 
         Computed at first use and kept on this network. The engine
-        analyses a fresh copy of a loaded network's layers in each run, so
-        a run that never bounds a box never computes them, and a loaded
-        network never keeps them, which would triple its weight memory.
+        analyses a new network around a loaded network's layers in each
+        run, so a run that never bounds a box never computes them, and a
+        loaded network never keeps them, which would triple its weight
+        memory.
         """
         return tuple((np.maximum(l.W, 0.0), np.minimum(l.W, 0.0)) for l in self.layers)
 
@@ -154,11 +155,10 @@ def eval_concrete_batch(net: Network, xs) -> np.ndarray:
     v = np.asarray(xs, dtype=np.float64)
     if net.has_normalization:
         v = (v - net.norm_mean) / net.norm_range
-    for k, layer in enumerate(net.layers):
-        v = (layer.W @ v[..., np.newaxis])[..., 0] + layer.b
-        if k < net.num_hidden:
-            v = np.maximum(v, 0.0)
-    return v
+    *hidden, last = net.layers
+    for layer in hidden:
+        v = np.maximum((layer.W @ v[..., np.newaxis])[..., 0] + layer.b, 0.0)
+    return (last.W @ v[..., np.newaxis])[..., 0] + last.b
 
 
 def _data_lines(text: str):

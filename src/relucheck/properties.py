@@ -5,7 +5,8 @@ Atoms compare raw output scores (`le`, `ge`), pairwise differences
 `ismax`, `notmin`, `notmax`). Rank atoms desugar into difference atoms
 with non-strict comparisons, so a tie counts as minimal/maximal.
 
-A constraint is compiled once, into a `SoundCheck`: negations pushed down
+A constraint is compiled once per output count, into a `SoundCheck` that
+every later check of an equal constraint reuses: negations pushed down
 to the atoms, one And/Or tree over literals, and literal k a row a_k over
 the outputs that holds where a_k . y <= bound_k. Both checks run that one
 Boolean tree. At a point it reads the literals' truths from one product,
@@ -46,6 +47,7 @@ __all__ = [
     "desugar",
     "parse_property",
     "SoundCheck",
+    "compile_check",
     "check_sound",
     "check_concrete",
 ]
@@ -149,9 +151,6 @@ class Not:
     arg: object
 
 
-# every run compiles its constraint anew, and the same rank atoms recur
-# across runs: their difference atoms are built once
-@functools.lru_cache(maxsize=256)
 def desugar(c, m: int):
     """Rewrite rank atoms into difference atoms over m outputs."""
     if isinstance(c, IsMin):
@@ -194,7 +193,7 @@ def check_concrete(y, c):
     """
     y = np.asarray(y, dtype=np.float64)
     if not isinstance(c, SoundCheck):
-        c = SoundCheck(c, y.shape[-1])
+        c = compile_check(c, y.shape[-1])
     holds = c.truth(y @ c.A.T <= c.bound)
     return holds if holds.ndim else bool(holds)
 
@@ -219,7 +218,8 @@ class SoundCheck:
     `affine_rows`, which keeps the input terms shared by y_i and y_j
     correlated. (A+, A-), the positive and the negative part of `A`, are
     built at their first use, which a run decided by its root's sample
-    never makes.
+    never makes. One check may serve many runs (`compile_check`), so
+    `A`, `t`, `bound` and (A+, A-) are read-only.
 
     `or_free` tells whether the tree has no `Or`. Only then is the
     constraint violated wherever a single literal is, so that margins
@@ -267,12 +267,16 @@ class SoundCheck:
 
         self.truth = _tree(compile_node(c, False))
         table = np.array(table).reshape(len(table), m + 2)
+        table.setflags(write=False)  # and so its views
         self.A, self.t, self.bound = table[:, :m], table[:, m], table[:, m + 1]
 
     @functools.cached_property
     def _split(self) -> tuple:
         """(A+, A-): the positive and the negative part of `A`."""
-        return np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
+        split = np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
+        for part in split:
+            part.setflags(write=False)
+        return split
 
     def evaluate(self, fr: ForwardResult):
         """Where the bounds prove the constraint at every point of the box
@@ -290,6 +294,24 @@ class SoundCheck:
         `A` with the (B, 2, m, d) interval Jacobian `J` of its stack."""
         ends = affine_rows(J, *self._split, 0.0)
         return ((ends[..., 0, :, :] > 0.0) | (ends[..., 1, :, :] < 0.0)).all(axis=-2) & wide
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_cached(c, m: int) -> SoundCheck:
+    return SoundCheck(c, m)
+
+
+def compile_check(c, m: int) -> SoundCheck:
+    """The `SoundCheck` of constraint `c` over m outputs, compiled once per
+    (constraint, output count): a later call with an equal constraint,
+    the same object or another parse of the same file, gets the same
+    check. A constraint that cannot be hashed, say one holding a threshold
+    in a numpy array, is compiled anew on each call."""
+    try:
+        hash(c)
+    except TypeError:
+        return SoundCheck(c, m)
+    return _compile_cached(c, m)
 
 
 def _sum_up(p, q):
@@ -337,7 +359,7 @@ def check_sound(fr: ForwardResult, c):
     constraint tree or, for repeated checks, a `SoundCheck` compiled from it.
     """
     if not isinstance(c, SoundCheck):
-        c = SoundCheck(c, fr.lo.shape[-1])
+        c = compile_check(c, fr.lo.shape[-1])
     holds = c.evaluate(fr)
     if holds.ndim:
         return holds

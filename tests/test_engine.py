@@ -113,14 +113,23 @@ _FLAT = ([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
 
 def test_runs_leave_split_weights_off_the_callers_net():
     # the runs bound boxes, so their core computes W+ and W-; the net the
-    # caller passed, with or without a normalization, never keeps them
+    # caller passed, with or without a normalization, never keeps them.
+    # Each run gets a core of its own: the caller's layers, without the
+    # normalization
     flat = make_net(*_FLAT)
     scaled = Network(flat.layers, np.array([100.0]), np.array([8.0]))
     for net, lo, hi in ((flat, 0.0, 1.0), (scaled, 100.0, 108.0)):
         spec = (InputSpec((Box([lo], [hi]),)), OutLE(0, 0.0))
+        cores = [engine.internal_view(net, spec[0])[0] for _ in range(2)]
+        assert cores[0] is not cores[1] and cores[0] is not net
+        for core in cores:
+            assert core.layers is net.layers and not core.has_normalization
+            assert "split_weights" not in core.__dict__
         for run in (verify, enumerate_regions):
             assert run(net, spec, Config(max_depth=3)).stats.nodes_explored == 15
             assert "split_weights" not in net.__dict__
+        assert cores[0].split_weights is not cores[1].split_weights
+        assert "split_weights" not in net.__dict__
 
 
 def test_a_multi_wave_run_splits_the_weights_once(monkeypatch):

@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from relucheck import properties
 from relucheck.data import shipped_path
 from relucheck.engine import Config, Status, verify
 from relucheck.intervals import Box
@@ -29,6 +30,7 @@ from relucheck.properties import (
     TriState,
     check_concrete,
     check_sound,
+    compile_check,
     desugar,
     parse_property,
 )
@@ -211,6 +213,75 @@ def test_monotone_dims_ge_and_diffle():
         check = SoundCheck(c, 2)
         assert check.monotone_dims(J, wide).tolist() == want
         assert check.monotone_dims(J, np.array([True, True, False])).tolist() == want[:2] + [False]
+
+
+def test_a_compiled_check_is_read_only():
+    # one check serves every run of its constraint
+    check = SoundCheck(And((OutLE(0, 1.0), Not(DiffLE(1, 0, -1.0)))), 2)
+    check.evaluate(symbolic_forward(make_net([np.eye(2)]), Box([0, 0], [1, 1])))
+    for a in (check.A, check.t, check.bound, *check._split):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.fixture
+def count_compiles(monkeypatch):
+    """The list of (constraint, m) that SoundCheck compiles, starting from
+    an empty cache."""
+    compiles = []
+    init = SoundCheck.__init__
+
+    def counting(self, c, m):
+        compiles.append((c, m))
+        init(self, c, m)
+
+    monkeypatch.setattr(SoundCheck, "__init__", counting)
+    properties._compile_cached.cache_clear()
+    yield compiles
+    properties._compile_cached.cache_clear()
+
+
+def test_equal_constraints_compile_once(count_compiles):
+    # two parses of one file give equal, distinct constraints; their runs
+    # on two nets with one output count share one compiled check
+    text = "domain:\n0 1\n0 1\nregion:\n*\n*\nconstraint:\nand(le 0 2.5, diffle 1 0 1.5)\n"
+    first, second = parse_property(text), parse_property(text)
+    assert first[1] == second[1] and first[1] is not second[1]
+    # y = x, then y = (3 x_0, x_1), which exceeds 2.5 in y_0
+    nets = [make_net([np.eye(2)]), make_net([[[3.0, 0.0], [0.0, 1.0]]])]
+    statuses = [verify(net, spec).status for net in nets for spec in (first, second)]
+    assert statuses == [Status.SECURE] * 2 + [Status.INSECURE] * 2
+    assert count_compiles == [(first[1], 2)]
+    assert compile_check(second[1], 2) is compile_check(first[1], 2)
+
+
+def test_a_constraint_compiles_once_per_output_count(count_compiles):
+    # `ismax 0` holds on the 2-output net, y_0 = x_0 + 2 >= y_1 = x_1, but
+    # not on the 3-output one, whose y_2 = x_0 + x_1 + 2.5 exceeds y_0: a
+    # check compiled over 2 outputs would prove it there
+    c = IsMax(0)
+    spec = (InputSpec((Box([0, 0], [1, 1]),)), c)
+    nets = {
+        2: make_net([np.eye(2)], [[2.0, 0.0]]),
+        3: make_net([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], [[2.0, 0.0, 2.5]]),
+    }
+    want = {2: Status.SECURE, 3: Status.INSECURE}
+    for m in (2, 3, 2, 3):
+        assert verify(nets[m], spec).status is want[m]
+    assert count_compiles == [(c, 2), (c, 3)]
+    for m in (2, 3):
+        assert described(compile_check(c, m)) == compiled(c, m)
+
+
+def test_an_unhashable_constraint_is_compiled_per_run(demo_net, count_compiles):
+    # a threshold held in a numpy array: the constraint cannot be a cache
+    # key, and each run compiles it for itself
+    spec = (InputSpec((Box([4, 1], [6, 5]),)), OutLE(0, np.array(15.0)))
+    for _ in range(2):
+        v = verify(demo_net, spec)
+        assert v.status is Status.INSECURE
+        assert v.counterexample[0] + 2 * v.counterexample[1] > 15.0
+    assert len(count_compiles) == 2
 
 
 def test_literal_rows():
@@ -477,7 +548,11 @@ def compiled(c, m):
     """What a SoundCheck compiles c to over m outputs: its or_free flag,
     its literal table (rows of A, t and bound) and the tree's truth on
     every assignment of the literals."""
-    check = SoundCheck(c, m)
+    return described(SoundCheck(c, m))
+
+
+def described(check):
+    """A compiled check's or_free flag, literal table and truth table."""
     table = np.column_stack((check.A, check.t, check.bound))
     k = len(table)
     assignments = (np.arange(2**k)[:, np.newaxis] >> np.arange(k) & 1).astype(bool)
