@@ -501,6 +501,9 @@ class _Run:
                 fr = symbolic_forward(self.core, box)
             else:
                 fr = naive_forward(self.core, box)
+            # a symbolic check bounds the output rows it reads, so it may
+            # overflow too
+            holds = check_sound(fr, self.check)
         except IntervalOverflowError:
             if len(rows) == 1:
                 raise
@@ -508,7 +511,6 @@ class _Run:
             # region after a counterexample: evaluate the one it needs now
             return self.process(rows[:1])
 
-        holds = check_sound(fr, self.check)
         for r in itertools.compress(rows, holds.tolist()):
             outcome[r] = SubStatus.SECURE_SUB
         idx = np.flatnonzero(~holds)
@@ -541,7 +543,7 @@ class _Run:
         if cfg.mode == "symbolic":
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
             J = backward_gradient(self.core, masks)
-            dims = smear_split_choice(J, box, cfg.precision)
+            dims = smear_split_choice(J, widths, cfg.precision)
             if self.reduce:
                 # monotonicity reduction: a box whose margins are monotone
                 # in some dims is replaced by its endpoint boxes there

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import Box, round_out
+from .intervals import round_out
 from .network import Network
 from .propagate import ReluMaskMatrix, _check_unnormalized
 
@@ -49,8 +49,10 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
             f"mask has {len(masks)} hidden layers, network has {net.num_hidden}"
         )
     lead = masks[0].shape[:-1] if masks else ()
+    # the output layer's weights are exact, its lower and upper ends alike;
+    # the first product with the masks broadcasts them over the stack
     W = net.layers[-1].W
-    g = np.broadcast_to(W, lead + (2,) + W.shape)
+    g = np.array((W, W))
     for k in range(net.num_hidden - 1, -1, -1):
         states = masks[k]
         n = net.layers[k].out_size
@@ -72,14 +74,14 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
     return g
 
 
-def smear_split_choice(J: np.ndarray, x: Box, precision: float = 0.0):
+def smear_split_choice(J: np.ndarray, widths: np.ndarray, precision: float = 0.0):
     """Index of the most influential splittable input, one per box of a
-    stack, given the `backward_gradient` J of the box or stack.
+    stack, given the `backward_gradient` J of the box or stack and its
+    `Box.widths()`, (d,) or (B, d).
 
-    Score per input j: max over outputs of upper|J_ij| times width(x_j).
+    Score per input j: max over outputs of upper|J_ij| times widths[j].
     Dimensions no wider than `precision` are excluded; ties break low.
     """
-    widths = x.widths()
     splittable = widths > precision
     if not splittable.any(axis=-1).all():
         raise NoSplittableDimensionError("exhausted: no dimension wider than precision")

@@ -3,14 +3,15 @@
 Both produce sound overestimates of the network image over a box; the
 symbolic mode additionally yields per-neuron activation masks consumed by
 the backward gradient pass, and the output rows, which the property check
-maps through its literal rows. Both read only the layers and their
+maps through its literal rows. The symbolic mode bounds the hidden layers
+only: its output bounds are computed from the output rows on first read,
+which the search never makes. Both read only the layers and their
 `split_weights`, so they refuse a network with an input normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import functools
 
 import numpy as np
 
@@ -33,18 +34,38 @@ class ReluMaskMatrix(tuple):
         return tuple(a.ravel().tolist() for a in self)
 
 
-@dataclass(frozen=True)
 class ForwardResult:
     """Output enclosure [lo, hi]; symbolic mode adds the output rows (a
     (..., 2, m, d+1) array, laid out as in `symbolic`), the ReLU masks and
     the `box_operand` the rows are bounded over. For a stack of boxes,
-    every array leads with the stack's axis."""
+    every array leads with the stack's axis.
 
-    lo: np.ndarray
-    hi: np.ndarray
-    rows: Optional[np.ndarray] = None
-    masks: Optional[ReluMaskMatrix] = None
-    operand: Optional[np.ndarray] = None
+    A symbolic result is made without `lo` and `hi`: the property check
+    bounds its literal rows from `rows`, not the outputs. They are bounded
+    from `rows` over `operand` on first read, and then kept; that read
+    raises IntervalOverflowError when a bound is not finite.
+    """
+
+    def __init__(self, lo=None, hi=None, rows=None, masks=None, operand=None):
+        if lo is not None:
+            self._ends = lo, hi
+        self.rows = rows
+        self.masks = masks
+        self.operand = operand
+
+    @functools.cached_property
+    def _ends(self) -> tuple:
+        """(lo, hi) of a symbolic result, bounded from its rows."""
+        lo, hi = bounds_of_rows(self.rows, self.operand)
+        return lo[..., 0, :], hi[..., 1, :]
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self._ends[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self._ends[1]
 
     @property
     def out_bounds(self) -> tuple:
@@ -88,7 +109,8 @@ def symbolic_forward(net: Network, x: Box) -> ForwardResult:
     to concrete bounds only where a ReLU's sign is unresolved over the box.
     `x` is a box or a stack of boxes, in the coordinates the first layer
     reads: `net` has no input normalization. Each box of a stack gets the
-    bits it would get alone.
+    bits it would get alone. The output bounds are left to the result's
+    first read of `lo` or `hi`.
     """
     _check_dims(net, x)
     operand = box_operand(x)
@@ -103,5 +125,4 @@ def symbolic_forward(net: Network, x: Box) -> ForwardResult:
             rows = affine_rows(rows, *net.split_weights[k], layer.b)
         if k < net.num_hidden:
             masks.append(relu_rows(rows, *bounds_of_rows(rows, operand)))
-    lo, hi = bounds_of_rows(rows, operand)
-    return ForwardResult(lo[..., 0, :], hi[..., 1, :], rows, ReluMaskMatrix(masks), operand)
+    return ForwardResult(rows=rows, masks=ReluMaskMatrix(masks), operand=operand)

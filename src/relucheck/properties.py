@@ -152,7 +152,8 @@ class Not:
 
 
 def desugar(c, m: int):
-    """Rewrite rank atoms into difference atoms over m outputs."""
+    """Rewrite a rank atom into the And or Or of its difference atoms over
+    m outputs."""
     if isinstance(c, IsMin):
         return And(tuple(DiffLE(c.i, j, 0.0) for j in range(m) if j != c.i))
     if isinstance(c, IsMax):
@@ -161,13 +162,7 @@ def desugar(c, m: int):
         return Or(tuple(DiffLE(j, c.i, 0.0) for j in range(m) if j != c.i))
     if isinstance(c, NotMax):
         return Or(tuple(DiffLE(c.i, j, 0.0) for j in range(m) if j != c.i))
-    if isinstance(c, And):
-        return And(tuple(desugar(a, m) for a in c.args))
-    if isinstance(c, Or):
-        return Or(tuple(desugar(a, m) for a in c.args))
-    if isinstance(c, Not):
-        return Not(desugar(c.arg, m))
-    return c
+    raise TypeError(f"not a rank atom: {c!r}")
 
 
 def max_output_index(c) -> int:
@@ -280,12 +275,21 @@ class SoundCheck:
 
     def evaluate(self, fr: ForwardResult):
         """Where the bounds prove the constraint at every point of the box
-        (or of each box of the stack) that `fr` bounds, as a bool array."""
+        (or of each box of the stack) that `fr` bounds, as a bool array.
+
+        Over a symbolic result, raises IntervalOverflowError where a
+        literal's upper bound and an output's bound are not finite."""
         pos, neg = self._split
         if fr.rows is None:
             upper = _sum_up(fr.hi @ pos.T, fr.lo @ neg.T)
         else:
             _, upper = expr_bounds(affine_rows(fr.rows, pos, neg, 0.0)[..., 1, :, :], fr.operand)
+            if not np.isfinite(upper).all():
+                # the pass left the outputs unbounded: bounding them now
+                # raises where one overflowed. Over finite outputs, a
+                # literal bound that overflows decides nothing, as in the
+                # naive check
+                fr.lo
         return self.truth(upper <= self.bound)
 
     def monotone_dims(self, J: np.ndarray, wide):
@@ -359,7 +363,8 @@ def check_sound(fr: ForwardResult, c):
     constraint tree or, for repeated checks, a `SoundCheck` compiled from it.
     """
     if not isinstance(c, SoundCheck):
-        c = compile_check(c, fr.lo.shape[-1])
+        # a symbolic result's rows give the output count without bounding it
+        c = compile_check(c, fr.lo.shape[-1] if fr.rows is None else fr.rows.shape[-2])
     holds = c.evaluate(fr)
     if holds.ndim:
         return holds

@@ -69,22 +69,24 @@ _CONST_ENDS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
 def _row_bounds(rows, operand):
-    """Sound bounds of rows [c, k] (coefficients, constant), through the
+    """Sound (lo, hi) of rows [c, k] (coefficients, constant), through the
     product of their sign split with the (broadcast) `box_operand`: a
-    sign-split evaluation widened by the slack. The last axis of the
-    result holds each row's (lo, hi).
+    sign-split evaluation widened by the slack.
 
     The slack covers the accumulated error of the (d+1)-term evaluation
     sum. Coefficient arithmetic is done in working precision; soundness of
     the concretized bound is restored with the standard dot-product
     roundoff bound, n * u * sum(|terms|) with u the unit roundoff.
     """
-    ends = np.concatenate((np.maximum(rows, 0.0), np.minimum(rows, 0.0)), axis=-1) @ operand
-    slack = rows.shape[-1] * _UNIT_ROUNDOFF * ends[..., 2:] + 2 * _TINY
-    return ends[..., :2] + slack * _OUTWARD
+    n = rows.shape[-1]
+    split = np.empty(rows.shape[:-1] + (2 * n,))
+    np.maximum(rows, 0.0, out=split[..., :n])
+    np.minimum(rows, 0.0, out=split[..., n:])
+    ends = split @ operand
+    slack = n * _UNIT_ROUNDOFF * ends[..., 2] + 2 * _TINY
+    return ends[..., 0] - slack, ends[..., 1] + slack
 
 
-_OUTWARD = np.array([-1.0, 1.0])
 # float64's unit roundoff and its smallest normal number
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
@@ -97,8 +99,8 @@ def expr_bounds(rows, operand):
     Each row is evaluated in a product of its own, so its bounds are those
     it would get in a batch of one.
     """
-    bounds = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :])
-    return bounds[..., 0, 0], bounds[..., 0, 1]
+    lo, hi = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :])
+    return lo[..., 0], hi[..., 0]
 
 
 def bounds_of_rows(rows, operand):
@@ -108,9 +110,10 @@ def bounds_of_rows(rows, operand):
     The lower and the upper rows are bounded in one matrix product each.
     Raises IntervalOverflowError when a bound is not finite.
     """
-    bounds = _row_bounds(rows, operand[..., np.newaxis, :, :])
-    _check_overflow(bounds)
-    return bounds[..., 0], bounds[..., 1]
+    lo, hi = _row_bounds(rows, operand[..., np.newaxis, :, :])
+    _check_overflow(lo)
+    _check_overflow(hi)
+    return lo, hi
 
 
 def relu_rows(rows, lo, hi) -> np.ndarray:

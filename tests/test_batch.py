@@ -9,10 +9,11 @@ from relucheck import engine
 from relucheck.data import shipped_path
 from relucheck.engine import Config, Status, enumerate_regions, verify
 from relucheck.gradients import backward_gradient
-from relucheck.intervals import Box
+from relucheck.intervals import Box, IntervalOverflowError
 from relucheck.network import Network
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import InputSpec, OutLE, parse_property
+from relucheck.symbolic import bounds_of_rows
 
 from conftest import make_net, random_box, random_net, without_attack
 
@@ -70,6 +71,7 @@ def test_stacked_boxes_get_their_own_bits(seed):
         one = symbolic_forward(net, box)
         assert_same_bits(sym.lo[b], one.lo)
         assert_same_bits(sym.hi[b], one.hi)
+        assert_lazy_bounds(one)
         assert_same_bits(sym.rows[b], one.rows)
         for got, want in zip(sym.masks, one.masks):
             assert_same_bits(got[b], want)
@@ -79,6 +81,30 @@ def test_stacked_boxes_get_their_own_bits(seed):
         alone = naive_forward(net, box)
         assert_same_bits(nai.lo[b], alone.lo)
         assert_same_bits(nai.hi[b], alone.hi)
+    assert_lazy_bounds(sym)
+
+
+def assert_lazy_bounds(fr):
+    """A symbolic result's `lo` and `hi`, read once and kept, are the bits
+    `bounds_of_rows` gives its output rows."""
+    lo, hi = bounds_of_rows(fr.rows, fr.operand)
+    assert_same_bits(fr.lo, lo[..., 0, :])
+    assert_same_bits(fr.hi, hi[..., 1, :])
+    assert fr.lo is fr.lo and fr.hi is fr.hi
+
+
+def test_lazy_bounds_of_an_overflowing_box_raise():
+    # output 0 is 1e300 x over x in [0, 1e10], past the float range; the
+    # pass bounds no output, so only a read of the bounds raises
+    net = make_net([np.eye(1), [[1e300], [1.0]]])
+    huge, small = Box([0.0], [1e10]), Box([0.0], [1.0])
+    for box in (huge, stack_of([small, huge])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fr = symbolic_forward(net, box)
+            for end in ("lo", "hi"):
+                with pytest.raises(IntervalOverflowError):
+                    getattr(fr, end)
+    assert np.isfinite(symbolic_forward(net, small).hi).all()
 
 
 def test_mask_layers_count_over_a_stack(demo_net):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relucheck import engine
+from relucheck import engine, propagate
 from relucheck.data import shipped_path
 from relucheck.engine import (
     Config,
@@ -511,6 +511,51 @@ def test_overflow_past_the_counterexample_is_not_raised(monkeypatch, mode, recwa
         with pytest.raises(IntervalOverflowError):
             enumerate_regions(net, spec, Config(mode=mode, max_depth=5))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflow_in_an_output_the_property_does_not_read(recwarn):
+    # output 0 is 1e300 x, past the float range over [1, 1e10]; the
+    # property reads output 1 alone. The symbolic pass bounds no output,
+    # and the check bounds only output 1; the naive pass bounds them all
+    net = make_net([np.eye(1), [[1e300], [1.0]]])
+    spec = (InputSpec((Box([1.0], [1e10]),)), OutLE(1, 2e10))
+    assert verify(net, spec, Config(mode="symbolic")).status is Status.SECURE
+    with pytest.raises(IntervalOverflowError):
+        verify(net, spec, Config(mode="naive"))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_literal_bound_that_overflows_over_finite_outputs_decides_nothing(recwarn):
+    # y0 = 1e308 relu(x) and y1 = -1e308 relu(-x) are bounded in the float
+    # range, but over the root box the bound of y0 - y1 = 1e308 |x|
+    # overflows; the halves bound it. Neither mode raises
+    net = make_net([[[1.0], [-1.0]], [[1e308, 0.0], [0.0, -1e308]]])
+    spec = (InputSpec((Box([-1.0], [1.0]),)), DiffLE(0, 1, 1.5e308))
+    for mode in ("symbolic", "naive"):
+        v = verify(net, spec, Config(mode=mode))
+        assert (v.status, v.stats.nodes_explored) == (Status.SECURE, 3), mode
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_symbolic_pass_bounds_each_hidden_layer_once(monkeypatch, demo_net):
+    # the check bounds the literal rows it reads, so the pass bounds no
+    # output; a one-hidden-layer net takes one bound per pass. Over this
+    # box both ReLUs are unstable, and the run bisects over several waves
+    calls = {"forward": 0, "bounds": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "symbolic_forward", counted("forward", engine.symbolic_forward))
+    monkeypatch.setattr(propagate, "bounds_of_rows", counted("bounds", propagate.bounds_of_rows))
+    assert demo_net.num_hidden == 1
+    spec = (InputSpec((Box([-10, 1], [6, 5]),)), OutLE(0, 17.0))
+    assert verify(demo_net, spec, Config(mode="symbolic")).status is Status.SECURE
+    assert calls["forward"] > 1 and calls["bounds"] == calls["forward"] * demo_net.num_hidden
 
 
 def _assert_tiles(leaves, volume):

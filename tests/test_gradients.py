@@ -54,29 +54,29 @@ def test_backward_shape_mismatch(demo_net):
 def test_smear_demo_choice(demo_net, demo_box):
     J = jacobian(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
     # smear(y) = 2*4 = 8 beats smear(x) = 1*2 = 2
-    assert smear_split_choice(J, demo_box) == 1
+    assert smear_split_choice(J, demo_box.widths()) == 1
 
 
 def test_smear_tie_breaks_low():
     J = jacobian(np.ones((1, 2)), np.ones((1, 2)))
-    assert smear_split_choice(J, Box([0, 0], [1, 1])) == 0
+    assert smear_split_choice(J, Box([0, 0], [1, 1]).widths()) == 0
 
 
 def test_smear_skips_point_dims():
     J = jacobian(np.ones((1, 2)), np.ones((1, 2)))
-    assert smear_split_choice(J, Box([0, 0], [0, 1])) == 1
+    assert smear_split_choice(J, Box([0, 0], [0, 1]).widths()) == 1
 
 
 def test_smear_exhausted():
     J = jacobian(np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(NoSplittableDimensionError):
-        smear_split_choice(J, Box([2.0], [2.0]))
+        smear_split_choice(J, Box([2.0], [2.0]).widths())
 
 
 def test_smear_uses_abs_upper():
     # |[-5,-4]| upper is 5; beats [1,2] on equal widths
     J = jacobian(np.array([[-5.0, 1.0]]), np.array([[-4.0, 2.0]]))
-    assert smear_split_choice(J, Box([0, 0], [1, 1])) == 0
+    assert smear_split_choice(J, Box([0, 0], [1, 1]).widths()) == 0
 
 
 def _fd_gradient(net, x, h):

@@ -1,0 +1,105 @@
+"""Time two relucheck source trees case by case, interleaved in one process.
+
+Usage: python tools/interleaved_timing.py ROOT_A ROOT_B WORKLOAD SEED [ROUNDS]
+
+ROOT_A and ROOT_B are source checkouts, each holding src/relucheck.
+WORKLOAD is a bench/workloads.py name; ROUNDS defaults to 3. Each tree's
+package is copied into a temporary directory under a name of its own, so
+that both import into this process, with one BLAS thread. The cases are
+generated with bench/workloads.py into that directory (the property files
+come from ROOT_A), loaded once per tree, and each is run once per tree
+before timing, so that both trees time warm code. Then, round after
+round, every case runs through bench/child.py's `run_case` on both trees
+back to back, alternating which tree goes first from case to case and
+from round to round. The host's speed drifts over minutes, and the two
+runs of a case are seconds apart at most.
+
+Per round, one line gives the summed case time of each tree and the ratio
+B/A, over all cases and by case class: the cases that take 1 node, 2-10
+nodes and 11 or more on ROOT_A. Exits 1 if any case's status or node
+count differs between the trees, else 0. Nothing under bench/ is written.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import shutil
+import sys
+import tempfile
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+CLASSES = (("1 node", 1, 1), ("2-10 nodes", 2, 10), ("11+ nodes", 11, float("inf")))
+
+
+def import_tree(root, tmp, name):
+    """The relucheck package under `root`, imported as `name` from a copy
+    in `tmp`."""
+    shutil.copytree(
+        os.path.join(root, "src", "relucheck"), os.path.join(tmp, name),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return importlib.import_module(name)
+
+
+def summary(label, cases, times):
+    """One line: the summed times of each tree and their ratio B/A, over
+    `cases`, the indices of the cases in the class."""
+    a, b = (sum(t[i] for i in cases) for t in times)
+    ratio = f"x{b / a:.3f}" if a > 0 else "n/a"
+    return f"{label} ({len(cases)}): {a:.3f} s -> {b:.3f} s {ratio}"
+
+
+def main(argv):
+    if len(argv) not in (5, 6):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots, name, seed = argv[1:3], argv[3], int(argv[4])
+    rounds = int(argv[5]) if len(argv) == 6 else 3
+    # before numpy loads its BLAS
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, BENCH)
+    import workloads
+    from child import load_all, run_case
+
+    if name not in workloads.SPEC:
+        print(f"unknown workload {name!r}; known: {', '.join(workloads.SPEC)}", file=sys.stderr)
+        return 2
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = workloads.generate(
+            name, seed, os.path.join(tmp, "cases"), os.path.join(roots[0], "src", "relucheck", "props"),
+            workers=min(workloads.SPEC[name]["workers"], nproc),
+        )
+        sys.path.insert(0, tmp)
+        trees = [import_tree(root, tmp, f"relucheck_{tag}") for root, tag in zip(roots, "ab")]
+        loaded = [load_all(rc, cases) for rc in trees]
+
+        def run(side, i):
+            nets, specs = loaded[side]
+            _, t, status, nodes, _ = run_case(trees[side], cases[i], nets[i], specs[i])
+            return t, (status, nodes)
+
+        outcome = [[run(side, i)[1] for i in range(len(cases))] for side in (0, 1)]
+        differ = [i for i, (a, b) in enumerate(zip(*outcome)) if a != b]
+        for i in differ:
+            print(f"case {i} ({os.path.basename(cases[i]['net'])}, {os.path.basename(cases[i]['prop'])}): "
+                  f"{'/'.join(map(str, outcome[0][i]))} nodes vs {'/'.join(map(str, outcome[1][i]))} nodes")
+        nodes = [n for _, n in outcome[0]]
+        for r in range(rounds):
+            times = [[0.0] * len(cases), [0.0] * len(cases)]
+            for i in range(len(cases)):
+                for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
+                    times[side][i] = run(side, i)[0]
+            parts = [summary("all", range(len(cases)), times)]
+            for label, low, high in CLASSES:
+                parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
+            print(f"{name} seed {seed} round {r + 1}: " + "; ".join(parts), flush=True)
+    print(f"{name} seed {seed}: {len(cases)} cases, {len(differ)} differ in status or nodes")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
