@@ -14,12 +14,12 @@ box's midpoint first: a violating midpoint makes its box an insecure
 leaf without bounding it, and a verify wave stops at the first such box,
 since the search stops there. The other boxes are then bounded and
 checked, the undecided ones sampled at their corners (with that
-strategy) and split, all at once; their children are appended to the
-block together. Every box of a stack gets the bits it would get
-alone, so the tree, the verdict, the node count and the order of the
-leaves do not depend on the wave size. Results that a verify run never
-reaches because it stopped at a counterexample are dropped, and are not
-counted as nodes.
+strategy) and split, all at once; their children take rows together.
+A row the cursor has consumed is reused, so rows are never moved or
+renumbered. Every box of a stack gets the bits it would get alone, so
+the tree, the verdict, the node count and the order of the leaves do not
+depend on the wave size. Results that a verify run never reaches because
+it stopped at a counterexample are dropped, and are not counted as nodes.
 
 A verify run whose constraint is Or-free, a conjunction of literals,
 also attacks each undecided root box (an input region) before splitting
@@ -220,20 +220,17 @@ _ATTACK_STEP_SIZES = 2.0 ** (-np.arange(_ATTACK_STEPS)[:, np.newaxis] / 4)
 
 # the most boxes one wave evaluates together
 WAVE = 256
-# the rows a verify run may hold beyond twice its pending ones before it
-# drops the consumed ones. A drop costs time in the rows it keeps, and it
-# comes after at least half as many new rows, so its cost per node is bounded.
-_SLACK_ROWS = 1024
 # the fewest rows the blocks grow to, so that a short run grows them once
 _MIN_ROWS = 256
 
 
 class _Run:
     """One search. A row's outcome is None until a wave evaluates it, then
-    its leaf status or the range of its child rows. A verify run drops the
-    rows the cursor has consumed (`_compact`), so its memory follows its
-    pending jobs; an enumerate run keeps every row, since its leaves are
-    read from them at the end."""
+    its leaf status or the list of its child rows. A row is a slot that the
+    run reuses (`free`) once the cursor has consumed it, so its memory
+    follows the pending rows and their evaluated descendants. Rows are
+    never moved or renumbered. An enumerate run keeps its leaf rows, since
+    its leaves are read from them at the end."""
 
     def __init__(self, net: Network, spec, cfg: Config, short_circuit: bool):
         self.net = net
@@ -259,9 +256,9 @@ class _Run:
         self.ends = regions.ends.copy()
         self.depth = [0] * len(self.ends)
         self.outcome = [None] * len(self.ends)
+        self.free = []  # the rows to reuse, the last freed first
         self.witness = {}  # row -> counterexample of an evaluated insecure row
         self.attacked = set()  # the rows whose counterexample the attack found
-        self.limit = _SLACK_ROWS if short_circuit else math.inf  # rows before a drop
         self.cex = None
         self.unknown = False
         self.timed_out = False
@@ -270,53 +267,33 @@ class _Run:
         self.t0 = time.monotonic()
 
     # -- the rows ------------------------------------------------------------
-    def _append(self, depth: list) -> slice:
-        """Add unevaluated rows at the given depths; return their slice,
-        whose `ends` the caller fills in."""
-        start = len(self.depth)
-        end = start + len(depth)
-        if end > len(self.ends):
-            room = np.empty((max(end, 2 * len(self.ends), _MIN_ROWS) - start,) + self.ends.shape[1:])
-            self.ends = np.concatenate((self.ends[:start], room))
-        self.depth.extend(depth)
-        self.outcome.extend([None] * len(depth))
-        return slice(start, end)
-
-    def _add_children(self, rows: list, sizes: list, steps: list) -> slice:
-        """Append the children of `rows`: sizes[k] consecutive rows for
-        rows[k], each steps[k] levels deeper than it. Each parent's outcome
-        becomes the range of its children. Returns the slice of all the new
-        rows, whose bounds the caller fills in."""
-        new = self._append([self.depth[r] + s for r, n, s in zip(rows, sizes, steps) for _ in range(n)])
-        start = new.start
-        for r, n in zip(rows, sizes):
-            self.outcome[r] = range(start, start + n)
-            start += n
+    def _add_children(self, rows: list, sizes: list, steps: list) -> list:
+        """Take free rows for the children of `rows`: sizes[k] rows for
+        rows[k], each steps[k] levels deeper than it. When too few are free,
+        the blocks grow. Each parent's outcome becomes the list of its
+        children. Returns all the new rows in that order; the caller fills
+        in their `ends`."""
+        free, depth, outcome = self.free, self.depth, self.outcome
+        n = sum(sizes)
+        if len(free) < n:
+            size = len(depth)
+            grown = max(2 * size, size + n - len(free), _MIN_ROWS)
+            self.ends = np.concatenate((self.ends, np.empty((grown - size,) + self.ends.shape[1:])))
+            depth.extend([0] * (grown - size))
+            outcome.extend([None] * (grown - size))
+            free.extend(range(size, grown))
+        cut = len(free) - n
+        new = free[cut:]
+        del free[cut:]
+        start = 0
+        for r, k, s in zip(rows, sizes, steps):
+            children = outcome[r] = new[start : start + k]
+            start += k
+            d = depth[r] + s
+            for c in children:
+                depth[c] = d
+                outcome[c] = None
         return new
-
-    def _compact(self, stack: list) -> list:
-        """Drop the rows the cursor has consumed and number the others from
-        0 in their old order; return `stack` renumbered. The rows it has
-        not consumed are the stack's and, through their outcomes, the
-        descendants of those."""
-        live, todo = [], stack[:]
-        while todo:
-            row = todo.pop()
-            live.append(row)
-            if type(self.outcome[row]) is range:
-                todo.extend(self.outcome[row])
-        live.sort()
-        new = dict(zip(live, range(len(live))))
-        self.ends = self.ends[live]
-        self.depth = [self.depth[r] for r in live]
-        self.outcome = [
-            range(new[o.start], new[o.start] + len(o)) if type(o) is range else o
-            for o in (self.outcome[r] for r in live)
-        ]
-        self.witness = {new[r]: x for r, x in self.witness.items() if r in new}
-        self.attacked = {new[r] for r in self.attacked if r in new}
-        self.limit = 2 * len(live) + _SLACK_ROWS
-        return [new[r] for r in stack]
 
     def partition(self) -> list:
         """The leaves as (Box, status, cex), boxes in the spec's units."""
@@ -392,12 +369,11 @@ class _Run:
 
         Each literal gets _ATTACK_STARTS starts: the box's midpoint and
         uniform points drawn by a generator seeded with the region's index
-        (a root's row: a drop of consumed rows renumbers no root, since the
-        roots still pending are the first rows). Each start takes
-        _ATTACK_STEPS steps up its literal's margin, the t-th of
-        0.25 * width * 2^(-t/4) in each dim, clipped to the box. The starts
-        and then the points after every step whose margin is >= 0 go to
-        `_counterexamples`."""
+        (a root's row: the regions are the first rows, and a reused row is
+        not a root). Each start takes _ATTACK_STEPS steps up its literal's
+        margin, the t-th of 0.25 * width * 2^(-t/4) in each dim, clipped to
+        the box. The starts and then the points after every step whose
+        margin is >= 0 go to `_counterexamples`."""
         k, d = len(self.check.t), len(lo)
         rng = random.Random(region)
         draws = [rng.random() for _ in range(k * (_ATTACK_STARTS - 1) * d)]
@@ -445,7 +421,9 @@ class _Run:
         if status is SubStatus.INSECURE_SUB and cex is not None and self.cex is None:
             self.cex = cex
             self.stats.attack_hits += row in self.attacked
-        if not self.short_circuit:
+        if self.short_circuit:
+            self.free.append(row)
+        else:
             self.leaves.append((row, status, cex))
 
     # -- one wave ----------------------------------------------------------
@@ -472,7 +450,7 @@ class _Run:
             o = outcome[nxt]
             if o is None:
                 wave.append(nxt)
-            elif type(o) is range:
+            elif type(o) is list:
                 expanded.extend(o)
             elif o is SubStatus.INSECURE_SUB and self.short_circuit:
                 break
@@ -484,8 +462,8 @@ class _Run:
         Then bound and check the other boxes, sample the corners of the
         undecided ones, attack the undecided roots, and choose the split
         of the rest. Sets each row's outcome: its leaf status (and
-        counterexample), or the range of its children, appended as one
-        block per wave and kind of split. Rows after a verify run's first
+        counterexample), or the list of its children, taken as one batch
+        per wave and kind of split. Rows after a verify run's first
         insecure leaf keep no outcome: the search never reaches them."""
         cfg = self.cfg
         outcome = self.outcome
@@ -557,10 +535,10 @@ class _Run:
         else:
             dims = np.argmax(np.where(widths > cfg.precision, widths, -np.inf), axis=1)
         left, right = iv_bisect(box, dims)
-        new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
+        new = np.array(self._add_children(rows, [2] * len(rows), [1] * len(rows)), dtype=np.intp)
         # left then right child of each box, so the right one is popped first
-        self.ends[new.start : new.stop : 2] = left.ends
-        self.ends[new.start + 1 : new.stop : 2] = right.ends
+        self.ends[new[0::2]] = left.ends
+        self.ends[new[1::2]] = right.ends
 
     def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
         """Make the children of each row the 2^k boxes that pin the first k
@@ -582,18 +560,16 @@ class _Run:
     def execute(self):
         """Consume the rows depth-first, last pushed first, evaluating the
         frontier in waves whenever the cursor reaches a row that no wave
-        has evaluated yet."""
+        has evaluated yet. A consumed row is freed for reuse: a split row
+        once its children are pushed, a leaf row in a verify run."""
         stack = list(range(len(self.depth)))  # the regions, the only rows yet
         stats = self.stats
-        depth, outcomes = self.depth, self.outcome
+        depth, outcomes, free = self.depth, self.outcome, self.free
         t0, timeout = self.t0, self.cfg.timeout
         # bounds that overflow raise IntervalOverflowError; numpy's
         # warnings about them would only repeat that on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             while stack:
-                if len(depth) > self.limit:
-                    stack = self._compact(stack)
-                    depth, outcomes = self.depth, self.outcome
                 row = stack.pop()
                 stats.nodes_explored += 1
                 stats.max_depth = max(stats.max_depth, depth[row])
@@ -604,8 +580,9 @@ class _Run:
                 if outcomes[row] is None:
                     self.process(self._frontier(row, stack))
                 outcome = outcomes[row]
-                if type(outcome) is range:
+                if type(outcome) is list:
                     stack.extend(outcome)
+                    free.append(row)
                     continue
                 self._leaf(row, outcome, self.witness.pop(row, None))
                 if outcome is SubStatus.INSECURE_SUB and self.short_circuit:

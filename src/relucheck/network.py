@@ -189,9 +189,8 @@ def _parse_nnet_lite(text: str) -> Network:
     lines = list(_data_lines(text))
     if not lines:
         raise NetworkFormatError("empty network file")
-    it = iter(lines)
 
-    lineno, header = next(it)
+    lineno, header = lines[0]
     head = _counts(header, lineno, "header values")
     if len(head) != 4:
         raise NetworkFormatError(f"line {lineno}: header needs 4 numbers, got {len(head)}")
@@ -199,10 +198,9 @@ def _parse_nnet_lite(text: str) -> Network:
     if num_layers < 1 or d < 1 or m < 1:
         raise NetworkFormatError(f"line {lineno}: invalid header values")
 
-    try:
-        lineno, sizes_line = next(it)
-    except StopIteration:
-        raise NetworkFormatError("missing layer sizes line") from None
+    if len(lines) < 2:
+        raise NetworkFormatError("missing layer sizes line")
+    lineno, sizes_line = lines[1]
     sizes = _counts(sizes_line, lineno, "layer sizes")
     if len(sizes) != num_layers + 1:
         raise NetworkFormatError(
@@ -215,12 +213,11 @@ def _parse_nnet_lite(text: str) -> Network:
             f"line {lineno}: largest layer size is {max(sizes)}, header says {max_size}"
         )
 
+    if len(lines) < 3:
+        raise NetworkFormatError("missing weight data")
     norm_mean = norm_range = None
-    pending = None
-    try:
-        lineno, line = next(it)
-    except StopIteration:
-        raise NetworkFormatError("missing weight data") from None
+    at = 2  # the next line to read
+    lineno, line = lines[at]
     if line.startswith("norm:"):
         pairs = line[len("norm:"):].strip().split()
         if len(pairs) != d:
@@ -230,40 +227,26 @@ def _parse_nnet_lite(text: str) -> Network:
             raise NetworkFormatError(f"line {lineno}: each norm entry must be mean,range")
         norm_mean = np.array([v[0] for v in vals])
         norm_range = np.array([v[1] for v in vals])
-    else:
-        pending = (lineno, line)
-
-    def next_line():
-        nonlocal pending
-        if pending is not None:
-            out, pending = pending, None
-            return out
-        try:
-            return next(it)
-        except StopIteration:
-            raise NetworkFormatError("unexpected end of file in weight data") from None
+        at += 1
 
     layers = []
     for k in range(num_layers):
         in_size, out_size = sizes[k], sizes[k + 1]
-        rows = []
-        for _ in range(out_size):
-            lineno, line = next_line()
+        rows = []  # the weight rows, then the bias
+        for what, want in [("weight row", in_size)] * out_size + [("bias", out_size)]:
+            if at == len(lines):
+                raise NetworkFormatError("unexpected end of file in weight data")
+            lineno, line = lines[at]
+            at += 1
             row = _floats(line, lineno)
-            if len(row) != in_size:
+            if len(row) != want:
                 raise NetworkFormatError(
-                    f"line {lineno}: layer {k} weight row has {len(row)} entries, expected {in_size}"
+                    f"line {lineno}: layer {k} {what} has {len(row)} entries, expected {want}"
                 )
             rows.append(row)
-        lineno, line = next_line()
-        bias = _floats(line, lineno)
-        if len(bias) != out_size:
-            raise NetworkFormatError(
-                f"line {lineno}: layer {k} bias has {len(bias)} entries, expected {out_size}"
-            )
-        layers.append(Layer(np.array(rows), np.array(bias)))
+        layers.append(Layer(np.array(rows[:-1]), np.array(rows[-1])))
 
-    if pending is not None or any(True for _ in it):
+    if at < len(lines):
         raise NetworkFormatError("trailing data after last layer")
     return Network(tuple(layers), norm_mean, norm_range)
 

@@ -182,34 +182,17 @@ def test_wave_size_does_not_change_random_net_results(monkeypatch, seed):
             assert full == single, (constraint, mode)
 
 
-def test_dropping_consumed_rows_does_not_change_verdicts(monkeypatch):
-    # with no slack a verify run drops its consumed rows whenever they
-    # outnumber the pending ones, and renumbers the pending ones
-    net = acas_net(np.random.default_rng(5))
-    for name in PROPS:
-        with open(shipped_path(name), "rb") as f:
-            spec = parse_property(f, num_outputs=5)
-        for mode in ("symbolic", "naive"):
-            cfg = Config(max_depth=5, mode=mode, sample_strategy="corners", timeout=600.0)
-            want = _verdict_key(verify(net, spec, cfg))
-            with monkeypatch.context() as m:
-                m.setattr(engine, "_SLACK_ROWS", 0)
-                assert _verdict_key(verify(net, spec, cfg)) == want, (name, mode)
-
-
-def test_dropping_rows_keeps_a_pending_counterexample(monkeypatch):
+def test_reusing_rows_keeps_a_pending_counterexample(monkeypatch):
     # y = relu(x - 10) is 0 over [0, 1], where rounded-out bounds never
     # prove y <= 0 and no sample violates it, so that region is split down
     # to max_depth. The second wave finds the midpoint 10.125 of the upper
     # half of [9, 10.5] to violate; that leaf stays pending while the cursor
-    # consumes the 2047 nodes of [0, 1], dropping consumed rows as it goes
-    # and renumbering the others, the leaf's among them. The root attack
-    # is off, so that the counterexample is one that bisection finds.
+    # consumes the 2047 nodes of [0, 1], whose rows the run reuses as it
+    # goes. The root attack is off, so that the counterexample is one that
+    # bisection finds.
     without_attack(monkeypatch)
     net = make_net([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
     spec = (InputSpec((Box([9], [10.5]), Box([0], [1]))), OutLE(0, 0.0))
-    for slack in (engine._SLACK_ROWS, 0):
-        monkeypatch.setattr(engine, "_SLACK_ROWS", slack)
-        v = verify(net, spec, Config(mode="naive", max_depth=10))
-        assert v.status is Status.INSECURE and v.counterexample.tolist() == [10.125]
-        assert v.stats.nodes_explored == 2049
+    v = verify(net, spec, Config(mode="naive", max_depth=10))
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [10.125]
+    assert v.stats.nodes_explored == 2049

@@ -324,11 +324,10 @@ def test_timeout_after_k_nodes(monkeypatch, demo_net, demo_box, le15):
 def test_verify_memory_does_not_grow_with_nodes(monkeypatch):
     # y = 0 is never proved <= 0, since its bounds are rounded out, and it
     # is never violated, so verify splits every box down to max_depth. Small
-    # waves keep the pending jobs few, and without slack the run drops its
-    # consumed rows as soon as they outnumber the pending ones, so that
-    # memory held for consumed jobs would show in the peak of both runs.
+    # waves keep the pending jobs few, and the run reuses the rows it has
+    # consumed, so that memory held for consumed jobs would show in the
+    # peak of both runs.
     monkeypatch.setattr(engine, "WAVE", 8)
-    monkeypatch.setattr(engine, "_SLACK_ROWS", 0)
     net = make_net([np.zeros((1, 2))])
     spec = (InputSpec((Box([0, 0], [1, 1]),)), OutLE(0, 0.0))
     peaks = []
@@ -343,6 +342,20 @@ def test_verify_memory_does_not_grow_with_nodes(monkeypatch):
         assert v.stats.nodes_explored == 2 ** (depth + 1) - 1
     # 8x the nodes
     assert peaks[1] < 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+def test_a_long_verify_run_reuses_its_rows(monkeypatch, mode):
+    # the run of test_verify_memory_does_not_grow_with_nodes at its larger
+    # depth: 8,191 nodes, of which a few dozen are live at once, so the
+    # blocks never grow past their first size
+    monkeypatch.setattr(engine, "WAVE", 8)
+    net = make_net([np.zeros((1, 2))])
+    spec = (InputSpec((Box([0, 0], [1, 1]),)), OutLE(0, 0.0))
+    run = engine._Run(net, spec, Config(mode=mode, max_depth=12), short_circuit=True)
+    run.execute()
+    assert run.stats.nodes_explored == 2**13 - 1
+    assert len(run.ends) == engine._MIN_ROWS
 
 
 def test_verify_dim_mismatch(demo_net):
@@ -755,19 +768,17 @@ def test_attack_refutes_the_root_where_samples_miss(monkeypatch, mode, strategy)
 
 
 @pytest.mark.parametrize("mode, nodes", [("symbolic", 10), ("naive", 22)])
-def test_dropping_rows_keeps_a_pending_attack_hit(monkeypatch, mode, nodes):
+def test_reusing_rows_keeps_a_pending_attack_hit(mode, nodes):
     # the attack refutes [0, 1] in the first wave, but the cursor consumes
     # the last region, [0, 11/16], first, where y <= 1/8 holds; the hit on
-    # [0, 1] stays pending while the run drops consumed rows and renumbers
-    # the others, and it must still count as the attack's
+    # [0, 1] stays pending while the run reuses the rows it consumes, and
+    # it must still count as the attack's
     net = make_net(*_BUMP)
     regions = (Box([0.0], [1.0]), Box([0.0], [0.6875]))
     spec = (InputSpec(regions), OutLE(0, 0.125))
-    for slack in (engine._SLACK_ROWS, 0):
-        monkeypatch.setattr(engine, "_SLACK_ROWS", slack)
-        v = verify(net, spec, Config(mode=mode, max_depth=10))
-        assert v.status is Status.INSECURE, slack
-        assert (v.stats.attack_hits, v.stats.nodes_explored) == (1, nodes), slack
+    v = verify(net, spec, Config(mode=mode, max_depth=10))
+    assert v.status is Status.INSECURE
+    assert (v.stats.attack_hits, v.stats.nodes_explored) == (1, nodes)
 
 
 def test_attack_counterexample_in_raw_units():

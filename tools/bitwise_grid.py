@@ -11,9 +11,9 @@ the other mode, each with its constraint as parsed and wrapped in a `Not`
 (no workload property has a negated literal, so only the wrapped runs reach
 the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
-node count, counterexample or leaves differ between the trees is printed,
-then one summary line per workload and seed. Exits 1 on any difference,
-else 0. Nothing under bench/ is written.
+node count, counterexample, leaves or run stats (all but the wall time)
+differ between the trees is printed, then one summary line per workload
+and seed. Exits 1 on any difference, else 0. Nothing under bench/ is written.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ def run_tree(src, cases_path):
     if not os.path.abspath(rc.__file__).startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"relucheck imported from {rc.__file__}, not from {src}")
 
+    # the stats of each run's result, but its wall time
+    stats = {}
+    for name in ("verify", "enumerate_regions"):
+        def capture(*args, run=getattr(rc, name)):
+            result = run(*args)
+            stats.update(result.stats.to_dict())
+            del stats["wall_time"]
+            return result
+
+        setattr(rc, name, capture)
+
     with open(cases_path) as f:
         cases = json.load(f)
     nets, specs = load_all(rc, cases)
@@ -46,7 +57,8 @@ def run_tree(src, cases_path):
         for negated, c in ((False, constraint), (True, rc.properties.Not(constraint))):
             for mode in MODES:
                 _, _, status, nodes, extra = run_case(rc, dict(case, mode=mode), net, (regions, c))
-                print(json.dumps({"i": i, "mode": mode, "negated": negated, "status": status, "nodes": nodes, **extra}))
+                print(json.dumps({"i": i, "mode": mode, "negated": negated, "status": status, "nodes": nodes,
+                                  **extra, "stats": stats}))
 
 
 def compare(roots, name, seed, env, nproc):
@@ -81,7 +93,7 @@ def compare(roots, name, seed, env, nproc):
             print(f"case {a['i']} ({os.path.basename(case['net'])}, {os.path.basename(case['prop'])}), "
                   f"mode {a['mode']}{', negated' if a['negated'] else ''}: "
                   f"{a['status']}/{a['nodes']} nodes vs {b['status']}/{b['nodes']} nodes"
-                  + (", counterexample or leaves differ" if same else ""))
+                  + (", counterexample, leaves or stats differ" if same else ""))
     total = len(runs[0])
     if total != len(runs[1]) or total != 4 * len(cases):
         print(f"run counts differ: {total} vs {len(runs[1])}, {len(cases)} cases")
