@@ -6,9 +6,10 @@ The search tree is kept in arrays: a job is a row of the float64 block
 outcome and the counterexample of an insecure leaf are kept by row. The
 search is depth-first. A cursor pops the row pushed last; a row that is
 neither proved, refuted, nor out of budget pushes its children. Rows are
-evaluated in waves: when the cursor reaches a row that no wave has
-evaluated, the next wave takes that row and up to WAVE - 1 unevaluated
-rows that follow it in depth-first order. One index into the block
+evaluated in waves. The rows that no wave has evaluated are kept on a
+stack of their own in depth-first order, the next one on top, so the
+row the cursor reaches unevaluated is always the top of that stack, and
+a wave takes up to WAVE rows from the top. One index into the block
 stacks their boxes into a (B, 2, d) array, and the wave samples each
 box's midpoint first: a violating midpoint makes its box an insecure
 leaf without bounding it, and a verify wave stops at the first such box,
@@ -226,7 +227,9 @@ _MIN_ROWS = 256
 
 class _Run:
     """One search. A row's outcome is None until a wave evaluates it, then
-    its leaf status or the list of its child rows. A row is a slot that the
+    its leaf status or the list of its child rows. `pending` holds the rows
+    whose outcome is None and that the cursor will reach, in the order it
+    will reach them, the next one last. A row is a slot that the
     run reuses (`free`) once the cursor has consumed it, so its memory
     follows the pending rows and their evaluated descendants. Rows are
     never moved or renumbered. An enumerate run keeps its leaf rows, since
@@ -257,11 +260,11 @@ class _Run:
         self.depth = [0] * len(self.ends)
         self.outcome = [None] * len(self.ends)
         self.free = []  # the rows to reuse, the last freed first
+        self.pending = list(range(len(self.ends)))
         self.witness = {}  # row -> counterexample of an evaluated insecure row
         self.attacked = set()  # the rows whose counterexample the attack found
         self.cex = None
         self.unknown = False
-        self.timed_out = False
         self.leaves = []  # (row, status, cex), in the order the cursor reaches them
         self.stats = RunStats()
         self.t0 = time.monotonic()
@@ -304,16 +307,17 @@ class _Run:
         return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
     # -- sampling ----------------------------------------------------------
-    def _corners(self, box: Box) -> np.ndarray:
-        """(B, S, d) sample points of a stack: each box's corners over its
-        first ten dims, with the other dims at the midpoint."""
+    def _corners(self, rows: list, box: Box) -> dict:
+        """Counterexamples at each box's corners over its first ten dims,
+        with the other dims at the midpoint, as `_counterexamples` gives
+        them."""
         mid = box.midpoint()[:, np.newaxis, :]
         k = min(len(box), 10)
         sides = np.array(list(itertools.islice(itertools.product((0, 1), repeat=k), 1024)), dtype=bool)
         corners = np.repeat(mid, len(sides), axis=1)
         lo, hi = box.lo[:, np.newaxis, :k], box.hi[:, np.newaxis, :k]
         corners[..., :k] = np.where(sides, hi, lo)
-        return corners
+        return self._counterexamples(corners)
 
     def _violates(self, y: np.ndarray):
         """Whether outputs violate the constraint. Outputs that are not all
@@ -343,11 +347,6 @@ class _Run:
                 ):
                     found[b] = raw
         return found
-
-    def _sample_corners(self, rows: list, box: Box) -> dict:
-        """Counterexamples at the corners of a stack's boxes, as
-        `_counterexamples` gives them."""
-        return self._counterexamples(self._corners(box))
 
     def _attack(self, rows: list, box: Box) -> dict:
         """The first root box of a stack in which gradient steps find a
@@ -427,35 +426,6 @@ class _Run:
             self.leaves.append((row, status, cex))
 
     # -- one wave ----------------------------------------------------------
-    def _frontier(self, row: int, stack: list) -> list:
-        """`row` and the unevaluated rows after it in depth-first order, at
-        most WAVE in all.
-
-        The order is the one the cursor will take: the stack from its top,
-        where an evaluated row stands for its children. An evaluated
-        insecure leaf ends a verify run, so nothing after it is taken.
-        """
-        outcome = self.outcome
-        wave = [row]
-        below = len(stack)
-        expanded = []
-        while len(wave) < WAVE:
-            if expanded:
-                nxt = expanded.pop()
-            elif below:
-                below -= 1
-                nxt = stack[below]
-            else:
-                break
-            o = outcome[nxt]
-            if o is None:
-                wave.append(nxt)
-            elif type(o) is list:
-                expanded.extend(o)
-            elif o is SubStatus.INSECURE_SUB and self.short_circuit:
-                break
-        return wave
-
     def process(self, rows: list) -> None:
         """Evaluate a wave of rows as one stack of boxes. Sample each box's
         midpoint first: a violating one makes its box an insecure leaf.
@@ -496,7 +466,7 @@ class _Run:
             return
         if len(idx) < len(rows):
             box = box.take(idx)
-        samplers = [self._sample_corners] if cfg.sample_strategy == "corners" else []
+        samplers = [self._corners] if cfg.sample_strategy == "corners" else []
         if self.attack:
             samplers.append(self._attack)
         for sample in samplers:
@@ -558,13 +528,17 @@ class _Run:
 
     # -- entry points ------------------------------------------------------
     def execute(self):
-        """Consume the rows depth-first, last pushed first, evaluating the
-        frontier in waves whenever the cursor reaches a row that no wave
-        has evaluated yet. A consumed row is freed for reuse: a split row
-        once its children are pushed, a leaf row in a verify run."""
+        """Consume the rows depth-first, last pushed first. A row that no
+        wave has evaluated is then the top of `pending`, and a wave
+        evaluates it and the rows below it, WAVE in all. The rows the wave
+        leaves unevaluated and the children of its split rows go back on
+        `pending` in depth-first order; a verify run's first insecure leaf
+        clears it, since the run reaches no row after that leaf. A
+        consumed row is freed for reuse: a split row once its children
+        are pushed, a leaf row in a verify run."""
         stack = list(range(len(self.depth)))  # the regions, the only rows yet
         stats = self.stats
-        depth, outcomes, free = self.depth, self.outcome, self.free
+        depth, outcomes, free, pending = self.depth, self.outcome, self.free, self.pending
         t0, timeout = self.t0, self.cfg.timeout
         # bounds that overflow raise IntervalOverflowError; numpy's
         # warnings about them would only repeat that on stderr
@@ -574,11 +548,22 @@ class _Run:
                 stats.nodes_explored += 1
                 stats.max_depth = max(stats.max_depth, depth[row])
                 if time.monotonic() - t0 > timeout:
-                    self.timed_out = True
                     self._leaf(row, SubStatus.UNKNOWN_SUB)
                     continue
                 if outcomes[row] is None:
-                    self.process(self._frontier(row, stack))
+                    wave = pending[: -WAVE - 1 : -1]  # the top WAVE rows, top first
+                    del pending[-WAVE:]
+                    self.process(wave)
+                    # from the wave's last row back, so that its first row's
+                    # children end on top
+                    for r in reversed(wave):
+                        o = outcomes[r]
+                        if o is None:
+                            pending.append(r)
+                        elif type(o) is list:
+                            pending.extend(o)
+                        elif o is SubStatus.INSECURE_SUB and self.short_circuit:
+                            pending.clear()
                 outcome = outcomes[row]
                 if type(outcome) is list:
                     stack.extend(outcome)
@@ -597,7 +582,7 @@ def verify(net: Network, spec, cfg: Config = Config()) -> Verdict:
     run.execute()
     if run.cex is not None:
         return Verdict(Status.INSECURE, np.asarray(run.cex), run.stats)
-    if run.unknown or run.timed_out:
+    if run.unknown:
         return Verdict(Status.UNKNOWN, None, run.stats)
     return Verdict(Status.SECURE, None, run.stats)
 

@@ -10,12 +10,12 @@ from relucheck.data import shipped_path
 from relucheck.engine import Config, Status, enumerate_regions, verify
 from relucheck.gradients import backward_gradient
 from relucheck.intervals import Box, IntervalOverflowError
-from relucheck.network import Network
+from relucheck.network import Network, eval_concrete_batch
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import InputSpec, OutLE, parse_property
 from relucheck.symbolic import bounds_of_rows
 
-from conftest import make_net, random_box, random_net, without_attack
+from conftest import make_net, random_box, random_net, sample_points, without_attack
 
 PROPS = ["phi%d.prop" % k for k in range(1, 16)] + ["s1.prop", "s2.prop", "s3.prop"]
 WAVE = engine.WAVE
@@ -196,3 +196,86 @@ def test_reusing_rows_keeps_a_pending_counterexample(monkeypatch):
     v = verify(net, spec, Config(mode="naive", max_depth=10))
     assert v.status is Status.INSECURE and v.counterexample.tolist() == [10.125]
     assert v.stats.nodes_explored == 2049
+
+
+
+def _sampled_case(seed):
+    """A random 3-input net, two random regions, and output 0 at 2000
+    uniform points of each region."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, d=3, m=2, max_width=16, max_layers=3)
+    boxes = tuple(random_box(rng, 3, min_width=0.5, max_width=2.0) for _ in range(2))
+    y = np.concatenate([eval_concrete_batch(net, sample_points(rng, b, 2000))[:, 0] for b in boxes])
+    return net, boxes, y
+
+
+def _record_waves(monkeypatch):
+    """Wrap `_Run.process`: the returned list gets each wave's boxes, by
+    their bits and depth, and the run that took it."""
+    waves = []
+    process = engine._Run.process
+
+    def recorded(run, rows):
+        waves.append(([(bits(run.ends[r]), run.depth[r]) for r in rows], run))
+        return process(run, rows)
+
+    monkeypatch.setattr(engine._Run, "process", recorded)
+    return waves
+
+
+@pytest.mark.parametrize("seed", (0, 4, 7))
+def test_waves_take_each_unevaluated_row_once_in_depth_first_order(monkeypatch, seed):
+    # a wave-size-independent result does not show a queue that drops,
+    # repeats or reorders rows, since the cursor takes the tree's order
+    # anyway. So each wave's boxes are recorded: at every wave size each
+    # box is evaluated once, and a wave takes its boxes in the order the
+    # cursor reaches them, which WAVE = 1 gives.
+    net, boxes, y = _sampled_case(seed)
+    y_hi = max(symbolic_forward(net, b).hi[0] for b in boxes)
+    # just above the sampled maximum, so that proving it takes splits
+    spec = (InputSpec(boxes), OutLE(0, float(y.max() + 0.05 * (y_hi - y.max()))))
+    waves = _record_waves(monkeypatch)
+    runs = {
+        "verify": lambda: verify(net, spec, Config(max_depth=12)).status,
+        "enumerate": lambda: enumerate_regions(net, spec, Config(max_depth=6, mode="naive")).stats.nodes_explored,
+    }
+    for name, run in runs.items():
+        by_cap = {}
+        for cap in (1, 4, 256):
+            monkeypatch.setattr(engine, "WAVE", cap)
+            waves.clear()
+            by_cap[cap] = run(), [wave for wave, _ in waves]
+        result, single = by_cap[1]
+        if name == "verify":
+            assert result is Status.SECURE
+        order = [wave[0] for wave in single]
+        assert all(len(wave) == 1 for wave in single)
+        assert len(set(order)) == len(order) > 20, name
+        position = {key: k for k, key in enumerate(order)}
+        for cap, (got, taken) in by_cap.items():
+            assert got == result, (name, cap)
+            keys = [key for wave in taken for key in wave]
+            assert sorted(keys) == sorted(order), (name, cap)
+            for wave in taken:
+                at = [position[key] for key in wave]
+                assert at == sorted(at), (name, cap)
+            if cap > 1:
+                assert max(map(len, taken)) > 1, (name, cap)
+
+
+@pytest.mark.parametrize("cap", (1, 4, 256))
+def test_an_insecure_verify_run_leaves_no_row_pending(monkeypatch, cap):
+    # the run stops at its first insecure leaf, so the rows after that leaf
+    # leave `pending` when a wave finds it; every row left there is one the
+    # cursor reaches, and evaluates or consumes, before it stops. The root
+    # attack is off, so that bisection finds the leaf after a few hundred
+    # nodes.
+    without_attack(monkeypatch)
+    net, boxes, y = _sampled_case(4)
+    spec = (InputSpec(boxes), OutLE(0, float(y.max() - 0.05 * (y.max() - y.min()))))
+    waves = _record_waves(monkeypatch)
+    monkeypatch.setattr(engine, "WAVE", cap)
+    v = verify(net, spec, Config(max_depth=12))
+    assert v.status is Status.INSECURE and v.stats.nodes_explored > 100
+    assert (max(len(wave) for wave, _ in waves) > 1) == (cap > 1)
+    assert waves[-1][1].pending == []

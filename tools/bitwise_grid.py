@@ -13,7 +13,10 @@ the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
 node count, counterexample, leaves or run stats (all but the wall time)
 differ between the trees is printed, then one summary line per workload
-and seed. Exits 1 on any difference, else 0. Nothing under bench/ is written.
+and seed. The summary line also gives each tree's total of waves (calls to
+`engine._Run.process`, the overflow fallback's own call included) and of
+the rows they took; these are reported, not compared. Exits 1 on any
+difference, else 0. Nothing under bench/ is written.
 """
 
 from __future__ import annotations
@@ -39,16 +42,25 @@ def run_tree(src, cases_path):
     if not os.path.abspath(rc.__file__).startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"relucheck imported from {rc.__file__}, not from {src}")
 
-    # the stats of each run's result, but its wall time
-    stats = {}
+    # the stats of each run's result, but its wall time, and the waves it
+    # evaluated and the rows they took
+    stats, work = {}, {}
     for name in ("verify", "enumerate_regions"):
         def capture(*args, run=getattr(rc, name)):
+            work.update(waves=0, rows=0)
             result = run(*args)
             stats.update(result.stats.to_dict())
             del stats["wall_time"]
             return result
 
         setattr(rc, name, capture)
+
+    def counted(run, rows, process=rc.engine._Run.process):
+        work["waves"] += 1
+        work["rows"] += len(rows)
+        return process(run, rows)
+
+    rc.engine._Run.process = counted
 
     with open(cases_path) as f:
         cases = json.load(f)
@@ -58,7 +70,7 @@ def run_tree(src, cases_path):
             for mode in MODES:
                 _, _, status, nodes, extra = run_case(rc, dict(case, mode=mode), net, (regions, c))
                 print(json.dumps({"i": i, "mode": mode, "negated": negated, "status": status, "nodes": nodes,
-                                  **extra, "stats": stats}))
+                                  **extra, "stats": stats, **work}))
 
 
 def compare(roots, name, seed, env, nproc):
@@ -84,6 +96,8 @@ def compare(roots, name, seed, env, nproc):
         if p.returncode:
             raise SystemExit(f"{name} seed {seed}: the run against {root} exited {p.returncode}")
     runs = [[json.loads(line) for line in out.splitlines()] for out in outs]
+    # (waves, rows) of each tree, taken out of the runs it compares
+    work = [[sum(r.pop(k) for r in rs) for k in ("waves", "rows")] for rs in runs]
     differ = 0
     for a, b in zip(*runs):
         if a != b:
@@ -99,7 +113,8 @@ def compare(roots, name, seed, env, nproc):
         print(f"run counts differ: {total} vs {len(runs[1])}, {len(cases)} cases")
         differ += 1
     negated = sum(r["negated"] for r in runs[0])
-    print(f"{name} seed {seed}: {total} runs ({negated} negated), {differ} differ", flush=True)
+    print(f"{name} seed {seed}: {total} runs ({negated} negated), {differ} differ; "
+          + " vs ".join(f"{w:,} waves, {r:,} rows" for w, r in work), flush=True)
     return differ
 
 
