@@ -22,18 +22,20 @@ the tree, the verdict, the node count and the order of the leaves do not
 depend on the wave size. Results that a verify run never reaches because
 it stopped at a counterexample are dropped, and are not counted as nodes.
 
-A verify run whose constraint is Or-free, a conjunction of literals,
-also attacks each undecided root box (an input region) before splitting
-it. From the midpoint and a few seeded uniform points, projected
-signed-gradient steps (PGD, Madry et al., arXiv 1706.06083) climb each
-literal's violation margin; a point that violates the constraint makes
-the root an insecure leaf, so the run ends at its first node. Sampling
-alone refutes a box only where its midpoint or a corner violates, so
-without the attack such a run bisects until a sample hits the violation
-or the depth budget runs out. Each root is attacked on its own, from
-points drawn by a generator seeded with its region's index, so the
-attack keeps the search independent of the wave size. Enumerate runs do
-not attack, since an attacked root would not be partitioned.
+A verify run also attacks each undecided root box (an input region)
+before splitting it, whatever its constraint. From the midpoint and a few
+seeded uniform points, projected signed-gradient steps (PGD, Madry et
+al., arXiv 1706.06083) lower the constraint's margin, the And/Or tree's
+least or greatest literal margin: each point steps down the margin of its
+active literal, the one that sets its tree margin. A point that violates
+the constraint makes the root an insecure leaf, so the run ends at its
+first node. Sampling alone refutes a box only where its midpoint or a
+corner violates, so without the attack such a run bisects until a sample
+hits the violation or the depth budget runs out. Each root is attacked on
+its own, from points drawn by a generator seeded with its region's index,
+so the attack keeps the search independent of the wave size. Enumerate
+runs do not attack, since an attacked root would not be partitioned.
+Only the monotonicity reduction needs an Or-free constraint.
 """
 
 from __future__ import annotations
@@ -252,9 +254,6 @@ class _Run:
         # endpoint boxes would break an enumerated partition, and they are
         # unsound for disjunctions
         self.reduce = self.check.or_free and short_circuit and cfg.mode == "symbolic"
-        # an Or-free constraint is violated wherever one literal is, so
-        # climbing one literal's margin can refute it
-        self.attack = self.check.or_free and short_circuit
         # the regions are the first rows
         self.ends = regions.ends.copy()
         self.depth = [0] * len(self.ends)
@@ -364,16 +363,20 @@ class _Run:
 
     def _attack_root(self, region: int, lo: np.ndarray, hi: np.ndarray):
         """A counterexample in the root box [lo, hi] of a region, found by
-        signed-gradient ascent on the constraint's literal margins, or None.
+        signed-gradient descent on the constraint's margin, or None.
 
-        Each literal gets _ATTACK_STARTS starts: the box's midpoint and
-        uniform points drawn by a generator seeded with the region's index
-        (a root's row: the regions are the first rows, and a reused row is
-        not a root). Each start takes _ATTACK_STEPS steps up its literal's
-        margin, the t-th of 0.25 * width * 2^(-t/4) in each dim, clipped to
-        the box. The starts and then the points after every step whose
-        margin is >= 0 go to `_counterexamples`."""
+        There are _ATTACK_STARTS starts per literal: for each, the box's
+        midpoint and uniform points drawn by a generator seeded with the
+        region's index (a root's row: the regions are the first rows, and
+        a reused row is not a root). Each start takes _ATTACK_STEPS steps,
+        the t-th of 0.25 * width * 2^(-t/4) in each dim, clipped to the
+        box, each down the margin of the literal that is active at the
+        point (`SoundCheck.active`); with one literal, that is its margin
+        throughout. The starts and then the points after every step whose
+        margin is <= 0 go to `_counterexamples`."""
         k, d = len(self.check.t), len(lo)
+        if not k:  # no literal, no start
+            return None
         rng = random.Random(region)
         draws = [rng.random() for _ in range(k * (_ATTACK_STARTS - 1) * d)]
         u = np.reshape(draws, (k, _ATTACK_STARTS - 1, d))
@@ -382,16 +385,14 @@ class _Run:
         # no term overflows, even where hi - lo would
         x[:, 1:] = np.minimum(np.maximum(lo * (1.0 - u) + hi * u, lo), hi)
         x = x.reshape(-1, d)
-        a = np.repeat(self.check.A, _ATTACK_STARTS, axis=0)
-        t = np.repeat(self.check.t, _ATTACK_STARTS)
         # a quarter of the widths, taken so that it does not overflow
         steps = _ATTACK_STEP_SIZES * (0.5 * (hi / 2.0 - lo / 2.0))
         for step in range(_ATTACK_STEPS + 1):
             if step < _ATTACK_STEPS:
-                y, g = margin_gradients(self.core, x, a)
+                r, g = margin_gradients(self.core, x, self.check)
             else:
-                y = eval_concrete_batch(self.core, x)
-            hit = (y * a).sum(axis=1) >= t
+                r, _ = self.check.active(eval_concrete_batch(self.core, x))
+            hit = r <= 0.0
             if hit.any():
                 found = self._counterexamples(x[hit][np.newaxis])
                 if found:
@@ -467,7 +468,7 @@ class _Run:
         if len(idx) < len(rows):
             box = box.take(idx)
         samplers = [self._corners] if cfg.sample_strategy == "corners" else []
-        if self.attack:
+        if self.short_circuit:
             samplers.append(self._attack)
         for sample in samplers:
             undecided = [rows[i] for i in idx.tolist()]

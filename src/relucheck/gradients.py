@@ -90,11 +90,14 @@ def smear_split_choice(J: np.ndarray, widths: np.ndarray, precision: float = 0.0
     return np.argmax(smear, axis=-1)
 
 
-def margin_gradients(net: Network, xs: np.ndarray, a: np.ndarray) -> tuple:
-    """(y, g) at a batch of points xs (n, d) of a network without input
-    normalization: the outputs y (n, m), and the gradient g (n, d) of each
-    point's margin a[p] . y in its input, back-propagated through the
-    point's own activation pattern (a unit at exactly 0 passes none).
+def margin_gradients(net: Network, xs: np.ndarray, check) -> tuple:
+    """(r, g) at a batch of points xs (n, d) of a network without input
+    normalization: the margins r (n,) of the compiled constraint `check`
+    at the points' outputs, and the gradient g (n, d) of a_k . y in each
+    point's input, for the literal k that sets its margin (see
+    `SoundCheck.active`), back-propagated through the point's own
+    activation pattern (a unit at exactly 0 passes none). Stepping along g
+    lowers that literal's margin.
 
     Each layer is one matrix product over the whole batch, so a point's
     bits may depend on the batch it is in: a caller that needs them
@@ -107,9 +110,10 @@ def margin_gradients(net: Network, xs: np.ndarray, a: np.ndarray) -> tuple:
         if k < net.num_hidden:
             active.append(v > 0.0)
             v = np.maximum(v, 0.0)
-    g = a
+    r, lit = check.active(v)
+    g = check.A.take(lit, axis=0)
     for k in range(net.num_hidden, -1, -1):
         g = g @ net.layers[k].W
         if k:
             g = g * active[k - 1]
-    return v, g
+    return r, g

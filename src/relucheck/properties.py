@@ -8,11 +8,15 @@ with non-strict comparisons, so a tie counts as minimal/maximal.
 A constraint is compiled once per output count, into a `SoundCheck` that
 every later check of an equal constraint reuses: negations pushed down
 to the atoms, one And/Or tree over literals, and literal k a row a_k over
-the outputs that holds where a_k . y <= bound_k. Both checks run that one
-Boolean tree. At a point it reads the literals' truths from one product,
-y @ A.T <= bound. Over a box a literal counts as true where an upper bound
-of a_k . y over the box is <= bound_k; in negation normal form this is
-Kleene's definitely-true, and only it maps to the Holds verdict.
+the outputs that holds where a_k . y <= bound_k. The tree takes the least
+of its arguments for an And and the greatest for an Or, and everything
+that reads the constraint runs it. At a point the checks read the
+literals' truths from one product, y @ A.T <= bound. Over a box a literal
+counts as true where an upper bound of a_k . y over the box is <= bound_k;
+in negation normal form this is Kleene's definitely-true, and only it
+maps to the Holds verdict. On the literals' margins bound_k - a_k . y the
+tree gives the constraint's margin, >= 0 exactly where it holds; the root
+attack lowers the same tree over t_k - a_k . y.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def check_concrete(y, c):
     y = np.asarray(y, dtype=np.float64)
     if not isinstance(c, SoundCheck):
         c = compile_check(c, y.shape[-1])
-    holds = c.truth(y @ c.A.T <= c.bound)
+    holds = c.tree(y @ c.A.T <= c.bound)
     return holds if holds.ndim else bool(holds)
 
 
@@ -197,12 +201,15 @@ class SoundCheck:
     """A constraint compiled once for evaluation on many boxes or points.
 
     Every `Not` is pushed down to the atoms (De Morgan), leaving one And/Or
-    tree over literals; `truth` evaluates it on the literals' truths (last
-    axis). Literal k is a row a_k of `A` (e_i for `le`, -e_i for `ge`,
-    e_i - e_j for `diffle`, negated under an odd number of `Not`s) with a
-    threshold t_k in `t`. A negated literal is strict, a_k . y < t_k, so
-    `bound[k]` is t_k, or the float below it where strict: every literal
-    holds exactly where a_k . y <= bound[k].
+    tree over literals; `tree` evaluates it on values of the literals (last
+    axis), the least of its arguments' values for an And and the greatest
+    for an Or. On the literals' truths that is the constraint's truth. On
+    their margins bound[k] - a_k . y it is the constraint's margin, >= 0
+    exactly where the constraint holds. Literal k is a row a_k of `A`
+    (e_i for `le`, -e_i for `ge`, e_i - e_j for `diffle`, negated under an
+    odd number of `Not`s) with a threshold t_k in `t`. A negated literal
+    is strict, a_k . y < t_k, so `bound[k]` is t_k, or the float below it
+    where strict: every literal holds exactly where a_k . y <= bound[k].
 
     Over a box a literal counts as true where an upper bound of a_k . y is
     <= bound[k]. That is Kleene's definitely-true: in negation normal form
@@ -219,8 +226,7 @@ class SoundCheck:
     `or_free` tells whether the tree has no `Or`. Only then is the
     constraint violated wherever a single literal is, so that margins
     monotone in a dim put a violation, if the box has one, at an end of
-    that dim; the monotonicity reduction and the gradient attack rely on
-    this.
+    that dim; only the monotonicity reduction relies on this.
 
     Raises DimensionMismatchError for an output index outside range(m),
     ValueError for a threshold that is not finite.
@@ -260,7 +266,7 @@ class SoundCheck:
                 return compile_node(desugar(node, m), neg)
             raise TypeError(f"unknown constraint node {node!r}")
 
-        self.truth = _tree(compile_node(c, False))
+        self.tree = _tree(compile_node(c, False))
         table = np.array(table).reshape(len(table), m + 2)
         table.setflags(write=False)  # and so its views
         self.A, self.t, self.bound = table[:, :m], table[:, m], table[:, m + 1]
@@ -290,7 +296,17 @@ class SoundCheck:
                 # literal bound that overflows decides nothing, as in the
                 # naive check
                 fr.lo
-        return self.truth(upper <= self.bound)
+        return self.tree(upper <= self.bound)
+
+    def active(self, y: np.ndarray) -> tuple:
+        """(r, k) at a batch of outputs y (n, m): the tree's value r (n,)
+        on the margins t_k - a_k . y, and the literal k (n,) that sets it
+        at each point, the first whose margin is r. The constraint holds
+        wherever r > 0, so a point that violates it has r <= 0. The
+        constraint needs a literal."""
+        margins = self.t - y @ self.A.T
+        r = self.tree(margins)
+        return r, (margins == r[:, np.newaxis]).argmax(axis=-1)
 
     def monotone_dims(self, J: np.ndarray, wide):
         """(B, d) bool: the dims in `wide` where every literal's margin has
@@ -333,23 +349,34 @@ def _sum_up(p, q):
 
 
 def _tree(node):
-    """The function from literal truths (last axis) to the truth of a
-    compiled node: a literal's index, or an (And or Or, arguments) pair."""
+    """The function from literal values (last axis) to the value of a
+    compiled node, a literal's index or an (And or Or, arguments) pair:
+    the least of its arguments' values for an And, the greatest for an
+    Or. On the literals' truths that is the node's truth; on their
+    margins, the node's margin."""
     if isinstance(node, int):
         return lambda v: v[..., node]
     op, args = node
-    pair = np.logical_and if op is And else np.logical_or
+    pair = np.minimum if op is And else np.maximum
+    if not args:
+        # an empty And holds and an empty Or does not: the greatest or the
+        # least value, a truth or a margin
+        top = op is And
+        return lambda v: np.full(v.shape[:-1], top if v.dtype == bool else (np.inf if top else -np.inf))
+    parts = [_tree(a) for a in args if not isinstance(a, int)]
     literals = [a for a in args if isinstance(a, int)]
-    subs = [_tree(a) for a in args if not isinstance(a, int)]
-    # a run of consecutive literals, the usual case, is read as a view
-    first = literals[0] if literals else 0
-    run = literals == list(range(first, first + len(literals)))
-    at = slice(first, first + len(literals)) if run else np.array(literals, dtype=np.intp)
+    if literals:
+        # a run of consecutive literals, the usual case, is read as a view
+        first = literals[0]
+        run = literals == list(range(first, first + len(literals)))
+        at = slice(first, first + len(literals)) if run else np.array(literals, dtype=np.intp)
+        parts.insert(0, lambda v: pair.reduce(v[..., at], axis=-1))
+    head, *rest = parts
 
     def value(v):
-        out = pair.reduce(v[..., at], axis=-1)
-        for sub in subs:
-            out = pair(out, sub(v))
+        out = head(v)
+        for part in rest:
+            out = pair(out, part(v))
         return out
 
     return value

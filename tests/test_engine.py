@@ -21,6 +21,7 @@ from relucheck.intervals import Box, IntervalOverflowError, midpoint
 from relucheck.network import DimensionMismatchError, Network, eval_concrete, load_network
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import (
+    And,
     DiffLE,
     InputSpec,
     IsMax,
@@ -793,7 +794,7 @@ def test_attack_counterexample_in_raw_units():
     assert exact_outputs(net, [x])[0] > Fraction(1, 8)
 
 
-def test_attack_skips_enumerate_and_or_constraints(monkeypatch):
+def test_attack_skips_enumerate(monkeypatch):
     net = make_net(*_BUMP)
     region = InputSpec((Box([0.0], [1.0]),))
     attacked = []
@@ -805,10 +806,49 @@ def test_attack_skips_enumerate_and_or_constraints(monkeypatch):
 
     monkeypatch.setattr(engine._Run, "_attack_root", recording)
     enumerate_regions(net, (region, OutLE(0, 0.125)), Config(max_depth=3))
-    verify(net, (region, Or((OutLE(0, 0.125), OutGE(0, 5.0)))), Config(max_depth=3))
     assert attacked == []
-    verify(net, (region, OutLE(0, 0.125)), Config(max_depth=3))
-    assert len(attacked) == 1
+    # a verify run is attacked at its root, whatever its constraint
+    verify(net, (region, Or((OutLE(0, 0.125), OutGE(0, 5.0)))), Config(max_depth=3))
+    assert [(r, lo.tolist(), hi.tolist()) for r, lo, hi in attacked] == [(0, [0.0], [1.0])]
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        Or((OutLE(0, 0.125), OutGE(0, 5.0))),
+        Not(And((Not(OutLE(0, 0.125)), Not(OutGE(0, 5.0))))),
+    ],
+    ids=["or", "not-and-not"],
+)
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+@pytest.mark.parametrize("strategy", ["midpoint", "corners"])
+def test_attack_refutes_an_or_root_where_samples_miss(monkeypatch, mode, strategy, constraint):
+    # y <= 1/8 or y >= 5 fails where y <= 1/8 does, on the bump's peak
+    # alone: the attack climbs the first literal, which sets the margin
+    net = make_net(*_BUMP)
+    spec = (InputSpec((Box([0.0], [1.0]),)), constraint)
+    cfg = Config(mode=mode, sample_strategy=strategy, max_depth=12)
+    v = verify(net, spec, cfg)
+    assert v.status is Status.INSECURE
+    assert (v.stats.nodes_explored, v.stats.attack_hits) == (1, 1)
+    (x,) = v.counterexample.tolist()
+    assert 0.0 <= x <= 1.0
+    (y,) = exact_outputs(net, [x])
+    assert Fraction(1, 8) < y < 5
+    without_attack(monkeypatch)
+    off = verify(net, spec, cfg)
+    assert off.status is Status.INSECURE and off.stats.nodes_explored > 1
+    assert off.stats.attack_hits == 0
+
+
+def test_attack_of_a_constraint_without_literals():
+    # y = 1e308 x overflows at every point of [2, 3], so no sample refutes
+    # the empty Or there, and its check reads no bound: the undecided root
+    # is attacked with no literal to climb
+    net = make_net([[[1e308]]])
+    spec = (InputSpec((Box([2.0], [3.0]),)), Or(()))
+    v = verify(net, spec, Config(max_depth=2))
+    assert v.status is Status.UNKNOWN and v.stats.nodes_explored == 7
 
 
 @pytest.mark.parametrize("seed", [0, 4, 6])

@@ -9,6 +9,7 @@ from relucheck.gradients import (
 )
 from relucheck.intervals import Box
 from relucheck.network import eval_concrete, eval_concrete_batch
+from relucheck.properties import And, DiffLE, Or, OutGE, OutLE, SoundCheck
 from relucheck.propagate import ReluMaskMatrix, symbolic_forward
 from relucheck.symbolic import ReluState
 
@@ -139,23 +140,28 @@ def test_refinement_monotonicity_of_jacobian():
 @pytest.mark.parametrize("seed", range(5))
 def test_margin_gradients_match_the_point_jacobian(seed):
     # at a point no unit is at exactly 0, so the interval Jacobian of the
-    # point box is the Jacobian, up to its outward rounding
+    # point box is the Jacobian, up to its outward rounding; each point
+    # climbs the literal that sets its margin
     rng = np.random.default_rng(seed)
     net = random_net(rng, max_width=30, max_layers=5)
     d, m = net.input_dim, net.output_dim
+    c0, c1, c2 = rng.normal(size=3)
+    constraint = Or((And((OutLE(0, c0), OutGE(m - 1, c1))), DiffLE(0, m - 1, c2)))
+    check = SoundCheck(constraint, m)
     xs = rng.uniform(-1.0, 1.0, size=(7, d))
-    a = rng.normal(size=(7, m))
-    y, g = margin_gradients(net, xs, a)
-    np.testing.assert_allclose(y, eval_concrete_batch(net, xs), rtol=1e-12, atol=1e-12)
+    r, g = margin_gradients(net, xs, check)
+    want, lit = check.active(eval_concrete_batch(net, xs))
+    np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-12)
     for p in range(len(xs)):
         J = backward_gradient(net, symbolic_forward(net, Box(xs[p], xs[p])).masks)
         assert J[0] == pytest.approx(J[1], rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(g[p], a[p] @ J[0], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(g[p], check.A[lit[p]] @ J[0], rtol=1e-9, atol=1e-9)
 
 
 def test_margin_gradients_stop_at_inactive_units(demo_net):
     # y = relu(2 x0 + 3 x1) - relu(x0 + x1): only the second unit is
     # active at (1, -0.75); at (1, -1) it is at exactly 0 and passes none
-    y, g = margin_gradients(demo_net, np.array([[1.0, -0.75], [1.0, -1.0]]), np.array([[1.0], [2.0]]))
-    assert y.tolist() == [[-0.25], [0.0]]
+    check = SoundCheck(OutLE(0, 0.0), 1)
+    r, g = margin_gradients(demo_net, np.array([[1.0, -0.75], [1.0, -1.0]]), check)
+    assert r.tolist() == [0.25, 0.0]
     assert g.tolist() == [[-1.0, -1.0], [0.0, 0.0]]

@@ -6,6 +6,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relucheck import properties
 from relucheck.data import shipped_path
@@ -382,6 +384,61 @@ def test_check_concrete_matches_exact_atoms(seed):
     assert ties > 0
 
 
+@st.composite
+def _outputs_and_constraint(draw):
+    """m = 2-5, a batch of output vectors (n, m) and a constraint tree
+    over them: every atom kind and the empty And and Or under Not, And and
+    Or. Outputs and thresholds are mostly quarters in [-2, 2], so outputs
+    tie and literals sit exactly at their thresholds."""
+    m = draw(st.integers(2, 5))
+    value = st.one_of(
+        st.integers(-8, 8).map(lambda k: k / 4.0),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    ys = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=6))
+    i = st.integers(0, m - 1)
+    atoms = st.one_of(
+        st.builds(OutLE, i, value),
+        st.builds(OutGE, i, value),
+        st.builds(DiffLE, i, i, value),
+        st.builds(DiffLE, i, i, st.just(0.0)),
+        st.builds(IsMin, i),
+        st.builds(IsMax, i),
+        st.builds(NotMin, i),
+        st.builds(NotMax, i),
+        st.sampled_from([And(()), Or(())]),
+    )
+    args = lambda kids: st.lists(kids, min_size=1, max_size=3).map(tuple)
+    tree = st.recursive(
+        atoms,
+        lambda kids: st.one_of(st.builds(Not, kids), st.builds(And, args(kids)), st.builds(Or, args(kids))),
+        max_leaves=8,
+    )
+    return np.array(ys), draw(tree)
+
+
+@given(_outputs_and_constraint())
+@settings(max_examples=200, deadline=None)
+def test_one_tree_gives_the_truth_and_the_margin(case):
+    # the tree that decides a constraint at a point gives, on the literals'
+    # margins, a margin that is >= 0 exactly where the constraint holds;
+    # on the margins t - A y it is set by its active literal
+    ys, c = case
+    check = SoundCheck(c, ys.shape[1])
+    holds = check_concrete(ys, check)
+    assert (check.tree(check.bound - ys @ check.A.T) >= 0.0).tolist() == holds.tolist()
+    if not len(check.t):
+        return
+    r, k = check.active(ys)
+    margins = check.t - ys @ check.A.T
+    # an empty And or Or sets an infinite margin, which no literal has
+    set_by = np.flatnonzero(np.isfinite(r))
+    assert margins[set_by, k[set_by]].tolist() == r[set_by].tolist()
+    assert all((margins[p, : k[p]] != r[p]).all() for p in set_by)
+    # a point that violates the constraint has r <= 0
+    assert not (~holds & (r > 0.0)).any()
+
+
 def _kleene(c, lo, hi, m):
     """Kleene's value of the constraint over the box of outputs [lo, hi]:
     True, False or None (unknown). Each atom is decided from the exact
@@ -551,7 +608,7 @@ def described(check):
     table = np.column_stack((check.A, check.t, check.bound))
     k = len(table)
     assignments = (np.arange(2**k)[:, np.newaxis] >> np.arange(k) & 1).astype(bool)
-    return check.or_free, table.tolist(), check.truth(assignments).tolist()
+    return check.or_free, table.tolist(), check.tree(assignments).tolist()
 
 
 def test_parse_multiple_regions():

@@ -12,15 +12,18 @@ the other mode, each with its constraint as parsed and wrapped in a `Not`
 the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
 node count, counterexample, leaves or run stats (all but the wall time)
-differ between the trees is printed, then one summary line per workload
-and seed. The summary line also gives each tree's total of waves (calls to
+differ between the trees is printed, then two summary lines per workload
+and seed. The first also gives each tree's total of waves (calls to
 `engine._Run.process`, the overflow fallback's own call included) and of
-the rows they took; these are reported, not compared. Exits 1 on any
-difference, else 0. Nothing under bench/ is written.
+the rows they took; these are reported, not compared. The second tallies
+the differing runs by their move from ROOT_A's status to ROOT_B's, and
+counts those that take more nodes and fewer nodes under ROOT_B. Exits 1
+on any difference, else 0. Nothing under bench/ is written.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import subprocess
@@ -99,9 +102,13 @@ def compare(roots, name, seed, env, nproc):
     # (waves, rows) of each tree, taken out of the runs it compares
     work = [[sum(r.pop(k) for r in rs) for k in ("waves", "rows")] for rs in runs]
     differ = 0
+    moves, more, fewer = collections.Counter(), 0, 0
     for a, b in zip(*runs):
         if a != b:
             differ += 1
+            moves[f"{a['status']} -> {b['status']}"] += 1
+            more += b["nodes"] > a["nodes"]
+            fewer += b["nodes"] < a["nodes"]
             case = cases[a["i"]]
             same = (a["status"], a["nodes"]) == (b["status"], b["nodes"])
             print(f"case {a['i']} ({os.path.basename(case['net'])}, {os.path.basename(case['prop'])}), "
@@ -114,7 +121,10 @@ def compare(roots, name, seed, env, nproc):
         differ += 1
     negated = sum(r["negated"] for r in runs[0])
     print(f"{name} seed {seed}: {total} runs ({negated} negated), {differ} differ; "
-          + " vs ".join(f"{w:,} waves, {r:,} rows" for w, r in work), flush=True)
+          + " vs ".join(f"{w:,} waves, {r:,} rows" for w, r in work))
+    print(f"{name} seed {seed}: differing runs "
+          + (", ".join(f"{move} {n}" for move, n in sorted(moves.items())) or "none")
+          + f"; {more} take more nodes and {fewer} fewer under B", flush=True)
     return differ
 
 
