@@ -9,17 +9,24 @@ neither proved, refuted, nor out of budget pushes its children. Rows are
 evaluated in waves. The rows that no wave has evaluated are kept on a
 stack of their own in depth-first order, the next one on top, so the
 row the cursor reaches unevaluated is always the top of that stack, and
-a wave takes up to WAVE rows from the top. One index into the block
-stacks their boxes into a (B, 2, d) array, and the wave samples each
-box's midpoint first: a violating midpoint makes its box an insecure
-leaf without bounding it, and a verify wave stops at the first such box,
-since the search stops there. The other boxes are then bounded and
-checked, the undecided ones sampled at their corners (with that
-strategy) and split, all at once; their children take rows together.
-A row the cursor has consumed is reused, so rows are never moved or
-renumbered. Every box of a stack gets the bits it would get alone, so
-the tree, the verdict, the node count and the order of the leaves do not
-depend on the wave size. Results that a verify run never reaches because
+a wave takes up to WAVE rows from the top. A bisection gives each child
+that may split in turn a plan: the dim its parent's interval Jacobian
+scores highest over the child's own widths (in naive mode, the child's
+widest dim), which is most often the child's own split. A wave evaluates
+each of its rows with the two children its plan gives, in the order the
+cursor reaches them, so it covers two levels of the tree and holds up to
+3 * WAVE boxes. A row that splits on its plan adopts those children; the
+others are freed, with the rows they took and their counterexamples. One
+index into the block stacks the boxes into a (B, 2, d) array, and the
+wave samples each box's midpoint first: a violating midpoint makes its
+box an insecure leaf without bounding it, and a verify wave stops at the
+first such box, since the search stops there. The other boxes are then
+bounded and checked, the undecided ones sampled at their corners (with
+that strategy) and split, all at once; their children take rows
+together. A row the cursor has consumed is reused, so rows are never
+moved or renumbered. Every box of a stack gets the bits it would get
+alone, so the tree, the verdict, the node count and the order of the
+leaves depend neither on the wave size nor on the plans. Results that a verify run never reaches because
 it stopped at a counterexample are dropped, and are not counted as nodes.
 
 A verify run also attacks each undecided root box (an input region)
@@ -221,6 +228,12 @@ _ATTACK_STEP_SIZES = 2.0 ** (-np.arange(_ATTACK_STEPS)[:, np.newaxis] / 4)
 # ---------------------------------------------------------------------------
 # the driver
 
+
+def _widest(widths: np.ndarray, precision: float) -> np.ndarray:
+    """The widest dim wider than `precision` of each box, the split of
+    naive mode; ties break low."""
+    return np.argmax(np.where(widths > precision, widths, -np.inf), axis=-1)
+
 # the most boxes one wave evaluates together
 WAVE = 256
 # the fewest rows the blocks grow to, so that a short run grows them once
@@ -229,7 +242,8 @@ _MIN_ROWS = 256
 
 class _Run:
     """One search. A row's outcome is None until a wave evaluates it, then
-    its leaf status or the list of its child rows. `pending` holds the rows
+    its leaf status or the list of its child rows; its plan is the dim a
+    wave evaluates its children on ahead, or -1. `pending` holds the rows
     whose outcome is None and that the cursor will reach, in the order it
     will reach them, the next one last. A row is a slot that the
     run reuses (`free`) once the cursor has consumed it, so its memory
@@ -258,6 +272,7 @@ class _Run:
         self.ends = regions.ends.copy()
         self.depth = [0] * len(self.ends)
         self.outcome = [None] * len(self.ends)
+        self.plan = [-1] * len(self.ends)  # the split dim planned for a row, -1 for none
         self.free = []  # the rows to reuse, the last freed first
         self.pending = list(range(len(self.ends)))
         self.witness = {}  # row -> counterexample of an evaluated insecure row
@@ -269,24 +284,33 @@ class _Run:
         self.t0 = time.monotonic()
 
     # -- the rows ------------------------------------------------------------
-    def _add_children(self, rows: list, sizes: list, steps: list) -> list:
-        """Take free rows for the children of `rows`: sizes[k] rows for
-        rows[k], each steps[k] levels deeper than it. When too few are free,
-        the blocks grow. Each parent's outcome becomes the list of its
-        children. Returns all the new rows in that order; the caller fills
-        in their `ends`."""
-        free, depth, outcome = self.free, self.depth, self.outcome
-        n = sum(sizes)
+    def _take_rows(self, n: int) -> list:
+        """Take n free rows, without an outcome or a plan. When too few are
+        free, the blocks grow. The caller sets their depth and `ends`."""
+        free, outcome, plan = self.free, self.outcome, self.plan
         if len(free) < n:
-            size = len(depth)
+            size = len(outcome)
             grown = max(2 * size, size + n - len(free), _MIN_ROWS)
             self.ends = np.concatenate((self.ends, np.empty((grown - size,) + self.ends.shape[1:])))
-            depth.extend([0] * (grown - size))
+            self.depth.extend([0] * (grown - size))
             outcome.extend([None] * (grown - size))
+            plan.extend([-1] * (grown - size))
             free.extend(range(size, grown))
         cut = len(free) - n
         new = free[cut:]
         del free[cut:]
+        for r in new:
+            outcome[r] = None
+            plan[r] = -1
+        return new
+
+    def _add_children(self, rows: list, sizes: list, steps: list) -> list:
+        """Take free rows for the children of `rows`: sizes[k] rows for
+        rows[k], each steps[k] levels deeper than it. Each parent's outcome
+        becomes the list of its children. Returns all the new rows in that
+        order; the caller fills in their `ends`."""
+        depth, outcome = self.depth, self.outcome
+        new = self._take_rows(sum(sizes))
         start = 0
         for r, k, s in zip(rows, sizes, steps):
             children = outcome[r] = new[start : start + k]
@@ -294,7 +318,6 @@ class _Run:
             d = depth[r] + s
             for c in children:
                 depth[c] = d
-                outcome[c] = None
         return new
 
     def partition(self) -> list:
@@ -427,15 +450,54 @@ class _Run:
             self.leaves.append((row, status, cex))
 
     # -- one wave ----------------------------------------------------------
-    def process(self, rows: list) -> None:
-        """Evaluate a wave of rows as one stack of boxes. Sample each box's
-        midpoint first: a violating one makes its box an insecure leaf.
-        Then bound and check the other boxes, sample the corners of the
-        undecided ones, attack the undecided roots, and choose the split
-        of the rest. Sets each row's outcome: its leaf status (and
-        counterexample), or the list of its children, taken as one batch
-        per wave and kind of split. Rows after a verify run's first
-        insecure leaf keep no outcome: the search never reaches them."""
+    def process(self, rows: list, planned: bool = True) -> None:
+        """Evaluate a wave of rows as one stack of boxes, each row with the
+        two children its plan gives, in the order the cursor reaches them:
+        the row, its right child, its left child. A row whose own split is
+        its plan adopts those children, which are then evaluated already;
+        the other planned children are freed, with the rows they took. With
+        `planned` false, as in the overflow fallback, the rows are
+        evaluated without their planned children."""
+        kids = {}  # row -> its planned children, left then right
+        stack = rows
+        if planned:
+            plan, depth = self.plan, self.depth
+            parents = [r for r in rows if plan[r] >= 0]
+            if parents:
+                new = self._take_rows(2 * len(parents))
+                self._bisect(new, Box.stack(self.ends[parents]), [plan[r] for r in parents])
+                for k, r in enumerate(parents):
+                    kids[r] = new[2 * k : 2 * k + 2]
+                    depth[new[2 * k]] = depth[new[2 * k + 1]] = depth[r] + 1
+                stack = [c for r in rows for c in [r] + kids.get(r, [])[::-1]]
+        try:
+            self._evaluate(stack, kids)
+        except IntervalOverflowError:
+            if len(stack) == 1:
+                raise
+            # the overflow may be in a box the search never reaches, as in a
+            # region after a counterexample: evaluate the one it needs now
+            self.process(rows[:1], False)
+        outcome, free = self.outcome, self.free
+        for r, pair in kids.items():
+            if outcome[r] is not pair:
+                for c in pair:
+                    if type(outcome[c]) is list:
+                        free += outcome[c]
+                    self.witness.pop(c, None)
+                    free.append(c)
+
+    def _evaluate(self, rows: list, kids: dict) -> None:
+        """Evaluate a stack of rows. Sample each box's midpoint first: a
+        violating one makes its box an insecure leaf. Then bound and check
+        the other boxes, sample the corners of the undecided ones, attack
+        the undecided roots, and choose the split of the rest. Sets each
+        row's outcome: its leaf status (and counterexample), or the list of
+        its children: the planned ones of `kids` where its split is its
+        plan, else new ones, taken as one batch per wave and kind of split,
+        each new child of a bisection with a plan. Rows after a verify
+        run's first insecure leaf keep no outcome: the search never reaches
+        them."""
         cfg = self.cfg
         outcome = self.outcome
         at = np.array(rows)
@@ -445,20 +507,13 @@ class _Run:
             return
         if len(rest) < len(rows):
             box, rows = box.take(rest), [rows[i] for i in rest]
-        try:
-            if cfg.mode == "symbolic":
-                fr = symbolic_forward(self.core, box)
-            else:
-                fr = naive_forward(self.core, box)
-            # a symbolic check bounds the output rows it reads, so it may
-            # overflow too
-            holds = check_sound(fr, self.check)
-        except IntervalOverflowError:
-            if len(rows) == 1:
-                raise
-            # the overflow may be in a box the search never reaches, as in a
-            # region after a counterexample: evaluate the one it needs now
-            return self.process(rows[:1])
+        if cfg.mode == "symbolic":
+            fr = symbolic_forward(self.core, box)
+        else:
+            fr = naive_forward(self.core, box)
+        # a symbolic check bounds the output rows it reads, so it may
+        # overflow too
+        holds = check_sound(fr, self.check)
 
         for r in itertools.compress(rows, holds.tolist()):
             outcome[r] = SubStatus.SECURE_SUB
@@ -489,8 +544,10 @@ class _Run:
             box, widths, idx = box.take(keep), widths[keep], idx[keep]
         rows = [rows[i] for i in idx.tolist()]
 
+        J = None
         if cfg.mode == "symbolic":
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
+            # (2, m, d) for all boxes where the net has no hidden layer
             J = backward_gradient(self.core, masks)
             dims = smear_split_choice(J, widths, cfg.precision)
             if self.reduce:
@@ -502,14 +559,67 @@ class _Run:
                     red, keep = np.flatnonzero(reduced), np.flatnonzero(~reduced)
                     self._add_endpoints([rows[b] for b in red.tolist()], box.take(red), mono[red])
                     box, dims = box.take(keep), dims[keep]
+                    J = J if J.ndim == 3 else J[keep]
                     rows = [rows[b] for b in keep.tolist()]
         else:
-            dims = np.argmax(np.where(widths > cfg.precision, widths, -np.inf), axis=1)
+            dims = _widest(widths, cfg.precision)
+        if kids:
+            plan, split = self.plan, dims.tolist()
+            keep = []
+            for b, r in enumerate(rows):
+                if r in kids and plan[r] == split[b]:
+                    outcome[r] = kids[r]
+                else:
+                    keep.append(b)
+            if len(keep) < len(rows):
+                if not keep:
+                    return
+                box, dims = box.take(keep), dims[keep]
+                J = J if J is None or J.ndim == 3 else J[keep]
+                rows = [rows[b] for b in keep]
+        new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
+        self._plan_children(new, J, *self._bisect(new, box, dims))
+
+    def _bisect(self, new: list, box: Box, dims) -> tuple:
+        """Write the halves of each box of the stack, split on its dim of
+        `dims`, to the rows `new`: the left then the right half of each, so
+        the right one is popped first. Returns the halves' stacks."""
         left, right = iv_bisect(box, dims)
-        new = np.array(self._add_children(rows, [2] * len(rows), [1] * len(rows)), dtype=np.intp)
-        # left then right child of each box, so the right one is popped first
-        self.ends[new[0::2]] = left.ends
-        self.ends[new[1::2]] = right.ends
+        at = np.array(new, dtype=np.intp)
+        self.ends[at[0::2]] = left.ends
+        self.ends[at[1::2]] = right.ends
+        return left, right
+
+    def _plan_children(self, new: list, J, left: Box, right: Box) -> None:
+        """Give each child of the rows `new`, the left then the right half
+        of each box of `left` and `right`, a plan where it can split within
+        the depth budget: the split `_plan` gives from its parent's
+        Jacobian, one of J (None in naive mode), over the child's own
+        widths."""
+        depth, precision = self.depth, self.cfg.precision
+        at_max = [depth[c] >= self.max_depth for c in new[::2]]
+        if all(at_max):
+            return
+        widths = np.stack((left.widths(), right.widths()), axis=1)
+        ok = (widths > precision).any(axis=2)
+        ok[at_max] = False
+        b, side = np.nonzero(ok)
+        if not len(b):
+            return
+        if J is not None and J.ndim == 4:
+            J = J[b]
+        plan = self.plan
+        for c, dim in zip((2 * b + side).tolist(), self._plan(J, widths[b, side]).tolist()):
+            plan[new[c]] = dim
+
+    def _plan(self, J, widths: np.ndarray) -> np.ndarray:
+        """The dim each child is planned to split on, given its parent's
+        Jacobian J (one per child, or one for all; None in naive mode) and
+        its own widths, with a dim wider than the precision: the dim its
+        own wave would choose, were its Jacobian its parent's."""
+        if J is None:
+            return _widest(widths, self.cfg.precision)
+        return smear_split_choice(J, widths, self.cfg.precision)
 
     def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
         """Make the children of each row the 2^k boxes that pin the first k
@@ -528,13 +638,30 @@ class _Run:
         self.ends[new] = np.concatenate(blocks)
 
     # -- entry points ------------------------------------------------------
+    def _push(self, row: int) -> None:
+        """Put a row of a wave back on `pending` if the wave left it
+        unevaluated, else push the unevaluated rows under it, the children
+        of a split row, or of an adopted child that split, in depth-first
+        order. An insecure leaf of a verify run clears `pending` instead,
+        since the run reaches no row after it."""
+        o = self.outcome[row]
+        if o is None:
+            self.pending.append(row)
+        elif type(o) is list:
+            for c in o:
+                self._push(c)
+        elif o is SubStatus.INSECURE_SUB and self.short_circuit:
+            self.pending.clear()
+
     def execute(self):
         """Consume the rows depth-first, last pushed first. A row that no
         wave has evaluated is then the top of `pending`, and a wave
-        evaluates it and the rows below it, WAVE in all. The rows the wave
-        leaves unevaluated and the children of its split rows go back on
-        `pending` in depth-first order; a verify run's first insecure leaf
-        clears it, since the run reaches no row after that leaf. A
+        evaluates it and the rows below it, WAVE in all, with their planned
+        children. The rows the wave leaves unevaluated, and the unevaluated
+        children of its split rows and of the children they adopted, go
+        back on `pending` in depth-first order (`_push`); a verify run's
+        first insecure leaf, a wave row or an adopted child, clears it,
+        since the run reaches no row after that leaf. A
         consumed row is freed for reuse: a split row once its children
         are pushed, a leaf row in a verify run."""
         stack = list(range(len(self.depth)))  # the regions, the only rows yet
@@ -558,13 +685,7 @@ class _Run:
                     # from the wave's last row back, so that its first row's
                     # children end on top
                     for r in reversed(wave):
-                        o = outcomes[r]
-                        if o is None:
-                            pending.append(r)
-                        elif type(o) is list:
-                            pending.extend(o)
-                        elif o is SubStatus.INSECURE_SUB and self.short_circuit:
-                            pending.clear()
+                        self._push(r)
                 outcome = outcomes[row]
                 if type(outcome) is list:
                     stack.extend(outcome)

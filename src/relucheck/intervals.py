@@ -172,10 +172,15 @@ def affine_rows(rows, pos, neg, b) -> np.ndarray:
     added to the last column: the lower rows become pos @ low + neg @ up
     and the upper rows pos @ up + neg @ low, each product of one shape, so
     rows that coincide keep coinciding. Nothing is rounded.
+
+    The products are taken column by column, low.T @ pos.T and so on, so
+    the result is stored coefficient-major: it is the (..., 2, n, k) view
+    of a contiguous (..., 2, k, n) array, whose units are contiguous.
     """
-    out = pos @ rows + neg @ rows[..., ::-1, :, :]
-    out[..., -1] += b
-    return out
+    cols = rows.swapaxes(-1, -2)
+    out = cols @ pos.T + cols[..., ::-1, :, :] @ neg.T
+    out[..., -1, :] += b
+    return out.swapaxes(-1, -2)
 
 
 def matvec_bounds(split, b, ends):

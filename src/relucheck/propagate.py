@@ -116,7 +116,7 @@ def symbolic_forward(net: Network, x: Box) -> ForwardResult:
     operand = box_operand(x)
     # the first layer's rows are the layer itself, lower and upper alike
     first = net.layers[0]
-    rows = np.empty(x.ends.shape[:-2] + (2, first.out_size, first.in_size + 1))
+    rows = np.empty(x.ends.shape[:-2] + (2, first.in_size + 1, first.out_size)).swapaxes(-1, -2)
     rows[..., :-1] = first.W
     rows[..., -1] = first.b
     masks = []

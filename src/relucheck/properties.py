@@ -216,9 +216,9 @@ class SoundCheck:
     an And or Or is definitely true where all or any of its arguments are,
     and a negated atom where the bounds refute the atom. Over the output
     bounds, the upper bound is hi @ A+ + lo @ A-, rounded up exactly. Over
-    a symbolic result it is that of the upper row A+ @ up + A- @ low of
-    `affine_rows`, which keeps the input terms shared by y_i and y_j
-    correlated. (A+, A-), the positive and the negative part of `A`, are
+    a symbolic result it is that of the upper literal row A+ @ up + A- @ low,
+    made through the products of `affine_rows`' upper half alone, which
+    keeps the input terms shared by y_i and y_j correlated. (A+, A-), the positive and the negative part of `A`, are
     built at their first use, which a run decided by its root's sample
     never makes. One check may serve many runs (`compile_check`), so
     `A`, `t`, `bound` and (A+, A-) are read-only.
@@ -289,7 +289,10 @@ class SoundCheck:
         if fr.rows is None:
             upper = _sum_up(fr.hi @ pos.T, fr.lo @ neg.T)
         else:
-            _, upper = expr_bounds(affine_rows(fr.rows, pos, neg, 0.0)[..., 1, :, :], fr.operand)
+            # the upper half of `affine_rows(fr.rows, pos, neg, 0.0)`,
+            # through the same products
+            low, up = fr.rows[..., 0, :, :].swapaxes(-1, -2), fr.rows[..., 1, :, :].swapaxes(-1, -2)
+            _, upper = expr_bounds((up @ pos.T + low @ neg.T).swapaxes(-1, -2), fr.operand)
             if not np.isfinite(upper).all():
                 # the pass left the outputs unbounded: bounding them now
                 # raises where one overflowed. Over finite outputs, a

@@ -5,7 +5,9 @@ expressions in the d network inputs. A layer of n neurons keeps its
 expressions as the rows of one (2, n, d+1) array: the n lower rows over
 the n upper rows, each row its d coefficients followed by its constant. A
 stack of B boxes has a (B, 2, n, d+1) array, and every function here
-works on either shape. Lower and upper rows always go through products of
+works on either shape. The rows are stored coefficient-major, as the
+(..., 2, n, d+1) view of a contiguous (..., 2, d+1, n) array, so that the
+passes over every unit of a layer read contiguous memory. Lower and upper rows always go through products of
 one shape, so rows that coincide keep coinciding. Affine layers map the
 rows through `intervals.affine_rows`; ReLU keeps a unit's rows, zeroes
 them, or concretizes the upper row, depending on the signs over the box.
@@ -79,7 +81,8 @@ def _row_bounds(rows, operand):
     roundoff bound, n * u * sum(|terms|) with u the unit roundoff.
     """
     n = rows.shape[-1]
-    split = np.empty(rows.shape[:-1] + (2 * n,))
+    # coefficient-major, as the rows are (`affine_rows`)
+    split = np.empty(rows.shape[:-2] + (2 * n, rows.shape[-2])).swapaxes(-1, -2)
     np.maximum(rows, 0.0, out=split[..., :n])
     np.minimum(rows, 0.0, out=split[..., n:])
     ends = split @ operand

@@ -64,6 +64,23 @@ def without_attack(monkeypatch):
     monkeypatch.setattr(engine._Run, "_attack", lambda self, rows, box: {})
 
 
+def plan_another_dim(monkeypatch):
+    """Make the planner name for each child the next dim after the one it
+    would name, cyclically, that is wider than the precision, so that a row
+    with more than one such dim never splits on its plan."""
+    plan = engine._Run._plan
+
+    def another(self, J, widths):
+        dims = plan(self, J, widths)
+        wide = widths > self.cfg.precision
+        d = widths.shape[-1]
+        for k, j in enumerate(dims.tolist()):
+            dims[k] = next(i % d for i in range(j + 1, j + d + 1) if wide[k, i % d])
+        return dims
+
+    monkeypatch.setattr(engine._Run, "_plan", another)
+
+
 def exact_outputs(net: Network, x) -> list:
     """The outputs at the float point x in exact rational arithmetic."""
     v = [Fraction(float(a)) for a in x]

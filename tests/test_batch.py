@@ -1,6 +1,7 @@
 """The engine evaluates boxes in stacks (waves). A box's bounds, masks,
 rows and Jacobian must not depend on the boxes stacked with it, and the
-search must not depend on how many boxes a wave holds."""
+search must depend neither on how many boxes a wave holds nor on the
+children a wave evaluates ahead."""
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from relucheck.gradients import backward_gradient
 from relucheck.intervals import Box, IntervalOverflowError
 from relucheck.network import Network, eval_concrete_batch
 from relucheck.propagate import naive_forward, symbolic_forward
-from relucheck.properties import InputSpec, OutLE, parse_property
+from relucheck.properties import DiffLE, InputSpec, OutLE, parse_property
 from relucheck.symbolic import bounds_of_rows
 
-from conftest import make_net, random_box, random_net, sample_points, without_attack
+from conftest import make_net, plan_another_dim, random_box, random_net, sample_points, without_attack
 
 PROPS = ["phi%d.prop" % k for k in range(1, 16)] + ["s1.prop", "s2.prop", "s3.prop"]
 WAVE = engine.WAVE
@@ -128,12 +129,17 @@ def _leaves_key(report):
 
 
 def _runs(monkeypatch, net, spec, cfg):
-    """(verdict key, enumerate leaves) at the default wave cap and at 1."""
+    """(verdict key, enumerate leaves) at the default wave cap, at 1, and
+    at the default with plans that name another dim than the default
+    planner (`plan_another_dim`), so that most planned children are freed."""
     out = []
-    for cap in (WAVE, 1):
-        monkeypatch.setattr(engine, "WAVE", cap)
-        v = verify(net, spec, cfg)
-        rep = enumerate_regions(net, spec, cfg)
+    for cap, replan in ((WAVE, False), (1, False), (WAVE, True)):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "WAVE", cap)
+            if replan:
+                plan_another_dim(m)
+            v = verify(net, spec, cfg)
+            rep = enumerate_regions(net, spec, cfg)
         out.append((_verdict_key(v), _leaves_key(rep), rep.stats.nodes_explored))
     return out
 
@@ -147,8 +153,8 @@ def test_wave_size_does_not_change_demo_results(monkeypatch, demo_net):
             Config(precision=0.05, max_depth=12, mode="naive"),
             Config(max_depth=10, sample_strategy="corners"),
         ):
-            full, single = _runs(monkeypatch, demo_net, spec, cfg)
-            assert full == single, (name, cfg)
+            full, single, replanned = _runs(monkeypatch, demo_net, spec, cfg)
+            assert full == single == replanned, (name, cfg)
 
 
 def test_wave_size_does_not_change_shipped_property_results(monkeypatch):
@@ -160,8 +166,8 @@ def test_wave_size_does_not_change_shipped_property_results(monkeypatch):
         for name in PROPS:
             with open(shipped_path(name), "rb") as f:
                 spec = parse_property(f, num_outputs=5)
-            full, single = _runs(monkeypatch, net, spec, Config(max_depth=4, timeout=600.0))
-            assert full == single, (seed, name)
+            full, single, replanned = _runs(monkeypatch, net, spec, Config(max_depth=4, timeout=600.0))
+            assert full == single == replanned, (seed, name)
             hits += full[0][-1]  # the verdict key ends with attack_hits
     assert hits
 
@@ -178,8 +184,8 @@ def test_wave_size_does_not_change_random_net_results(monkeypatch, seed):
     for constraint in (f"le 0 {threshold!r}", "diffle 0 1 0.5", f"or(le 0 {threshold!r}, ge 1 0)"):
         spec = parse_property(text + constraint + "\n", num_outputs=2)
         for mode in ("symbolic", "naive"):
-            full, single = _runs(monkeypatch, net, spec, Config(max_depth=7, mode=mode))
-            assert full == single, (constraint, mode)
+            full, single, replanned = _runs(monkeypatch, net, spec, Config(max_depth=7, mode=mode))
+            assert full == single == replanned, (constraint, mode)
 
 
 def test_reusing_rows_keeps_a_pending_counterexample(monkeypatch):
@@ -197,6 +203,22 @@ def test_reusing_rows_keeps_a_pending_counterexample(monkeypatch):
     assert v.status is Status.INSECURE and v.counterexample.tolist() == [10.125]
     assert v.stats.nodes_explored == 2049
 
+
+
+def test_an_insecure_adopted_child_leaves_no_row_pending(monkeypatch):
+    # y = x_1 <= 0.7 over [0, 1]^2 in naive mode: the root splits on dim 0,
+    # and the next wave evaluates its right child [0.5, 1] x [0, 1] with
+    # the children of its plan, dim 1. The upper one has the violating
+    # midpoint (0.75, 0.75), and the right child splits on dim 1 and adopts
+    # it, so the run ends at that child, its third node, with no row pending.
+    without_attack(monkeypatch)
+    waves = _record_waves(monkeypatch)
+    net = make_net([[[0.0, 1.0]]])
+    spec = (InputSpec((Box([0.0, 0.0], [1.0, 1.0]),)), OutLE(0, 0.7))
+    v = verify(net, spec, Config(mode="naive", max_depth=6))
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [0.75, 0.75]
+    assert v.stats.nodes_explored == 3
+    assert len(waves) == 2 and waves[-1][1].pending == []
 
 
 def _sampled_case(seed):
@@ -279,3 +301,82 @@ def test_an_insecure_verify_run_leaves_no_row_pending(monkeypatch, cap):
     assert v.status is Status.INSECURE and v.stats.nodes_explored > 100
     assert (max(len(wave) for wave, _ in waves) > 1) == (cap > 1)
     assert waves[-1][1].pending == []
+
+
+def test_only_a_row_that_can_split_gets_a_plan(monkeypatch):
+    # a row at max_depth, or no wider than the precision in every dim, is
+    # a leaf if its wave leaves it undecided, so children planned for it
+    # would be bounded for nothing. The plans name another dim than the
+    # row's own split, so that most children are new rows of later waves,
+    # the deepest and thinnest ones included.
+    net, boxes, y = _sampled_case(4)
+    spec = (InputSpec(boxes), OutLE(0, float(y.max())))
+    plan_another_dim(monkeypatch)
+    process = engine._Run.process
+    planned, unplanned = [], []
+
+    def checked(run, rows, *args):
+        for r in rows:
+            can_split = run.depth[r] < run.max_depth
+            can_split &= bool((Box.stack(run.ends[[r]]).widths() > run.cfg.precision).any())
+            (planned if run.plan[r] >= 0 else unplanned).append(can_split)
+        return process(run, rows, *args)
+
+    monkeypatch.setattr(engine._Run, "process", checked)
+    for cfg in (Config(max_depth=6), Config(precision=0.2, mode="naive")):
+        enumerate_regions(net, spec, cfg)
+    assert len(planned) > 100 and all(planned)
+    assert unplanned.count(False) > 100
+
+
+def _count_bounded(monkeypatch):
+    """Wrap the engine's forward passes: the returned list gets the size
+    of each stack they bound."""
+    sizes = []
+    for name in ("symbolic_forward", "naive_forward"):
+        def bounded(net, box, forward=getattr(engine, name)):
+            sizes.append(len(box.ends))
+            return forward(net, box)
+
+        monkeypatch.setattr(engine, name, bounded)
+    return sizes
+
+
+def test_a_full_depth_tree_takes_three_waves(monkeypatch):
+    # y_0 - y_0 <= 0 holds at every point, but its literal row is 0 and its
+    # rounded-out bound is positive, so no box proves it and the tree goes
+    # to max_depth 4: 31 boxes. Level by level they would take 5 waves; a
+    # wave that evaluates each row with its planned children takes 3, of
+    # 1 (the root), 2 + 4 and 8 + 16 boxes.
+    net = Network(acas_net(np.random.default_rng(0)).layers)
+    spec = (InputSpec((Box([-0.3] * 5, [0.3] * 5),)), DiffLE(0, 0, 0.0))
+    waves = _record_waves(monkeypatch)
+    bounded = _count_bounded(monkeypatch)
+    v = verify(net, spec, Config(max_depth=4))
+    assert v.status is Status.UNKNOWN and v.stats.nodes_explored == 31
+    assert [len(wave) for wave, _ in waves] == [1, 2, 8]
+    assert bounded == [1, 6, 24]
+
+
+def test_naive_mode_adopts_every_plan(monkeypatch):
+    # a naive split is the widest splittable dim, which a child's plan
+    # names from its own widths, so every planned row that splits adopts
+    # the children its wave evaluated. The run enumerates, so that no
+    # counterexample stops a wave short of a planned child.
+    net, boxes, y = _sampled_case(0)
+    spec = (InputSpec(boxes), OutLE(0, float(np.median(y))))
+    process = engine._Run.process
+    split = []  # per planned row that split: whether its children were evaluated
+
+    def recorded(run, rows, *args):
+        planned = [r for r in rows if run.plan[r] >= 0]
+        process(run, rows, *args)
+        for r in planned:
+            if type(run.outcome[r]) is list:
+                split.append(all(run.outcome[c] is not None for c in run.outcome[r]))
+
+    monkeypatch.setattr(engine._Run, "process", recorded)
+    report = enumerate_regions(net, spec, Config(max_depth=8, mode="naive"))
+    assert report.stats.nodes_explored > 100
+    assert len(split) > 20 and all(split)
+

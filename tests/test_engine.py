@@ -34,7 +34,7 @@ from relucheck.properties import (
     parse_property,
 )
 
-from conftest import exact_outputs, make_net, without_attack
+from conftest import exact_outputs, make_net, plan_another_dim, without_attack
 from test_batch import PROPS, _verdict_key, acas_net
 
 
@@ -357,6 +357,49 @@ def test_a_long_verify_run_reuses_its_rows(monkeypatch, mode):
     run.execute()
     assert run.stats.nodes_explored == 2**13 - 1
     assert len(run.ends) == engine._MIN_ROWS
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+def test_a_long_run_reuses_the_rows_of_freed_planned_children(monkeypatch, mode):
+    # the run above with plans that name another dim than the one each row
+    # splits on, so that every planned child is freed with the rows it took
+    plan_another_dim(monkeypatch)
+    test_a_long_verify_run_reuses_its_rows(monkeypatch, mode)
+
+
+def test_a_planned_child_that_violates_under_another_split_is_not_reported(monkeypatch):
+    # y = x_0 <= 0.8 over [0, 1]^2 in naive mode. The root splits on dim 0;
+    # its right child [0.5, 1] x [0, 1] then splits on dim 1, its widest,
+    # but is planned on dim 0, so its wave evaluates the planned child
+    # [0.75, 1] x [0, 1], whose midpoint (0.875, 0.5) violates. That child
+    # is freed with its witness, and bisection goes on to find (0.875, 0.75),
+    # as it does with the default planner.
+    without_attack(monkeypatch)
+    net = make_net([[[1.0, 0.0]]])
+    spec = (InputSpec((Box([0.0, 0.0], [1.0, 1.0]),)), OutLE(0, 0.8))
+    cfg = Config(mode="naive", max_depth=6)
+
+    def leaves(report):
+        return [(b.ends.tolist(), s, None if c is None else c.tolist()) for b, s, c in report.leaves]
+
+    want, want_leaves = verify(net, spec, cfg), leaves(enumerate_regions(net, spec, cfg))
+    plan_another_dim(monkeypatch)
+    refute = engine._Run._refute
+    found = []
+
+    def recorded(run, rows, cex):
+        found.extend(x.tolist() for x in cex.values())
+        return refute(run, rows, cex)
+
+    monkeypatch.setattr(engine._Run, "_refute", recorded)
+    run = engine._Run(net, spec, cfg, short_circuit=True)
+    run.execute()
+    assert found[0] == [0.875, 0.5]
+    assert run.cex.tolist() == [0.875, 0.75] and run.witness == {}
+    assert _verdict_key(verify(net, spec, cfg)) == _verdict_key(want)
+    got = leaves(enumerate_regions(net, spec, cfg))
+    assert got == want_leaves
+    assert [0.875, 0.5] not in [c for _, _, c in got]
 
 
 def test_verify_dim_mismatch(demo_net):

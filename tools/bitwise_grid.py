@@ -15,7 +15,8 @@ node count, counterexample, leaves or run stats (all but the wall time)
 differ between the trees is printed, then two summary lines per workload
 and seed. The first also gives each tree's total of waves (calls to
 `engine._Run.process`, the overflow fallback's own call included) and of
-the rows they took; these are reported, not compared. The second tallies
+the boxes bounded (the sizes of the stacks the engine passes to
+`symbolic_forward` and `naive_forward`); these are reported, not compared. The second tallies
 the differing runs by their move from ROOT_A's status to ROOT_B's, and
 counts those that take more nodes and fewer nodes under ROOT_B. Exits 1
 on any difference, else 0. Nothing under bench/ is written.
@@ -46,11 +47,11 @@ def run_tree(src, cases_path):
         raise SystemExit(f"relucheck imported from {rc.__file__}, not from {src}")
 
     # the stats of each run's result, but its wall time, and the waves it
-    # evaluated and the rows they took
+    # evaluated and the boxes they bounded
     stats, work = {}, {}
     for name in ("verify", "enumerate_regions"):
         def capture(*args, run=getattr(rc, name)):
-            work.update(waves=0, rows=0)
+            work.update(waves=0, boxes=0)
             result = run(*args)
             stats.update(result.stats.to_dict())
             del stats["wall_time"]
@@ -58,12 +59,17 @@ def run_tree(src, cases_path):
 
         setattr(rc, name, capture)
 
-    def counted(run, rows, process=rc.engine._Run.process):
+    def counted(run, *args, process=rc.engine._Run.process):
         work["waves"] += 1
-        work["rows"] += len(rows)
-        return process(run, rows)
+        return process(run, *args)
 
     rc.engine._Run.process = counted
+    for name in ("symbolic_forward", "naive_forward"):
+        def bounded(net, box, forward=getattr(rc.engine, name)):
+            work["boxes"] += len(box.ends) if box.ends.ndim == 3 else 1
+            return forward(net, box)
+
+        setattr(rc.engine, name, bounded)
 
     with open(cases_path) as f:
         cases = json.load(f)
@@ -99,8 +105,8 @@ def compare(roots, name, seed, env, nproc):
         if p.returncode:
             raise SystemExit(f"{name} seed {seed}: the run against {root} exited {p.returncode}")
     runs = [[json.loads(line) for line in out.splitlines()] for out in outs]
-    # (waves, rows) of each tree, taken out of the runs it compares
-    work = [[sum(r.pop(k) for r in rs) for k in ("waves", "rows")] for rs in runs]
+    # (waves, boxes) of each tree, taken out of the runs it compares
+    work = [[sum(r.pop(k) for r in rs) for k in ("waves", "boxes")] for rs in runs]
     differ = 0
     moves, more, fewer = collections.Counter(), 0, 0
     for a, b in zip(*runs):
@@ -121,7 +127,7 @@ def compare(roots, name, seed, env, nproc):
         differ += 1
     negated = sum(r["negated"] for r in runs[0])
     print(f"{name} seed {seed}: {total} runs ({negated} negated), {differ} differ; "
-          + " vs ".join(f"{w:,} waves, {r:,} rows" for w, r in work))
+          + " vs ".join(f"{w:,} waves, {b:,} boxes bounded" for w, b in work))
     print(f"{name} seed {seed}: differing runs "
           + (", ".join(f"{move} {n}" for move, n in sorted(moves.items())) or "none")
           + f"; {more} take more nodes and {fewer} fewer under B", flush=True)

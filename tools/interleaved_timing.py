@@ -16,8 +16,10 @@ runs of a case are seconds apart at most.
 
 Per round, one line gives the summed case time of each tree and the ratio
 B/A, over all cases and by case class: the cases that take 1 node, 2-10
-nodes and 11 or more on ROOT_A. Exits 1 if any case's status or node
-count differs between the trees, else 0. Nothing under bench/ is written.
+nodes and 11 or more on ROOT_A, and the TAIL cases slowest on ROOT_A in
+the untimed first run, those at and beyond bench/run.py's tail
+percentile. Exits 1 if any case's status or node count differs between
+the trees, else 0. Nothing under bench/ is written.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import tempfile
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 CLASSES = (("1 node", 1, 1), ("2-10 nodes", 2, 10), ("11+ nodes", 11, float("inf")))
+# bench/run.py's tail percentile keeps 10 cases beyond it
+TAIL = 11
 
 
 def import_tree(root, tmp, name):
@@ -82,7 +86,9 @@ def main(argv):
             _, t, status, nodes, _ = run_case(trees[side], cases[i], nets[i], specs[i])
             return t, (status, nodes)
 
-        outcome = [[run(side, i)[1] for i in range(len(cases))] for side in (0, 1)]
+        first = [[run(side, i) for i in range(len(cases))] for side in (0, 1)]
+        outcome = [[o for _, o in runs] for runs in first]
+        tail = sorted(range(len(cases)), key=lambda i: first[0][i][0])[-TAIL:]
         differ = [i for i, (a, b) in enumerate(zip(*outcome)) if a != b]
         for i in differ:
             print(f"case {i} ({os.path.basename(cases[i]['net'])}, {os.path.basename(cases[i]['prop'])}): "
@@ -96,6 +102,7 @@ def main(argv):
             parts = [summary("all", range(len(cases)), times)]
             for label, low, high in CLASSES:
                 parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
+            parts.append(summary(f"{TAIL} slowest", tail, times))
             print(f"{name} seed {seed} round {r + 1}: " + "; ".join(parts), flush=True)
     print(f"{name} seed {seed}: {len(cases)} cases, {len(differ)} differ in status or nodes")
     return 1 if differ else 0
