@@ -7,13 +7,15 @@ outcome and the counterexample of an insecure leaf are kept by row. The
 search is depth-first. A cursor pops the row pushed last; a row that is
 neither proved, refuted, nor out of budget pushes its children. Rows are
 evaluated in waves. The rows that no wave has evaluated are kept on a
-stack of their own in depth-first order, the next one on top, so the
-row the cursor reaches unevaluated is always the top of that stack, and
-a wave takes up to WAVE rows from the top. A bisection gives each child
-that may split in turn a plan: the dim its parent's interval Jacobian
-scores highest over the child's own widths (in naive mode, the child's
-widest dim), which is most often the child's own split. A wave evaluates
-each of its rows with the two children its plan gives, in the order the
+stack of their own in depth-first order, the next one on top, so the row
+the cursor reaches unevaluated is always the top of that stack, and a
+wave takes up to WAVE rows from the top. One rule, `smear_split_choice`,
+picks every split: a box's own, from its interval Jacobian over its
+widths, and the plan that a bisection gives each child that may split in
+turn, from its parent's Jacobian over the child's own widths. Naive mode
+has no Jacobian, so there both are the widest dim, and a child's plan is
+its own split; in symbolic mode it most often is. A wave evaluates each
+of its rows with the two children its plan gives, in the order the
 cursor reaches them, so it covers two levels of the tree and holds up to
 3 * WAVE boxes. A row that splits on its plan adopts those children; the
 others are freed, with the rows they took and their counterexamples. One
@@ -26,8 +28,9 @@ that strategy) and split, all at once; their children take rows
 together. A row the cursor has consumed is reused, so rows are never
 moved or renumbered. Every box of a stack gets the bits it would get
 alone, so the tree, the verdict, the node count and the order of the
-leaves depend neither on the wave size nor on the plans. Results that a verify run never reaches because
-it stopped at a counterexample are dropped, and are not counted as nodes.
+leaves depend neither on the wave size nor on the plans. Results that a
+verify run never reaches because it stopped at a counterexample are
+dropped, and are not counted as nodes.
 
 A verify run also attacks each undecided root box (an input region)
 before splitting it, whatever its constraint. From the midpoint and a few
@@ -229,11 +232,6 @@ _ATTACK_STEP_SIZES = 2.0 ** (-np.arange(_ATTACK_STEPS)[:, np.newaxis] / 4)
 # the driver
 
 
-def _widest(widths: np.ndarray, precision: float) -> np.ndarray:
-    """The widest dim wider than `precision` of each box, the split of
-    naive mode; ties break low."""
-    return np.argmax(np.where(widths > precision, widths, -np.inf), axis=-1)
-
 # the most boxes one wave evaluates together
 WAVE = 256
 # the fewest rows the blocks grow to, so that a short run grows them once
@@ -335,7 +333,7 @@ class _Run:
         them."""
         mid = box.midpoint()[:, np.newaxis, :]
         k = min(len(box), 10)
-        sides = np.array(list(itertools.islice(itertools.product((0, 1), repeat=k), 1024)), dtype=bool)
+        sides = np.array(list(itertools.product((0, 1), repeat=k)), dtype=bool)
         corners = np.repeat(mid, len(sides), axis=1)
         lo, hi = box.lo[:, np.newaxis, :k], box.hi[:, np.newaxis, :k]
         corners[..., :k] = np.where(sides, hi, lo)
@@ -450,26 +448,24 @@ class _Run:
             self.leaves.append((row, status, cex))
 
     # -- one wave ----------------------------------------------------------
-    def process(self, rows: list, planned: bool = True) -> None:
+    def process(self, rows: list) -> None:
         """Evaluate a wave of rows as one stack of boxes, each row with the
         two children its plan gives, in the order the cursor reaches them:
         the row, its right child, its left child. A row whose own split is
         its plan adopts those children, which are then evaluated already;
-        the other planned children are freed, with the rows they took. With
-        `planned` false, as in the overflow fallback, the rows are
-        evaluated without their planned children."""
+        the other planned children are freed, with the rows they took. If
+        the stack overflows, the wave's first row is evaluated alone,
+        without its planned children."""
         kids = {}  # row -> its planned children, left then right
-        stack = rows
-        if planned:
-            plan, depth = self.plan, self.depth
-            parents = [r for r in rows if plan[r] >= 0]
-            if parents:
-                new = self._take_rows(2 * len(parents))
-                self._bisect(new, Box.stack(self.ends[parents]), [plan[r] for r in parents])
-                for k, r in enumerate(parents):
-                    kids[r] = new[2 * k : 2 * k + 2]
-                    depth[new[2 * k]] = depth[new[2 * k + 1]] = depth[r] + 1
-                stack = [c for r in rows for c in [r] + kids.get(r, [])[::-1]]
+        plan, depth = self.plan, self.depth
+        parents = [r for r in rows if plan[r] >= 0]
+        if parents:
+            new = self._take_rows(2 * len(parents))
+            self._bisect(new, Box.stack(self.ends[parents]), [plan[r] for r in parents])
+            for k, r in enumerate(parents):
+                kids[r] = new[2 * k : 2 * k + 2]
+                depth[new[2 * k]] = depth[new[2 * k + 1]] = depth[r] + 1
+        stack = [c for r in rows for c in [r] + kids.get(r, [])[::-1]]
         try:
             self._evaluate(stack, kids)
         except IntervalOverflowError:
@@ -477,7 +473,7 @@ class _Run:
                 raise
             # the overflow may be in a box the search never reaches, as in a
             # region after a counterexample: evaluate the one it needs now
-            self.process(rows[:1], False)
+            self._evaluate(rows[:1], {})
         outcome, free = self.outcome, self.free
         for r, pair in kids.items():
             if outcome[r] is not pair:
@@ -491,13 +487,13 @@ class _Run:
         """Evaluate a stack of rows. Sample each box's midpoint first: a
         violating one makes its box an insecure leaf. Then bound and check
         the other boxes, sample the corners of the undecided ones, attack
-        the undecided roots, and choose the split of the rest. Sets each
-        row's outcome: its leaf status (and counterexample), or the list of
-        its children: the planned ones of `kids` where its split is its
-        plan, else new ones, taken as one batch per wave and kind of split,
-        each new child of a bisection with a plan. Rows after a verify
-        run's first insecure leaf keep no outcome: the search never reaches
-        them."""
+        the undecided roots, reduce the monotone ones, and split the rest
+        on the dim `smear_split_choice` picks. Sets each row's outcome: its
+        leaf status (and counterexample), or the list of its children: the
+        planned ones of `kids` where its split is its plan, else new ones,
+        taken as one batch per wave and kind of split, each new child of a
+        bisection with a plan. Rows after a verify run's first insecure
+        leaf keep no outcome: the search never reaches them."""
         cfg = self.cfg
         outcome = self.outcome
         at = np.array(rows)
@@ -547,9 +543,9 @@ class _Run:
         J = None
         if cfg.mode == "symbolic":
             masks = ReluMaskMatrix(m[idx] for m in fr.masks)
-            # (2, m, d) for all boxes where the net has no hidden layer
             J = backward_gradient(self.core, masks)
-            dims = smear_split_choice(J, widths, cfg.precision)
+            if J.ndim == 3:  # a net with no hidden layer: one J for all boxes
+                J = np.broadcast_to(J, (len(rows),) + J.shape)
             if self.reduce:
                 # monotonicity reduction: a box whose margins are monotone
                 # in some dims is replaced by its endpoint boxes there
@@ -558,11 +554,9 @@ class _Run:
                 if reduced.any():
                     red, keep = np.flatnonzero(reduced), np.flatnonzero(~reduced)
                     self._add_endpoints([rows[b] for b in red.tolist()], box.take(red), mono[red])
-                    box, dims = box.take(keep), dims[keep]
-                    J = J if J.ndim == 3 else J[keep]
+                    box, widths, J = box.take(keep), widths[keep], J[keep]
                     rows = [rows[b] for b in keep.tolist()]
-        else:
-            dims = _widest(widths, cfg.precision)
+        dims = smear_split_choice(J, widths, cfg.precision)
         if kids:
             plan, split = self.plan, dims.tolist()
             keep = []
@@ -575,7 +569,7 @@ class _Run:
                 if not keep:
                     return
                 box, dims = box.take(keep), dims[keep]
-                J = J if J is None or J.ndim == 3 else J[keep]
+                J = J if J is None else J[keep]
                 rows = [rows[b] for b in keep]
         new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
         self._plan_children(new, J, *self._bisect(new, box, dims))
@@ -593,9 +587,9 @@ class _Run:
     def _plan_children(self, new: list, J, left: Box, right: Box) -> None:
         """Give each child of the rows `new`, the left then the right half
         of each box of `left` and `right`, a plan where it can split within
-        the depth budget: the split `_plan` gives from its parent's
-        Jacobian, one of J (None in naive mode), over the child's own
-        widths."""
+        the depth budget: the split `smear_split_choice` gives from its
+        parent's Jacobian, a box of the stack J (None in naive mode), over
+        the child's own widths."""
         depth, precision = self.depth, self.cfg.precision
         at_max = [depth[c] >= self.max_depth for c in new[::2]]
         if all(at_max):
@@ -606,20 +600,10 @@ class _Run:
         b, side = np.nonzero(ok)
         if not len(b):
             return
-        if J is not None and J.ndim == 4:
-            J = J[b]
+        dims = smear_split_choice(J if J is None else J[b], widths[b, side], precision)
         plan = self.plan
-        for c, dim in zip((2 * b + side).tolist(), self._plan(J, widths[b, side]).tolist()):
+        for c, dim in zip((2 * b + side).tolist(), dims.tolist()):
             plan[new[c]] = dim
-
-    def _plan(self, J, widths: np.ndarray) -> np.ndarray:
-        """The dim each child is planned to split on, given its parent's
-        Jacobian J (one per child, or one for all; None in naive mode) and
-        its own widths, with a dim wider than the precision: the dim its
-        own wave would choose, were its Jacobian its parent's."""
-        if J is None:
-            return _widest(widths, self.cfg.precision)
-        return smear_split_choice(J, widths, self.cfg.precision)
 
     def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
         """Make the children of each row the 2^k boxes that pin the first k

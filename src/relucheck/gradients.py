@@ -74,20 +74,22 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
     return g
 
 
-def smear_split_choice(J: np.ndarray, widths: np.ndarray, precision: float = 0.0):
+def smear_split_choice(J, widths: np.ndarray, precision: float = 0.0):
     """Index of the most influential splittable input, one per box of a
     stack, given the `backward_gradient` J of the box or stack and its
-    `Box.widths()`, (d,) or (B, d).
+    `Box.widths()`, (d,) or (B, d). This is the one split rule of the
+    search, for a box's own split and for its children's plans.
 
     Score per input j: max over outputs of upper|J_ij| times widths[j].
-    Dimensions no wider than `precision` are excluded; ties break low.
+    With J None (naive mode, which has no Jacobian) the score is widths[j]
+    alone, so the choice is the widest dim. Dimensions no wider than
+    `precision` are excluded; ties break low.
     """
     splittable = widths > precision
     if not splittable.any(axis=-1).all():
         raise NoSplittableDimensionError("exhausted: no dimension wider than precision")
-    influence = np.abs(J).max(axis=(-3, -2))
-    smear = np.where(splittable, influence * widths, -np.inf)
-    return np.argmax(smear, axis=-1)
+    smear = widths if J is None else np.abs(J).max(axis=(-3, -2)) * widths
+    return np.argmax(np.where(splittable, smear, -np.inf), axis=-1)
 
 
 def margin_gradients(net: Network, xs: np.ndarray, check) -> tuple:

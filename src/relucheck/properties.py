@@ -218,10 +218,11 @@ class SoundCheck:
     bounds, the upper bound is hi @ A+ + lo @ A-, rounded up exactly. Over
     a symbolic result it is that of the upper literal row A+ @ up + A- @ low,
     made through the products of `affine_rows`' upper half alone, which
-    keeps the input terms shared by y_i and y_j correlated. (A+, A-), the positive and the negative part of `A`, are
-    built at their first use, which a run decided by its root's sample
-    never makes. One check may serve many runs (`compile_check`), so
-    `A`, `t`, `bound` and (A+, A-) are read-only.
+    keeps the input terms shared by y_i and y_j correlated. (A+, A-), the
+    positive and the negative part of `A`, are built at their first use,
+    which a run decided by its root's sample never makes. One check may
+    serve many runs (`compile_check`), so `A`, `t`, `bound` and (A+, A-)
+    are read-only.
 
     `or_free` tells whether the tree has no `Or`. Only then is the
     constraint violated wherever a single literal is, so that margins

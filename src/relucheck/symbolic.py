@@ -7,10 +7,11 @@ the n upper rows, each row its d coefficients followed by its constant. A
 stack of B boxes has a (B, 2, n, d+1) array, and every function here
 works on either shape. The rows are stored coefficient-major, as the
 (..., 2, n, d+1) view of a contiguous (..., 2, d+1, n) array, so that the
-passes over every unit of a layer read contiguous memory. Lower and upper rows always go through products of
-one shape, so rows that coincide keep coinciding. Affine layers map the
-rows through `intervals.affine_rows`; ReLU keeps a unit's rows, zeroes
-them, or concretizes the upper row, depending on the signs over the box.
+passes over every unit of a layer read contiguous memory. Lower and upper
+rows always go through products of one shape, so rows that coincide keep
+coinciding. Affine layers map the rows through `intervals.affine_rows`;
+ReLU keeps a unit's rows, zeroes them, or concretizes the upper row,
+depending on the signs over the box.
 """
 
 from __future__ import annotations

@@ -65,20 +65,22 @@ def without_attack(monkeypatch):
 
 
 def plan_another_dim(monkeypatch):
-    """Make the planner name for each child the next dim after the one it
-    would name, cyclically, that is wider than the precision, so that a row
+    """Move each child's plan to the next dim after the one the planner
+    names, cyclically, that is wider than the precision, so that a row
     with more than one such dim never splits on its plan."""
-    plan = engine._Run._plan
+    plan_children = engine._Run._plan_children
 
-    def another(self, J, widths):
-        dims = plan(self, J, widths)
-        wide = widths > self.cfg.precision
-        d = widths.shape[-1]
-        for k, j in enumerate(dims.tolist()):
-            dims[k] = next(i % d for i in range(j + 1, j + d + 1) if wide[k, i % d])
-        return dims
+    def another(self, new, J, left, right):
+        plan_children(self, new, J, left, right)
+        d = left.ends.shape[-1]
+        # the children's dims wider than the precision, in the order of `new`
+        wide = np.stack((left.widths(), right.widths()), axis=1).reshape(-1, d) > self.cfg.precision
+        for k, c in enumerate(new):
+            j = self.plan[c]
+            if j >= 0:
+                self.plan[c] = next(i % d for i in range(j + 1, j + d + 1) if wide[k, i % d])
 
-    monkeypatch.setattr(engine._Run, "_plan", another)
+    monkeypatch.setattr(engine._Run, "_plan_children", another)
 
 
 def exact_outputs(net: Network, x) -> list:

@@ -3,20 +3,32 @@ rows and Jacobian must not depend on the boxes stacked with it, and the
 search must depend neither on how many boxes a wave holds nor on the
 children a wave evaluates ahead."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from relucheck import engine
 from relucheck.data import shipped_path
-from relucheck.engine import Config, Status, enumerate_regions, verify
+from relucheck.engine import Config, Status, SubStatus, enumerate_regions, verify
 from relucheck.gradients import backward_gradient
 from relucheck.intervals import Box, IntervalOverflowError
 from relucheck.network import Network, eval_concrete_batch
 from relucheck.propagate import naive_forward, symbolic_forward
-from relucheck.properties import DiffLE, InputSpec, OutLE, parse_property
+from relucheck.properties import DiffLE, InputSpec, Not, Or, OutLE, parse_property
 from relucheck.symbolic import bounds_of_rows
 
-from conftest import make_net, plan_another_dim, random_box, random_net, sample_points, without_attack
+from conftest import (
+    exact_outputs,
+    make_net,
+    plan_another_dim,
+    random_box,
+    random_net,
+    sample_points,
+    without_attack,
+)
+from test_properties import _exact_truth
 
 PROPS = ["phi%d.prop" % k for k in range(1, 16)] + ["s1.prop", "s2.prop", "s3.prop"]
 WAVE = engine.WAVE
@@ -186,6 +198,72 @@ def test_wave_size_does_not_change_random_net_results(monkeypatch, seed):
         for mode in ("symbolic", "naive"):
             full, single, replanned = _runs(monkeypatch, net, spec, Config(max_depth=7, mode=mode))
             assert full == single == replanned, (constraint, mode)
+
+
+def _holds_over(net, c, box) -> bool:
+    """Whether c holds over the whole box in exact arithmetic, by Kleene's
+    rule: an Or where one of its arguments does, a literal where it holds
+    at every vertex. The net is affine, so each literal's value is affine
+    in the input and takes its extremes at vertices."""
+    if isinstance(c, Or):
+        return any(_holds_over(net, a, box) for a in c.args)
+    vertices = itertools.product(*zip(box.lo.tolist(), box.hi.tolist()))
+    return all(_exact_truth(c, exact_outputs(net, x)) for x in vertices)
+
+
+def _volume(box) -> Fraction:
+    """The box's exact volume."""
+    volume = Fraction(1)
+    for lo, hi in zip(box.lo.tolist(), box.hi.tolist()):
+        volume *= Fraction(hi) - Fraction(lo)
+    return volume
+
+
+def _inside(x, box) -> bool:
+    return bool((box.lo <= x).all() and (x <= box.hi).all())
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        OutLE(0, 3.5),
+        OutLE(0, 3.0),
+        DiffLE(0, 1, 4.5),
+        Or((OutLE(0, 2.5), OutLE(1, 0.5))),
+        Or((OutLE(0, 2.0), OutLE(1, 0.5))),
+        Not(OutLE(1, -1.75)),
+        Not(OutLE(1, -1.0)),
+    ],
+    ids=repr,
+)
+def test_search_on_a_net_without_a_hidden_layer(monkeypatch, constraint):
+    # an affine net has one Jacobian for all boxes, which the search uses
+    # for every box of a stack. y_0 - y_1 over [0, 1]^3 is [-1.75, 4.25],
+    # so its naive bound needs splits; neither literal of the first Or
+    # holds over [0, 1]^3, but the Or does, so it needs splits in both modes
+    net = make_net([[[1.0, 2.0, -1.0], [0.5, -1.0, 1.5]]], [[0.25, -0.5]])
+    regions = (Box([0.0] * 3, [1.0] * 3), Box([-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]))
+    spec = (InputSpec(regions), constraint)
+    for mode in ("symbolic", "naive"):
+        cfg = Config(max_depth=10, mode=mode)
+        full, single, replanned = _runs(monkeypatch, net, spec, cfg)
+        assert full == single == replanned, mode
+        v, report = verify(net, spec, cfg), enumerate_regions(net, spec, cfg)
+        # the leaves tile the regions, each secure one holds exactly, and
+        # each counterexample, in its leaf, violates exactly
+        assert sum(_volume(b) for b, _, _ in report.leaves) == 2
+        for box, status, cex in report.leaves:
+            assert any(_inside(box.lo, r) and _inside(box.hi, r) for r in regions)
+            if status is SubStatus.SECURE_SUB:
+                assert _holds_over(net, constraint, box), (mode, box)
+            if status is SubStatus.INSECURE_SUB:
+                assert _inside(cex, box)
+                assert not _exact_truth(constraint, exact_outputs(net, cex))
+        secure = {s for _, s, _ in report.leaves} == {SubStatus.SECURE_SUB}
+        assert (v.status is Status.SECURE) == secure, mode
+        if v.status is Status.INSECURE:
+            assert any(_inside(v.counterexample, r) for r in regions)
+            assert not _exact_truth(constraint, exact_outputs(net, v.counterexample))
 
 
 def test_reusing_rows_keeps_a_pending_counterexample(monkeypatch):

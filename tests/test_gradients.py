@@ -74,6 +74,24 @@ def test_smear_exhausted():
         smear_split_choice(J, Box([2.0], [2.0]).widths())
 
 
+def test_naive_rule_picks_the_widest_splittable_dim_of_each_box():
+    # without a Jacobian the score is the widths alone; ties break low
+    widths = np.array([[1.0, 3.0, 3.0], [2.0, 0.5, 1.0], [0.25, 0.25, 0.25], [0.0, 1e-7, 0.5]])
+    assert smear_split_choice(None, widths, 0.2).tolist() == [1, 0, 0, 2]
+    assert smear_split_choice(None, widths[3], 0.2) == 2
+    rng = np.random.default_rng(0)
+    widths = rng.integers(0, 4, size=(200, 5)) / 4.0
+    widths = widths[(widths > 0.25).any(axis=1)]
+    for w, j in zip(widths, smear_split_choice(None, widths, 0.25).tolist()):
+        assert j == min(i for i in range(5) if w[i] > 0.25 and w[i] == w.max())
+
+
+def test_naive_rule_exhausted():
+    # the second box has no dim wider than the precision
+    with pytest.raises(NoSplittableDimensionError):
+        smear_split_choice(None, np.array([[1.0, 2.0], [0.5, 0.5]]), 0.5)
+
+
 def test_smear_uses_abs_upper():
     # |[-5,-4]| upper is 5; beats [1,2] on equal widths
     J = jacobian(np.array([[-5.0, 1.0]]), np.array([[-4.0, 2.0]]))

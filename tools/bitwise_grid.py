@@ -14,12 +14,13 @@ processes of their own with one BLAS thread each. Every run whose status,
 node count, counterexample, leaves or run stats (all but the wall time)
 differ between the trees is printed, then two summary lines per workload
 and seed. The first also gives each tree's total of waves (calls to
-`engine._Run.process`, the overflow fallback's own call included) and of
-the boxes bounded (the sizes of the stacks the engine passes to
-`symbolic_forward` and `naive_forward`); these are reported, not compared. The second tallies
-the differing runs by their move from ROOT_A's status to ROOT_B's, and
-counts those that take more nodes and fewer nodes under ROOT_B. Exits 1
-on any difference, else 0. Nothing under bench/ is written.
+`engine._Run.process`; a wave that overflows and falls back to its first
+row alone counts once) and of the boxes bounded (the sizes of the stacks
+the engine passes to `symbolic_forward` and `naive_forward`); these are
+reported, not compared. The second tallies the differing runs by their
+move from ROOT_A's status to ROOT_B's, and counts those that take more
+nodes and fewer nodes under ROOT_B. Exits 1 on any difference, else 0.
+Nothing under bench/ is written.
 """
 
 from __future__ import annotations

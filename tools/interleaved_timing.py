@@ -1,18 +1,19 @@
 """Time two relucheck source trees case by case, interleaved in one process.
 
-Usage: python tools/interleaved_timing.py ROOT_A ROOT_B WORKLOAD SEED [ROUNDS]
+Usage: python tools/interleaved_timing.py ROOT_A ROOT_B WORKLOADS SEED [ROUNDS]
 
 ROOT_A and ROOT_B are source checkouts, each holding src/relucheck.
-WORKLOAD is a bench/workloads.py name; ROUNDS defaults to 3. Each tree's
-package is copied into a temporary directory under a name of its own, so
-that both import into this process, with one BLAS thread. The cases are
-generated with bench/workloads.py into that directory (the property files
-come from ROOT_A), loaded once per tree, and each is run once per tree
-before timing, so that both trees time warm code. Then, round after
-round, every case runs through bench/child.py's `run_case` on both trees
-back to back, alternating which tree goes first from case to case and
-from round to round. The host's speed drifts over minutes, and the two
-runs of a case are seconds apart at most.
+WORKLOADS is `all` or a comma-separated list of bench/workloads.py names;
+ROUNDS defaults to 3. Each tree's package is copied into a temporary
+directory under a name of its own, so that both import into this process,
+with one BLAS thread. The workloads are timed one after the other. A
+workload's cases are generated with bench/workloads.py into that
+directory (the property files come from ROOT_A), loaded once per tree,
+and each is run once per tree before timing, so that both trees time warm
+code. Then, round after round, every case runs through bench/child.py's
+`run_case` on both trees back to back, alternating which tree goes first
+from case to case and from round to round. The host's speed drifts over
+minutes, and the two runs of a case are seconds apart at most.
 
 Per round, one line gives the summed case time of each tree and the ratio
 B/A, over all cases and by case class: the cases that take 1 node, 2-10
@@ -54,11 +55,51 @@ def summary(label, cases, times):
     return f"{label} ({len(cases)}): {a:.3f} s -> {b:.3f} s {ratio}"
 
 
+def time_workload(trees, roots, name, seed, rounds, tmp, nproc):
+    """Time one workload's cases on both trees, printing a line per round
+    and a summary line. Returns the number of cases whose status or node
+    count differs between the trees."""
+    import workloads
+    from child import load_all, run_case
+
+    cases = workloads.generate(
+        name, seed, os.path.join(tmp, "cases", name), os.path.join(roots[0], "src", "relucheck", "props"),
+        workers=min(workloads.SPEC[name]["workers"], nproc),
+    )
+    loaded = [load_all(rc, cases) for rc in trees]
+
+    def run(side, i):
+        nets, specs = loaded[side]
+        _, t, status, nodes, _ = run_case(trees[side], cases[i], nets[i], specs[i])
+        return t, (status, nodes)
+
+    first = [[run(side, i) for i in range(len(cases))] for side in (0, 1)]
+    outcome = [[o for _, o in runs] for runs in first]
+    tail = sorted(range(len(cases)), key=lambda i: first[0][i][0])[-TAIL:]
+    differ = [i for i, (a, b) in enumerate(zip(*outcome)) if a != b]
+    for i in differ:
+        print(f"case {i} ({os.path.basename(cases[i]['net'])}, {os.path.basename(cases[i]['prop'])}): "
+              f"{'/'.join(map(str, outcome[0][i]))} nodes vs {'/'.join(map(str, outcome[1][i]))} nodes")
+    nodes = [n for _, n in outcome[0]]
+    for r in range(rounds):
+        times = [[0.0] * len(cases), [0.0] * len(cases)]
+        for i in range(len(cases)):
+            for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
+                times[side][i] = run(side, i)[0]
+        parts = [summary("all", range(len(cases)), times)]
+        for label, low, high in CLASSES:
+            parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
+        parts.append(summary(f"{TAIL} slowest", tail, times))
+        print(f"{name} seed {seed} round {r + 1}: " + "; ".join(parts), flush=True)
+    print(f"{name} seed {seed}: {len(cases)} cases, {len(differ)} differ in status or nodes", flush=True)
+    return len(differ)
+
+
 def main(argv):
     if len(argv) not in (5, 6):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    roots, name, seed = argv[1:3], argv[3], int(argv[4])
+    roots, names, seed = argv[1:3], argv[3].split(","), int(argv[4])
     rounds = int(argv[5]) if len(argv) == 6 else 3
     # before numpy loads its BLAS
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -66,45 +107,18 @@ def main(argv):
     sys.dont_write_bytecode = True
     sys.path.insert(0, BENCH)
     import workloads
-    from child import load_all, run_case
 
-    if name not in workloads.SPEC:
-        print(f"unknown workload {name!r}; known: {', '.join(workloads.SPEC)}", file=sys.stderr)
+    if names == ["all"]:
+        names = list(workloads.SPEC)
+    unknown = [n for n in names if n not in workloads.SPEC]
+    if unknown:
+        print(f"unknown workloads {unknown}; known: {', '.join(workloads.SPEC)}", file=sys.stderr)
         return 2
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with tempfile.TemporaryDirectory() as tmp:
-        cases = workloads.generate(
-            name, seed, os.path.join(tmp, "cases"), os.path.join(roots[0], "src", "relucheck", "props"),
-            workers=min(workloads.SPEC[name]["workers"], nproc),
-        )
         sys.path.insert(0, tmp)
         trees = [import_tree(root, tmp, f"relucheck_{tag}") for root, tag in zip(roots, "ab")]
-        loaded = [load_all(rc, cases) for rc in trees]
-
-        def run(side, i):
-            nets, specs = loaded[side]
-            _, t, status, nodes, _ = run_case(trees[side], cases[i], nets[i], specs[i])
-            return t, (status, nodes)
-
-        first = [[run(side, i) for i in range(len(cases))] for side in (0, 1)]
-        outcome = [[o for _, o in runs] for runs in first]
-        tail = sorted(range(len(cases)), key=lambda i: first[0][i][0])[-TAIL:]
-        differ = [i for i, (a, b) in enumerate(zip(*outcome)) if a != b]
-        for i in differ:
-            print(f"case {i} ({os.path.basename(cases[i]['net'])}, {os.path.basename(cases[i]['prop'])}): "
-                  f"{'/'.join(map(str, outcome[0][i]))} nodes vs {'/'.join(map(str, outcome[1][i]))} nodes")
-        nodes = [n for _, n in outcome[0]]
-        for r in range(rounds):
-            times = [[0.0] * len(cases), [0.0] * len(cases)]
-            for i in range(len(cases)):
-                for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
-                    times[side][i] = run(side, i)[0]
-            parts = [summary("all", range(len(cases)), times)]
-            for label, low, high in CLASSES:
-                parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
-            parts.append(summary(f"{TAIL} slowest", tail, times))
-            print(f"{name} seed {seed} round {r + 1}: " + "; ".join(parts), flush=True)
-    print(f"{name} seed {seed}: {len(cases)} cases, {len(differ)} differ in status or nodes")
+        differ = sum(time_workload(trees, roots, name, seed, rounds, tmp, nproc) for name in names)
     return 1 if differ else 0
 
 
