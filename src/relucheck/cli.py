@@ -29,9 +29,18 @@ EXIT_DIM_MISMATCH = 5
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="relucheck", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--network", required=True, help="network file (NNET-lite or JSON)")
 
-    def add_common(sp):
-        sp.add_argument("--network", required=True, help="network file (NNET-lite or JSON)")
+    def command(name, func, summary):
+        sp = sub.add_parser(name, help=summary, parents=[network])
+        sp.set_defaults(func=func)
+        return sp
+
+    for sp in (
+        command("verify", _cmd_verify, "prove or refute a property"),
+        command("enumerate", _cmd_enumerate, "partition into secure/insecure sub-boxes"),
+    ):
         sp.add_argument("--property", required=True, help="property file")
         sp.add_argument("--mode", choices=["naive", "symbolic"], default="symbolic")
         sp.add_argument("--precision", type=float, default=1e-6)
@@ -40,18 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--samples", choices=["midpoint", "corners"], default="midpoint")
         sp.add_argument("--report", default=None, help="write a JSON run report here")
 
-    add_common(sub.add_parser("verify", help="prove or refute a property"))
-    add_common(sub.add_parser("enumerate", help="partition into secure/insecure sub-boxes"))
-
-    ev = sub.add_parser("eval", help="concrete forward pass")
-    ev.add_argument("--network", required=True)
+    ev = command("eval", _cmd_eval, "concrete forward pass")
     ev.add_argument("--input", required=True, help="comma-separated input values")
-
-    info = sub.add_parser("info", help="network summary")
-    info.add_argument("--network", required=True)
-
-    bench = sub.add_parser("bench", help="naive vs symbolic width comparison")
-    bench.add_argument("--network", required=True)
+    command("info", _cmd_info, "network summary")
+    bench = command("bench", _cmd_bench, "naive vs symbolic width comparison")
     bench.add_argument("--property", required=True, help="boxes taken from its regions")
     return p
 
@@ -66,30 +67,30 @@ def _load_prop(path: str, num_outputs: int):
         return parse_property(f, num_outputs=num_outputs)
 
 
-def _config(args) -> Config:
-    return Config(
+def _search(args, search):
+    """Load the network and the property, run `search` (`verify` or
+    `enumerate_regions`) under the flags' Config, and write its report to
+    --report, when given. The report file is opened before the search, so
+    that a path that cannot be written fails before the search spends its
+    time."""
+    net = _load_net(args.network)
+    spec = _load_prop(args.property, net.output_dim)
+    config = Config(
         precision=args.precision,
         timeout=args.timeout,
         max_depth=args.max_depth,
         mode=args.mode,
         sample_strategy=args.samples,
     )
-
-
-def _open_report(args):
-    """A context that gives the --report file open for writing, or None
-    without --report. It opens the file before the search, so that a path
-    that cannot be written fails before the search spends its time."""
-    return open(args.report, "w") if args.report else contextlib.nullcontext()
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as out:
+        result = search(net, spec, config)
+        if out:
+            write_report(out, result)
+    return result
 
 
 def _cmd_verify(args) -> int:
-    net = _load_net(args.network)
-    spec = _load_prop(args.property, net.output_dim)
-    with _open_report(args) as out:
-        verdict = verify(net, spec, _config(args))
-        if out:
-            write_report(out, verdict)
+    verdict = _search(args, verify)
     s = verdict.stats
     if verdict.status is Status.SECURE:
         print(f"Secure (nodes={s.nodes_explored} max_depth={s.max_depth} time={s.wall_time:.2f}s)")
@@ -103,12 +104,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    net = _load_net(args.network)
-    spec = _load_prop(args.property, net.output_dim)
-    with _open_report(args) as out:
-        report = enumerate_regions(net, spec, _config(args))
-        if out:
-            write_report(out, report)
+    report = _search(args, enumerate_regions)
     counts = {"secure": 0, "insecure": 0, "unknown": 0}
     for _, status, _ in report.leaves:
         counts[status.value] += 1
@@ -168,17 +164,7 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return EXIT_BAD_FLAGS if e.code not in (0,) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return EXIT_BAD_FLAGS
+        return args.func(args)
     except OSError as e:
         # a missing or unreadable --network, --property or --report path
         print(f"error: {e}", file=sys.stderr)

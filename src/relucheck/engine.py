@@ -394,7 +394,8 @@ class _Run:
         box, each down the margin of the literal that is active at the
         point (`SoundCheck.active`); with one literal, that is its margin
         throughout. The starts and then the points after every step whose
-        margin is <= 0 go to `_counterexamples`."""
+        margin is <= 0 go to `_counterexamples`, and after the last step
+        all points do."""
         k, d = len(self.check.t), len(lo)
         if not k:  # no literal, no start
             return None
@@ -408,19 +409,17 @@ class _Run:
         x = x.reshape(-1, d)
         # a quarter of the widths, taken so that it does not overflow
         steps = _ATTACK_STEP_SIZES * (0.5 * (hi / 2.0 - lo / 2.0))
-        for step in range(_ATTACK_STEPS + 1):
-            if step < _ATTACK_STEPS:
-                r, g = margin_gradients(self.core, x, self.check)
-            else:
-                r, _ = self.check.active(eval_concrete_batch(self.core, x))
+        for step in range(_ATTACK_STEPS):
+            r, g = margin_gradients(self.core, x, self.check)
             hit = r <= 0.0
             if hit.any():
                 found = self._counterexamples(x[hit][np.newaxis])
                 if found:
                     return found[0]
-            if step < _ATTACK_STEPS:
-                x = np.minimum(np.maximum(x + steps[step] * np.sign(g), lo), hi)
-        return None
+            x = np.minimum(np.maximum(x + steps[step] * np.sign(g), lo), hi)
+        # no margins after the last step: `_counterexamples` evaluates the
+        # points anyway, and a point that violates has a margin <= 0
+        return self._counterexamples(x[np.newaxis]).get(0)
 
     def _refute(self, rows: list, found: dict) -> list:
         """Make each row that has a counterexample an insecure leaf, and

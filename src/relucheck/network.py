@@ -187,10 +187,17 @@ def _counts(line: str, lineno: int, what: str):
 
 def _parse_nnet_lite(text: str) -> Network:
     lines = list(_data_lines(text))
-    if not lines:
-        raise NetworkFormatError("empty network file")
+    at = 0  # the next line to read
 
-    lineno, header = lines[0]
+    def take(n: int) -> list:
+        """The next n data lines: the one end-of-input check."""
+        nonlocal at
+        if at + n > len(lines):
+            raise NetworkFormatError("unexpected end of network file")
+        at += n
+        return lines[at - n : at]
+
+    [(lineno, header)] = take(1)
     head = _counts(header, lineno, "header values")
     if len(head) != 4:
         raise NetworkFormatError(f"line {lineno}: header needs 4 numbers, got {len(head)}")
@@ -198,27 +205,24 @@ def _parse_nnet_lite(text: str) -> Network:
     if num_layers < 1 or d < 1 or m < 1:
         raise NetworkFormatError(f"line {lineno}: invalid header values")
 
-    if len(lines) < 2:
-        raise NetworkFormatError("missing layer sizes line")
-    lineno, sizes_line = lines[1]
+    [(lineno, sizes_line)] = take(1)
     sizes = _counts(sizes_line, lineno, "layer sizes")
     if len(sizes) != num_layers + 1:
         raise NetworkFormatError(
             f"line {lineno}: expected {num_layers + 1} layer sizes, got {len(sizes)}"
         )
-    if sizes[0] != d or sizes[-1] != m:
-        raise NetworkFormatError(f"line {lineno}: layer sizes disagree with header dims")
+    if sizes[0] != d or sizes[-1] != m or min(sizes) < 1:
+        raise NetworkFormatError(
+            f"line {lineno}: layer sizes must be positive and agree with header dims"
+        )
     if max(sizes) != max_size:
         raise NetworkFormatError(
             f"line {lineno}: largest layer size is {max(sizes)}, header says {max_size}"
         )
 
-    if len(lines) < 3:
-        raise NetworkFormatError("missing weight data")
     norm_mean = norm_range = None
-    at = 2  # the next line to read
-    lineno, line = lines[at]
-    if line.startswith("norm:"):
+    if at < len(lines) and lines[at][1].startswith("norm:"):
+        [(lineno, line)] = take(1)
         pairs = line[len("norm:"):].strip().split()
         if len(pairs) != d:
             raise NetworkFormatError(f"line {lineno}: expected {d} mean,range pairs")
@@ -227,17 +231,14 @@ def _parse_nnet_lite(text: str) -> Network:
             raise NetworkFormatError(f"line {lineno}: each norm entry must be mean,range")
         norm_mean = np.array([v[0] for v in vals])
         norm_range = np.array([v[1] for v in vals])
-        at += 1
 
     layers = []
     for k in range(num_layers):
         in_size, out_size = sizes[k], sizes[k + 1]
+        block = take(out_size + 1)
+        wants = [("weight row", in_size)] * out_size + [("bias", out_size)]
         rows = []  # the weight rows, then the bias
-        for what, want in [("weight row", in_size)] * out_size + [("bias", out_size)]:
-            if at == len(lines):
-                raise NetworkFormatError("unexpected end of file in weight data")
-            lineno, line = lines[at]
-            at += 1
+        for (lineno, line), (what, want) in zip(block, wants):
             row = _floats(line, lineno)
             if len(row) != want:
                 raise NetworkFormatError(
@@ -259,8 +260,6 @@ def _parse_json(text: str) -> Network:
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise NetworkFormatError("JSON network must be an object with a 'layers' list")
     raw_layers = doc["layers"]
-    if not raw_layers:
-        raise NetworkFormatError("network has no layers")
     layers = []
     for k, entry in enumerate(raw_layers):
         try:
@@ -287,16 +286,23 @@ def _parse_json(text: str) -> Network:
     return Network(tuple(layers), mean, rng)
 
 
-def load_network(source) -> Network:
-    """Load a network from bytes, text, or an open file: JSON when it
-    starts with '{', NNET-lite text otherwise."""
+def read_text(source, error: type, what: str) -> str:
+    """The text of `source`: an open file, bytes or str. Bytes that are
+    not UTF-8 raise `error`, a message naming the `what` file."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            return source.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise NetworkFormatError(f"network file is not UTF-8 text: {e}") from None
-    if source.lstrip().startswith("{"):
-        return _parse_json(source)
-    return _parse_nnet_lite(source)
+            raise error(f"{what} file is not UTF-8 text: {e}") from None
+    return source
+
+
+def load_network(source) -> Network:
+    """Load a network from bytes, text, or an open file: JSON when it
+    starts with '{', NNET-lite text otherwise."""
+    text = read_text(source, NetworkFormatError, "network")
+    if text.lstrip().startswith("{"):
+        return _parse_json(text)
+    return _parse_nnet_lite(text)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, affine_rows
-from .network import DimensionMismatchError
+from .network import DimensionMismatchError, read_text
 from .propagate import ForwardResult
 from .symbolic import expr_bounds
 
@@ -475,11 +475,7 @@ class _ConstraintParser:
             return Not(inner)
         if tok in _ATOM_ARITY:
             kind, cls = _ATOM_ARITY[tok]
-            if kind == "i":
-                return cls(self.index())
-            if kind == "ic":
-                return cls(self.index(), self.number())
-            return cls(self.index(), self.index(), self.number())
+            return cls(*[self.number() if arg == "c" else self.index() for arg in kind])
         raise PropertyParseError(f"unknown constraint token {tok!r}")
 
     def parse(self):
@@ -489,12 +485,13 @@ class _ConstraintParser:
         return node
 
 
-def _bound_pair(vals, lineno: int):
+def _bound_pair(line: str, lineno: int):
+    """The (lo, hi) of a ``lo hi`` line: two finite numbers."""
     try:
-        lo, hi = float(vals[0]), float(vals[1])
+        lo, hi = line.split()
+        lo, hi = float(lo), float(hi)
     except ValueError:
-        vals = " ".join(vals)
-        raise PropertyParseError(f"line {lineno}: expected two numbers, got {vals!r}") from None
+        raise PropertyParseError(f"line {lineno}: expected 'lo hi', got {line!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise PropertyParseError(f"line {lineno}: bounds must be finite")
     return lo, hi
@@ -512,14 +509,7 @@ def parse_property(source, num_outputs: Optional[int] = None):
     to it. When either is known, every output index the constraint reads
     must be below it.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise PropertyParseError(f"property file is not UTF-8 text: {e}") from None
-
+    source = read_text(source, PropertyParseError, "property")
     units = "raw"
     declared_outputs = None
     domain = []
@@ -559,18 +549,9 @@ def parse_property(source, num_outputs: Optional[int] = None):
             section = "constraint"
             continue
         if section == "domain":
-            vals = line.split()
-            if len(vals) != 2:
-                raise PropertyParseError(f"line {lineno}: domain line must be 'lo hi'")
-            domain.append(_bound_pair(vals, lineno))
+            domain.append(_bound_pair(line, lineno))
         elif section == "region":
-            if line == "*":
-                region_specs[-1].append(None)
-            else:
-                vals = line.split()
-                if len(vals) != 2:
-                    raise PropertyParseError(f"line {lineno}: region line must be 'lo hi' or '*'")
-                region_specs[-1].append(_bound_pair(vals, lineno))
+            region_specs[-1].append(None if line == "*" else _bound_pair(line, lineno))
         elif section == "constraint":
             constraint_tokens.extend(_tokenize(line))
         else:

@@ -71,6 +71,15 @@ def test_enumerate(tmp_path, capsys):
     assert any(leaf["status"] == "secure" for leaf in doc["leaves"])
 
 
+def test_enumerate_unknown_exit_2(capsys):
+    # as in test_verify_unknown_exit_2, the one leaf is Unknown and none is insecure
+    rc = run(["enumerate", "--network", NET, "--property", LE20, "--mode", "naive",
+              "--max-depth", "0"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith("Partition: 1 sub-boxes (secure=0 insecure=0 unknown=1)")
+
+
 def test_enumerate_all_secure_exit_0(capsys):
     assert run(["enumerate", "--network", NET, "--property", LE20]) == 0
 
@@ -178,13 +187,32 @@ BAD_COUNTS = [
 ]
 
 
+# the demo net cut short, grown or with a bad header, sizes or `norm:` line
+DEMO_HEAD = "2 2 1 2\n2,2,1\n"
+BAD_NNET_LITE = [
+    "2 2 1\n2,2,1\n" + DEMO_BODY,  # a header with three numbers
+    "2 2 1 2\n",  # the header alone
+    "2 2 1 2\n2,2,1,1\n" + DEMO_BODY,  # one layer size too many
+    DEMO_HEAD,  # no weight data
+    DEMO_HEAD + "norm: 0,1\n" + DEMO_BODY,  # one mean,range pair for two inputs
+    DEMO_HEAD + "norm: 0,1 5\n" + DEMO_BODY,  # a norm entry of one number
+    DEMO_HEAD + DEMO_BODY[: -len("0.0\n")],  # no last bias line
+    DEMO_HEAD + DEMO_BODY + "1.0\n",  # a data line after the last layer
+]
+
+
 # the shipped files with a byte that is not UTF-8 at the start, or in a comment
 NOT_UTF8 = [b"\xff", b"# caf\xe9\n"]
 
 
 def test_malformed_network_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.nnl"
-    texts = ("not a network\n", *MALFORMED_JSON, *(head + DEMO_BODY for head in BAD_COUNTS))
+    texts = (
+        "not a network\n",
+        *MALFORMED_JSON,
+        *(head + DEMO_BODY for head in BAD_COUNTS),
+        *BAD_NNET_LITE,
+    )
     demo = shipped_path("demonet.nnl").read_bytes()
     for data in (*(t.encode() for t in texts), *(b + demo for b in NOT_UTF8)):
         bad.write_bytes(data)

@@ -271,6 +271,14 @@ def test_config_rejects_budgets_it_cannot_honor(field, value):
         Config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("workers", 0), ("mode", "exact"), ("sample_strategy", "grid")]
+)
+def test_config_rejects_unknown_settings(field, value):
+    with pytest.raises(ValueError):
+        Config(**{field: value})
+
+
 def test_verify_unknown_on_timeout(demo_net, le20):
     v = verify(demo_net, le20, Config(timeout=-1.0))
     assert v.status is Status.UNKNOWN

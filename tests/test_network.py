@@ -58,6 +58,13 @@ def test_load_rejects_nonpositive_norm_range():
         load_network(text)
 
 
+def test_normalization_needs_both_mean_and_range():
+    layer = Layer(np.eye(2), np.zeros(2))
+    for mean, rng in ((np.zeros(2), None), (None, np.ones(2))):
+        with pytest.raises(NetworkFormatError, match="both mean and range"):
+            Network((layer,), mean, rng)
+
+
 def test_json_roundtrip(demo_net):
     doc = {
         "layers": [
@@ -69,14 +76,19 @@ def test_json_roundtrip(demo_net):
     assert eval_concrete(net, [4, 1])[0] == 6.0
 
 
-# JSON networks whose norm block or layer list is malformed; each must
-# raise NetworkFormatError (CLI exit 4)
+# JSON networks whose document, norm block or layer list is malformed;
+# each must raise NetworkFormatError (CLI exit 4)
 _TWO_TWO_ONE = [{"W": [[1, 0], [0, 1]], "b": [0, 0]}, {"W": [[1, -1]], "b": [0]}]
 MALFORMED_JSON = [
     json.dumps({"layers": _TWO_TWO_ONE, "norm": {"mean": "abc", "range": [1, 1]}}),
     json.dumps({"layers": _TWO_TWO_ONE, "norm": {"mean": [0, 0]}}),
     json.dumps({"layers": _TWO_TWO_ONE, "norm": [0, 1]}),
     json.dumps({"layers": 5}),
+    '{"layers": [',
+    json.dumps({"layers": []}),
+    json.dumps({"layers": [{"b": [0, 0]}, _TWO_TWO_ONE[1]]}),
+    json.dumps({"layers": [{"W": [[1, 0], [0, 1]], "b": [0]}, _TWO_TWO_ONE[1]]}),
+    json.dumps({"layers": _TWO_TWO_ONE, "norm": {"mean": [0], "range": [1, 1]}}),
 ]
 
 

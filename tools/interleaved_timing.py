@@ -13,14 +13,18 @@ and each is run once per tree before timing, so that both trees time warm
 code. Then, round after round, every case runs through bench/child.py's
 `run_case` on both trees back to back, alternating which tree goes first
 from case to case and from round to round. The host's speed drifts over
-minutes, and the two runs of a case are seconds apart at most.
+minutes, and the two runs of a case are seconds apart at most. Each round
+first times each tree's set-up, bench/child.py's `load_all` of the
+workload's network and property files, once per tree, alternating which
+tree goes first from round to round.
 
-Per round, one line gives the summed case time of each tree and the ratio
-B/A, over all cases and by case class: the cases that take 1 node, 2-10
-nodes and 11 or more on ROOT_A, and the TAIL cases slowest on ROOT_A in
-the untimed first run, those at and beyond bench/run.py's tail
-percentile. Exits 1 if any case's status or node count differs between
-the trees, else 0. Nothing under bench/ is written.
+Per round, one line gives each tree's set-up time and the ratio B/A, then
+the summed case time of each tree and the ratio B/A, over all cases and
+by case class: the cases that take 1 node, 2-10 nodes and 11 or more on
+ROOT_A, and the TAIL cases slowest on ROOT_A in the untimed first run,
+those at and beyond bench/run.py's tail percentile. Exits 1 if any
+case's status or node count differs between the trees, else 0. Nothing
+under bench/ is written.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 CLASSES = (("1 node", 1, 1), ("2-10 nodes", 2, 10), ("11+ nodes", 11, float("inf")))
@@ -47,12 +52,15 @@ def import_tree(root, tmp, name):
     return importlib.import_module(name)
 
 
+def ratio(label, a, b):
+    """The times a and b of the two trees and their ratio B/A."""
+    return f"{label}: {a:.3f} s -> {b:.3f} s " + (f"x{b / a:.3f}" if a > 0 else "n/a")
+
+
 def summary(label, cases, times):
-    """One line: the summed times of each tree and their ratio B/A, over
-    `cases`, the indices of the cases in the class."""
-    a, b = (sum(t[i] for i in cases) for t in times)
-    ratio = f"x{b / a:.3f}" if a > 0 else "n/a"
-    return f"{label} ({len(cases)}): {a:.3f} s -> {b:.3f} s {ratio}"
+    """The summed times of each tree and their ratio B/A, over `cases`,
+    the indices of the cases in the class."""
+    return ratio(f"{label} ({len(cases)})", *(sum(t[i] for i in cases) for t in times))
 
 
 def time_workload(trees, roots, name, seed, rounds, tmp, nproc):
@@ -82,11 +90,16 @@ def time_workload(trees, roots, name, seed, rounds, tmp, nproc):
               f"{'/'.join(map(str, outcome[0][i]))} nodes vs {'/'.join(map(str, outcome[1][i]))} nodes")
     nodes = [n for _, n in outcome[0]]
     for r in range(rounds):
+        setup = [0.0, 0.0]
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            load_all(trees[side], cases)
+            setup[side] = time.perf_counter() - t0
         times = [[0.0] * len(cases), [0.0] * len(cases)]
         for i in range(len(cases)):
             for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
                 times[side][i] = run(side, i)[0]
-        parts = [summary("all", range(len(cases)), times)]
+        parts = [ratio("set-up", *setup), summary("all", range(len(cases)), times)]
         for label, low, high in CLASSES:
             parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
         parts.append(summary(f"{TAIL} slowest", tail, times))
