@@ -10,27 +10,29 @@ evaluated in waves. The rows that no wave has evaluated are kept on a
 stack of their own in depth-first order, the next one on top, so the row
 the cursor reaches unevaluated is always the top of that stack, and a
 wave takes up to WAVE rows from the top. One rule, `smear_split_choice`,
-picks every split: a box's own, from its interval Jacobian over its
-widths, and the plan that a bisection gives each child that may split in
-turn, from its parent's Jacobian over the child's own widths. Naive mode
-has no Jacobian, so there both are the widest dim, and a child's plan is
-its own split; in symbolic mode it most often is. A wave evaluates each
-of its rows with the two children its plan gives, in the order the
-cursor reaches them, so it covers two levels of the tree and holds up to
-3 * WAVE boxes. A row that splits on its plan adopts those children; the
-others are freed, with the rows they took and their counterexamples. One
-index into the block stacks the boxes into a (B, 2, d) array, and the
-wave samples each box's midpoint first: a violating midpoint makes its
-box an insecure leaf without bounding it, and a verify wave stops at the
-first such box, since the search stops there. The other boxes are then
-bounded and checked, the undecided ones sampled at their corners (with
-that strategy) and split, all at once; their children take rows
-together. A row the cursor has consumed is reused, so rows are never
-moved or renumbered. Every box of a stack gets the bits it would get
-alone, so the tree, the verdict, the node count and the order of the
-leaves depend neither on the wave size nor on the plans. Results that a
-verify run never reaches because it stopped at a counterexample are
-dropped, and are not counted as nodes.
+decides whether and where a box splits: a box's own split, from its
+interval Jacobian over its widths, or -1 (an Unknown leaf) where no dim
+is wider than the precision; and the plan a bisection gives both
+children of a box, from the box's Jacobian over its widths with the
+split dim halved. Naive mode has no Jacobian, so there both are the
+widest dim, and a child's plan is its own split unless a halved width is
+an ULP off the child's own; in symbolic mode it most often is. A wave
+evaluates each of its rows with the two children its plan gives, in the
+order the cursor reaches them, so it covers two levels of the tree and
+holds up to 3 * WAVE boxes. A row that splits on its plan adopts those
+children; the others are freed, with the rows they took and their
+counterexamples. One index into the block stacks the boxes into a
+(B, 2, d) array, and the wave samples each box's midpoint first: a
+violating midpoint makes its box an insecure leaf without bounding it, and a
+verify wave stops at the first such box, since the search stops there.
+The other boxes are then bounded and checked, the undecided ones sampled
+at their corners (with that strategy) and split, all at once; their
+children take rows together. A row the cursor has consumed is reused, so
+rows are never moved or renumbered. Every box of a stack gets the bits
+it would get alone, so the tree, the verdict, the node count and the
+order of the leaves depend neither on the wave size nor on the plans.
+Results that a verify run never reaches because it stopped at a
+counterexample are dropped, and are not counted as nodes.
 
 A verify run also attacks each undecided root box (an input region)
 before splitting it, whatever its constraint. From the midpoint and a few
@@ -221,9 +223,9 @@ def default_max_depth(regions: Box, precision: float) -> int:
 
 # the most dims one monotonicity reduction pins, so 2^3 endpoint boxes
 _MAX_REDUCED_DIMS = 3
-# the root attack: starts per literal (the midpoint and uniform points),
-# signed-gradient steps per start, and the size of each step in quarters
-# of the box's widths
+# the root attack: starts per literal (the midpoint, which they share, and
+# uniform points), signed-gradient steps per start, and the size of each
+# step in quarters of the box's widths
 _ATTACK_STARTS = 4
 _ATTACK_STEPS = 8
 _ATTACK_STEP_SIZES = 2.0 ** (-np.arange(_ATTACK_STEPS)[:, np.newaxis] / 4)
@@ -386,10 +388,10 @@ class _Run:
         """A counterexample in the root box [lo, hi] of a region, found by
         signed-gradient descent on the constraint's margin, or None.
 
-        There are _ATTACK_STARTS starts per literal: for each, the box's
-        midpoint and uniform points drawn by a generator seeded with the
-        region's index (a root's row: the regions are the first rows, and
-        a reused row is not a root). Each start takes _ATTACK_STEPS steps,
+        The starts are the box's midpoint, then _ATTACK_STARTS - 1 uniform
+        points per literal, drawn by a generator seeded with the region's
+        index (a root's row: the regions are the first rows, and a reused
+        row is not a root). Each start takes _ATTACK_STEPS steps,
         the t-th of 0.25 * width * 2^(-t/4) in each dim, clipped to the
         box, each down the margin of the literal that is active at the
         point (`SoundCheck.active`); with one literal, that is its margin
@@ -401,12 +403,11 @@ class _Run:
             return None
         rng = random.Random(region)
         draws = [rng.random() for _ in range(k * (_ATTACK_STARTS - 1) * d)]
-        u = np.reshape(draws, (k, _ATTACK_STARTS - 1, d))
-        x = np.empty((k, _ATTACK_STARTS, d))
-        x[:, 0] = midpoint(lo, hi)
+        u = np.reshape(draws, (-1, d))
+        x = np.empty((1 + len(u), d))
+        x[0] = midpoint(lo, hi)
         # no term overflows, even where hi - lo would
-        x[:, 1:] = np.minimum(np.maximum(lo * (1.0 - u) + hi * u, lo), hi)
-        x = x.reshape(-1, d)
+        x[1:] = np.minimum(np.maximum(lo * (1.0 - u) + hi * u, lo), hi)
         # a quarter of the widths, taken so that it does not overflow
         steps = _ATTACK_STEP_SIZES * (0.5 * (hi / 2.0 - lo / 2.0))
         for step in range(_ATTACK_STEPS):
@@ -487,12 +488,14 @@ class _Run:
         violating one makes its box an insecure leaf. Then bound and check
         the other boxes, sample the corners of the undecided ones, attack
         the undecided roots, reduce the monotone ones, and split the rest
-        on the dim `smear_split_choice` picks. Sets each row's outcome: its
-        leaf status (and counterexample), or the list of its children: the
-        planned ones of `kids` where its split is its plan, else new ones,
-        taken as one batch per wave and kind of split, each new child of a
-        bisection with a plan. Rows after a verify run's first insecure
-        leaf keep no outcome: the search never reaches them."""
+        on the dim `smear_split_choice` picks; a box at the depth budget,
+        or where it picks none (-1), is an Unknown leaf. Sets each row's
+        outcome: its leaf status (and counterexample), or the list of its
+        children: the planned ones of `kids` where its split is its plan,
+        else new ones, taken as one batch per wave and kind of split, each
+        new child of a bisection with a plan. Rows after a verify run's
+        first insecure leaf keep no outcome: the search never reaches
+        them."""
         cfg = self.cfg
         outcome = self.outcome
         at = np.array(rows)
@@ -525,19 +528,18 @@ class _Run:
             rest = self._refute(undecided, sample(undecided, box))
             if len(rest) < len(idx):
                 box, idx = box.take(rest), idx[rest]
-        widths = box.widths()
-        can_split = (widths > cfg.precision).any(axis=1).tolist()
         keep = []
         for b, i in enumerate(idx.tolist()):
-            if self.depth[rows[i]] >= self.max_depth or not can_split[b]:
+            if self.depth[rows[i]] >= self.max_depth:
                 outcome[rows[i]] = SubStatus.UNKNOWN_SUB
             else:
                 keep.append(b)
         if not keep:
             return
         if len(keep) < len(idx):
-            box, widths, idx = box.take(keep), widths[keep], idx[keep]
+            box, idx = box.take(keep), idx[keep]
         rows = [rows[i] for i in idx.tolist()]
+        widths = box.widths()
 
         J = None
         if cfg.mode == "symbolic":
@@ -556,53 +558,50 @@ class _Run:
                     box, widths, J = box.take(keep), widths[keep], J[keep]
                     rows = [rows[b] for b in keep.tolist()]
         dims = smear_split_choice(J, widths, cfg.precision)
-        if kids:
-            plan, split = self.plan, dims.tolist()
-            keep = []
-            for b, r in enumerate(rows):
-                if r in kids and plan[r] == split[b]:
-                    outcome[r] = kids[r]
-                else:
-                    keep.append(b)
-            if len(keep) < len(rows):
-                if not keep:
-                    return
-                box, dims = box.take(keep), dims[keep]
-                J = J if J is None else J[keep]
-                rows = [rows[b] for b in keep]
+        plan, split = self.plan, dims.tolist()
+        keep = []
+        for b, r in enumerate(rows):
+            if split[b] < 0:
+                outcome[r] = SubStatus.UNKNOWN_SUB
+            elif r in kids and plan[r] == split[b]:
+                outcome[r] = kids[r]
+            else:
+                keep.append(b)
+        if not keep:
+            return
+        if len(keep) < len(rows):
+            box, widths, dims = box.take(keep), widths[keep], dims[keep]
+            J = J if J is None else J[keep]
+            rows = [rows[b] for b in keep]
         new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
-        self._plan_children(new, J, *self._bisect(new, box, dims))
+        self._bisect(new, box, dims)
+        self._plan_children(new, J, widths, dims)
 
-    def _bisect(self, new: list, box: Box, dims) -> tuple:
+    def _bisect(self, new: list, box: Box, dims) -> None:
         """Write the halves of each box of the stack, split on its dim of
         `dims`, to the rows `new`: the left then the right half of each, so
-        the right one is popped first. Returns the halves' stacks."""
+        the right one is popped first."""
         left, right = iv_bisect(box, dims)
         at = np.array(new, dtype=np.intp)
         self.ends[at[0::2]] = left.ends
         self.ends[at[1::2]] = right.ends
-        return left, right
 
-    def _plan_children(self, new: list, J, left: Box, right: Box) -> None:
-        """Give each child of the rows `new`, the left then the right half
-        of each box of `left` and `right`, a plan where it can split within
-        the depth budget: the split `smear_split_choice` gives from its
-        parent's Jacobian, a box of the stack J (None in naive mode), over
-        the child's own widths."""
-        depth, precision = self.depth, self.cfg.precision
-        at_max = [depth[c] >= self.max_depth for c in new[::2]]
+    def _plan_children(self, new: list, J, widths: np.ndarray, dims: np.ndarray) -> None:
+        """Give both children of each box k of a bisected stack, rows
+        new[2k] and new[2k + 1], the plan `smear_split_choice` gives from
+        the box's Jacobian J[k] (J is None in naive mode) over its widths
+        with dim dims[k], the one it split on, halved: -1 where no dim is
+        wider than the precision. Children at the depth budget get no
+        plan."""
+        at_max = [self.depth[c] >= self.max_depth for c in new[::2]]
         if all(at_max):
             return
-        widths = np.stack((left.widths(), right.widths()), axis=1)
-        ok = (widths > precision).any(axis=2)
-        ok[at_max] = False
-        b, side = np.nonzero(ok)
-        if not len(b):
-            return
-        dims = smear_split_choice(J if J is None else J[b], widths[b, side], precision)
+        half = widths.copy()
+        half[np.arange(len(dims)), dims] *= 0.5
         plan = self.plan
-        for c, dim in zip((2 * b + side).tolist(), dims.tolist()):
-            plan[new[c]] = dim
+        for k, dim in enumerate(smear_split_choice(J, half, self.cfg.precision).tolist()):
+            if not at_max[k]:
+                plan[new[2 * k]] = plan[new[2 * k + 1]] = dim
 
     def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
         """Make the children of each row the 2^k boxes that pin the first k

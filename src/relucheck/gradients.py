@@ -17,15 +17,10 @@ from .network import Network
 from .propagate import ReluMaskMatrix, _check_unnormalized
 
 __all__ = [
-    "NoSplittableDimensionError",
     "backward_gradient",
     "margin_gradients",
     "smear_split_choice",
 ]
-
-
-class NoSplittableDimensionError(ValueError):
-    """All dimensions are at or below the splitting precision."""
 
 
 # gradient interval [lo, hi] of a unit, indexed by its ReluState code
@@ -77,8 +72,10 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
 def smear_split_choice(J, widths: np.ndarray, precision: float = 0.0):
     """Index of the most influential splittable input, one per box of a
     stack, given the `backward_gradient` J of the box or stack and its
-    `Box.widths()`, (d,) or (B, d). This is the one split rule of the
-    search, for a box's own split and for its children's plans.
+    widths, (d,) or (B, d); -1 for a box with no dim wider than
+    `precision`, which cannot split. This is the one rule of the search
+    for whether and where a box splits, for a box's own split and for its
+    children's plans.
 
     Score per input j: max over outputs of upper|J_ij| times widths[j].
     With J None (naive mode, which has no Jacobian) the score is widths[j]
@@ -86,10 +83,9 @@ def smear_split_choice(J, widths: np.ndarray, precision: float = 0.0):
     `precision` are excluded; ties break low.
     """
     splittable = widths > precision
-    if not splittable.any(axis=-1).all():
-        raise NoSplittableDimensionError("exhausted: no dimension wider than precision")
     smear = widths if J is None else np.abs(J).max(axis=(-3, -2)) * widths
-    return np.argmax(np.where(splittable, smear, -np.inf), axis=-1)
+    best = np.argmax(np.where(splittable, smear, -np.inf), axis=-1)
+    return np.where(splittable.any(axis=-1), best, -1)
 
 
 def margin_gradients(net: Network, xs: np.ndarray, check) -> tuple:

@@ -52,6 +52,8 @@ class Layer:
             raise NetworkFormatError(
                 f"layer shape mismatch: W {W.shape}, b {b.shape}"
             )
+        if 0 in W.shape:
+            raise NetworkFormatError(f"layer size below 1: W {W.shape}")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise NetworkFormatError("layer weights must be finite")
 

@@ -216,9 +216,10 @@ def test_malformed_network_exit_4(tmp_path, capsys):
     demo = shipped_path("demonet.nnl").read_bytes()
     for data in (*(t.encode() for t in texts), *(b + demo for b in NOT_UTF8)):
         bad.write_bytes(data)
-        assert run(["info", "--network", str(bad)]) == 4, data
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, data
+        for argv in (["info"], ["verify", "--property", LE20]):
+            assert run([*argv, "--network", str(bad)]) == 4, data
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, data
 
 
 def test_malformed_property_exit_4(tmp_path, capsys):

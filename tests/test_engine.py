@@ -656,6 +656,19 @@ def test_enumerate_all_secure(demo_net, le20):
     assert [c for _, s, c in report.leaves if s is SubStatus.INSECURE_SUB] == []
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+def test_unknown_leaves_at_the_precision_floor(demo_net, le15, mode):
+    # with a depth budget the search never reaches, a box ends Unknown only
+    # where the split rule finds no dim wider than the precision
+    report = enumerate_regions(demo_net, le15, Config(precision=0.5, max_depth=50, mode=mode))
+    unknown = [box for box, status, _ in report.leaves if status is SubStatus.UNKNOWN_SUB]
+    assert unknown
+    for box in unknown:
+        assert (box.widths() <= 0.5).all()
+    assert report.stats.max_depth < 50
+    _assert_tiles(report.leaves, 2.0 * 4.0)
+
+
 def test_enumerate_deterministic_across_workers(demo_net, le15):
     def key(report):
         return sorted(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from relucheck.gradients import (
-    NoSplittableDimensionError,
     backward_gradient,
     margin_gradients,
     smear_split_choice,
@@ -69,9 +68,9 @@ def test_smear_skips_point_dims():
 
 
 def test_smear_exhausted():
+    # no dim wider than the precision: no split
     J = jacobian(np.ones((1, 1)), np.ones((1, 1)))
-    with pytest.raises(NoSplittableDimensionError):
-        smear_split_choice(J, Box([2.0], [2.0]).widths())
+    assert smear_split_choice(J, Box([2.0], [2.0]).widths()) == -1
 
 
 def test_naive_rule_picks_the_widest_splittable_dim_of_each_box():
@@ -88,8 +87,30 @@ def test_naive_rule_picks_the_widest_splittable_dim_of_each_box():
 
 def test_naive_rule_exhausted():
     # the second box has no dim wider than the precision
-    with pytest.raises(NoSplittableDimensionError):
-        smear_split_choice(None, np.array([[1.0, 2.0], [0.5, 0.5]]), 0.5)
+    assert smear_split_choice(None, np.array([[1.0, 2.0], [0.5, 0.5]]), 0.5).tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("with_jacobian", [True, False])
+def test_smear_gives_minus_one_exactly_where_no_dim_can_split(with_jacobian):
+    # a mixed stack: each box has -1 exactly where no dim is wider than the
+    # precision, and elsewhere the choice it gets alone
+    rng = np.random.default_rng(5)
+    B, m, d, precision = 64, 3, 4, 0.5
+    widths = rng.integers(0, 5, size=(B, d)) / 4.0
+    widths[::3] = np.minimum(widths[::3], precision)
+    J = None
+    if with_jacobian:
+        lo = rng.normal(size=(B, m, d))
+        J = np.stack((lo, lo + rng.uniform(0.0, 1.0, size=(B, m, d))), axis=1)
+    dims = smear_split_choice(J, widths, precision)
+    exhausted = ~(widths > precision).any(axis=1)
+    assert 0 < exhausted.sum() < B
+    assert ((dims == -1) == exhausted).all()
+    for b in range(B):
+        alone = smear_split_choice(None if J is None else J[b], widths[b], precision)
+        assert alone == dims[b]
+        if not exhausted[b]:
+            assert widths[b, dims[b]] > precision
 
 
 def test_smear_uses_abs_upper():

@@ -89,6 +89,7 @@ MALFORMED_JSON = [
     json.dumps({"layers": [{"b": [0, 0]}, _TWO_TWO_ONE[1]]}),
     json.dumps({"layers": [{"W": [[1, 0], [0, 1]], "b": [0]}, _TWO_TWO_ONE[1]]}),
     json.dumps({"layers": _TWO_TWO_ONE, "norm": {"mean": [0], "range": [1, 1]}}),
+    json.dumps({"layers": [{"W": [[]], "b": [0]}]}),
 ]
 
 

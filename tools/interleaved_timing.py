@@ -15,16 +15,17 @@ code. Then, round after round, every case runs through bench/child.py's
 from case to case and from round to round. The host's speed drifts over
 minutes, and the two runs of a case are seconds apart at most. Each round
 first times each tree's set-up, bench/child.py's `load_all` of the
-workload's network and property files, once per tree, alternating which
-tree goes first from round to round.
+workload's network and property files, SETUP_REPEATS times per tree (as
+bench/child.py does), alternating which tree goes first from load to load
+and from round to round; one load spreads too widely to compare.
 
-Per round, one line gives each tree's set-up time and the ratio B/A, then
-the summed case time of each tree and the ratio B/A, over all cases and
-by case class: the cases that take 1 node, 2-10 nodes and 11 or more on
-ROOT_A, and the TAIL cases slowest on ROOT_A in the untimed first run,
-those at and beyond bench/run.py's tail percentile. Exits 1 if any
-case's status or node count differs between the trees, else 0. Nothing
-under bench/ is written.
+Per round, one line gives each tree's median set-up time and the ratio
+B/A, then the summed case time of each tree and the ratio B/A, over all
+cases and by case class: the cases that take 1 node, 2-10 nodes and 11
+or more on ROOT_A, and the TAIL cases slowest on ROOT_A in the untimed
+first run, those at and beyond bench/run.py's tail percentile. Exits 1 if
+any case's status or node count differs between the trees, else 0.
+Nothing under bench/ is written.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import importlib
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -40,6 +42,8 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLASSES = (("1 node", 1, 1), ("2-10 nodes", 2, 10), ("11+ nodes", 11, float("inf")))
 # bench/run.py's tail percentile keeps 10 cases beyond it
 TAIL = 11
+# loads per tree per round whose median is the set-up time, as in bench/child.py
+SETUP_REPEATS = 5
 
 
 def import_tree(root, tmp, name):
@@ -90,11 +94,13 @@ def time_workload(trees, roots, name, seed, rounds, tmp, nproc):
               f"{'/'.join(map(str, outcome[0][i]))} nodes vs {'/'.join(map(str, outcome[1][i]))} nodes")
     nodes = [n for _, n in outcome[0]]
     for r in range(rounds):
-        setup = [0.0, 0.0]
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            t0 = time.perf_counter()
-            load_all(trees[side], cases)
-            setup[side] = time.perf_counter() - t0
+        loads = [[], []]
+        for rep in range(SETUP_REPEATS):
+            for side in ((0, 1) if (rep + r) % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                load_all(trees[side], cases)
+                loads[side].append(time.perf_counter() - t0)
+        setup = [statistics.median(t) for t in loads]
         times = [[0.0] * len(cases), [0.0] * len(cases)]
         for i in range(len(cases)):
             for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
