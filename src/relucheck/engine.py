@@ -12,16 +12,14 @@ the cursor reaches unevaluated is always the top of that stack, and a
 wave takes up to WAVE rows from the top. One rule, `smear_split_choice`,
 decides whether and where a box splits: a box's own split, from its
 interval Jacobian over its widths, or -1 (an Unknown leaf) where no dim
-is wider than the precision; and the plan a bisection gives both
-children of a box, from the box's Jacobian over its widths with the
-split dim halved. Naive mode has no Jacobian, so there both are the
-widest dim, and a child's plan is its own split unless a halved width is
-an ULP off the child's own; in symbolic mode it most often is. A wave
-evaluates each of its rows with the two children its plan gives, in the
-order the cursor reaches them, so it covers two levels of the tree and
-holds up to 3 * WAVE boxes. A row that splits on its plan adopts those
-children; the others are freed, with the rows they took and their
-counterexamples. One index into the block stacks the boxes into a
+is wider than the precision; and the plan a bisection gives each child
+of a box, from the box's Jacobian over the child's own widths. Naive
+mode has no Jacobian, so there a child's plan is its own split; in
+symbolic mode it most often is. A wave evaluates each of its rows with
+the two children its plan gives, in the order the cursor reaches them,
+so it covers two levels of the tree and holds up to 3 * WAVE boxes. A
+row that splits on its plan adopts those children; the others are
+freed, with the rows they took and their counterexamples. One index into the block stacks the boxes into a
 (B, 2, d) array, and the wave samples each box's midpoint first: a
 violating midpoint makes its box an insecure leaf without bounding it, and a
 verify wave stops at the first such box, since the search stops there.
@@ -570,12 +568,12 @@ class _Run:
         if not keep:
             return
         if len(keep) < len(rows):
-            box, widths, dims = box.take(keep), widths[keep], dims[keep]
+            box, dims = box.take(keep), dims[keep]
             J = J if J is None else J[keep]
             rows = [rows[b] for b in keep]
         new = self._add_children(rows, [2] * len(rows), [1] * len(rows))
         self._bisect(new, box, dims)
-        self._plan_children(new, J, widths, dims)
+        self._plan_children(new, J)
 
     def _bisect(self, new: list, box: Box, dims) -> None:
         """Write the halves of each box of the stack, split on its dim of
@@ -586,22 +584,22 @@ class _Run:
         self.ends[at[0::2]] = left.ends
         self.ends[at[1::2]] = right.ends
 
-    def _plan_children(self, new: list, J, widths: np.ndarray, dims: np.ndarray) -> None:
-        """Give both children of each box k of a bisected stack, rows
-        new[2k] and new[2k + 1], the plan `smear_split_choice` gives from
-        the box's Jacobian J[k] (J is None in naive mode) over its widths
-        with dim dims[k], the one it split on, halved: -1 where no dim is
-        wider than the precision. Children at the depth budget get no
-        plan."""
+    def _plan_children(self, new: list, J) -> None:
+        """Give each child of the rows `new`, the left then the right half
+        of each box k of a bisected stack, the plan `smear_split_choice`
+        gives from the box's Jacobian J[k] (J is None in naive mode) over
+        the child's own widths: -1 where no dim is wider than the
+        precision. Children at the depth budget get no plan."""
         at_max = [self.depth[c] >= self.max_depth for c in new[::2]]
         if all(at_max):
             return
-        half = widths.copy()
-        half[np.arange(len(dims)), dims] *= 0.5
+        widths = Box.stack(self.ends[new]).widths()
+        widths = widths.reshape(-1, 2, widths.shape[-1])
+        J = J if J is None else J[:, np.newaxis]
         plan = self.plan
-        for k, dim in enumerate(smear_split_choice(J, half, self.cfg.precision).tolist()):
+        for k, dims in enumerate(smear_split_choice(J, widths, self.cfg.precision).tolist()):
             if not at_max[k]:
-                plan[new[2 * k]] = plan[new[2 * k + 1]] = dim
+                plan[new[2 * k]], plan[new[2 * k + 1]] = dims
 
     def _add_endpoints(self, rows: list, box: Box, mono: np.ndarray) -> None:
         """Make the children of each row the 2^k boxes that pin the first k

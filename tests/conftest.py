@@ -70,15 +70,15 @@ def plan_another_dim(monkeypatch):
     with more than one such dim never splits on its plan."""
     plan_children = engine._Run._plan_children
 
-    def another(self, new, J, widths, dims):
-        plan_children(self, new, J, widths, dims)
-        d = widths.shape[-1]
+    def another(self, new, J):
+        plan_children(self, new, J)
+        d = self.ends.shape[-1]
         # the children's dims wider than the precision, in the order of `new`
         wide = Box.stack(self.ends[new]).widths() > self.cfg.precision
         for k, c in enumerate(new):
             j = self.plan[c]
             if j >= 0:
-                self.plan[c] = next((i % d for i in range(j + 1, j + d + 1) if wide[k, i % d]), -1)
+                self.plan[c] = next(i % d for i in range(j + 1, j + d + 1) if wide[k, i % d])
 
     monkeypatch.setattr(engine._Run, "_plan_children", another)
 

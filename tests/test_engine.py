@@ -669,6 +669,27 @@ def test_unknown_leaves_at_the_precision_floor(demo_net, le15, mode):
     _assert_tiles(report.leaves, 2.0 * 4.0)
 
 
+def test_boxes_one_ulp_wide_split_to_the_depth_budget():
+    # y = relu(x) - relu(x) <= 0 is never proved by naive bounds, which are
+    # rounded out, and never violated. Near 1e12 an ULP is 2^-13, so the
+    # root, 8 ULPs wide, has 8 boxes one ULP wide at depth 3, far above the
+    # precision: a midpoint there rounds onto an end, so one half has zero
+    # width, an Unknown leaf with no dim to split, and the other is the
+    # same box again, down to the depth budget
+    net = make_net([[[1.0], [1.0]], [[1.0, -1.0]]])
+    root = Box([1e12], [1e12 + 2.0**-10])
+    spec = (InputSpec((root,)), OutLE(0, 0.0))
+    cfg = Config(mode="naive")
+    assert default_max_depth(root, cfg.precision) == 10
+    report = enumerate_regions(net, spec, cfg)
+    assert report.stats.max_depth == 10
+    assert {s for _, s, _ in report.leaves} == {SubStatus.UNKNOWN_SUB}
+    ulps = sorted(int((b.hi[0] - b.lo[0]) / 2.0**-13) for b, _, _ in report.leaves)
+    assert ulps == [0] * 56 + [1] * 8
+    _assert_tiles(report.leaves, 2.0**-10)
+    assert verify(net, spec, cfg).status is Status.UNKNOWN
+
+
 def test_enumerate_deterministic_across_workers(demo_net, le15):
     def key(report):
         return sorted(
