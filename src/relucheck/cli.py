@@ -129,7 +129,7 @@ def _cmd_eval(args) -> int:
         print("error: --input must be comma-separated finite numbers", file=sys.stderr)
         return EXIT_BAD_FLAGS
     y = eval_concrete(net, x)
-    print(",".join(f"{v:g}" for v in y))
+    print(",".join(repr(float(v)) for v in y))
     return EXIT_SECURE
 
 

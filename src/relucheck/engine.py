@@ -62,6 +62,8 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Box, IntervalOverflowError, iv_bisect, midpoint
+# eval_concrete is not called here; bench/spans.py traces it as
+# engine.eval_concrete, and test_bench_contract.py pins that name
 from .network import DimensionMismatchError, Network, eval_concrete, eval_concrete_batch
 from .propagate import ReluMaskMatrix, naive_forward, symbolic_forward
 from .gradients import backward_gradient, margin_gradients, smear_split_choice
@@ -258,6 +260,13 @@ class _Run:
         self.check = compile_check(constraint, net.output_dim)
         # leaves and counterexamples are reported in the spec's units
         self.convert = net.has_normalization and input_spec.units == "raw"
+        # the regions in both units, where a region's converted ends are
+        # not its raw ends, so that a converted point may lie outside it
+        self.clip = None
+        if self.convert:
+            raw = np.array([r.ends for r in input_spec.regions])
+            if not (net.denormalize(regions.ends) == raw).all():
+                self.clip = (regions.ends, raw)
         self.max_depth = (
             cfg.max_depth
             if cfg.max_depth is not None
@@ -322,7 +331,7 @@ class _Run:
         """The leaves as (Box, status, cex), boxes in the spec's units."""
         ends = self.ends[[row for row, _, _ in self.leaves]]
         if self.convert:
-            ends = self.net.denormalize(ends)
+            ends = self._to_raw(ends)
         boxes = Box.stack(ends).unstack()
         return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
@@ -344,29 +353,39 @@ class _Run:
         finite overflowed, and certify nothing about the real ones."""
         return np.logical_not(check_concrete(y, self.check)) & np.isfinite(y).all(axis=-1)
 
+    def _to_raw(self, x: np.ndarray) -> np.ndarray:
+        """(n, k, d) points of the core, k for each of n boxes, in raw
+        units. Where `clip` is set, the points of a box go to the raw
+        region of the first region that holds them all: a coordinate on one
+        of the region's ends becomes its raw end, and the others are
+        clipped into the raw region, so that leaves keep tiling it."""
+        raw = self.net.denormalize(x)
+        if self.clip is None:
+            return raw
+        norm, ends = self.clip
+        inside = (x[:, :, np.newaxis] >= norm[:, 0]) & (x[:, :, np.newaxis] <= norm[:, 1])
+        at = inside.all(axis=(1, 3)).argmax(axis=1)[:, np.newaxis]
+        lo, hi = ends[at, 0], ends[at, 1]
+        raw = np.where(x == norm[at, 0], lo, np.where(x == norm[at, 1], hi, raw))
+        return np.minimum(np.maximum(raw, lo), hi)
+
     def _counterexamples(self, pts: np.ndarray) -> dict:
         """The first of each box's (B, S, d) sample points that violates
         the constraint, in the spec's units, by box index in rising order;
-        boxes without one are left out."""
-        bad = self._violates(eval_concrete_batch(self.core, pts.reshape(-1, pts.shape[-1])))
+        boxes without one are left out. A raw-unit run on a normalized
+        network converts the points to raw units once (`_to_raw`) and
+        evaluates the raw points through the full network, so a point it
+        reports is always the point whose outputs were checked. Other runs
+        evaluate the points on the core."""
+        net = self.core
+        if self.convert:
+            pts, net = self._to_raw(pts), self.net
+        bad = self._violates(eval_concrete_batch(net, pts.reshape(-1, pts.shape[-1])))
         if not bad.any():
             return {}
-        found = {}
-        for b, s in np.argwhere(bad.reshape(pts.shape[:2])).tolist():
-            if b not in found:
-                x = pts[b, s]
-                raw = self.net.denormalize(x) if self.convert else x
-                # the full network normalizes a raw point first. Where that
-                # gives back x bit for bit, it computes the outputs just
-                # checked; where the round trip shifted x by ULPs, the raw
-                # point is re-checked through the full network
-                if (
-                    not self.convert
-                    or self.net.normalize(raw).tobytes() == x.tobytes()
-                    or self._violates(eval_concrete(self.net, raw))
-                ):
-                    found[b] = raw
-        return found
+        bad = bad.reshape(pts.shape[:2])
+        first = bad.argmax(axis=1)
+        return {b: pts[b, first[b]] for b in np.flatnonzero(bad.any(axis=1)).tolist()}
 
     def _attack(self, rows: list, box: Box) -> dict:
         """The first root box of a stack in which gradient steps find a
@@ -643,7 +662,10 @@ class _Run:
         first insecure leaf, a wave row or an adopted child, clears it,
         since the run reaches no row after that leaf. A
         consumed row is freed for reuse: a split row once its children
-        are pushed, a leaf row in a verify run."""
+        are pushed, a leaf row in a verify run. The clock is read where a
+        wave would start: past the deadline, a row that no wave has
+        evaluated is an Unknown leaf, and a row a wave has decided keeps
+        its outcome."""
         stack = list(range(len(self.depth)))  # the regions, the only rows yet
         stats = self.stats
         depth, outcomes, free, pending = self.depth, self.outcome, self.free, self.pending
@@ -655,10 +677,10 @@ class _Run:
                 row = stack.pop()
                 stats.nodes_explored += 1
                 stats.max_depth = max(stats.max_depth, depth[row])
-                if time.monotonic() - t0 > timeout:
-                    self._leaf(row, SubStatus.UNKNOWN_SUB)
-                    continue
                 if outcomes[row] is None:
+                    if time.monotonic() - t0 > timeout:
+                        self._leaf(row, SubStatus.UNKNOWN_SUB)
+                        continue
                     wave = pending[: -WAVE - 1 : -1]  # the top WAVE rows, top first
                     del pending[-WAVE:]
                     self.process(wave)

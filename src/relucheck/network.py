@@ -154,9 +154,7 @@ def eval_concrete_batch(net: Network, xs) -> np.ndarray:
     Each point is multiplied through on its own, so its outputs are the
     bits it would get alone.
     """
-    v = np.asarray(xs, dtype=np.float64)
-    if net.has_normalization:
-        v = (v - net.norm_mean) / net.norm_range
+    v = net.normalize(xs)
     *hidden, last = net.layers
     for layer in hidden:
         v = np.maximum((layer.W @ v[..., np.newaxis])[..., 0] + layer.b, 0.0)

@@ -48,6 +48,18 @@ def test_verify_report(tmp_path, capsys):
     assert doc["status"] == "insecure"
 
 
+@pytest.mark.parametrize(
+    "flags, status",
+    [([], "secure"), (["--mode", "naive", "--max-depth", "0"], "unknown")],
+)
+def test_verify_report_without_counterexample(tmp_path, capsys, flags, status):
+    report = tmp_path / "r.json"
+    run(["verify", "--network", NET, "--property", LE20, "--report", str(report), *flags])
+    doc = json.loads(report.read_text())
+    assert doc["status"] == status
+    assert doc["counterexample"] is None
+
+
 def test_enumerate(tmp_path, capsys):
     report = tmp_path / "p.json"
     rc = run(
@@ -86,9 +98,17 @@ def test_enumerate_all_secure_exit_0(capsys):
 
 def test_eval(capsys):
     assert run(["eval", "--network", NET, "--input", "4,1"]) == 0
-    assert capsys.readouterr().out.strip() == "6"
+    assert capsys.readouterr().out.strip() == "6.0"
     assert run(["eval", "--network", NET, "--input", "6,5"]) == 0
-    assert capsys.readouterr().out.strip() == "16"
+    assert capsys.readouterr().out.strip() == "16.0"
+
+
+def test_eval_prints_every_digit(tmp_path, capsys):
+    # y = x + 4e-7: `%g` would print 16.0000004 as 16
+    net = tmp_path / "n.nnl"
+    net.write_text("1 1 1 1\n1,1\n1\n4e-7\n")
+    assert run(["eval", "--network", str(net), "--input", "16"]) == 0
+    assert capsys.readouterr().out.strip() == repr(16.0 + 4e-7)
 
 
 def test_eval_bad_input_exit_3(capsys):
@@ -226,11 +246,19 @@ def test_malformed_property_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.prop"
     le15 = shipped_path("le15.prop").read_bytes()
     frob = b"domain:\n0 1\nregion:\n*\nconstraint:\nfrob 0 1\n"
-    for data in (frob, *(b + le15 for b in NOT_UTF8)):
+    # a combinator without its '('
+    bare = [frob.replace(b"frob", c + b" le") for c in (b"not", b"and")]
+    for data in (frob, *bare, *(b + le15 for b in NOT_UTF8)):
         bad.write_bytes(data)
         assert run(["verify", "--network", NET, "--property", str(bad)]) == 4, data
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, data
+        assert (data in bare) == ("expected '('" in err), data
+
+
+def test_shipped_path_of_a_missing_file_raises():
+    with pytest.raises(FileNotFoundError, match="nope.prop"):
+        shipped_path("nope.prop")
 
 
 def test_property_bad_numbers_exit_4(tmp_path, capsys):

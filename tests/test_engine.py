@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 import threading
@@ -295,39 +296,72 @@ class _Clock:
         return self.now
 
 
+def _count_waves(monkeypatch) -> list:
+    """A one-item list that counts the waves evaluated from now on."""
+    waves, process = [0], engine._Run.process
+
+    def counted(run, rows):
+        waves[0] += 1
+        return process(run, rows)
+
+    monkeypatch.setattr(engine._Run, "process", counted)
+    return waves
+
+
 def test_timeout_after_k_nodes(monkeypatch, demo_net, demo_box, le15):
-    # a run reads the clock at its start and once per node, so with timeout
-    # k its deadline passes at node k + 1. From there on each node is an
-    # unknown leaf, and the run goes on until no job is pending.
+    # a run reads the clock at its start and once per wave, so with timeout
+    # k its deadline passes where wave k + 1 would start. From there on
+    # each row no wave has evaluated is an unknown leaf, the rows the waves
+    # have decided keep their outcome, and the run goes on until no job is
+    # pending.
+    waves = _count_waves(monkeypatch)
     monkeypatch.setattr(engine.time, "monotonic", _Clock())
     # naive bounds never prove y <= 16 near the corner (6, 5) where y = 16
     spec = (InputSpec((demo_box,)), OutLE(0, 16.0))
     v = verify(demo_net, spec, Config(mode="naive", timeout=20.0))
-    assert (v.status, v.stats.nodes_explored, v.stats.max_depth) == (Status.UNKNOWN, 41, 20)
+    assert (v.status, v.stats.nodes_explored, v.stats.max_depth) == (Status.UNKNOWN, 297, 39)
+    assert waves[0] == 20
 
-    k = 8
+    cfg = Config(precision=0.25, max_depth=12)
+    full = enumerate_regions(demo_net, le15, cfg)
+    assert waves[0] == 26  # the untimed run takes 6 waves
+    k = 3
     monkeypatch.setattr(engine.time, "monotonic", _Clock())
-    cfg = Config(precision=0.25, max_depth=12, timeout=float(k))
-    report = enumerate_regions(demo_net, le15, cfg)
+    report = enumerate_regions(demo_net, le15, dataclasses.replace(cfg, timeout=float(k)))
+    assert waves[0] == 26 + k
     got = [
         (b.lo.tolist(), b.hi.tolist(), s.value, None if c is None else c.tolist())
         for b, s, c in report.leaves
     ]
     assert got == [
-        ([5.5, 4.5], [6.0, 5.0], "insecure", [5.75, 4.75]),
-        ([5.25, 4.75], [5.5, 5.0], "unknown", None),
-        ([5.0, 4.75], [5.25, 5.0], "unknown", None),
-        ([5.0, 4.5], [5.5, 4.75], "unknown", None),
-        ([5.0, 4.0], [6.0, 4.5], "unknown", None),
-        ([4.0, 4.0], [5.0, 5.0], "unknown", None),
-        ([4.0, 3.0], [6.0, 4.0], "unknown", None),
-        ([4.0, 1.0], [6.0, 3.0], "unknown", None),
+        ([5.5, 4.5], [6.0, 5.0], "unknown", None),
+        ([5.0, 4.5], [5.5, 5.0], "unknown", None),
+        ([5.5, 4.0], [6.0, 4.5], "unknown", None),
+        ([5.0, 4.0], [5.5, 4.5], "unknown", None),
+        ([4.5, 4.5], [5.0, 5.0], "unknown", None),
+        ([4.0, 4.5], [4.5, 5.0], "unknown", None),
+        ([4.0, 4.0], [5.0, 4.5], "secure", None),
+        ([4.0, 3.0], [6.0, 4.0], "secure", None),
+        ([4.0, 1.0], [6.0, 3.0], "secure", None),
     ]
+    assert report.stats.nodes_explored == 17
     _assert_tiles(report.leaves, 2.0 * 4.0)
-    # every node after the k-th is a leaf, the last ones the cursor reaches
-    late = report.leaves[len(report.leaves) - (report.stats.nodes_explored - k) :]
-    assert len(late) == 7
-    assert all(s is SubStatus.UNKNOWN_SUB and c is None for _, s, c in late)
+    # the leaves the waves decided are leaves of the untimed run
+    untimed = {(b.ends.tobytes(), s) for b, s, _ in full.leaves}
+    decided = [(b.ends.tobytes(), s) for b, s, _ in report.leaves if s is not SubStatus.UNKNOWN_SUB]
+    assert decided and all(leaf in untimed for leaf in decided)
+
+
+@pytest.mark.parametrize("timeout", [1.0, 3.0, 10.0])
+def test_deadline_keeps_a_refuted_region(monkeypatch, demo_net, timeout):
+    # the first wave refutes the point region (6, 5), where y = 16; the
+    # search takes the second region first, and the deadline passes there
+    monkeypatch.setattr(engine.time, "monotonic", _Clock())
+    regions = (Box([6.0, 5.0], [6.0, 5.0]), Box([4.0, 1.0], [6.0, 4.0]))
+    spec = (InputSpec(regions), OutLE(0, 15.0))
+    v = verify(demo_net, spec, Config(mode="naive", timeout=timeout))
+    assert v.status is Status.INSECURE
+    assert v.counterexample.tolist() == [6.0, 5.0]
 
 
 def test_verify_memory_does_not_grow_with_nodes(monkeypatch):
@@ -726,12 +760,14 @@ def test_normalized_units_counterexample():
     assert v.counterexample.tolist() == [0.5]
 
 
-def _count_full_passes(monkeypatch) -> list:
-    """The points the engine passes to eval_concrete, the full network's
-    one-point pass, from now on."""
-    points, real = [], engine.eval_concrete
-    monkeypatch.setattr(engine, "eval_concrete", lambda net, x: points.append(x.tolist()) or real(net, x))
-    return points
+def _sample_batches(monkeypatch, net) -> list:
+    """The batches of points the engine evaluates from now on, each as
+    (whether it went through `net` itself, its points)."""
+    batches, real = [], engine.eval_concrete_batch
+    monkeypatch.setattr(
+        engine, "eval_concrete_batch", lambda n, xs: batches.append((n is net, xs.tolist())) or real(n, xs)
+    )
+    return batches
 
 
 def _round_trip(net, a, b):
@@ -744,29 +780,32 @@ def _round_trip(net, a, b):
 
 def test_exact_round_trip_takes_no_second_pass(monkeypatch):
     # u = (x - 1) / 2 and back are exact at the midpoint x = 3, u = 1,
-    # where y = u violates y <= 0.5
+    # where y = u violates y <= 0.5; the raw midpoint is the one point
+    # evaluated, once, through the full network
     net = load_network("1 1 1 1\n1,1\nnorm: 1.0,2.0\n1\n0\n")
     assert _round_trip(net, 1.0, 5.0) == (1.0, 3.0, 1.0)
     spec = parse_property("domain:\n1 5\nregion:\n*\nconstraint:\nle 0 0.5\n", num_outputs=1)
-    points = _count_full_passes(monkeypatch)
+    batches = _sample_batches(monkeypatch, net)
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE and v.counterexample.tolist() == [3.0]
     assert v.stats.nodes_explored == 1
-    assert points == []
+    assert batches == [(True, [[3.0]])]
 
 
 def test_inexact_round_trip_is_checked_through_the_full_network(monkeypatch):
     # u = (x - 0.1) / 0.3 at the midpoint of [0.2, 0.7] does not survive the
-    # round trip, so the raw point is evaluated through the full network
+    # round trip; the raw point is what is evaluated, through the full
+    # network, and what is reported
     net = load_network("1 1 1 1\n1,1\nnorm: 0.1,0.3\n1\n0\n")
     u, raw, back = _round_trip(net, 0.2, 0.7)
     assert back != u
     c = u - 0.25
     spec = parse_property(f"domain:\n0.2 0.7\nregion:\n*\nconstraint:\nle 0 {c!r}\n", num_outputs=1)
-    points = _count_full_passes(monkeypatch)
+    batches = _sample_batches(monkeypatch, net)
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE and v.counterexample.tolist() == [raw]
-    assert points == [[raw]]
+    assert v.stats.nodes_explored == 1
+    assert batches[0] == (True, [[raw]])
     assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
 
 
@@ -781,13 +820,65 @@ def test_point_that_fails_its_recheck_is_not_reported(monkeypatch, attack):
     spec = parse_property(f"domain:\n0 0.5\nregion:\n*\nconstraint:\nle 0 {back!r}\n", num_outputs=1)
     if not attack:
         without_attack(monkeypatch)
-    points = _count_full_passes(monkeypatch)
+    batches = _sample_batches(monkeypatch, net)
     v = verify(net, spec, Config())
-    # the search goes on past the refused point and finds another one
-    assert points[0] == [raw]
+    # the raw midpoint is evaluated through the full network, and the
+    # search goes on past it and finds another point
+    assert batches[0] == (True, [[raw]])
+    assert all(full for full, _ in batches)
     assert v.status is Status.INSECURE and v.counterexample.tolist() != [raw]
     assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
-    assert v.stats.nodes_explored == 1 if attack else v.stats.nodes_explored > 1
+    assert v.stats.nodes_explored == (1 if attack else 2)
+
+
+# region ends that do not round-trip: normalizing 8061.854646744073 and
+# converting it back gives 8061.854646744072, one ULP below it
+_OFF_END_NET = "1 1 1 1\n1,1\nnorm: 19791.091,60261.0\n-1\n0\n"
+_OFF_END_PROP = "domain:\n8061.854646744073 9062\nregion:\n*\nconstraint:\nle 0 0.1946405860041431\n"
+
+
+@pytest.mark.parametrize(
+    "lo, hi, c",
+    [
+        (8061.854646744073, 9062.0, 0.1946405860041431),
+        # two ULPs wide when normalized: the midpoint, one ULP above the
+        # normalized lo, also converts back to a point below lo
+        (8073.716432624537, 8073.716432624538, 0.0),
+    ],
+)
+def test_counterexample_lies_in_its_raw_region(lo, hi, c):
+    net = load_network(_OFF_END_NET)
+    spec = parse_property(f"domain:\n{lo!r} {hi!r}\nregion:\n*\nconstraint:\nle 0 {c!r}\n", num_outputs=1)
+    assert net.denormalize(net.normalize(lo)) < lo
+    v = verify(net, spec, Config())
+    assert v.status is Status.INSECURE and v.stats.nodes_explored == 1
+    assert lo <= v.counterexample[0] <= hi
+    assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
+
+
+@pytest.mark.parametrize(
+    "regions",
+    [
+        ["*"],
+        # the second region is the one whose end does not round-trip
+        ["1000 2000", "8061.854646744073 9062"],
+        # normalizing 8175.655620602559 and back gives a point above it
+        ["8175.655620602559 9062"],
+    ],
+)
+def test_enumerated_leaves_tile_the_raw_region(regions):
+    net = load_network(_OFF_END_NET)
+    text = _OFF_END_PROP.replace("region:\n*\n", "".join(f"region:\n{r}\n" for r in regions))
+    spec = parse_property(text, num_outputs=1)
+    report = enumerate_regions(net, spec, Config(max_depth=6))
+    for region in spec[0].regions:
+        lo, hi = region.lo[0], region.hi[0]
+        ends = sorted((b.lo[0], b.hi[0]) for b, _, _ in report.leaves if lo <= b.lo[0] <= b.hi[0] <= hi)
+        assert ends[0][0] == lo and ends[-1][1] == hi
+        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+    for b, s, c in report.leaves:
+        if c is not None:
+            assert b.lo[0] <= c[0] <= b.hi[0]
 
 
 def test_region_that_overflows_when_normalized_is_rejected():

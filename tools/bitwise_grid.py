@@ -32,7 +32,8 @@ import subprocess
 import sys
 import tempfile
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+from bench_cases import BENCH, generate_cases, workload_names
+
 MODES = ("symbolic", "naive")
 
 
@@ -83,16 +84,11 @@ def run_tree(src, cases_path):
                                   **extra, "stats": stats, **work}))
 
 
-def compare(roots, name, seed, env, nproc):
+def compare(roots, name, seed, env):
     """Run one workload at one seed against both trees; print every run
     that differs and a summary line. Returns the number of differences."""
-    import workloads
-
     with tempfile.TemporaryDirectory() as tmp:
-        cases = workloads.generate(
-            name, seed, os.path.join(tmp, "cases"), os.path.join(roots[0], "src", "relucheck", "props"),
-            workers=min(workloads.SPEC[name]["workers"], nproc),
-        )
+        cases = generate_cases(name, seed, os.path.join(tmp, "cases"), roots[0])
         cases_path = os.path.join(tmp, "cases", "cases.json")
         procs = [
             subprocess.Popen(
@@ -142,20 +138,12 @@ def main(argv):
     if len(argv) < 5:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    sys.path.insert(0, BENCH)
-    import workloads
-
-    roots, names = argv[1:3], argv[3].split(",")
-    if names == ["all"]:
-        names = list(workloads.SPEC)
-    unknown = [n for n in names if n not in workloads.SPEC]
-    if unknown:
-        print(f"unknown workloads {unknown}; known: {', '.join(workloads.SPEC)}", file=sys.stderr)
+    roots, names = argv[1:3], workload_names(argv[3])
+    if names is None:
         return 2
     seeds = [int(a) for a in argv[4:]]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    differ = sum(compare(roots, name, seed, env, nproc) for name in names for seed in seeds)
+    differ = sum(compare(roots, name, seed, env) for name in names for seed in seeds)
     return 1 if differ else 0
 
 

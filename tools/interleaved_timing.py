@@ -38,7 +38,8 @@ import sys
 import tempfile
 import time
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+from bench_cases import BENCH, generate_cases, workload_names
+
 CLASSES = (("1 node", 1, 1), ("2-10 nodes", 2, 10), ("11+ nodes", 11, float("inf")))
 # bench/run.py's tail percentile keeps 10 cases beyond it
 TAIL = 11
@@ -67,17 +68,13 @@ def summary(label, cases, times):
     return ratio(f"{label} ({len(cases)})", *(sum(t[i] for i in cases) for t in times))
 
 
-def time_workload(trees, roots, name, seed, rounds, tmp, nproc):
+def time_workload(trees, roots, name, seed, rounds, tmp):
     """Time one workload's cases on both trees, printing a line per round
     and a summary line. Returns the number of cases whose status or node
     count differs between the trees."""
-    import workloads
     from child import load_all, run_case
 
-    cases = workloads.generate(
-        name, seed, os.path.join(tmp, "cases", name), os.path.join(roots[0], "src", "relucheck", "props"),
-        workers=min(workloads.SPEC[name]["workers"], nproc),
-    )
+    cases = generate_cases(name, seed, os.path.join(tmp, "cases", name), roots[0])
     loaded = [load_all(rc, cases) for rc in trees]
 
     def run(side, i):
@@ -118,26 +115,20 @@ def main(argv):
     if len(argv) not in (5, 6):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    roots, names, seed = argv[1:3], argv[3].split(","), int(argv[4])
+    roots, seed = argv[1:3], int(argv[4])
     rounds = int(argv[5]) if len(argv) == 6 else 3
     # before numpy loads its BLAS
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
     sys.path.insert(0, BENCH)
-    import workloads
-
-    if names == ["all"]:
-        names = list(workloads.SPEC)
-    unknown = [n for n in names if n not in workloads.SPEC]
-    if unknown:
-        print(f"unknown workloads {unknown}; known: {', '.join(workloads.SPEC)}", file=sys.stderr)
+    names = workload_names(argv[3])
+    if names is None:
         return 2
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         trees = [import_tree(root, tmp, f"relucheck_{tag}") for root, tag in zip(roots, "ab")]
-        differ = sum(time_workload(trees, roots, name, seed, rounds, tmp, nproc) for name in names)
+        differ = sum(time_workload(trees, roots, name, seed, rounds, tmp) for name in names)
     return 1 if differ else 0
 
 
