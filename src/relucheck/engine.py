@@ -103,6 +103,11 @@ class RunStats:
     wall_time: float = 0.0
     # insecure leaves whose counterexample the root attack found
     attack_hits: int = 0
+    # the waves evaluated; a wave that overflows and falls back to its
+    # first row counts once
+    waves: int = 0
+    # the boxes the waves bounded, planned children included
+    boxes_bounded: int = 0
 
     @property
     def avg_depth(self) -> float:
@@ -115,6 +120,8 @@ class RunStats:
             "avg_depth": self.avg_depth,
             "wall_time": self.wall_time,
             "attack_hits": self.attack_hits,
+            "waves": self.waves,
+            "boxes_bounded": self.boxes_bounded,
         }
 
 
@@ -278,6 +285,7 @@ class _Run:
         # the regions are the first rows
         self.ends = regions.ends.copy()
         self.depth = [0] * len(self.ends)
+        self.region = list(range(len(self.ends)))  # the index of a row's region
         self.outcome = [None] * len(self.ends)
         self.plan = [-1] * len(self.ends)  # the split dim planned for a row, -1 for none
         self.free = []  # the rows to reuse, the last freed first
@@ -293,13 +301,15 @@ class _Run:
     # -- the rows ------------------------------------------------------------
     def _take_rows(self, n: int) -> list:
         """Take n free rows, without an outcome or a plan. When too few are
-        free, the blocks grow. The caller sets their depth and `ends`."""
+        free, the blocks grow. The caller sets their depth, region and
+        `ends`."""
         free, outcome, plan = self.free, self.outcome, self.plan
         if len(free) < n:
             size = len(outcome)
             grown = max(2 * size, size + n - len(free), _MIN_ROWS)
             self.ends = np.concatenate((self.ends, np.empty((grown - size,) + self.ends.shape[1:])))
             self.depth.extend([0] * (grown - size))
+            self.region.extend([0] * (grown - size))
             outcome.extend([None] * (grown - size))
             plan.extend([-1] * (grown - size))
             free.extend(range(size, grown))
@@ -316,7 +326,7 @@ class _Run:
         rows[k], each steps[k] levels deeper than it. Each parent's outcome
         becomes the list of its children. Returns all the new rows in that
         order; the caller fills in their `ends`."""
-        depth, outcome = self.depth, self.outcome
+        depth, region, outcome = self.depth, self.region, self.outcome
         new = self._take_rows(sum(sizes))
         start = 0
         for r, k, s in zip(rows, sizes, steps):
@@ -325,13 +335,15 @@ class _Run:
             d = depth[r] + s
             for c in children:
                 depth[c] = d
+                region[c] = region[r]
         return new
 
     def partition(self) -> list:
         """The leaves as (Box, status, cex), boxes in the spec's units."""
-        ends = self.ends[[row for row, _, _ in self.leaves]]
+        rows = [row for row, _, _ in self.leaves]
+        ends = self.ends[rows]
         if self.convert:
-            ends = self._to_raw(ends)
+            ends = self._to_raw(rows, ends)
         boxes = Box.stack(ends).unstack()
         return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
@@ -346,30 +358,29 @@ class _Run:
         corners = np.repeat(mid, len(sides), axis=1)
         lo, hi = box.lo[:, np.newaxis, :k], box.hi[:, np.newaxis, :k]
         corners[..., :k] = np.where(sides, hi, lo)
-        return self._counterexamples(corners)
+        return self._counterexamples(rows, corners)
 
     def _violates(self, y: np.ndarray):
         """Whether outputs violate the constraint. Outputs that are not all
         finite overflowed, and certify nothing about the real ones."""
         return np.logical_not(check_concrete(y, self.check)) & np.isfinite(y).all(axis=-1)
 
-    def _to_raw(self, x: np.ndarray) -> np.ndarray:
-        """(n, k, d) points of the core, k for each of n boxes, in raw
-        units. Where `clip` is set, the points of a box go to the raw
-        region of the first region that holds them all: a coordinate on one
-        of the region's ends becomes its raw end, and the others are
-        clipped into the raw region, so that leaves keep tiling it."""
+    def _to_raw(self, rows: list, x: np.ndarray) -> np.ndarray:
+        """(n, k, d) points of the core, k for each of the n boxes of
+        `rows`, in raw units. Where `clip` is set, the points of a box go to
+        the raw region of the box's own region: a coordinate on one of the
+        region's ends becomes its raw end, and the others are clipped into
+        the raw region, so that leaves keep tiling it."""
         raw = self.net.denormalize(x)
         if self.clip is None:
             return raw
         norm, ends = self.clip
-        inside = (x[:, :, np.newaxis] >= norm[:, 0]) & (x[:, :, np.newaxis] <= norm[:, 1])
-        at = inside.all(axis=(1, 3)).argmax(axis=1)[:, np.newaxis]
+        at = np.array([self.region[r] for r in rows])[:, np.newaxis]
         lo, hi = ends[at, 0], ends[at, 1]
         raw = np.where(x == norm[at, 0], lo, np.where(x == norm[at, 1], hi, raw))
         return np.minimum(np.maximum(raw, lo), hi)
 
-    def _counterexamples(self, pts: np.ndarray) -> dict:
+    def _counterexamples(self, rows: list, pts: np.ndarray) -> dict:
         """The first of each box's (B, S, d) sample points that violates
         the constraint, in the spec's units, by box index in rising order;
         boxes without one are left out. A raw-unit run on a normalized
@@ -379,7 +390,7 @@ class _Run:
         evaluate the points on the core."""
         net = self.core
         if self.convert:
-            pts, net = self._to_raw(pts), self.net
+            pts, net = self._to_raw(rows, pts), self.net
         bad = self._violates(eval_concrete_batch(net, pts.reshape(-1, pts.shape[-1])))
         if not bad.any():
             return {}
@@ -431,13 +442,13 @@ class _Run:
             r, g = margin_gradients(self.core, x, self.check)
             hit = r <= 0.0
             if hit.any():
-                found = self._counterexamples(x[hit][np.newaxis])
+                found = self._counterexamples([region], x[hit][np.newaxis])
                 if found:
                     return found[0]
             x = np.minimum(np.maximum(x + steps[step] * np.sign(g), lo), hi)
         # no margins after the last step: `_counterexamples` evaluates the
         # points anyway, and a point that violates has a margin <= 0
-        return self._counterexamples(x[np.newaxis]).get(0)
+        return self._counterexamples([region], x[np.newaxis]).get(0)
 
     def _refute(self, rows: list, found: dict) -> list:
         """Make each row that has a counterexample an insecure leaf, and
@@ -473,8 +484,9 @@ class _Run:
         the other planned children are freed, with the rows they took. If
         the stack overflows, the wave's first row is evaluated alone,
         without its planned children."""
+        self.stats.waves += 1
         kids = {}  # row -> its planned children, left then right
-        plan, depth = self.plan, self.depth
+        plan, depth, region = self.plan, self.depth, self.region
         parents = [r for r in rows if plan[r] >= 0]
         if parents:
             new = self._take_rows(2 * len(parents))
@@ -482,6 +494,7 @@ class _Run:
             for k, r in enumerate(parents):
                 kids[r] = new[2 * k : 2 * k + 2]
                 depth[new[2 * k]] = depth[new[2 * k + 1]] = depth[r] + 1
+                region[new[2 * k]] = region[new[2 * k + 1]] = region[r]
         stack = [c for r in rows for c in [r] + kids.get(r, [])[::-1]]
         try:
             self._evaluate(stack, kids)
@@ -517,11 +530,12 @@ class _Run:
         outcome = self.outcome
         at = np.array(rows)
         box = Box.stack(self.ends.take(at, axis=0))
-        rest = self._refute(rows, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
+        rest = self._refute(rows, self._counterexamples(rows, box.midpoint()[:, np.newaxis, :]))
         if not rest:
             return
         if len(rest) < len(rows):
             box, rows = box.take(rest), [rows[i] for i in rest]
+        self.stats.boxes_bounded += len(rows)
         if cfg.mode == "symbolic":
             fr = symbolic_forward(self.core, box)
         else:

@@ -138,7 +138,7 @@ class Box:
         return np.nextafter(w, np.inf, out=w, where=w > 0.0)
 
     def __repr__(self):
-        return "Box(" + ", ".join(repr(d) for d in self.dims) + ")"
+        return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
 
 
 def _sub_box(ends: np.ndarray) -> Box:

@@ -311,13 +311,15 @@ def _sampled_case(seed):
 
 def _record_waves(monkeypatch):
     """Wrap `_Run.process`: the returned list gets each wave's boxes, by
-    their bits and depth, and the run that took it."""
+    their bits and depth, the run that took it, and how much the wave
+    raised the run's `boxes_bounded`."""
     waves = []
     process = engine._Run.process
 
     def recorded(run, rows):
-        waves.append(([(bits(run.ends[r]), run.depth[r]) for r in rows], run))
-        return process(run, rows)
+        boxes, bounded = [(bits(run.ends[r]), run.depth[r]) for r in rows], run.stats.boxes_bounded
+        process(run, rows)
+        waves.append((boxes, run, run.stats.boxes_bounded - bounded))
 
     monkeypatch.setattr(engine._Run, "process", recorded)
     return waves
@@ -344,7 +346,7 @@ def test_waves_take_each_unevaluated_row_once_in_depth_first_order(monkeypatch, 
         for cap in (1, 4, 256):
             monkeypatch.setattr(engine, "WAVE", cap)
             waves.clear()
-            by_cap[cap] = run(), [wave for wave, _ in waves]
+            by_cap[cap] = run(), [wave for wave, _, _ in waves]
         result, single = by_cap[1]
         if name == "verify":
             assert result is Status.SECURE
@@ -377,7 +379,7 @@ def test_an_insecure_verify_run_leaves_no_row_pending(monkeypatch, cap):
     monkeypatch.setattr(engine, "WAVE", cap)
     v = verify(net, spec, Config(max_depth=12))
     assert v.status is Status.INSECURE and v.stats.nodes_explored > 100
-    assert (max(len(wave) for wave, _ in waves) > 1) == (cap > 1)
+    assert (max(len(wave) for wave, _, _ in waves) > 1) == (cap > 1)
     assert waves[-1][1].pending == []
 
 
@@ -407,19 +409,6 @@ def test_only_a_row_that_can_split_gets_a_plan(monkeypatch):
     assert unplanned.count(False) > 100
 
 
-def _count_bounded(monkeypatch):
-    """Wrap the engine's forward passes: the returned list gets the size
-    of each stack they bound."""
-    sizes = []
-    for name in ("symbolic_forward", "naive_forward"):
-        def bounded(net, box, forward=getattr(engine, name)):
-            sizes.append(len(box.ends))
-            return forward(net, box)
-
-        monkeypatch.setattr(engine, name, bounded)
-    return sizes
-
-
 def test_a_full_depth_tree_takes_three_waves(monkeypatch):
     # y_0 - y_0 <= 0 holds at every point, but its literal row is 0 and its
     # rounded-out bound is positive, so no box proves it and the tree goes
@@ -429,11 +418,11 @@ def test_a_full_depth_tree_takes_three_waves(monkeypatch):
     net = Network(acas_net(np.random.default_rng(0)).layers)
     spec = (InputSpec((Box([-0.3] * 5, [0.3] * 5),)), DiffLE(0, 0, 0.0))
     waves = _record_waves(monkeypatch)
-    bounded = _count_bounded(monkeypatch)
     v = verify(net, spec, Config(max_depth=4))
     assert v.status is Status.UNKNOWN and v.stats.nodes_explored == 31
-    assert [len(wave) for wave, _ in waves] == [1, 2, 8]
-    assert bounded == [1, 6, 24]
+    assert [len(wave) for wave, _, _ in waves] == [1, 2, 8]
+    assert [bounded for _, _, bounded in waves] == [1, 6, 24]
+    assert (v.stats.waves, v.stats.boxes_bounded) == (3, 31)
 
 
 def test_naive_mode_adopts_every_plan(monkeypatch):

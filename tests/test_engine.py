@@ -245,7 +245,7 @@ def test_overflowed_sample_is_not_a_counterexample(mode):
                 enumerate_regions(net, spec, Config(mode=mode, sample_strategy=strategy))
         run = engine._Run(net, spec, Config(mode=mode), short_circuit=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            found = run._counterexamples(pts)
+            found = run._counterexamples([0, 0], pts)
         assert {b: x.tolist() for b, x in found.items()} == want
 
 
@@ -296,39 +296,26 @@ class _Clock:
         return self.now
 
 
-def _count_waves(monkeypatch) -> list:
-    """A one-item list that counts the waves evaluated from now on."""
-    waves, process = [0], engine._Run.process
-
-    def counted(run, rows):
-        waves[0] += 1
-        return process(run, rows)
-
-    monkeypatch.setattr(engine._Run, "process", counted)
-    return waves
-
-
 def test_timeout_after_k_nodes(monkeypatch, demo_net, demo_box, le15):
     # a run reads the clock at its start and once per wave, so with timeout
     # k its deadline passes where wave k + 1 would start. From there on
     # each row no wave has evaluated is an unknown leaf, the rows the waves
     # have decided keep their outcome, and the run goes on until no job is
     # pending.
-    waves = _count_waves(monkeypatch)
     monkeypatch.setattr(engine.time, "monotonic", _Clock())
     # naive bounds never prove y <= 16 near the corner (6, 5) where y = 16
     spec = (InputSpec((demo_box,)), OutLE(0, 16.0))
     v = verify(demo_net, spec, Config(mode="naive", timeout=20.0))
     assert (v.status, v.stats.nodes_explored, v.stats.max_depth) == (Status.UNKNOWN, 297, 39)
-    assert waves[0] == 20
+    assert v.stats.waves == 20
 
     cfg = Config(precision=0.25, max_depth=12)
     full = enumerate_regions(demo_net, le15, cfg)
-    assert waves[0] == 26  # the untimed run takes 6 waves
+    assert full.stats.waves == 6
     k = 3
     monkeypatch.setattr(engine.time, "monotonic", _Clock())
     report = enumerate_regions(demo_net, le15, dataclasses.replace(cfg, timeout=float(k)))
-    assert waves[0] == 26 + k
+    assert report.stats.waves == k
     got = [
         (b.lo.tolist(), b.hi.tolist(), s.value, None if c is None else c.tolist())
         for b, s, c in report.leaves
@@ -881,6 +868,25 @@ def test_enumerated_leaves_tile_the_raw_region(regions):
             assert b.lo[0] <= c[0] <= b.hi[0]
 
 
+@pytest.mark.parametrize("regions", [["*", "8175.655620602559 9062"], ["8175.655620602559 9062", "*"]])
+def test_overlapping_regions_keep_the_leaves_of_their_own_runs(regions):
+    # one region lies inside the other, and its lower end does not
+    # round-trip; each region's leaves are clipped to its own raw ends, as
+    # a run over it alone clips them. The cursor reaches the last region
+    # first, so its leaves come first.
+    net = load_network(_OFF_END_NET)
+
+    def leaves(regions):
+        text = "domain:\n8000 9062\n" + "".join(f"region:\n{r}\n" for r in regions)
+        spec = parse_property(text + "constraint:\nle 0 0.1946405860041431\n", num_outputs=1)
+        report = enumerate_regions(net, spec, Config(max_depth=3))
+        return [(b.ends.tolist(), s) for b, s, _ in report.leaves]
+
+    got = leaves(regions)
+    assert ([[8175.655620602559], [9062.0]], SubStatus.SECURE_SUB) in got
+    assert got == leaves(regions[1:]) + leaves(regions[:1])
+
+
 def test_region_that_overflows_when_normalized_is_rejected():
     net = load_network("1 1 1 1\n1,1\nnorm: 0.0,1e-300\n1\n0\n")
     spec = parse_property("domain:\n-1e10 1e10\nregion:\n*\nconstraint:\nle 0 1\n", num_outputs=1)
@@ -905,8 +911,10 @@ def test_write_report_verdict(tmp_path, demo_net, le15):
     assert doc["status"] == "insecure"
     assert len(doc["counterexample"]) == 2
     assert "nodes_explored" in doc["stats"]
-    # the root attack found the counterexample
+    # the root attack found the counterexample, in the one wave that
+    # bounded the root
     assert doc["stats"]["attack_hits"] == 1
+    assert (doc["stats"]["waves"], doc["stats"]["boxes_bounded"]) == (1, 1)
 
 
 def test_write_report_partition(tmp_path, demo_net, le20):

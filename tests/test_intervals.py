@@ -101,8 +101,10 @@ def test_matvec_identity():
 
 
 def test_matvec_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cols"):
         matvec_bounds(split([[1, 2, 3]]), [0], [[0], [1]])
+    with pytest.raises(ValueError, match="bias"):
+        matvec_bounds(split([[1, 2]]), [0, 0], [[0, 0], [1, 1]])
 
 
 def test_box_rejects_bad_bounds():
@@ -143,6 +145,20 @@ def test_bisect_unit():
 def test_bisect_point_errors():
     with pytest.raises(UnsplittableError):
         iv_bisect(Box([1.0], [1.0]), 0)
+    # a stack of two boxes needs two split dims
+    with pytest.raises(ValueError, match="one split dimension per box"):
+        iv_bisect(Box.stack(np.array([[[0.0], [1.0]], [[2.0], [3.0]]])), [0])
+    with pytest.raises(IndexError):
+        iv_bisect(Box([0.0], [1.0]), 1)
+
+
+def test_box_repr_gives_its_lower_then_its_upper_ends():
+    assert repr(Box([4, 1], [6, 5])) == "Box([4.0, 1.0], [6.0, 5.0])"
+    # a stack of n boxes prints its (n, d) lower and upper ends
+    for n in (1, 2, 3):
+        lo = [[4.0 + k, 1.0] for k in range(n)]
+        hi = [[6.0 + k, 5.0] for k in range(n)]
+        assert repr(Box.stack(np.stack((lo, hi), axis=1))) == f"Box({lo}, {hi})"
 
 
 def test_widths():

@@ -60,6 +60,8 @@ def test_desugar_notmin_is_or():
     c = desugar(NotMin(0), 3)
     assert isinstance(c, Or)
     assert set(c.args) == {DiffLE(1, 0, 0.0), DiffLE(2, 0, 0.0)}
+    with pytest.raises(TypeError, match="not a rank atom"):
+        desugar(OutLE(0, 1.0), 3)
 
 
 def test_desugar_matches_concrete_truth():
@@ -555,6 +557,11 @@ def test_sound_check_rejects_an_output_index_out_of_range(c):
 def test_sound_check_rejects_a_threshold_that_is_not_finite(c):
     with pytest.raises(ValueError, match="not finite"):
         SoundCheck(c, 1)
+
+
+def test_sound_check_rejects_an_unknown_node():
+    with pytest.raises(TypeError, match="unknown constraint node"):
+        SoundCheck(And((OutLE(0, 1.0), "le 0 1")), 1)
 
 
 def test_check_concrete_is_a_plain_bool_for_one_vector():

@@ -13,10 +13,9 @@ the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
 node count, counterexample, leaves or run stats (all but the wall time)
 differ between the trees is printed, then two summary lines per workload
-and seed. The first also gives each tree's total of waves (calls to
-`engine._Run.process`; a wave that overflows and falls back to its first
-row alone counts once) and of the boxes bounded (the sizes of the stacks
-the engine passes to `symbolic_forward` and `naive_forward`); these are
+and seed. The first also gives each tree's total of the `waves` and
+`boxes_bounded` of its runs' `RunStats`, or `n/a` for a tree whose
+`RunStats` lacks them; these depend on the batching, so they are
 reported, not compared. The second tallies the differing runs by their
 move from ROOT_A's status to ROOT_B's, and counts those that take more
 nodes and fewer nodes under ROOT_B. Exits 1 on any difference, else 0.
@@ -35,6 +34,8 @@ import tempfile
 from bench_cases import BENCH, generate_cases, workload_names
 
 MODES = ("symbolic", "naive")
+# the RunStats counters that depend on the batching: reported, not compared
+WORK = ("waves", "boxes_bounded")
 
 
 def run_tree(src, cases_path):
@@ -48,30 +49,18 @@ def run_tree(src, cases_path):
     if not os.path.abspath(rc.__file__).startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"relucheck imported from {rc.__file__}, not from {src}")
 
-    # the stats of each run's result, but its wall time, and the waves it
-    # evaluated and the boxes they bounded
+    # the stats of each run's result, but its wall time, with its waves
+    # and boxes bounded kept apart (None where the tree lacks them)
     stats, work = {}, {}
     for name in ("verify", "enumerate_regions"):
         def capture(*args, run=getattr(rc, name)):
-            work.update(waves=0, boxes=0)
             result = run(*args)
             stats.update(result.stats.to_dict())
             del stats["wall_time"]
+            work.update((k, stats.pop(k, None)) for k in WORK)
             return result
 
         setattr(rc, name, capture)
-
-    def counted(run, *args, process=rc.engine._Run.process):
-        work["waves"] += 1
-        return process(run, *args)
-
-    rc.engine._Run.process = counted
-    for name in ("symbolic_forward", "naive_forward"):
-        def bounded(net, box, forward=getattr(rc.engine, name)):
-            work["boxes"] += len(box.ends) if box.ends.ndim == 3 else 1
-            return forward(net, box)
-
-        setattr(rc.engine, name, bounded)
 
     with open(cases_path) as f:
         cases = json.load(f)
@@ -102,8 +91,8 @@ def compare(roots, name, seed, env):
         if p.returncode:
             raise SystemExit(f"{name} seed {seed}: the run against {root} exited {p.returncode}")
     runs = [[json.loads(line) for line in out.splitlines()] for out in outs]
-    # (waves, boxes) of each tree, taken out of the runs it compares
-    work = [[sum(r.pop(k) for r in rs) for k in ("waves", "boxes")] for rs in runs]
+    # (waves, boxes bounded) of each tree, taken out of the runs it compares
+    work = [[[r.pop(k) for r in rs] for k in WORK] for rs in runs]
     differ = 0
     moves, more, fewer = collections.Counter(), 0, 0
     for a, b in zip(*runs):
@@ -124,7 +113,8 @@ def compare(roots, name, seed, env):
         differ += 1
     negated = sum(r["negated"] for r in runs[0])
     print(f"{name} seed {seed}: {total} runs ({negated} negated), {differ} differ; "
-          + " vs ".join(f"{w:,} waves, {b:,} boxes bounded" for w, b in work))
+          + " vs ".join("n/a" if None in w + b else f"{sum(w):,} waves, {sum(b):,} boxes bounded"
+                        for w, b in work))
     print(f"{name} seed {seed}: differing runs "
           + (", ".join(f"{move} {n}" for move, n in sorted(moves.items())) or "none")
           + f"; {more} take more nodes and {fewer} fewer under B", flush=True)
