@@ -299,43 +299,43 @@ class _Run:
         self.t0 = time.monotonic()
 
     # -- the rows ------------------------------------------------------------
-    def _take_rows(self, n: int) -> list:
-        """Take n free rows, without an outcome or a plan. When too few are
-        free, the blocks grow. The caller sets their depth, region and
-        `ends`."""
-        free, outcome, plan = self.free, self.outcome, self.plan
+    def _take_rows(self, parents: list, sizes: list, steps: list) -> tuple:
+        """Take sizes[k] free rows for the children of parents[k], each
+        steps[k] levels deeper than it, in its region, and without an
+        outcome or a plan. When too few are free, the blocks grow. Returns
+        the new rows, each parent's in turn, and the list of each parent's
+        children; the caller fills in their `ends`."""
+        free, n = self.free, sum(sizes)
+        depth, region, outcome, plan = self.depth, self.region, self.outcome, self.plan
         if len(free) < n:
             size = len(outcome)
             grown = max(2 * size, size + n - len(free), _MIN_ROWS)
             self.ends = np.concatenate((self.ends, np.empty((grown - size,) + self.ends.shape[1:])))
-            self.depth.extend([0] * (grown - size))
-            self.region.extend([0] * (grown - size))
-            outcome.extend([None] * (grown - size))
-            plan.extend([-1] * (grown - size))
+            for rows, fill in ((depth, 0), (region, 0), (outcome, None), (plan, -1)):
+                rows.extend([fill] * (grown - size))
             free.extend(range(size, grown))
         cut = len(free) - n
         new = free[cut:]
         del free[cut:]
-        for r in new:
-            outcome[r] = None
-            plan[r] = -1
-        return new
-
-    def _add_children(self, rows: list, sizes: list, steps: list) -> list:
-        """Take free rows for the children of `rows`: sizes[k] rows for
-        rows[k], each steps[k] levels deeper than it. Each parent's outcome
-        becomes the list of its children. Returns all the new rows in that
-        order; the caller fills in their `ends`."""
-        depth, region, outcome = self.depth, self.region, self.outcome
-        new = self._take_rows(sum(sizes))
-        start = 0
-        for r, k, s in zip(rows, sizes, steps):
-            children = outcome[r] = new[start : start + k]
-            start += k
-            d = depth[r] + s
+        groups, start = [], 0
+        for r, k, s in zip(parents, sizes, steps):
+            d, g = depth[r] + s, region[r]
+            children = new[start : start + k]
+            groups.append(children)
             for c in children:
                 depth[c] = d
-                region[c] = region[r]
+                region[c] = g
+                outcome[c] = None
+                plan[c] = -1
+            start += k
+        return new, groups
+
+    def _add_children(self, rows: list, sizes: list, steps: list) -> list:
+        """Take the children of `rows` with `_take_rows`, and make each
+        row's outcome the list of its children. Returns all the new rows."""
+        new, groups = self._take_rows(rows, sizes, steps)
+        for r, children in zip(rows, groups):
+            self.outcome[r] = children
         return new
 
     def partition(self) -> list:
@@ -412,14 +412,13 @@ class _Run:
                     return {b: cex}
         return {}
 
-    def _attack_root(self, region: int, lo: np.ndarray, hi: np.ndarray):
-        """A counterexample in the root box [lo, hi] of a region, found by
-        signed-gradient descent on the constraint's margin, or None.
+    def _attack_root(self, row: int, lo: np.ndarray, hi: np.ndarray):
+        """A counterexample in [lo, hi], the box of the root `row`, found
+        by signed-gradient descent on the constraint's margin, or None.
 
         The starts are the box's midpoint, then _ATTACK_STARTS - 1 uniform
-        points per literal, drawn by a generator seeded with the region's
-        index (a root's row: the regions are the first rows, and a reused
-        row is not a root). Each start takes _ATTACK_STEPS steps,
+        points per literal, drawn by a generator seeded with the index of
+        the row's region. Each start takes _ATTACK_STEPS steps,
         the t-th of 0.25 * width * 2^(-t/4) in each dim, clipped to the
         box, each down the margin of the literal that is active at the
         point (`SoundCheck.active`); with one literal, that is its margin
@@ -429,7 +428,7 @@ class _Run:
         k, d = len(self.check.t), len(lo)
         if not k:  # no literal, no start
             return None
-        rng = random.Random(region)
+        rng = random.Random(self.region[row])
         draws = [rng.random() for _ in range(k * (_ATTACK_STARTS - 1) * d)]
         u = np.reshape(draws, (-1, d))
         x = np.empty((1 + len(u), d))
@@ -442,13 +441,13 @@ class _Run:
             r, g = margin_gradients(self.core, x, self.check)
             hit = r <= 0.0
             if hit.any():
-                found = self._counterexamples([region], x[hit][np.newaxis])
+                found = self._counterexamples([row], x[hit][np.newaxis])
                 if found:
                     return found[0]
             x = np.minimum(np.maximum(x + steps[step] * np.sign(g), lo), hi)
         # no margins after the last step: `_counterexamples` evaluates the
         # points anyway, and a point that violates has a margin <= 0
-        return self._counterexamples([region], x[np.newaxis]).get(0)
+        return self._counterexamples([row], x[np.newaxis]).get(0)
 
     def _refute(self, rows: list, found: dict) -> list:
         """Make each row that has a counterexample an insecure leaf, and
@@ -479,22 +478,20 @@ class _Run:
     def process(self, rows: list) -> None:
         """Evaluate a wave of rows as one stack of boxes, each row with the
         two children its plan gives, in the order the cursor reaches them:
-        the row, its right child, its left child. A row whose own split is
-        its plan adopts those children, which are then evaluated already;
-        the other planned children are freed, with the rows they took. If
-        the stack overflows, the wave's first row is evaluated alone,
-        without its planned children."""
+        the row, its right child, its left child. The planned children take
+        their rows from `_take_rows`. A row whose own split is its plan
+        adopts those children, which are then evaluated already; the other
+        planned children are freed, with the rows they took. If the stack
+        overflows, the wave's first row is evaluated alone, without its
+        planned children."""
         self.stats.waves += 1
         kids = {}  # row -> its planned children, left then right
-        plan, depth, region = self.plan, self.depth, self.region
+        plan = self.plan
         parents = [r for r in rows if plan[r] >= 0]
         if parents:
-            new = self._take_rows(2 * len(parents))
+            new, pairs = self._take_rows(parents, [2] * len(parents), [1] * len(parents))
             self._bisect(new, Box.stack(self.ends[parents]), [plan[r] for r in parents])
-            for k, r in enumerate(parents):
-                kids[r] = new[2 * k : 2 * k + 2]
-                depth[new[2 * k]] = depth[new[2 * k + 1]] = depth[r] + 1
-                region[new[2 * k]] = region[new[2 * k + 1]] = region[r]
+            kids = dict(zip(parents, pairs))
         stack = [c for r in rows for c in [r] + kids.get(r, [])[::-1]]
         try:
             self._evaluate(stack, kids)

@@ -287,16 +287,17 @@ def _parse_json(text: str) -> Network:
 
 
 def read_text(source, error: type, what: str) -> str:
-    """The text of `source`: an open file, bytes or str. Bytes that are
-    not UTF-8 raise `error`, a message naming the `what` file."""
+    """The text of `source`: an open file, bytes or str, without a leading
+    byte-order mark. Bytes that are not UTF-8 raise `error`, a message
+    naming the `what` file."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as e:
             raise error(f"{what} file is not UTF-8 text: {e}") from None
-    return source
+    return source.removeprefix("\ufeff")
 
 
 def load_network(source) -> Network:

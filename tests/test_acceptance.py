@@ -266,8 +266,8 @@ def test_criterion_7_enumerate_consistency(demo_net, le15):
 
 def test_criterion_8_width_reduction_and_optional_models():
     """Symbolic never wider than naive on average, per net; optional
-    full-scale collision-avoidance check runs only when model files are
-    supplied under models/."""
+    full-scale collision-avoidance check runs only when NNET-lite model
+    files (*.nnl) are supplied under models/."""
     rng = np.random.default_rng(88)
     worse_nets = 0
     naive_total = symbolic_total = 0.0
@@ -284,11 +284,11 @@ def test_criterion_8_width_reduction_and_optional_models():
             worse_nets += 1
     reduction = 100.0 * (1.0 - symbolic_total / naive_total)
 
-    models = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "models", "*.nnet")))
+    models = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "models", "*.nnl")))
     model_note = "no model files, full-scale check skipped"
     models_ok = True
     if models:
-        cfg = Config(workers=8, timeout=600.0)
+        cfg = Config(timeout=600.0)
         with open(models[0], "rb") as f:
             net = load_network(f)
         for prop in ("phi5.prop", "phi10.prop"):

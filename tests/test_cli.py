@@ -8,7 +8,8 @@ import pytest
 from relucheck import cli
 from relucheck.cli import run
 from relucheck.data import shipped_path
-from relucheck.network import DimensionMismatchError
+from relucheck.network import DimensionMismatchError, load_network
+from relucheck.properties import parse_property
 
 from test_network import MALFORMED_JSON
 
@@ -254,6 +255,32 @@ def test_malformed_property_exit_4(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, data
         assert (data in bare) == ("expected '('" in err), data
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    # UTF-8 text may start with a byte-order mark, as bytes or decoded
+    plain = [shipped_path(name).read_bytes() for name in ("demonet.nnl", "le15.prop")]
+    bom = tmp_path / "bom.nnl", tmp_path / "bom.prop"
+    for path, data in zip(bom, plain):
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+
+    def weights(net):
+        return [(layer.W.tolist(), layer.b.tolist()) for layer in net.layers]
+
+    def regions(spec):
+        return [r.ends.tolist() for r in spec.regions]
+
+    net, (spec, constraint) = load_network(plain[0]), parse_property(plain[1])
+    for source in (bom[0].read_bytes(), bom[0].read_text(encoding="utf-8")):
+        assert weights(load_network(source)) == weights(net)
+    for source in (bom[1].read_bytes(), bom[1].read_text(encoding="utf-8")):
+        got_spec, got = parse_property(source)
+        assert got == constraint and regions(got_spec) == regions(spec)
+    outs = []
+    for paths in ((NET, LE15), bom):
+        assert run(["verify", "--network", str(paths[0]), "--property", str(paths[1])]) == 1
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0] and outs[0].out.startswith("Insecure cex=(6.0,5.0)")
 
 
 def test_shipped_path_of_a_missing_file_raises():

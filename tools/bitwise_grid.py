@@ -11,14 +11,17 @@ the other mode, each with its constraint as parsed and wrapped in a `Not`
 (no workload property has a negated literal, so only the wrapped runs reach
 the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
-node count, counterexample, leaves or run stats (all but the wall time)
-differ between the trees is printed, then two summary lines per workload
-and seed. The first also gives each tree's total of the `waves` and
-`boxes_bounded` of its runs' `RunStats`, or `n/a` for a tree whose
-`RunStats` lacks them; these depend on the batching, so they are
-reported, not compared. The second tallies the differing runs by their
-move from ROOT_A's status to ROOT_B's, and counts those that take more
-nodes and fewer nodes under ROOT_B. Exits 1 on any difference, else 0.
+node count, counterexample, leaves or run stats differ between the trees
+is printed, then two summary lines per workload and seed. The run stats
+compared are the `RunStats` keys that both trees report, but the wall
+time; after a workload's seeds, one line names the keys that only one
+tree reports, if any. The first summary line also gives each tree's
+total of the `waves` and `boxes_bounded` of its runs' `RunStats`, or
+`n/a` for a tree whose `RunStats` lacks them; these depend on the
+batching, so they are reported, not compared. The second tallies the
+differing runs by their move from ROOT_A's status to ROOT_B's, and counts
+those that take more nodes and fewer nodes under ROOT_B. Exits 1 on any
+difference, else 0.
 Nothing under bench/ is written.
 """
 
@@ -75,7 +78,8 @@ def run_tree(src, cases_path):
 
 def compare(roots, name, seed, env):
     """Run one workload at one seed against both trees; print every run
-    that differs and a summary line. Returns the number of differences."""
+    that differs and a summary line. Returns the number of differences and
+    the set of `RunStats` keys that only tree A and only tree B report."""
     with tempfile.TemporaryDirectory() as tmp:
         cases = generate_cases(name, seed, os.path.join(tmp, "cases"), roots[0])
         cases_path = os.path.join(tmp, "cases", "cases.json")
@@ -93,6 +97,12 @@ def compare(roots, name, seed, env):
     runs = [[json.loads(line) for line in out.splitlines()] for out in outs]
     # (waves, boxes bounded) of each tree, taken out of the runs it compares
     work = [[[r.pop(k) for r in rs] for k in WORK] for rs in runs]
+    # the stats keys that only one tree reports are not compared
+    keys = [{k for r in rs for k in r["stats"]} for rs in runs]
+    shared = keys[0] & keys[1]
+    for rs in runs:
+        for r in rs:
+            r["stats"] = {k: r["stats"][k] for k in shared}
     differ = 0
     moves, more, fewer = collections.Counter(), 0, 0
     for a, b in zip(*runs):
@@ -118,7 +128,7 @@ def compare(roots, name, seed, env):
     print(f"{name} seed {seed}: differing runs "
           + (", ".join(f"{move} {n}" for move, n in sorted(moves.items())) or "none")
           + f"; {more} take more nodes and {fewer} fewer under B", flush=True)
-    return differ
+    return differ, [k - shared for k in keys]
 
 
 def main(argv):
@@ -133,7 +143,17 @@ def main(argv):
         return 2
     seeds = [int(a) for a in argv[4:]]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    differ = sum(compare(roots, name, seed, env) for name in names for seed in seeds)
+    differ = 0
+    for name in names:
+        only = [set(), set()]
+        for seed in seeds:
+            d, one_sided = compare(roots, name, seed, env)
+            differ += d
+            for keys, new in zip(only, one_sided):
+                keys |= new
+        if any(only):
+            print(f"{name}: RunStats keys not compared, only under A: {', '.join(sorted(only[0])) or 'none'}; "
+                  f"only under B: {', '.join(sorted(only[1])) or 'none'}", flush=True)
     return 1 if differ else 0
 
 

@@ -11,16 +11,19 @@ workload's cases are generated with bench/workloads.py into that
 directory (the property files come from ROOT_A), loaded once per tree,
 and each is run once per tree before timing, so that both trees time warm
 code. Then, round after round, every case runs through bench/child.py's
-`run_case` on both trees back to back, alternating which tree goes first
-from case to case and from round to round. The host's speed drifts over
-minutes, and the two runs of a case are seconds apart at most. Each round
-first times each tree's set-up, bench/child.py's `load_all` of the
-workload's network and property files, SETUP_REPEATS times per tree (as
-bench/child.py does), alternating which tree goes first from load to load
-and from round to round; one load spreads too widely to compare.
+`run_case` SETUP_REPEATS times per tree, the trees back to back,
+alternating which tree goes first from run to run, from case to case and
+from round to round; a case's time in a round is the minimum of its
+runs on that tree, since one run of a short case spreads by several
+percent. The host's speed drifts over minutes, and the runs of a case
+are seconds apart at most. Each round first times each tree's set-up,
+bench/child.py's `load_all` of the workload's network and property files,
+SETUP_REPEATS times per tree (as bench/child.py does), alternating which
+tree goes first from load to load and from round to round; one load
+spreads too widely to compare.
 
 Per round, one line gives each tree's median set-up time and the ratio
-B/A, then the summed case time of each tree and the ratio B/A, over all
+B/A, then the summed case times of each tree and the ratio B/A, over all
 cases and by case class: the cases that take 1 node, 2-10 nodes and 11
 or more on ROOT_A, and the TAIL cases slowest on ROOT_A in the untimed
 first run, those at and beyond bench/run.py's tail percentile. Exits 1 if
@@ -31,6 +34,7 @@ Nothing under bench/ is written.
 from __future__ import annotations
 
 import importlib
+import math
 import os
 import shutil
 import statistics
@@ -43,7 +47,9 @@ from bench_cases import BENCH, generate_cases, workload_names
 CLASSES = (("1 node", 1, 1), ("2-10 nodes", 2, 10), ("11+ nodes", 11, float("inf")))
 # bench/run.py's tail percentile keeps 10 cases beyond it
 TAIL = 11
-# loads per tree per round whose median is the set-up time, as in bench/child.py
+# loads per tree per round whose median is the set-up time, as in
+# bench/child.py, and runs of each case per tree per round whose minimum is
+# its time
 SETUP_REPEATS = 5
 
 
@@ -98,10 +104,11 @@ def time_workload(trees, roots, name, seed, rounds, tmp):
                 load_all(trees[side], cases)
                 loads[side].append(time.perf_counter() - t0)
         setup = [statistics.median(t) for t in loads]
-        times = [[0.0] * len(cases), [0.0] * len(cases)]
+        times = [[math.inf] * len(cases), [math.inf] * len(cases)]
         for i in range(len(cases)):
-            for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
-                times[side][i] = run(side, i)[0]
+            for rep in range(SETUP_REPEATS):
+                for side in ((0, 1) if (i + r + rep) % 2 == 0 else (1, 0)):
+                    times[side][i] = min(times[side][i], run(side, i)[0])
         parts = [ratio("set-up", *setup), summary("all", range(len(cases)), times)]
         for label, low, high in CLASSES:
             parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
