@@ -42,11 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
         command("enumerate", _cmd_enumerate, "partition into secure/insecure sub-boxes"),
     ):
         sp.add_argument("--property", required=True, help="property file")
-        sp.add_argument("--mode", choices=["naive", "symbolic"], default="symbolic")
-        sp.add_argument("--precision", type=float, default=1e-6)
-        sp.add_argument("--timeout", type=float, default=300.0)
-        sp.add_argument("--max-depth", type=int, default=None)
-        sp.add_argument("--samples", choices=["midpoint", "corners"], default="midpoint")
+        sp.add_argument("--mode", choices=["naive", "symbolic"], default=Config.mode)
+        sp.add_argument("--precision", type=float, default=Config.precision)
+        sp.add_argument("--timeout", type=float, default=Config.timeout)
+        sp.add_argument("--max-depth", type=int, default=Config.max_depth)
+        sp.add_argument("--samples", choices=["midpoint", "corners"], default=Config.sample_strategy)
         sp.add_argument("--report", default=None, help="write a JSON run report here")
 
     ev = command("eval", _cmd_eval, "concrete forward pass")

@@ -32,6 +32,12 @@ order of the leaves depend neither on the wave size nor on the plans.
 Results that a verify run never reaches because it stopped at a
 counterexample are dropped, and are not counted as nodes.
 
+Boxes, sample points, counterexamples and leaves are in the property's
+units; the analysis passes apply the network's input normalization. The
+split rule, the monotonicity reduction and the default depth budget read
+widths in the units the first layer reads (`input_widths`), so that
+"widest" does not rank feet against radians.
+
 A verify run also attacks each undecided root box (an input region)
 before splitting it, whatever its constraint. From the midpoint and a few
 seeded uniform points, projected signed-gradient steps (PGD, Madry et
@@ -187,41 +193,50 @@ class Config:
 
 
 def internal_view(net: Network, input_spec: InputSpec):
-    """(core, regions): `net` without its input normalization, and the
-    spec's regions as one stack of boxes in the coordinates that core
-    reads. The analysis runs on these. The core holds `net.layers` itself,
-    which `net` checked when it was built, so it is made without those
-    checks. It is new on every call, so the `split_weights` it computes
-    are freed with the run, not kept on `net`.
+    """(core, regions): a copy of `net` that the run analyses, and the
+    spec's regions as written, as one stack of boxes. The core keeps the
+    input normalization for a raw-unit spec, and drops it for a spec in
+    normalized units, so it reads the regions in the spec's own units. It
+    holds `net.layers` itself, which `net` checked when it was built, so it
+    is made without those checks. It is new on every call, so the
+    `split_weights` it computes are freed with the run, not kept on `net`.
 
     Raises DimensionMismatchError when the spec's input dimension is not
-    the network's."""
+    the network's, and ValueError when a region's ends overflow when
+    normalized."""
     if input_spec.dim != net.input_dim:
         raise DimensionMismatchError(
             f"property has {input_spec.dim} input dims, network expects {net.input_dim}"
         )
     ends = np.array([r.ends for r in input_spec.regions])
-    if net.has_normalization and input_spec.units == "raw":
-        # normalizing keeps lo <= hi, but it may overflow
-        ends = net.normalize(ends)
-        if not np.isfinite(ends).all():
-            raise ValueError("a region's bounds overflow when normalized")
     core = object.__new__(Network)
     vars(core).update(layers=net.layers, norm_mean=None, norm_range=None)
+    if net.has_normalization and input_spec.units == "raw":
+        # normalizing keeps lo <= hi, but it may overflow
+        if not np.isfinite(net.normalize(ends)).all():
+            raise ValueError("a region's bounds overflow when normalized")
+        vars(core).update(norm_mean=net.norm_mean, norm_range=net.norm_range)
     return core, Box.stack(ends)
 
 
-def default_max_depth(regions: Box, precision: float) -> int:
+def input_widths(box: Box, scale) -> np.ndarray:
+    """The widths of a box or a stack in the units the first layer reads:
+    divided by `scale`, the normalization ranges of a run whose core has
+    them, or 1.0."""
+    return box.widths() / scale
+
+
+def default_max_depth(regions: Box, precision: float, scale=1.0) -> int:
     """ceil(log2(max initial width / precision)) * d, at least 1, over a
-    box or a stack of boxes."""
+    box or a stack of boxes, its widths read by `input_widths`."""
     d = len(regions)
     with np.errstate(over="ignore"):
-        wmax = float(regions.widths().max())
+        wmax = float(input_widths(regions, scale).max())
     if wmax <= precision:
         return 1
     ratio = wmax / precision
     if math.isinf(ratio):  # past the float range; halved widths are not
-        half = float(np.max(regions.hi / 2 - regions.lo / 2))
+        half = float(input_widths(Box.stack(regions.ends / 2), scale).max())
         bits = math.log2(half) + 1.0 - math.log2(precision)
     else:
         bits = math.log2(ratio)
@@ -256,28 +271,22 @@ class _Run:
     run reuses (`free`) once the cursor has consumed it, so its memory
     follows the pending rows and their evaluated descendants. Rows are
     never moved or renumbered. An enumerate run keeps its leaf rows, since
-    its leaves are read from them at the end."""
+    its leaves are read from them at the end. The rows hold boxes in the
+    spec's units, which the passes and the core's evaluation normalize
+    where the core has a normalization; `scale` reads their widths in the
+    units the first layer reads."""
 
     def __init__(self, net: Network, spec, cfg: Config, short_circuit: bool):
-        self.net = net
         input_spec, constraint = spec
         self.core, regions = internal_view(net, input_spec)
         self.cfg = cfg
         self.short_circuit = short_circuit
         self.check = compile_check(constraint, net.output_dim)
-        # leaves and counterexamples are reported in the spec's units
-        self.convert = net.has_normalization and input_spec.units == "raw"
-        # the regions in both units, where a region's converted ends are
-        # not its raw ends, so that a converted point may lie outside it
-        self.clip = None
-        if self.convert:
-            raw = np.array([r.ends for r in input_spec.regions])
-            if not (net.denormalize(regions.ends) == raw).all():
-                self.clip = (regions.ends, raw)
+        self.scale = self.core.norm_range if self.core.has_normalization else 1.0
         self.max_depth = (
             cfg.max_depth
             if cfg.max_depth is not None
-            else default_max_depth(regions, cfg.precision)
+            else default_max_depth(regions, cfg.precision, self.scale)
         )
         # endpoint boxes would break an enumerated partition, and they are
         # unsound for disjunctions
@@ -339,12 +348,8 @@ class _Run:
         return new
 
     def partition(self) -> list:
-        """The leaves as (Box, status, cex), boxes in the spec's units."""
-        rows = [row for row, _, _ in self.leaves]
-        ends = self.ends[rows]
-        if self.convert:
-            ends = self._to_raw(rows, ends)
-        boxes = Box.stack(ends).unstack()
+        """The leaves as (Box, status, cex), as the rows hold them."""
+        boxes = Box.stack(self.ends[[row for row, _, _ in self.leaves]]).unstack()
         return [(box, status, cex) for box, (_, status, cex) in zip(boxes, self.leaves)]
 
     # -- sampling ----------------------------------------------------------
@@ -358,40 +363,19 @@ class _Run:
         corners = np.repeat(mid, len(sides), axis=1)
         lo, hi = box.lo[:, np.newaxis, :k], box.hi[:, np.newaxis, :k]
         corners[..., :k] = np.where(sides, hi, lo)
-        return self._counterexamples(rows, corners)
+        return self._counterexamples(corners)
 
     def _violates(self, y: np.ndarray):
         """Whether outputs violate the constraint. Outputs that are not all
         finite overflowed, and certify nothing about the real ones."""
         return np.logical_not(check_concrete(y, self.check)) & np.isfinite(y).all(axis=-1)
 
-    def _to_raw(self, rows: list, x: np.ndarray) -> np.ndarray:
-        """(n, k, d) points of the core, k for each of the n boxes of
-        `rows`, in raw units. Where `clip` is set, the points of a box go to
-        the raw region of the box's own region: a coordinate on one of the
-        region's ends becomes its raw end, and the others are clipped into
-        the raw region, so that leaves keep tiling it."""
-        raw = self.net.denormalize(x)
-        if self.clip is None:
-            return raw
-        norm, ends = self.clip
-        at = np.array([self.region[r] for r in rows])[:, np.newaxis]
-        lo, hi = ends[at, 0], ends[at, 1]
-        raw = np.where(x == norm[at, 0], lo, np.where(x == norm[at, 1], hi, raw))
-        return np.minimum(np.maximum(raw, lo), hi)
-
-    def _counterexamples(self, rows: list, pts: np.ndarray) -> dict:
+    def _counterexamples(self, pts: np.ndarray) -> dict:
         """The first of each box's (B, S, d) sample points that violates
-        the constraint, in the spec's units, by box index in rising order;
-        boxes without one are left out. A raw-unit run on a normalized
-        network converts the points to raw units once (`_to_raw`) and
-        evaluates the raw points through the full network, so a point it
-        reports is always the point whose outputs were checked. Other runs
-        evaluate the points on the core."""
-        net = self.core
-        if self.convert:
-            pts, net = self._to_raw(rows, pts), self.net
-        bad = self._violates(eval_concrete_batch(net, pts.reshape(-1, pts.shape[-1])))
+        the constraint, by box index in rising order; boxes without one are
+        left out. The points are evaluated once, through the core, so a
+        point reported is always the point whose outputs were checked."""
+        bad = self._violates(eval_concrete_batch(self.core, pts.reshape(-1, pts.shape[-1])))
         if not bad.any():
             return {}
         bad = bad.reshape(pts.shape[:2])
@@ -400,7 +384,7 @@ class _Run:
 
     def _attack(self, rows: list, box: Box) -> dict:
         """The first root box of a stack in which gradient steps find a
-        counterexample, as {box index: counterexample in the spec's units},
+        counterexample, as {box index: counterexample},
         or {}. A verify run stops at that root, so the roots after it are
         not attacked. Each root is attacked on its own, so its result does
         not depend on the boxes that share its stack."""
@@ -441,13 +425,13 @@ class _Run:
             r, g = margin_gradients(self.core, x, self.check)
             hit = r <= 0.0
             if hit.any():
-                found = self._counterexamples([row], x[hit][np.newaxis])
+                found = self._counterexamples(x[hit][np.newaxis])
                 if found:
                     return found[0]
             x = np.minimum(np.maximum(x + steps[step] * np.sign(g), lo), hi)
         # no margins after the last step: `_counterexamples` evaluates the
         # points anyway, and a point that violates has a margin <= 0
-        return self._counterexamples([row], x[np.newaxis]).get(0)
+        return self._counterexamples(x[np.newaxis]).get(0)
 
     def _refute(self, rows: list, found: dict) -> list:
         """Make each row that has a counterexample an insecure leaf, and
@@ -492,7 +476,11 @@ class _Run:
             new, pairs = self._take_rows(parents, [2] * len(parents), [1] * len(parents))
             self._bisect(new, Box.stack(self.ends[parents]), [plan[r] for r in parents])
             kids = dict(zip(parents, pairs))
-        stack = [c for r in rows for c in [r] + kids.get(r, [])[::-1]]
+        stack = []
+        for r in rows:
+            stack.append(r)
+            if r in kids:
+                stack.extend(reversed(kids[r]))
         try:
             self._evaluate(stack, kids)
         except IntervalOverflowError:
@@ -527,7 +515,7 @@ class _Run:
         outcome = self.outcome
         at = np.array(rows)
         box = Box.stack(self.ends.take(at, axis=0))
-        rest = self._refute(rows, self._counterexamples(rows, box.midpoint()[:, np.newaxis, :]))
+        rest = self._refute(rows, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
         if not rest:
             return
         if len(rest) < len(rows):
@@ -567,7 +555,7 @@ class _Run:
         if len(keep) < len(idx):
             box, idx = box.take(keep), idx[keep]
         rows = [rows[i] for i in idx.tolist()]
-        widths = box.widths()
+        widths = input_widths(box, self.scale)
 
         J = None
         if cfg.mode == "symbolic":
@@ -623,7 +611,7 @@ class _Run:
         at_max = [self.depth[c] >= self.max_depth for c in new[::2]]
         if all(at_max):
             return
-        widths = Box.stack(self.ends[new]).widths()
+        widths = input_widths(Box.stack(self.ends[new]), self.scale)
         widths = widths.reshape(-1, 2, widths.shape[-1])
         J = J if J is None else J[:, np.newaxis]
         plan = self.plan

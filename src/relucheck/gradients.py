@@ -14,7 +14,7 @@ import numpy as np
 
 from .intervals import round_out
 from .network import Network
-from .propagate import ReluMaskMatrix, _check_unnormalized
+from .propagate import ReluMaskMatrix
 
 __all__ = [
     "backward_gradient",
@@ -35,10 +35,9 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
 
     The masks are those of one box or of a stack, whose Jacobian is
     (B, 2, m, d); each box of a stack gets the bits it would get alone.
-    The inputs are those the first layer reads: `net` has no input
-    normalization.
+    The inputs are those the first layer reads: where `net` has an input
+    normalization, the normalized ones.
     """
-    _check_unnormalized(net)
     if len(masks) != net.num_hidden:
         raise ValueError(
             f"mask has {len(masks)} hidden layers, network has {net.num_hidden}"
@@ -89,19 +88,22 @@ def smear_split_choice(J, widths: np.ndarray, precision: float = 0.0):
 
 
 def margin_gradients(net: Network, xs: np.ndarray, check) -> tuple:
-    """(r, g) at a batch of points xs (n, d) of a network without input
-    normalization: the margins r (n,) of the compiled constraint `check`
+    """(r, g) at a batch of points xs (n, d), in the units of the
+    network's inputs: the margins r (n,) of the compiled constraint `check`
     at the points' outputs, and the gradient g (n, d) of a_k . y in each
     point's input, for the literal k that sets its margin (see
     `SoundCheck.active`), back-propagated through the point's own
-    activation pattern (a unit at exactly 0 passes none). Stepping along g
-    lowers that literal's margin.
+    activation pattern (a unit at exactly 0 passes none). The points are
+    normalized first, and g is with respect to the inputs the first layer
+    reads; a normalization divides by positive ranges, so g has the signs
+    of the gradient in the points' own units. Stepping along g lowers that
+    literal's margin.
 
     Each layer is one matrix product over the whole batch, so a point's
     bits may depend on the batch it is in: a caller that needs them
     repeatable forms its batches from its own state alone.
     """
-    v = xs
+    v = net.normalize(xs)
     active = []
     for k, layer in enumerate(net.layers):
         v = v @ layer.W.T + layer.b

@@ -122,11 +122,6 @@ class Network:
             return np.asarray(x, dtype=np.float64)
         return (np.asarray(x, dtype=np.float64) - self.norm_mean) / self.norm_range
 
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        if not self.has_normalization:
-            return np.asarray(x, dtype=np.float64)
-        return np.asarray(x, dtype=np.float64) * self.norm_range + self.norm_mean
-
     @functools.cached_property
     def split_weights(self) -> tuple:
         """(W+, W-) of every layer: the positive and negative parts of W.

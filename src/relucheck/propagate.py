@@ -5,8 +5,9 @@ symbolic mode additionally yields per-neuron activation masks consumed by
 the backward gradient pass, and the output rows, which the property check
 maps through its literal rows. The symbolic mode bounds the hidden layers
 only: its output bounds are computed from the output rows on first read,
-which the search never makes. Both read only the layers and their
-`split_weights`, so they refuse a network with an input normalization.
+which the search never makes. Both take boxes in the units the network's
+inputs are given in: a network with an input normalization maps each box
+through `net.normalize`, rounded to nearest, before its first layer.
 """
 
 from __future__ import annotations
@@ -72,28 +73,22 @@ class ForwardResult:
         return tuple(Interval(a, b) for a, b in zip(self.lo, self.hi))
 
 
-def _check_unnormalized(net: Network):
-    if net.has_normalization:
-        raise ValueError(
-            "the analysis passes apply no input normalization: analyse "
-            "Network(net.layers) over bounds mapped by net.normalize, as engine.internal_view does"
-        )
-
-
-def _check_dims(net: Network, x: Box):
-    _check_unnormalized(net)
+def _first_layer_box(net: Network, x: Box) -> Box:
+    """`x` in the coordinates the first layer reads: its ends mapped
+    through `net.normalize`, rounded to nearest, where `net` has an input
+    normalization."""
     if len(x) != net.input_dim:
         raise DimensionMismatchError(f"box has {len(x)} dims, network expects {net.input_dim}")
+    return Box.stack(net.normalize(x.ends)) if net.has_normalization else x
 
 
 def naive_forward(net: Network, x: Box) -> ForwardResult:
     """Layerwise interval matvec + ReLU clamp; no dependency tracking.
 
-    `x` is a box or a stack of boxes, in the coordinates the first layer
-    reads: `net` has no input normalization.
+    `x` is a box or a stack of boxes, in the units of the network's
+    inputs.
     """
-    _check_dims(net, x)
-    ends = x.ends
+    ends = _first_layer_box(net, x).ends
     for k, (layer, parts) in enumerate(zip(net.layers, net.split_weights)):
         # a new array on every layer, so the clamp never writes into x
         ends = matvec_bounds(parts, layer.b, ends)
@@ -107,12 +102,12 @@ def symbolic_forward(net: Network, x: Box) -> ForwardResult:
 
     Keeps one lower and one upper linear expression per neuron, dropping
     to concrete bounds only where a ReLU's sign is unresolved over the box.
-    `x` is a box or a stack of boxes, in the coordinates the first layer
-    reads: `net` has no input normalization. Each box of a stack gets the
-    bits it would get alone. The output bounds are left to the result's
-    first read of `lo` or `hi`.
+    `x` is a box or a stack of boxes, in the units of the network's
+    inputs; the expressions are over the inputs the first layer reads.
+    Each box of a stack gets the bits it would get alone. The output
+    bounds are left to the result's first read of `lo` or `hi`.
     """
-    _check_dims(net, x)
+    x = _first_layer_box(net, x)
     operand = box_operand(x)
     # the first layer's rows are the layer itself, lower and upper alike
     first = net.layers[0]

@@ -218,11 +218,9 @@ class SoundCheck:
     bounds, the upper bound is hi @ A+ + lo @ A-, rounded up exactly. Over
     a symbolic result it is that of the upper literal row A+ @ up + A- @ low,
     made through the products of `affine_rows`' upper half alone, which
-    keeps the input terms shared by y_i and y_j correlated. (A+, A-), the
-    positive and the negative part of `A`, are built at their first use,
-    which a run decided by its root's sample never makes. One check may
-    serve many runs (`compile_check`), so `A`, `t`, `bound` and (A+, A-)
-    are read-only.
+    keeps the input terms shared by y_i and y_j correlated. One check may
+    serve many runs (`compile_check`), so `A`, `t`, `bound` and (A+, A-),
+    the positive and the negative part of `A`, are read-only.
 
     `or_free` tells whether the tree has no `Or`. Only then is the
     constraint violated wherever a single literal is, so that margins
@@ -271,14 +269,10 @@ class SoundCheck:
         table = np.array(table).reshape(len(table), m + 2)
         table.setflags(write=False)  # and so its views
         self.A, self.t, self.bound = table[:, :m], table[:, m], table[:, m + 1]
-
-    @functools.cached_property
-    def _split(self) -> tuple:
-        """(A+, A-): the positive and the negative part of `A`."""
-        split = np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
-        for part in split:
+        # (A+, A-): the positive and the negative part of `A`
+        self._split = np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
+        for part in self._split:
             part.setflags(write=False)
-        return split
 
     def evaluate(self, fr: ForwardResult):
         """Where the bounds prove the constraint at every point of the box

@@ -74,7 +74,7 @@ def plan_another_dim(monkeypatch):
         plan_children(self, new, J)
         d = self.ends.shape[-1]
         # the children's dims wider than the precision, in the order of `new`
-        wide = Box.stack(self.ends[new]).widths() > self.cfg.precision
+        wide = engine.input_widths(Box.stack(self.ends[new]), self.scale) > self.cfg.precision
         for k, c in enumerate(new):
             j = self.plan[c]
             if j >= 0:

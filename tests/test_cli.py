@@ -8,6 +8,7 @@ import pytest
 from relucheck import cli
 from relucheck.cli import run
 from relucheck.data import shipped_path
+from relucheck.engine import Config, Status, Verdict
 from relucheck.network import DimensionMismatchError, load_network
 from relucheck.properties import parse_property
 
@@ -27,6 +28,21 @@ def test_verify_insecure_exit_1(capsys):
     assert run(["verify", "--network", NET, "--property", LE15]) == 1
     out = capsys.readouterr().out
     assert out.startswith("Insecure cex=(")
+
+
+def test_verify_defaults_are_the_config_defaults(monkeypatch, capsys):
+    # without --mode, --precision, --timeout, --max-depth or --samples the
+    # search runs under Config()
+    configs = []
+
+    def fake_verify(net, spec, cfg):
+        configs.append(cfg)
+        return Verdict(Status.SECURE)
+
+    monkeypatch.setattr(cli, "verify", fake_verify)
+    assert run(["verify", "--network", NET, "--property", LE20]) == 0
+    assert configs == [Config()]
+    capsys.readouterr()
 
 
 def test_verify_unknown_exit_2(capsys):

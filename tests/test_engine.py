@@ -116,8 +116,8 @@ _FLAT = ([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
 def test_runs_leave_split_weights_off_the_callers_net():
     # the runs bound boxes, so their core computes W+ and W-; the net the
     # caller passed, with or without a normalization, never keeps them.
-    # Each run gets a core of its own: the caller's layers, without the
-    # normalization
+    # Each run gets a core of its own: the caller's layers, and for a
+    # raw-unit spec the caller's normalization
     flat = make_net(*_FLAT)
     scaled = Network(flat.layers, np.array([100.0]), np.array([8.0]))
     for net, lo, hi in ((flat, 0.0, 1.0), (scaled, 100.0, 108.0)):
@@ -125,7 +125,7 @@ def test_runs_leave_split_weights_off_the_callers_net():
         cores = [engine.internal_view(net, spec[0])[0] for _ in range(2)]
         assert cores[0] is not cores[1] and cores[0] is not net
         for core in cores:
-            assert core.layers is net.layers and not core.has_normalization
+            assert core.layers is net.layers and core.norm_range is net.norm_range
             assert "split_weights" not in core.__dict__
         for run in (verify, enumerate_regions):
             assert run(net, spec, Config(max_depth=3)).stats.nodes_explored == 15
@@ -191,7 +191,7 @@ CORNER_RUNS = [
     ("phi6.prop", "unknown", 254, None, None),
     ("phi7.prop", "unknown", 127, None, None),
     ("phi8.prop", "unknown", 127, None, None),
-    ("phi9.prop", "insecure", 1, 1, [4499.999999999998, 1.9207960000000002, -3.1365920000000003, 125.0, 75.0]),
+    ("phi9.prop", "insecure", 1, 1, [4500.0, 1.920796, -3.1365920000000003, 125.0, 75.0]),
     ("phi10.prop", "unknown", 127, None, None),
     ("phi11.prop", "insecure", 1, 1, [325.0, 0.30000000000000004, -3.1390919999999998, 250.0, 200.0]),
     ("phi12.prop", "insecure", 3, None, [62000.0, 0.0, 3.141593, 1145.0, 60.0]),
@@ -245,7 +245,7 @@ def test_overflowed_sample_is_not_a_counterexample(mode):
                 enumerate_regions(net, spec, Config(mode=mode, sample_strategy=strategy))
         run = engine._Run(net, spec, Config(mode=mode), short_circuit=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            found = run._counterexamples([0, 0], pts)
+            found = run._counterexamples(pts)
         assert {b: x.tolist() for b, x in found.items()} == want
 
 
@@ -711,6 +711,22 @@ def test_boxes_one_ulp_wide_split_to_the_depth_budget():
     assert verify(net, spec, cfg).status is Status.UNKNOWN
 
 
+def test_precision_reads_normalized_widths():
+    # y = relu(u) - relu(u) <= 0 over u = (x - 100) / 8, x in [100, 108]:
+    # never decided, so every leaf ends at the precision floor, which is
+    # read in the units the first layer reads, 8 raw units to 1
+    layers = make_net([[[1.0], [1.0]], [[1.0, -1.0]]]).layers
+    net = Network(layers, np.array([100.0]), np.array([8.0]))
+    spec = (InputSpec((Box([100.0], [108.0]),)), OutLE(0, 0.0))
+    report = enumerate_regions(net, spec, Config(mode="naive", precision=0.25, max_depth=50))
+    widths = [b.hi[0] - b.lo[0] for b, s, _ in report.leaves if s is SubStatus.UNKNOWN_SUB]
+    assert widths == [1.0] * 8
+    _assert_tiles(report.leaves, 8.0)
+    # the default depth budget, ceil(log2(1 + 1 ULP / 0.25)) * 1
+    v = verify(net, spec, Config(mode="naive", precision=0.25))
+    assert v.status is Status.UNKNOWN and v.stats.max_depth == 3
+
+
 def test_enumerate_deterministic_across_workers(demo_net, le15):
     def key(report):
         return sorted(
@@ -749,28 +765,24 @@ def test_normalized_units_counterexample():
 
 def _sample_batches(monkeypatch, net) -> list:
     """The batches of points the engine evaluates from now on, each as
-    (whether it went through `net` itself, its points)."""
+    (whether it went through `net`'s layers and normalization, but not
+    through `net` itself, its points)."""
     batches, real = [], engine.eval_concrete_batch
-    monkeypatch.setattr(
-        engine, "eval_concrete_batch", lambda n, xs: batches.append((n is net, xs.tolist())) or real(n, xs)
-    )
+
+    def recording(n, xs):
+        copy = n is not net and n.layers is net.layers
+        batches.append((copy and n.norm_mean is net.norm_mean and n.norm_range is net.norm_range, xs.tolist()))
+        return real(n, xs)
+
+    monkeypatch.setattr(engine, "eval_concrete_batch", recording)
     return batches
 
 
-def _round_trip(net, a, b):
-    """The midpoint u of the raw region [a, b] in the coordinates of the
-    core, the raw point it converts to, and that point normalized again."""
-    u = midpoint(net.normalize(np.array([a])), net.normalize(np.array([b])))
-    raw = net.denormalize(u)
-    return float(u[0]), float(raw[0]), float(net.normalize(raw)[0])
-
-
 def test_exact_round_trip_takes_no_second_pass(monkeypatch):
-    # u = (x - 1) / 2 and back are exact at the midpoint x = 3, u = 1,
-    # where y = u violates y <= 0.5; the raw midpoint is the one point
-    # evaluated, once, through the full network
+    # y = u = (x - 1) / 2 violates y <= 0.5 at the midpoint x = 3 of
+    # [1, 5]; the raw midpoint is the one point evaluated, once, through
+    # the run's copy of the network, normalization included
     net = load_network("1 1 1 1\n1,1\nnorm: 1.0,2.0\n1\n0\n")
-    assert _round_trip(net, 1.0, 5.0) == (1.0, 3.0, 1.0)
     spec = parse_property("domain:\n1 5\nregion:\n*\nconstraint:\nle 0 0.5\n", num_outputs=1)
     batches = _sample_batches(monkeypatch, net)
     v = verify(net, spec, Config())
@@ -780,42 +792,21 @@ def test_exact_round_trip_takes_no_second_pass(monkeypatch):
 
 
 def test_inexact_round_trip_is_checked_through_the_full_network(monkeypatch):
-    # u = (x - 0.1) / 0.3 at the midpoint of [0.2, 0.7] does not survive the
-    # round trip; the raw point is what is evaluated, through the full
-    # network, and what is reported
+    # u = (x - 0.1) / 0.3 at the midpoint of [0.2, 0.7] does not convert
+    # back to that midpoint; the raw point is what is evaluated, through
+    # the network's normalization, and what is reported
     net = load_network("1 1 1 1\n1,1\nnorm: 0.1,0.3\n1\n0\n")
-    u, raw, back = _round_trip(net, 0.2, 0.7)
-    assert back != u
+    raw = float(midpoint(np.array([0.2]), np.array([0.7]))[0])
+    u = float(net.normalize(np.array([raw]))[0])
+    assert u * 0.3 + 0.1 != raw
     c = u - 0.25
     spec = parse_property(f"domain:\n0.2 0.7\nregion:\n*\nconstraint:\nle 0 {c!r}\n", num_outputs=1)
     batches = _sample_batches(monkeypatch, net)
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE and v.counterexample.tolist() == [raw]
     assert v.stats.nodes_explored == 1
-    assert batches[0] == (True, [[raw]])
+    assert batches == [(True, [[raw]])]
     assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
-
-
-@pytest.mark.parametrize("attack", [True, False])
-def test_point_that_fails_its_recheck_is_not_reported(monkeypatch, attack):
-    # at the midpoint of [0, 0.5] the core computes y = u, but the full
-    # network computes y = back < u at the raw point; with the threshold at
-    # back, the core's point violates and the raw one does not
-    net = load_network("1 1 1 1\n1,1\nnorm: 0.1,0.3\n1\n0\n")
-    u, raw, back = _round_trip(net, 0.0, 0.5)
-    assert back < u
-    spec = parse_property(f"domain:\n0 0.5\nregion:\n*\nconstraint:\nle 0 {back!r}\n", num_outputs=1)
-    if not attack:
-        without_attack(monkeypatch)
-    batches = _sample_batches(monkeypatch, net)
-    v = verify(net, spec, Config())
-    # the raw midpoint is evaluated through the full network, and the
-    # search goes on past it and finds another point
-    assert batches[0] == (True, [[raw]])
-    assert all(full for full, _ in batches)
-    assert v.status is Status.INSECURE and v.counterexample.tolist() != [raw]
-    assert not check_concrete(eval_concrete(net, v.counterexample), spec[1])
-    assert v.stats.nodes_explored == (1 if attack else 2)
 
 
 # region ends that do not round-trip: normalizing 8061.854646744073 and
@@ -836,7 +827,8 @@ _OFF_END_PROP = "domain:\n8061.854646744073 9062\nregion:\n*\nconstraint:\nle 0 
 def test_counterexample_lies_in_its_raw_region(lo, hi, c):
     net = load_network(_OFF_END_NET)
     spec = parse_property(f"domain:\n{lo!r} {hi!r}\nregion:\n*\nconstraint:\nle 0 {c!r}\n", num_outputs=1)
-    assert net.denormalize(net.normalize(lo)) < lo
+    # lo normalized and converted back lands below lo
+    assert net.normalize(lo) * net.norm_range + net.norm_mean < lo
     v = verify(net, spec, Config())
     assert v.status is Status.INSECURE and v.stats.nodes_explored == 1
     assert lo <= v.counterexample[0] <= hi
@@ -871,9 +863,9 @@ def test_enumerated_leaves_tile_the_raw_region(regions):
 @pytest.mark.parametrize("regions", [["*", "8175.655620602559 9062"], ["8175.655620602559 9062", "*"]])
 def test_overlapping_regions_keep_the_leaves_of_their_own_runs(regions):
     # one region lies inside the other, and its lower end does not
-    # round-trip; each region's leaves are clipped to its own raw ends, as
-    # a run over it alone clips them. The cursor reaches the last region
-    # first, so its leaves come first.
+    # round-trip through the normalization; each region's leaves are those
+    # of a run over it alone, ending on its own raw ends. The cursor
+    # reaches the last region first, so its leaves come first.
     net = load_network(_OFF_END_NET)
 
     def leaves(regions):

@@ -86,24 +86,33 @@ def test_dim_mismatch(demo_net):
         symbolic_forward(demo_net, Box([0, 0, 0], [1, 1, 1]))
 
 
-def test_passes_refuse_a_normalized_network():
+@pytest.mark.parametrize("seed", range(3))
+def test_passes_normalize_the_box_first(seed):
+    # over a raw box, or a stack of them, a network with an input
+    # normalization gives the bits of its layers alone over the box mapped
+    # through net.normalize; its Jacobian is with respect to those
+    # normalized inputs
+    rng = np.random.default_rng(seed)
+    layers = random_net(rng, max_width=20, max_layers=3).layers
+    d = layers[0].in_size
+    net = Network(layers, rng.normal(size=d) * 100.0, rng.uniform(1.0, 1e4, size=d))
+    core = Network(layers)
+    boxes = [random_box(rng, d, max_width=1e3, center_scale=1e3) for _ in range(3)]
+    for raw in boxes + [Box.stack(np.array([b.ends for b in boxes]))]:
+        box = Box.stack(net.normalize(raw.ends))
+        for analyse in (naive_forward, symbolic_forward):
+            got, want = analyse(net, raw), analyse(core, box)
+            assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()
+        masks = symbolic_forward(net, raw).masks
+        assert masks.layers == symbolic_forward(core, box).masks.layers
+        assert backward_gradient(net, masks).tobytes() == backward_gradient(core, masks).tobytes()
     # eval_concrete maps x = 104 to (104 - 100) / 8 = 0.5 before the first
-    # layer; the passes read the layers alone, so they would bound the net
-    # at 104 and miss 0.5. Their input is the core over normalized bounds.
+    # layer, and so do the passes
     net = Network(make_net([np.eye(1), np.eye(1)]).layers, np.array([100.0]), np.array([8.0]))
     assert eval_concrete(net, [104.0]).tolist() == [0.5]
-    raw = Box([104.0], [104.0])
-    core, box = Network(net.layers), Box(net.normalize([104.0]), net.normalize([104.0]))
     for analyse in (naive_forward, symbolic_forward):
-        with pytest.raises(ValueError, match="normalize"):
-            analyse(net, raw)
-        (out,) = analyse(core, box).out_bounds
+        (out,) = analyse(net, Box([104.0], [104.0])).out_bounds
         assert out.lo <= 0.5 <= out.hi
-    masks = symbolic_forward(core, box).masks
-    with pytest.raises(ValueError, match="normalize"):
-        backward_gradient(net, masks)
-    J = backward_gradient(core, masks)
-    assert J[0, 0, 0] <= 1.0 <= J[1, 0, 0]
 
 
 @pytest.mark.parametrize("seed", range(4))

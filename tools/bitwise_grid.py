@@ -12,16 +12,21 @@ the other mode, each with its constraint as parsed and wrapped in a `Not`
 the strict ones), once against each tree, the two trees at once in child
 processes of their own with one BLAS thread each. Every run whose status,
 node count, counterexample, leaves or run stats differ between the trees
-is printed, then two summary lines per workload and seed. The run stats
-compared are the `RunStats` keys that both trees report, but the wall
-time; after a workload's seeds, one line names the keys that only one
-tree reports, if any. The first summary line also gives each tree's
-total of the `waves` and `boxes_bounded` of its runs' `RunStats`, or
-`n/a` for a tree whose `RunStats` lacks them; these depend on the
-batching, so they are reported, not compared. The second tallies the
-differing runs by their move from ROOT_A's status to ROOT_B's, and counts
-those that take more nodes and fewer nodes under ROOT_B. Exits 1 on any
-difference, else 0.
+is printed, then two summary lines per workload and seed. A run whose
+status and node count agree is printed with "stats differ" where a
+compared run stat differs; else, where only the numbers of its
+counterexample and leaf ends differ, with "points differ by at most X
+relative", X the largest relative distance between two of them; else
+with "leaves differ". The run stats compared are the `RunStats` keys that
+both trees report, but the wall time; after a workload's seeds, one line
+names the keys that only one tree reports, if any. The first summary line
+also gives each tree's total of the `waves` and `boxes_bounded` of its
+runs' `RunStats`, or `n/a` for a tree whose `RunStats` lacks them; these
+depend on the batching, so they are reported, not compared. The second
+tallies the differing runs by their move from ROOT_A's status to ROOT_B's,
+counts those that take more nodes and fewer nodes under ROOT_B, and
+counts the points-only runs with their largest relative distance. Exits 1
+on any difference, points-only runs included, else 0.
 Nothing under bench/ is written.
 """
 
@@ -76,6 +81,20 @@ def run_tree(src, cases_path):
                                   **extra, "stats": stats, **work}))
 
 
+def point_distance(a, b):
+    """The largest relative distance between the floats of two runs'
+    records, walked in parallel, or None where they differ in anything
+    else."""
+    if type(a) is float and type(b) is float:
+        return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+    if type(a) is dict and type(b) is dict and a.keys() == b.keys():
+        a, b = list(a.values()), [b[k] for k in a]
+    if type(a) is list and type(b) is list and len(a) == len(b):
+        dists = [point_distance(x, y) for x, y in zip(a, b)]
+        return None if None in dists else max(dists, default=0.0)
+    return 0.0 if a == b else None
+
+
 def compare(roots, name, seed, env):
     """Run one workload at one seed against both trees; print every run
     that differs and a summary line. Returns the number of differences and
@@ -103,8 +122,8 @@ def compare(roots, name, seed, env):
     for rs in runs:
         for r in rs:
             r["stats"] = {k: r["stats"][k] for k in shared}
-    differ = 0
-    moves, more, fewer = collections.Counter(), 0, 0
+    differ = points = 0
+    moves, more, fewer, farthest = collections.Counter(), 0, 0, 0.0
     for a, b in zip(*runs):
         if a != b:
             differ += 1
@@ -112,11 +131,20 @@ def compare(roots, name, seed, env):
             more += b["nodes"] > a["nodes"]
             fewer += b["nodes"] < a["nodes"]
             case = cases[a["i"]]
-            same = (a["status"], a["nodes"]) == (b["status"], b["nodes"])
+            why = ""
+            if (a["status"], a["nodes"]) != (b["status"], b["nodes"]):
+                pass
+            elif a["stats"] != b["stats"]:
+                why = ", stats differ"
+            elif (dist := point_distance(a, b)) is None:
+                why = ", leaves differ"
+            else:
+                points += 1
+                farthest = max(farthest, dist)
+                why = f", points differ by at most {dist:.3g} relative"
             print(f"case {a['i']} ({os.path.basename(case['net'])}, {os.path.basename(case['prop'])}), "
                   f"mode {a['mode']}{', negated' if a['negated'] else ''}: "
-                  f"{a['status']}/{a['nodes']} nodes vs {b['status']}/{b['nodes']} nodes"
-                  + (", counterexample, leaves or stats differ" if same else ""))
+                  f"{a['status']}/{a['nodes']} nodes vs {b['status']}/{b['nodes']} nodes" + why)
     total = len(runs[0])
     if total != len(runs[1]) or total != 4 * len(cases):
         print(f"run counts differ: {total} vs {len(runs[1])}, {len(cases)} cases")
@@ -127,7 +155,8 @@ def compare(roots, name, seed, env):
                         for w, b in work))
     print(f"{name} seed {seed}: differing runs "
           + (", ".join(f"{move} {n}" for move, n in sorted(moves.items())) or "none")
-          + f"; {more} take more nodes and {fewer} fewer under B", flush=True)
+          + f"; {more} take more nodes and {fewer} fewer under B"
+          + f"; {points} differ only in points, by at most {farthest:.3g} relative", flush=True)
     return differ, [k - shared for k in keys]
 
 
