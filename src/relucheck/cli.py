@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 secure, 1 insecure, 2 unknown/timeout or bound overflow,
-3 bad flags or unreadable paths, 4 parse errors, 5 dimension mismatch.
+3 bad flags or unreadable paths, 4 parse errors, 5 dimension mismatch,
+6 internal error (no verdict).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import traceback
 
 import numpy as np
 
@@ -24,6 +26,7 @@ EXIT_UNKNOWN = 2
 EXIT_BAD_FLAGS = 3
 EXIT_PARSE_ERROR = 4
 EXIT_DIM_MISMATCH = 5
+EXIT_INTERNAL = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,6 +184,11 @@ def run(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_FLAGS
+    except Exception:
+        # a fault in relucheck itself: no verdict, and never the code of one
+        traceback.print_exc()
+        print("error: internal error; no verdict", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

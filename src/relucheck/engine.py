@@ -204,18 +204,19 @@ def internal_view(net: Network, input_spec: InputSpec):
     Raises DimensionMismatchError when the spec's input dimension is not
     the network's, and ValueError when a region's ends overflow when
     normalized."""
-    if input_spec.dim != net.input_dim:
-        raise DimensionMismatchError(
-            f"property has {input_spec.dim} input dims, network expects {net.input_dim}"
-        )
     ends = np.array([r.ends for r in input_spec.regions])
-    core = object.__new__(Network)
-    vars(core).update(layers=net.layers, norm_mean=None, norm_range=None)
-    if net.has_normalization and input_spec.units == "raw":
+    if ends.shape[-1] != net.layers[0].W.shape[1]:
+        raise DimensionMismatchError(
+            f"property has {ends.shape[-1]} input dims, network expects {net.input_dim}"
+        )
+    mean = scale = None
+    if net.norm_mean is not None and input_spec.units == "raw":
         # normalizing keeps lo <= hi, but it may overflow
-        if not np.isfinite(net.normalize(ends)).all():
+        if np.count_nonzero(np.isfinite(net.normalize(ends))) < ends.size:
             raise ValueError("a region's bounds overflow when normalized")
-        vars(core).update(norm_mean=net.norm_mean, norm_range=net.norm_range)
+        mean, scale = net.norm_mean, net.norm_range
+    core = object.__new__(Network)
+    vars(core).update(layers=net.layers, norm_mean=mean, norm_range=scale)
     return core, Box.stack(ends)
 
 
@@ -281,8 +282,8 @@ class _Run:
         self.core, regions = internal_view(net, input_spec)
         self.cfg = cfg
         self.short_circuit = short_circuit
-        self.check = compile_check(constraint, net.output_dim)
-        self.scale = self.core.norm_range if self.core.has_normalization else 1.0
+        self.check = compile_check(constraint, net.layers[-1].W.shape[0])
+        self.scale = 1.0 if self.core.norm_range is None else self.core.norm_range
         self.max_depth = (
             cfg.max_depth
             if cfg.max_depth is not None
@@ -365,22 +366,29 @@ class _Run:
         corners[..., :k] = np.where(sides, hi, lo)
         return self._counterexamples(corners)
 
-    def _violates(self, y: np.ndarray):
-        """Whether outputs violate the constraint. Outputs that are not all
-        finite overflowed, and certify nothing about the real ones."""
-        return np.logical_not(check_concrete(y, self.check)) & np.isfinite(y).all(axis=-1)
-
     def _counterexamples(self, pts: np.ndarray) -> dict:
         """The first of each box's (B, S, d) sample points that violates
         the constraint, by box index in rising order; boxes without one are
         left out. The points are evaluated once, through the core, so a
-        point reported is always the point whose outputs were checked."""
-        bad = self._violates(eval_concrete_batch(self.core, pts.reshape(-1, pts.shape[-1])))
-        if not bad.any():
+        point reported is always the point whose outputs were checked.
+        Outputs that are not all finite overflowed, and certify nothing
+        about the real ones: their points are not reported."""
+        y = eval_concrete_batch(self.core, pts.reshape(-1, pts.shape[-1]))
+        bad = ~check_concrete(y, self.check)
+        if not np.count_nonzero(bad):
             return {}
+        finite = np.isfinite(y)
+        if np.count_nonzero(finite) < finite.size:
+            bad &= finite.all(axis=-1)
         bad = bad.reshape(pts.shape[:2])
-        first = bad.argmax(axis=1)
-        return {b: pts[b, first[b]] for b in np.flatnonzero(bad.any(axis=1)).tolist()}
+        # each box's first violating sample, and 0 where none violates
+        first = bad.argmax(axis=1).tolist()
+        at_0 = bad[:, 0].tolist()
+        found = {}  # a loop: before Python 3.12 a comprehension is a call
+        for b, s in enumerate(first):
+            if s or at_0[b]:
+                found[b] = pts[b, s]
+        return found
 
     def _attack(self, rows: list, box: Box) -> dict:
         """The first root box of a stack in which gradient steps find a
@@ -470,17 +478,21 @@ class _Run:
         planned children."""
         self.stats.waves += 1
         kids = {}  # row -> its planned children, left then right
+        stack = rows
         plan = self.plan
-        parents = [r for r in rows if plan[r] >= 0]
+        parents = []  # a loop: before Python 3.12 a comprehension is a call
+        for r in rows:
+            if plan[r] >= 0:
+                parents.append(r)
         if parents:
             new, pairs = self._take_rows(parents, [2] * len(parents), [1] * len(parents))
             self._bisect(new, Box.stack(self.ends[parents]), [plan[r] for r in parents])
             kids = dict(zip(parents, pairs))
-        stack = []
-        for r in rows:
-            stack.append(r)
-            if r in kids:
-                stack.extend(reversed(kids[r]))
+            stack = []
+            for r in rows:
+                stack.append(r)
+                if r in kids:
+                    stack.extend(reversed(kids[r]))
         try:
             self._evaluate(stack, kids)
         except IntervalOverflowError:
@@ -513,13 +525,14 @@ class _Run:
         them."""
         cfg = self.cfg
         outcome = self.outcome
-        at = np.array(rows)
-        box = Box.stack(self.ends.take(at, axis=0))
-        rest = self._refute(rows, self._counterexamples(box.midpoint()[:, np.newaxis, :]))
+        ends = self.ends.take(rows, axis=0)
+        mid = midpoint(ends[:, 0], ends[:, 1])
+        rest = self._refute(rows, self._counterexamples(mid[:, np.newaxis]))
         if not rest:
             return
         if len(rest) < len(rows):
-            box, rows = box.take(rest), [rows[i] for i in rest]
+            ends, rows = ends[rest], [rows[i] for i in rest]
+        box = Box.stack(ends)
         self.stats.boxes_bounded += len(rows)
         if cfg.mode == "symbolic":
             fr = symbolic_forward(self.core, box)
@@ -651,6 +664,7 @@ class _Run:
         elif o is SubStatus.INSECURE_SUB and self.short_circuit:
             self.pending.clear()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def execute(self):
         """Consume the rows depth-first, last pushed first. A row that no
         wave has evaluated is then the top of `pending`, and a wave
@@ -664,38 +678,38 @@ class _Run:
         are pushed, a leaf row in a verify run. The clock is read where a
         wave would start: past the deadline, a row that no wave has
         evaluated is an Unknown leaf, and a row a wave has decided keeps
-        its outcome."""
+        its outcome. Bounds that overflow raise IntervalOverflowError, so
+        numpy's warnings about them, which would only repeat that on
+        stderr, are off."""
         stack = list(range(len(self.depth)))  # the regions, the only rows yet
         stats = self.stats
         depth, outcomes, free, pending = self.depth, self.outcome, self.free, self.pending
         t0, timeout = self.t0, self.cfg.timeout
-        # bounds that overflow raise IntervalOverflowError; numpy's
-        # warnings about them would only repeat that on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            while stack:
-                row = stack.pop()
-                stats.nodes_explored += 1
-                stats.max_depth = max(stats.max_depth, depth[row])
-                if outcomes[row] is None:
-                    if time.monotonic() - t0 > timeout:
-                        self._leaf(row, SubStatus.UNKNOWN_SUB)
-                        continue
-                    wave = pending[: -WAVE - 1 : -1]  # the top WAVE rows, top first
-                    del pending[-WAVE:]
-                    self.process(wave)
-                    # from the wave's last row back, so that its first row's
-                    # children end on top
-                    for r in reversed(wave):
-                        self._push(r)
-                outcome = outcomes[row]
-                if type(outcome) is list:
-                    stack.extend(outcome)
-                    free.append(row)
+        while stack:
+            row = stack.pop()
+            stats.nodes_explored += 1
+            if depth[row] > stats.max_depth:
+                stats.max_depth = depth[row]
+            if outcomes[row] is None:
+                if time.monotonic() - t0 > timeout:
+                    self._leaf(row, SubStatus.UNKNOWN_SUB)
                     continue
-                self._leaf(row, outcome, self.witness.pop(row, None))
-                if outcome is SubStatus.INSECURE_SUB and self.short_circuit:
-                    break
-        stats.wall_time = time.monotonic() - self.t0
+                wave = pending[: -WAVE - 1 : -1]  # the top WAVE rows, top first
+                del pending[-WAVE:]
+                self.process(wave)
+                # from the wave's last row back, so that its first row's
+                # children end on top
+                for r in reversed(wave):
+                    self._push(r)
+            outcome = outcomes[row]
+            if type(outcome) is list:
+                stack.extend(outcome)
+                free.append(row)
+                continue
+            self._leaf(row, outcome, self.witness.pop(row, None))
+            if outcome is SubStatus.INSECURE_SUB and self.short_circuit:
+                break
+        stats.wall_time = time.monotonic() - t0
 
 
 def verify(net: Network, spec, cfg: Config = Config()) -> Verdict:
@@ -704,7 +718,7 @@ def verify(net: Network, spec, cfg: Config = Config()) -> Verdict:
     run = _Run(net, spec, cfg, short_circuit=True)
     run.execute()
     if run.cex is not None:
-        return Verdict(Status.INSECURE, np.asarray(run.cex), run.stats)
+        return Verdict(Status.INSECURE, run.cex, run.stats)
     if run.unknown:
         return Verdict(Status.UNKNOWN, None, run.stats)
     return Verdict(Status.SECURE, None, run.stats)

@@ -94,23 +94,28 @@ class Box:
         for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
             if not -math.inf < a <= b < math.inf:
                 raise ValueError(f"box bounds must be finite with lo <= hi: dim {j} is [{a}, {b}]")
-        object.__setattr__(self, "ends", _read_only(np.stack((lo, hi))))
+        ends = np.stack((lo, hi))
+        ends.setflags(write=False)
+        object.__setattr__(self, "ends", ends)
 
     @classmethod
     def stack(cls, ends: np.ndarray) -> "Box":
         """The stack of the boxes whose ends are the (2, d) rows of the
         (B, 2, d) array `ends`, which it makes read-only. The rows must lie
         inside boxes already checked: they get none of the constructor's
-        checks."""
-        return _sub_box(_read_only(ends))
+        checks. A (2, d) `ends` makes a single box."""
+        ends.setflags(write=False)
+        box = object.__new__(cls)
+        object.__setattr__(box, "ends", ends)
+        return box
 
     def unstack(self) -> list:
         """The single boxes of a stack, as read-only views of its rows."""
-        return [_sub_box(e) for e in self.ends]
+        return [Box.stack(e) for e in self.ends]
 
     def take(self, rows) -> "Box":
         """The stack of the given rows."""
-        return _sub_box(_read_only(self.ends[rows]))
+        return Box.stack(self.ends[rows])
 
     @property
     def lo(self) -> np.ndarray:
@@ -141,19 +146,6 @@ class Box:
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-def _sub_box(ends: np.ndarray) -> Box:
-    """The Box of read-only ends that lie inside boxes already checked;
-    they need none of the constructor's checks."""
-    box = object.__new__(Box)
-    object.__setattr__(box, "ends", ends)
-    return box
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def midpoint(lo, hi):
     """lo + (hi - lo)/2 entrywise, and lo/2 + hi/2 where hi - lo overflows,
     so the midpoint of any finite interval is finite and inside it. (Run
@@ -161,7 +153,7 @@ def midpoint(lo, hi):
     w = hi - lo
     mid = lo + w / 2.0
     wide = np.isinf(w)
-    if wide.any():
+    if np.count_nonzero(wide):
         mid = np.where(wide, lo / 2.0 + hi / 2.0, mid)
     return mid
 
@@ -224,4 +216,4 @@ def iv_bisect(x: Box, j):
     mid = midpoint(lo, hi)
     left, right = x.ends.copy(), x.ends.copy()
     left[..., 1, :][at] = right[..., 0, :][at] = mid
-    return _sub_box(_read_only(left)), _sub_box(_read_only(right))
+    return Box.stack(left), Box.stack(right)

@@ -118,9 +118,10 @@ class Network:
         return self.norm_mean is not None
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        if not self.has_normalization:
-            return np.asarray(x, dtype=np.float64)
-        return (np.asarray(x, dtype=np.float64) - self.norm_mean) / self.norm_range
+        x = np.asarray(x, dtype=np.float64)
+        if self.norm_mean is None:
+            return x
+        return (x - self.norm_mean) / self.norm_range
 
     @functools.cached_property
     def split_weights(self) -> tuple:
@@ -146,14 +147,14 @@ def eval_concrete(net: Network, x) -> np.ndarray:
 def eval_concrete_batch(net: Network, xs) -> np.ndarray:
     """Forward pass for a batch of points, shape (n, d) -> (n, m).
 
-    Each point is multiplied through on its own, so its outputs are the
-    bits it would get alone.
+    Each point is multiplied through on its own, as a column, so its
+    outputs are the bits it would get alone.
     """
-    v = net.normalize(xs)
+    v = net.normalize(xs)[..., np.newaxis]
     *hidden, last = net.layers
     for layer in hidden:
-        v = np.maximum((layer.W @ v[..., np.newaxis])[..., 0] + layer.b, 0.0)
-    return (last.W @ v[..., np.newaxis])[..., 0] + last.b
+        v = np.maximum(layer.W @ v + layer.b[:, np.newaxis], 0.0)
+    return (last.W @ v)[..., 0] + last.b
 
 
 def _data_lines(text: str):

@@ -326,10 +326,9 @@ def compile_check(c, m: int) -> SoundCheck:
     check. A constraint that cannot be hashed, say one holding a threshold
     in a numpy array, is compiled anew on each call."""
     try:
-        hash(c)
-    except TypeError:
+        return _compile_cached(c, m)
+    except TypeError:  # unhashable, or a node that `SoundCheck` rejects
         return SoundCheck(c, m)
-    return _compile_cached(c, m)
 
 
 def _sum_up(p, q):
@@ -370,6 +369,8 @@ def _tree(node):
         at = slice(first, first + len(literals)) if run else np.array(literals, dtype=np.intp)
         parts.insert(0, lambda v: pair.reduce(v[..., at], axis=-1))
     head, *rest = parts
+    if not rest:
+        return head
 
     def value(v):
         out = head(v)

@@ -409,3 +409,16 @@ def test_only_dimension_mismatch_exits_5(monkeypatch, capsys):
     assert fail_with(ValueError("dimension 0 is too wide to split")) == 3
     assert fail_with(DimensionMismatchError("box has 1 dims, network expects 2")) == 5
     assert run(["eval", "--network", NET, "--input", "1,2,3"]) == 5
+
+
+def test_an_internal_error_exits_6_with_its_traceback(monkeypatch, capsys):
+    # an exception that no documented code covers is a fault in relucheck:
+    # it gives no verdict, so it must not exit 1, the code of Insecure
+    def fake_verify(*args, **kwargs):
+        raise IndexError("index 3 is out of bounds")
+
+    monkeypatch.setattr(cli, "verify", fake_verify)
+    assert run(["verify", "--network", NET, "--property", LE15]) == cli.EXIT_INTERNAL == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "IndexError: index 3 is out of bounds" in captured.err

@@ -108,6 +108,44 @@ def test_root_midpoint_counterexample_is_not_bounded(monkeypatch, demo_net, mode
     assert v.stats.nodes_explored == 1
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "naive"])
+def test_a_run_its_roots_midpoint_decides_takes_one_network_pass(monkeypatch, demo_net, mode):
+    # the median run of the ACAS-shaped benchmark: one wave, which evaluates
+    # the root's midpoint, one point in one network pass, and bounds no box
+    batch, points = engine.eval_concrete_batch, []
+
+    def counted(core, xs):
+        points.append(np.shape(xs))
+        return batch(core, xs)
+
+    monkeypatch.setattr(engine, "eval_concrete_batch", counted)
+    for name in ("symbolic_forward", "naive_forward", "check_sound"):
+        monkeypatch.setattr(engine, name, _refuse)
+    # y = x0 + 2*x1 is 11 at the root's midpoint (5, 3), above 10
+    spec = (InputSpec((Box([4, 1], [6, 5]),)), OutLE(0, 10.0))
+    v = verify(demo_net, spec, Config(mode=mode))
+    assert v.status is Status.INSECURE and v.counterexample.tolist() == [5.0, 3.0]
+    assert (v.stats.waves, v.stats.boxes_bounded) == (1, 0)
+    assert points == [(1, 2)]
+
+
+def test_counterexamples_are_the_first_finite_violating_sample_of_each_box():
+    # y = 1e200 * relu(1e200 * x): 0 for x <= 0, about 1e100 > 20 at
+    # x = 1e-300, and inf at x = 1, whose point then certifies nothing
+    net = make_net([[[1e200]], [[1e200]]])
+    run = engine._Run(net, (InputSpec((Box([-1], [1]),)), OutLE(0, 20.0)), Config(), short_circuit=True)
+    pts = np.array([
+        [0.0, 1e-300, -1.0, 2e-300],  # two violate: the first is reported
+        [0.0, 1.0, -1.0, 0.0],  # only the overflowed sample violates
+        [1.0, 0.0, 3e-300, 1e-300],  # the overflowed sample is passed over
+    ])[..., np.newaxis]
+    with np.errstate(over="ignore"):
+        found = run._counterexamples(pts)
+        assert list(found) == [0, 2]
+        assert {b: x.tolist() for b, x in found.items()} == {0: [1e-300], 2: [3e-300]}
+        assert run._counterexamples(np.where(pts > 0.0, -pts, pts)) == {}
+
+
 # y = relu(x - 10) is never proved <= 0 over [0, 1] (its bounds are rounded
 # out) nor violated there, so a run splits that region down to max_depth
 _FLAT = ([[[1.0]], [[1.0]]], [[-10.0], [0.0]])

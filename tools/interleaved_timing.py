@@ -23,12 +23,14 @@ tree goes first from load to load and from round to round; one load
 spreads too widely to compare.
 
 Per round, one line gives each tree's median set-up time and the ratio
-B/A, then the summed case times of each tree and the ratio B/A, over all
-cases and by case class: the cases that take 1 node, 2-10 nodes and 11
-or more on ROOT_A, and the TAIL cases slowest on ROOT_A in the untimed
-first run, those at and beyond bench/run.py's tail percentile. Exits 1 if
-any case's status or node count differs between the trees, else 0.
-Nothing under bench/ is written.
+B/A; then each tree's median case time and the ratio B/A, the in-process
+counterpart of bench/run.py's verdict_s.p50; then the summed case times
+of each tree and the ratio B/A, over all cases and by case class: the
+cases that take 1 node, 2-10 nodes and 11 or more on ROOT_A, and the TAIL
+cases slowest on ROOT_A in the untimed first run, those at and beyond
+bench/run.py's tail percentile. A class sum weights the slow cases of its
+class; the median case weights none. Exits 1 if any case's status or node
+count differs between the trees, else 0. Nothing under bench/ is written.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ def import_tree(root, tmp, name):
     return importlib.import_module(name)
 
 
-def ratio(label, a, b):
-    """The times a and b of the two trees and their ratio B/A."""
-    return f"{label}: {a:.3f} s -> {b:.3f} s " + (f"x{b / a:.3f}" if a > 0 else "n/a")
+def ratio(label, a, b, unit="s"):
+    """The times a and b of the two trees, in `unit`, and their ratio B/A."""
+    return f"{label}: {a:.3f} {unit} -> {b:.3f} {unit} " + (f"x{b / a:.3f}" if a > 0 else "n/a")
 
 
 def summary(label, cases, times):
@@ -109,7 +111,11 @@ def time_workload(trees, roots, name, seed, rounds, tmp):
             for rep in range(SETUP_REPEATS):
                 for side in ((0, 1) if (i + r + rep) % 2 == 0 else (1, 0)):
                     times[side][i] = min(times[side][i], run(side, i)[0])
-        parts = [ratio("set-up", *setup), summary("all", range(len(cases)), times)]
+        parts = [
+            ratio("set-up", *setup),
+            ratio("median case", *(statistics.median(t) * 1e3 for t in times), "ms"),
+            summary("all", range(len(cases)), times),
+        ]
         for label, low, high in CLASSES:
             parts.append(summary(label, [i for i, n in enumerate(nodes) if low <= n <= high], times))
         parts.append(summary(f"{TAIL} slowest", tail, times))
