@@ -57,6 +57,7 @@ Only the monotonicity reduction needs an Or-free constraint.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -200,6 +201,9 @@ def internal_view(net: Network, input_spec: InputSpec):
     holds `net.layers` itself, which `net` checked when it was built, so it
     is made without those checks. It is new on every call, so the
     `split_weights` it computes are freed with the run, not kept on `net`.
+    It shares `net.error_bound`, which depends on the layers alone and
+    holds d + 1 floats per unit: computed at the first run on `net`, not
+    at every run.
 
     Raises DimensionMismatchError when the spec's input dimension is not
     the network's, and ValueError when a region's ends overflow when
@@ -216,7 +220,7 @@ def internal_view(net: Network, input_spec: InputSpec):
             raise ValueError("a region's bounds overflow when normalized")
         mean, scale = net.norm_mean, net.norm_range
     core = object.__new__(Network)
-    vars(core).update(layers=net.layers, norm_mean=mean, norm_range=scale)
+    vars(core).update(layers=net.layers, norm_mean=mean, norm_range=scale, error_bound=net.error_bound)
     return core, Box.stack(ends)
 
 
@@ -307,6 +311,13 @@ class _Run:
         self.leaves = []  # (row, status, cex), in the order the cursor reaches them
         self.stats = RunStats()
         self.t0 = time.monotonic()
+
+    @functools.cached_property
+    def sign_margin(self) -> np.ndarray:
+        """The (k, d) bound on the float error of the literals' Jacobian
+        rows, |A| @ the core's `ErrorBound.jacobian`: the monotonicity
+        reduction trusts a sign only beyond it."""
+        return self.check.abs @ self.core.error_bound.jacobian
 
     # -- the rows ------------------------------------------------------------
     def _take_rows(self, parents: list, sizes: list, steps: list) -> tuple:
@@ -579,7 +590,7 @@ class _Run:
             if self.reduce:
                 # monotonicity reduction: a box whose margins are monotone
                 # in some dims is replaced by its endpoint boxes there
-                mono = self.check.monotone_dims(J, widths > cfg.precision)
+                mono = self.check.monotone_dims(J, widths > cfg.precision, self.sign_margin)
                 reduced = mono.any(axis=1)
                 if reduced.any():
                     red, keep = np.flatnonzero(reduced), np.flatnonzero(~reduced)

@@ -5,13 +5,17 @@ The Jacobian pass starts from the output layer's weights and walks the
 hidden layers backwards, taking a Hadamard product with each unit's
 gradient interval ([0,0] / [1,1] / [0,1] depending on its mask) followed
 by an interval product with the layer's positive and negative parts,
-read from the network's `split_weights`.
+read from the network's `split_weights`. Its entries are rounded to
+nearest: the split rule reads them as a heuristic, and the monotonicity
+reduction trusts a sign only beyond the network's `ErrorBound.jacobian`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# round_out is not called here; bench/spans.py traces it as
+# gradients.round_out, and test_bench_contract.py pins that name
 from .intervals import round_out
 from .network import Network
 from .propagate import ReluMaskMatrix
@@ -31,7 +35,8 @@ _GRAD_HI = np.array([0.0, 1.0, 1.0])
 def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
     """Interval Jacobian of outputs w.r.t. inputs, given activation masks:
     entrywise bounds on d(output_i)/d(input_j), the (m, d) lower bounds
-    over the (m, d) upper bounds in one (2, m, d) array.
+    over the (m, d) upper bounds in one (2, m, d) array, up to a float
+    error of at most `net.error_bound.jacobian`.
 
     The masks are those of one box or of a stack, whose Jacobian is
     (B, 2, m, d); each box of a stack gets the bits it would get alone.
@@ -61,10 +66,9 @@ def backward_gradient(net: Network, masks: ReluMaskMatrix) -> np.ndarray:
         np.minimum(h[..., 0, :, :], h_hi[..., 0, :, :], out=h[..., 0, :, :])
         np.maximum(h[..., 1, :, :], h_hi[..., 1, :, :], out=h[..., 1, :, :])
         # [h_lo, h_hi] @ W with exact-weight columns: h_lo W+ + h_hi W- and
-        # h_hi W+ + h_lo W-, each product of one shape; outward-rounded
+        # h_hi W+ + h_lo W-, each product of one shape
         pos, neg = net.split_weights[k]
         g = h @ pos + h[..., ::-1, :, :] @ neg
-        round_out(g[..., 0, :, :], g[..., 1, :, :])
     return g
 
 

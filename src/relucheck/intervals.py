@@ -1,10 +1,9 @@
-"""Outward-rounded interval arithmetic primitives.
+"""Interval arithmetic primitives.
 
-Results are rounded outward: lower bounds are nudged toward -inf and
-upper bounds toward +inf by one float64 ULP, once per output entry,
-instead of switching FPU rounding modes. This keeps the kernel portable
-and thread-safe. One ULP covers a single rounding; it does not cover all
-the error an n-term sum can accumulate.
+Bounds are computed in float64, rounded to nearest, and widened outward
+by the network's rounding-error bound (`network.ErrorBound`) instead of
+switching FPU rounding modes. This keeps the kernel portable and
+thread-safe.
 
 An interval pair is one array, the lower ends over the upper ends: a
 box's `ends` is (2, d) and `matvec_bounds` maps (2, m) to (2, n), each
@@ -39,6 +38,9 @@ class UnsplittableError(ValueError):
     """Raised when asked to bisect a zero-width dimension."""
 
 
+# round_out is not called in the package, whose bounds the network's error
+# bound widens; bench/spans.py traces it as intervals.round_out and
+# gradients.round_out, and test_bench_contract.py pins those names
 def round_out(lo, hi):
     """Nudge the arrays lo and hi outward by one ULP, in place."""
     np.nextafter(lo, -np.inf, out=lo)
@@ -175,14 +177,16 @@ def affine_rows(rows, pos, neg, b) -> np.ndarray:
     return out.swapaxes(-1, -2)
 
 
-def matvec_bounds(split, b, ends):
+def matvec_bounds(split, b, ends, err):
     """Vectorized interval W @ [lo, hi] + b, on and to (..., 2, n) arrays
-    of the lower ends over the upper ends.
+    of the lower ends over the upper ends, each end moved outward by
+    `err`, (..., n), the bound on its float error.
 
-    Row i contains {sum_j W[i,j] x_j + b[i] : x_j in [lo_j, hi_j]},
-    outward-rounded once per output entry. `split` is (W+, W-), the
-    positive and negative parts of W. `ends` is (2, m) or a (B, 2, m)
-    stack; each box of a stack gets the bits it would get alone.
+    Row i contains {sum_j W[i,j] x_j + b[i] : x_j in [lo_j, hi_j]} when
+    `err` bounds the error of the computed ends (`ErrorBound.terms`).
+    `split` is (W+, W-), the positive and negative parts of W. `ends` is
+    (2, m) or a (B, 2, m) stack; each box of a stack gets the bits it
+    would get alone.
     """
     b = np.asarray(b, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
@@ -192,7 +196,8 @@ def matvec_bounds(split, b, ends):
     if n != b.shape[0]:
         raise ValueError(f"shape mismatch: W has {n} rows, bias has {b.shape[0]}")
     out = affine_rows(ends[..., np.newaxis], *split, b)[..., 0]
-    round_out(out[..., 0, :], out[..., 1, :])
+    out[..., 0, :] -= err
+    out[..., 1, :] += err
     _check_overflow(out)
     return out
 

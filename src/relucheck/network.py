@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
+    "ErrorBound",
     "Layer",
     "Network",
     "NetworkFormatError",
@@ -134,6 +135,92 @@ class Network:
         memory.
         """
         return tuple((np.maximum(l.W, 0.0), np.minimum(l.W, 0.0)) for l in self.layers)
+
+    @functools.cached_property
+    def error_bound(self) -> "ErrorBound":
+        """The rounding-error model of this network's bounds, computed at
+        first use and kept. It depends on the layers alone, so the views of
+        a network that the engine analyses share it (`internal_view`)."""
+        return ErrorBound(self.layers)
+
+
+# float64's unit roundoff, its smallest normal number and its least
+# subnormal one
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+_LEAST = _TINY * np.finfo(np.float64).eps
+
+
+class ErrorBound:
+    """One bound on the float error of every bound the analysis computes,
+    the rounding model of both modes (Higham, Accuracy and Stability of
+    Numerical Algorithms, §3.1; the sound floating-point linear forms of
+    DeepPoly, Singh et al., POPL 2019).
+
+    With P_k = |W_k|···|W_0| and Q_k = |W_k| Q_{k-1} + |b_k|, every
+    symbolic row and every naive interval end of layer k has magnitude at
+    most M_k = P_k @ amax + Q_k over a box whose inputs are at most amax in
+    magnitude: each ReLU keeps a row, zeroes it, or puts a constant of at
+    most its magnitude in its place, and each Jacobian mask lies in [0, 1].
+    The float error accumulated in a bound of layer k is at most
+    g_k M_k, with g_k = s_k u / (1 - 2 s_k u), u the unit roundoff and
+    s_k = Σ_{j<=k} (fan-in_j + 3). A layer's share pays for its products
+    and its bias (fan-in + 1 roundings: a product's zero terms are exact),
+    for one addition of the term, and for one spare rounding; the first
+    layer's share also pays for evaluating a row over the box (d + 1
+    roundings). The spares and the factor 1/(1 - 2 s_k u) cover the
+    second-order terms and the term's own float evaluation. P_k and Q_k
+    are kept with the smallest normal float added to every entry at every
+    layer: that covers the products that underflow, whose error the
+    relative bound does not.
+
+    The interval Jacobian's entries (`gradients.backward_gradient`) have
+    magnitude at most P_L, and float error at most `jacobian`.
+
+    `terms` gives a stack of boxes its terms through one product per box,
+    so each box keeps the bits it gets alone. A term that is not finite
+    makes the bounds it moves not finite, so their overflow check raises
+    IntervalOverflowError where, and only where, a bound reads it.
+    """
+
+    def __init__(self, layers):
+        sizes = [layer.out_size for layer in layers]
+        self._slices = [slice(e - n, e) for e, n in zip(np.cumsum(sizes).tolist(), sizes)]
+        s = np.cumsum([layer.in_size + 3 for layer in layers]) * _UNIT_ROUNDOFF
+        g = s / (1.0 - 2.0 * s)
+        blocks = []  # per layer, [P_k | Q_k] transposed, (d + 1, n_k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer in layers:
+                a = np.abs(layer.W.T)
+                pq = blocks[-1] @ a if blocks else np.vstack((a, np.zeros(layer.out_size)))
+                pq[-1] += np.abs(layer.b)
+                pq += _TINY
+                blocks.append(pq)
+            self._T = np.concatenate(blocks, axis=1)
+        # g_k per unit, and, for naive mode, whose interval ends carry the
+        # earlier layers' error forward, g_k - g_{k-1}
+        self._gamma = np.repeat(g, sizes)
+        self._step = np.repeat(np.diff(g, prepend=0.0), sizes)
+        # the error of the output layer's Jacobian entries: g_L P_L, and for
+        # the backward pass's products that underflow, the least subnormal
+        # for each of hidden layer k's n_k units, carried through
+        # |W_{k-1}|···|W_0|
+        under = sum(
+            layer.out_size * (blocks[k - 1][:-1].sum(axis=1) if k else 1.0)
+            for k, layer in enumerate(layers[:-1])
+        )
+        self.jacobian = g[-1] * blocks[-1][:-1].T + _LEAST * under
+
+    def terms(self, amax, naive: bool = False) -> list:
+        """Per layer, the (..., n_k) error terms of a box or stack whose
+        inputs are at most amax, (..., d), in magnitude: g_k M_k, or in
+        naive mode (g_k - g_{k-1}) M_k."""
+        T = self._T
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (amax[..., np.newaxis, :] @ T[:-1])[..., 0, :]
+            t += T[-1]
+            t *= self._step if naive else self._gamma
+        return [t[..., units] for units in self._slices]
 
 
 def eval_concrete(net: Network, x) -> np.ndarray:

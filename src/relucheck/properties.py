@@ -215,12 +215,15 @@ class SoundCheck:
     <= bound[k]. That is Kleene's definitely-true: in negation normal form
     an And or Or is definitely true where all or any of its arguments are,
     and a negated atom where the bounds refute the atom. Over the output
-    bounds, the upper bound is hi @ A+ + lo @ A-, rounded up exactly. Over
-    a symbolic result it is that of the upper literal row A+ @ up + A- @ low,
-    made through the products of `affine_rows`' upper half alone, which
-    keeps the input terms shared by y_i and y_j correlated. One check may
-    serve many runs (`compile_check`), so `A`, `t`, `bound` and (A+, A-),
-    the positive and the negative part of `A`, are read-only.
+    bounds, the upper bound is hi @ A+ + lo @ A-: a row of `A` has at most
+    two nonzero entries, each +-1, so its one rounding is the sum's, which
+    the output layer's error term covers. Over a symbolic result it is that
+    of the upper literal row A+ @ up + A- @ low, made through the products
+    of `affine_rows`' upper half alone, which keeps the input terms shared
+    by y_i and y_j correlated, and moved up by |A| @ the output rows' error
+    terms. One check may serve many runs (`compile_check`), so `A`, `t`,
+    `bound`, (A+, A-), the positive and the negative part of `A`, and |A|
+    are read-only.
 
     `or_free` tells whether the tree has no `Or`. Only then is the
     constraint violated wherever a single literal is, so that margins
@@ -271,7 +274,8 @@ class SoundCheck:
         self.A, self.t, self.bound = table[:, :m], table[:, m], table[:, m + 1]
         # (A+, A-): the positive and the negative part of `A`
         self._split = np.maximum(self.A, 0.0), np.minimum(self.A, 0.0)
-        for part in self._split:
+        self.abs = self._split[0] - self._split[1]
+        for part in (*self._split, self.abs):
             part.setflags(write=False)
 
     def evaluate(self, fr: ForwardResult):
@@ -282,12 +286,18 @@ class SoundCheck:
         literal's upper bound and an output's bound are not finite."""
         pos, neg = self._split
         if fr.rows is None:
-            upper = _sum_up(fr.hi @ pos.T, fr.lo @ neg.T)
+            with np.errstate(over="ignore"):
+                upper = fr.hi @ pos.T + fr.lo @ neg.T
         else:
             # the upper half of `affine_rows(fr.rows, pos, neg, 0.0)`,
             # through the same products
             low, up = fr.rows[..., 0, :, :].swapaxes(-1, -2), fr.rows[..., 1, :, :].swapaxes(-1, -2)
-            _, upper = expr_bounds((up @ pos.T + low @ neg.T).swapaxes(-1, -2), fr.operand)
+            rows = (up @ pos.T + low @ neg.T).swapaxes(-1, -2)
+            # |A| @ err, with |A| 0 or 1 entrywise, so that an output a
+            # literal does not read adds nothing, not even one whose term
+            # overflowed
+            err = np.where(self.abs, fr.err[..., np.newaxis, :], 0.0).sum(axis=-1)
+            _, upper = expr_bounds(rows, fr.operand, err)
             if not np.isfinite(upper).all():
                 # the pass left the outputs unbounded: bounding them now
                 # raises where one overflowed. Over finite outputs, a
@@ -306,12 +316,15 @@ class SoundCheck:
         r = self.tree(margins)
         return r, (margins == r[:, np.newaxis]).argmax(axis=-1)
 
-    def monotone_dims(self, J: np.ndarray, wide):
+    def monotone_dims(self, J: np.ndarray, wide, margin):
         """(B, d) bool: the dims in `wide` where every literal's margin has
         a sign-definite derivative over the box, by the interval product of
-        `A` with the (B, 2, m, d) interval Jacobian `J` of its stack."""
+        `A` with the (B, 2, m, d) interval Jacobian `J` of its stack: each
+        (k, d) entry of the product is beyond the (k, d) `margin`, which
+        bounds its float error (|A| @ `ErrorBound.jacobian`), on one side
+        of 0."""
         ends = affine_rows(J, *self._split, 0.0)
-        return ((ends[..., 0, :, :] > 0.0) | (ends[..., 1, :, :] < 0.0)).all(axis=-2) & wide
+        return ((ends[..., 0, :, :] > margin) | (ends[..., 1, :, :] < -margin)).all(axis=-2) & wide
 
 
 @functools.lru_cache(maxsize=256)
@@ -329,20 +342,6 @@ def compile_check(c, m: int) -> SoundCheck:
         return _compile_cached(c, m)
     except TypeError:  # unhashable, or a node that `SoundCheck` rejects
         return SoundCheck(c, m)
-
-
-def _sum_up(p, q):
-    """The least float >= p + q, entrywise (inf above the float range).
-    The rounded sum s is one ULP up where it rounded down, that is where
-    TwoSum's error term is positive. Where |p| >= |q|, s - p is exact
-    (as in Fast2Sum), so that is where s - p < q; likewise with p and q
-    swapped. Each of a literal's products, hi @ A+ and lo @ A-, has at
-    most one nonzero term of coefficient +-1, so it is exact."""
-    with np.errstate(over="ignore"):
-        s = p + q
-        down = (s - p < q) | (s - q < p)
-    s[down] = np.nextafter(s[down], np.inf)
-    return s
 
 
 def _tree(node):

@@ -11,7 +11,10 @@ passes over every unit of a layer read contiguous memory. Lower and upper
 rows always go through products of one shape, so rows that coincide keep
 coinciding. Affine layers map the rows through `intervals.affine_rows`;
 ReLU keeps a unit's rows, zeroes them, or concretizes the upper row,
-depending on the signs over the box.
+depending on the signs over the box. Rows and their evaluation are
+rounded to nearest; a concrete bound is moved outward by the network's
+rounding-error term for its layer (`network.ErrorBound`), which covers
+both.
 """
 
 from __future__ import annotations
@@ -45,76 +48,58 @@ class ReluState(enum.IntEnum):
 
 
 def box_operand(x: Box) -> np.ndarray:
-    """The (..., 2(d+1), 3) matrix that bounds rows over a box or stack.
+    """The (..., 2(d+1), 2) matrix that bounds rows over a box or stack.
 
-    Its rows are [lo, hi, amax] per input and [1, 1, 1], then
-    [hi, lo, -amax] per input and [1, 1, -1], amax = max(|lo|, |hi|). A
-    row r = [c, k] (coefficients, constant) is bounded through
-    [r+ | r-] @ operand: the columns give c+ lo + c- hi + k (its low end),
-    c+ hi + c- lo + k (its high end) and |c| @ amax + |k| (the magnitude
-    its rounding slack is scaled by).
+    Its rows are [lo, hi] per input and [1, 1], then [hi, lo] per input
+    and [1, 1]. A row r = [c, k] (coefficients, constant) is bounded
+    through [r+ | r-] @ operand: the columns give c+ lo + c- hi + k (its
+    low end) and c+ hi + c- lo + k (its high end).
     """
     lo, hi = x.lo, x.hi
-    amax = np.maximum(np.abs(lo), np.abs(hi))
     lead, d = lo.shape[:-1], lo.shape[-1]
-    op = np.empty(lead + (2, d + 1, 3))
+    op = np.empty(lead + (2, d + 1, 2))
     op[..., 0, :d, 0] = op[..., 1, :d, 1] = lo
     op[..., 0, :d, 1] = op[..., 1, :d, 0] = hi
-    op[..., 0, :d, 2] = amax
-    np.negative(amax, out=op[..., 1, :d, 2])
-    op[..., d, :] = _CONST_ENDS
-    return op.reshape(lead + (2 * d + 2, 3))
+    op[..., d, :] = 1.0
+    return op.reshape(lead + (2 * d + 2, 2))
 
 
-# what a row's constant adds to each column, through its positive part
-# (top) and its negative part (bottom)
-_CONST_ENDS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
-
-
-def _row_bounds(rows, operand):
+def _row_bounds(rows, operand, err):
     """Sound (lo, hi) of rows [c, k] (coefficients, constant), through the
     product of their sign split with the (broadcast) `box_operand`: a
-    sign-split evaluation widened by the slack.
-
-    The slack covers the accumulated error of the (d+1)-term evaluation
-    sum. Coefficient arithmetic is done in working precision; soundness of
-    the concretized bound is restored with the standard dot-product
-    roundoff bound, n * u * sum(|terms|) with u the unit roundoff.
-    """
+    sign-split evaluation moved outward by `err`, which broadcasts with
+    the result and bounds the float error of the rows and of their
+    evaluation (`ErrorBound`)."""
     n = rows.shape[-1]
     # coefficient-major, as the rows are (`affine_rows`)
     split = np.empty(rows.shape[:-2] + (2 * n, rows.shape[-2])).swapaxes(-1, -2)
     np.maximum(rows, 0.0, out=split[..., :n])
     np.minimum(rows, 0.0, out=split[..., n:])
     ends = split @ operand
-    slack = n * _UNIT_ROUNDOFF * ends[..., 2] + 2 * _TINY
-    return ends[..., 0] - slack, ends[..., 1] + slack
+    return ends[..., 0] - err, ends[..., 1] + err
 
 
-# float64's unit roundoff and its smallest normal number
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_TINY = np.finfo(np.float64).tiny
-
-
-def expr_bounds(rows, operand):
+def expr_bounds(rows, operand, err):
     """Sound (lo, hi) arrays of the rows [c, k] (coefficients, constant),
-    c @ x + k, over the box whose `box_operand` is given.
+    c @ x + k, over the box whose `box_operand` is given, each moved
+    outward by its entry of `err`, shaped as the rows' leading axes.
 
     Each row is evaluated in a product of its own, so its bounds are those
     it would get in a batch of one.
     """
-    lo, hi = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :])
+    lo, hi = _row_bounds(rows[..., np.newaxis, :], operand[..., np.newaxis, :, :], err[..., np.newaxis])
     return lo[..., 0], hi[..., 0]
 
 
-def bounds_of_rows(rows, operand):
+def bounds_of_rows(rows, operand, err):
     """Concrete (lo, hi) arrays, shaped (..., 2, n) like the rows, of every
-    row of a layer over the box whose `box_operand` is given.
+    row of a layer over the box whose `box_operand` is given, the lower
+    and the upper row of unit i moved outward by err[..., i].
 
     The lower and the upper rows are bounded in one matrix product each.
     Raises IntervalOverflowError when a bound is not finite.
     """
-    lo, hi = _row_bounds(rows, operand[..., np.newaxis, :, :])
+    lo, hi = _row_bounds(rows, operand[..., np.newaxis, :, :], err[..., np.newaxis, :])
     _check_overflow(lo)
     _check_overflow(hi)
     return lo, hi

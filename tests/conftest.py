@@ -97,3 +97,16 @@ def exact_outputs(net: Network, x) -> list:
         if k < net.num_hidden:
             v = [max(a, Fraction(0)) for a in v]
     return v
+
+
+def row_error(rows, box: Box, naive: bool = False) -> np.ndarray:
+    """The documented rounding-error term (`network.ErrorBound`) of rows
+    [c, k] over a box: that of the one-layer network whose weights and
+    biases are their coefficients and constants. For a (2, n, d+1) layer
+    of lower over upper rows, unit i takes the greater magnitude of its
+    two rows. In naive mode, the term of a matvec whose weights are c."""
+    c, k = np.abs(rows[..., :-1]), np.abs(rows[..., -1])
+    if rows.ndim == 3:
+        c, k = c.max(axis=0), k.max(axis=0)
+    amax = np.maximum(np.abs(box.lo), np.abs(box.hi))
+    return Network((Layer(c, k),)).error_bound.terms(amax, naive)[0]

@@ -14,7 +14,7 @@ from relucheck.data import shipped_path
 from relucheck.engine import Config, Status, SubStatus, enumerate_regions, verify
 from relucheck.gradients import backward_gradient
 from relucheck.intervals import Box, IntervalOverflowError
-from relucheck.network import Network, eval_concrete_batch
+from relucheck.network import Layer, Network, eval_concrete_batch
 from relucheck.propagate import naive_forward, symbolic_forward
 from relucheck.properties import DiffLE, InputSpec, Not, Or, OutLE, parse_property
 from relucheck.symbolic import bounds_of_rows
@@ -99,8 +99,8 @@ def test_stacked_boxes_get_their_own_bits(seed):
 
 def assert_lazy_bounds(fr):
     """A symbolic result's `lo` and `hi`, read once and kept, are the bits
-    `bounds_of_rows` gives its output rows."""
-    lo, hi = bounds_of_rows(fr.rows, fr.operand)
+    `bounds_of_rows` gives its output rows, moved by their error terms."""
+    lo, hi = bounds_of_rows(fr.rows, fr.operand, fr.err)
     assert_same_bits(fr.lo, lo[..., 0, :])
     assert_same_bits(fr.hi, hi[..., 1, :])
     assert fr.lo is fr.lo and fr.hi is fr.hi
@@ -410,13 +410,15 @@ def test_only_a_row_that_can_split_gets_a_plan(monkeypatch):
 
 
 def test_a_full_depth_tree_takes_three_waves(monkeypatch):
-    # y_0 - y_0 <= 0 holds at every point, but its literal row is 0 and its
-    # rounded-out bound is positive, so no box proves it and the tree goes
-    # to max_depth 4: 31 boxes. Level by level they would take 5 waves; a
-    # wave that evaluates each row with its planned children takes 3, of
-    # 1 (the root), 2 + 4 and 8 + 16 boxes.
-    net = Network(acas_net(np.random.default_rng(0)).layers)
-    spec = (InputSpec((Box([-0.3] * 5, [0.3] * 5),)), DiffLE(0, 0, 0.0))
+    # y_1 is a copy of y_0, so y_0 - y_1 <= 0 holds at every point, but the
+    # two outputs' error terms make its bound positive, so no box proves
+    # it and the tree goes to max_depth 4: 31 boxes. Level by level they
+    # would take 5 waves; a wave that evaluates each row with its planned
+    # children takes 3, of 1 (the root), 2 + 4 and 8 + 16 boxes.
+    *hidden, last = acas_net(np.random.default_rng(0)).layers
+    copy = Layer(np.vstack((last.W[:1], last.W)), np.concatenate((last.b[:1], last.b)))
+    net = Network((*hidden, copy))
+    spec = (InputSpec((Box([-0.3] * 5, [0.3] * 5),)), DiffLE(0, 1, 0.0))
     waves = _record_waves(monkeypatch)
     v = verify(net, spec, Config(max_depth=4))
     assert v.status is Status.UNKNOWN and v.stats.nodes_explored == 31

@@ -510,7 +510,7 @@ def test_verify_or_constraint_sound(demo_net, demo_box):
 
 def _without_reduction(monkeypatch):
     """Turn the monotonicity reduction off: no margin is monotone in any dim."""
-    monkeypatch.setattr(SoundCheck, "monotone_dims", lambda self, J, wide: np.zeros_like(wide))
+    monkeypatch.setattr(SoundCheck, "monotone_dims", lambda self, J, wide, margin: np.zeros_like(wide))
 
 
 def test_monotonicity_reduction_prunes(demo_net, le20, le15, monkeypatch):

@@ -15,7 +15,7 @@ from relucheck.intervals import (
     matvec_bounds,
 )
 
-from conftest import subset_of
+from conftest import row_error, subset_of
 from test_symbolic import split
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
@@ -28,21 +28,36 @@ def intervals(draw):
     return Interval(min(a, b), max(a, b))
 
 
+def matvec(W, b, ends):
+    """`matvec_bounds` of W @ [lo, hi] + b, with the documented error term
+    of its one layer, and that term."""
+    W, b, ends = (np.asarray(v, dtype=float) for v in (W, b, ends))
+    err = row_error(np.column_stack((W, b)), Box(*ends), naive=True)
+    return matvec_bounds(split(W), b, ends, err), err
+
+
 def add(a: Interval, b: Interval) -> Interval:
     """a + b as the 1x2 interval product [1, 1] @ (a, b)."""
-    lo, hi = matvec_bounds(split([[1.0, 1.0]]), [0.0], [[a.lo, b.lo], [a.hi, b.hi]])
+    (lo, hi), _ = matvec([[1.0, 1.0]], [0.0], [[a.lo, b.lo], [a.hi, b.hi]])
     return Interval(lo[0], hi[0])
 
 
 def scale(c: float, a: Interval) -> Interval:
     """c * a as the 1x1 interval product [[c]] @ a."""
-    lo, hi = matvec_bounds(split([[c]]), [0.0], [[a.lo], [a.hi]])
+    (lo, hi), _ = matvec([[c]], [0.0], [[a.lo], [a.hi]])
     return Interval(lo[0], hi[0])
 
 
-def one_ulp_out(lo, hi):
-    """The bounds of an exactly computed [lo, hi] after outward rounding."""
-    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+def moved_out(lo, hi, W, b, ends):
+    """The bounds of an exactly computed [lo, hi], the product W @ ends + b,
+    moved outward by its documented error term."""
+    _, err = matvec(W, b, ends)
+    return np.subtract(lo, err), np.add(hi, err)
+
+
+def moved_out_interval(lo, hi, W, b, ends) -> Interval:
+    """`moved_out` of a product with one row, as an Interval."""
+    return Interval(*(v.item() for v in moved_out(lo, hi, W, b, ends)))
 
 
 def test_interval_rejects_bad_bounds():
@@ -55,8 +70,9 @@ def test_interval_rejects_bad_bounds():
 
 
 def test_add_exact_cases():
-    assert add(Interval(1, 2), Interval(3, 4)) == Interval(*one_ulp_out(4.0, 6.0))
-    assert add(Interval(0, 0), Interval(-5, 7)) == Interval(*one_ulp_out(-5.0, 7.0))
+    ones = ([[1.0, 1.0]], [0.0])
+    assert add(Interval(1, 2), Interval(3, 4)) == moved_out_interval(4.0, 6.0, *ones, [[1, 3], [2, 4]])
+    assert add(Interval(0, 0), Interval(-5, 7)) == moved_out_interval(-5.0, 7.0, *ones, [[0, -5], [0, 7]])
 
 
 def test_add_outward_rounding_contains_extended_precision_sum():
@@ -65,46 +81,53 @@ def test_add_outward_rounding_contains_extended_precision_sum():
     r = add(a, b)
     exact = Fraction(0.1) + Fraction(0.2)
     assert Fraction(r.lo) <= exact <= Fraction(r.hi)
-    assert r.hi - r.lo <= 2 * math.ulp(0.3)
+    # the sum rounds once, well within the term on each side
+    (err,) = matvec([[1.0, 1.0]], [0.0], [[0.1, 0.2], [0.1, 0.2]])[1]
+    assert r.hi - r.lo <= 2 * err + 2 * math.ulp(0.3)
 
 
 def test_add_overflow():
     big = Interval(1e308, 1.5e308)
-    # called outside the engine's workers, numpy would also warn about it
-    with np.errstate(over="ignore"), pytest.raises(IntervalOverflowError):
+    # called outside the engine's workers, numpy would also warn about it,
+    # and about the infinite term moving the infinite sum
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntervalOverflowError):
         add(big, big)
 
 
 def test_scale_cases():
-    assert scale(2.0, Interval(1, 2)) == Interval(*one_ulp_out(2.0, 4.0))
-    assert scale(-1.0, Interval(1, 2)) == Interval(*one_ulp_out(-2.0, -1.0))
-    assert scale(0.0, Interval(-9, 9)) == Interval(*one_ulp_out(0.0, 0.0))
-    # outward rounding widens an exact zero by one subnormal each way
+    assert scale(2.0, Interval(1, 2)) == moved_out_interval(2.0, 4.0, [[2.0]], [0.0], [[1], [2]])
+    assert scale(-1.0, Interval(1, 2)) == moved_out_interval(-2.0, -1.0, [[-1.0]], [0.0], [[1], [2]])
+    assert scale(0.0, Interval(-9, 9)) == moved_out_interval(0.0, 0.0, [[0.0]], [0.0], [[-9], [9]])
+    # the term of an exact zero is its underflow allowance alone, which is
+    # subnormal
     r = scale(0.0, Interval(-9, 9))
-    assert r.lo <= 0.0 <= r.hi and r.hi - r.lo <= 2 * math.ulp(0.0)
+    assert r.lo == -r.hi and 0.0 < r.hi < np.finfo(np.float64).tiny
 
 
 def test_matvec_demo_hidden_layer():
-    lo, hi = matvec_bounds(split([[2, 3], [1, 1]]), [0, 0], [[4, 1], [6, 5]])
-    np.testing.assert_array_equal((lo, hi), one_ulp_out([11.0, 5.0], [27.0, 11.0]))
+    hidden = ([[2, 3], [1, 1]], [0, 0], [[4, 1], [6, 5]])
+    (lo, hi), _ = matvec(*hidden)
+    np.testing.assert_array_equal((lo, hi), moved_out([11.0, 5.0], [27.0, 11.0], *hidden))
     # the output layer over the exact hidden bounds [11, 27] x [5, 11]
-    lo2, hi2 = matvec_bounds(split([[1, -1]]), [0], [[11, 5], [27, 11]])
-    np.testing.assert_array_equal((lo2, hi2), one_ulp_out([0.0], [22.0]))
-    # and over the rounded ones, which it contains
-    lo3, hi3 = matvec_bounds(split([[1, -1]]), [0], [lo, hi])
-    assert lo3[0] < lo2[0] and hi2[0] < hi3[0] and hi3[0] - lo3[0] <= 22 + 8 * math.ulp(22.0)
+    out = ([[1, -1]], [0], [[11, 5], [27, 11]])
+    (lo2, hi2), _ = matvec(*out)
+    np.testing.assert_array_equal((lo2, hi2), moved_out([0.0], [22.0], *out))
+    # and over the moved ones, which it contains
+    (lo3, hi3), err = matvec([[1, -1]], [0], [lo, hi])
+    assert lo3[0] < lo2[0] and hi2[0] < hi3[0] and hi3[0] - lo3[0] <= 22 + 4 * err[0] + 8 * math.ulp(22.0)
 
 
 def test_matvec_identity():
-    lo, hi = matvec_bounds(split(np.eye(2)), [0, 0], [[-1, 0], [2, 3]])
-    np.testing.assert_array_equal((lo, hi), one_ulp_out([-1.0, 0.0], [2.0, 3.0]))
+    identity = (np.eye(2), [0, 0], [[-1, 0], [2, 3]])
+    (lo, hi), _ = matvec(*identity)
+    np.testing.assert_array_equal((lo, hi), moved_out([-1.0, 0.0], [2.0, 3.0], *identity))
 
 
 def test_matvec_shape_mismatch():
     with pytest.raises(ValueError, match="cols"):
-        matvec_bounds(split([[1, 2, 3]]), [0], [[0], [1]])
+        matvec_bounds(split([[1, 2, 3]]), [0], [[0], [1]], np.zeros(1))
     with pytest.raises(ValueError, match="bias"):
-        matvec_bounds(split([[1, 2]]), [0, 0], [[0, 0], [1, 1]])
+        matvec_bounds(split([[1, 2]]), [0, 0], [[0, 0], [1, 1]], np.zeros(1))
 
 
 def test_box_rejects_bad_bounds():

@@ -22,9 +22,13 @@ def test_naive_demo_example(demo_net, demo_box):
 
 
 def test_naive_point_box(demo_net):
-    (out,) = naive_forward(demo_net, Box([4.0, 1.0], [4.0, 1.0])).out_bounds
+    box = Box([4.0, 1.0], [4.0, 1.0])
+    (out,) = naive_forward(demo_net, box).out_bounds
     assert out.lo <= 6.0 <= out.hi
-    assert out.hi - out.lo <= 4 * np.spacing(11.0)
+    # each layer moves its ends by its share of the output's error term,
+    # and the shares add up to the term; each end also rounds once a layer
+    (err,) = demo_net.error_bound.terms(np.abs(box.hi))[-1]
+    assert 0.0 < err and out.hi - out.lo <= 2 * err + 4 * np.spacing(11.0)
 
 
 def test_naive_identity_net():
@@ -73,8 +77,8 @@ def test_out_bounds_match_out_sym(demo_net, demo_box):
 
     fr = symbolic_forward(demo_net, demo_box)
     low_rows, up_rows = fr.rows
-    low, _ = expr_bounds(low_rows, box_operand(demo_box))
-    _, up = expr_bounds(up_rows, box_operand(demo_box))
+    low, _ = expr_bounds(low_rows, box_operand(demo_box), fr.err)
+    _, up = expr_bounds(up_rows, box_operand(demo_box), fr.err)
     assert fr.out_bounds[0].lo == pytest.approx(low[0], abs=1e-12)
     assert fr.out_bounds[0].hi == pytest.approx(up[0], abs=1e-12)
 
@@ -90,8 +94,8 @@ def test_dim_mismatch(demo_net):
 def test_passes_normalize_the_box_first(seed):
     # over a raw box, or a stack of them, a network with an input
     # normalization gives the bits of its layers alone over the box mapped
-    # through net.normalize; its Jacobian is with respect to those
-    # normalized inputs
+    # through net.normalize and moved 2 ULPs outward; its Jacobian is with
+    # respect to those normalized inputs
     rng = np.random.default_rng(seed)
     layers = random_net(rng, max_width=20, max_layers=3).layers
     d = layers[0].in_size
@@ -99,7 +103,10 @@ def test_passes_normalize_the_box_first(seed):
     core = Network(layers)
     boxes = [random_box(rng, d, max_width=1e3, center_scale=1e3) for _ in range(3)]
     for raw in boxes + [Box.stack(np.array([b.ends for b in boxes]))]:
-        box = Box.stack(net.normalize(raw.ends))
+        ends = net.normalize(raw.ends)
+        for side, way in ((ends[..., 0, :], -np.inf), (ends[..., 1, :], np.inf)):
+            side[...] = np.nextafter(np.nextafter(side, way), way)
+        box = Box.stack(ends)
         for analyse in (naive_forward, symbolic_forward):
             got, want = analyse(net, raw), analyse(core, box)
             assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()

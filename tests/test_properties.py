@@ -210,8 +210,13 @@ def test_monotone_dims_ge_and_diffle():
     ]
     for c, want in cases:
         check = SoundCheck(c, 2)
-        assert check.monotone_dims(J, wide).tolist() == want
-        assert check.monotone_dims(J, np.array([True, True, False])).tolist() == want[:2] + [False]
+        margin = np.zeros((len(check.t), 3))
+        assert check.monotone_dims(J, wide, margin).tolist() == want
+        assert check.monotone_dims(J, np.array([True, True, False]), margin).tolist() == want[:2] + [False]
+    # a sign counts only beyond the margin: d(-y_0)/dx is [-2, -1],
+    # [-1, 1] and [-0.5, -0.5], so a margin of 0.5 keeps dim 0 alone
+    check = SoundCheck(OutGE(0, 0.0), 2)
+    assert check.monotone_dims(J, wide, np.full((1, 3), 0.5)).tolist() == [True, False, False]
 
 
 def test_a_compiled_check_is_read_only():
@@ -498,7 +503,7 @@ def test_negated_literal_is_strict():
     # symbolic: the lower bound of y_0 is the one its rows give, through
     # the upper bound of -y_0
     fr = symbolic_forward(make_net([np.eye(2)]), Box([c, 0.0], [2.0, 1.0]))
-    lo0 = -expr_bounds(0.0 - fr.rows[0, :1], fr.operand)[1][0]
+    lo0 = -expr_bounds(0.0 - fr.rows[0, :1], fr.operand, fr.err[:1])[1][0]
     assert lo0 < c
     assert check_sound(fr, Not(OutLE(0, lo0))) is TriState.MAY_VIOLATE
     assert check_sound(fr, Not(OutLE(0, np.nextafter(lo0, -np.inf)))) is TriState.HOLDS
@@ -506,29 +511,35 @@ def test_negated_literal_is_strict():
 
 def test_naive_difference_bound_is_rounded_up():
     # y = (1, -1e-17) lies in the box, and y_0 - y_1 = 1 + 1e-17 > 1
-    # exactly, though its float difference is 1
-    fr = ForwardResult(np.array([0.0, -1e-17]), np.array([1.0, 0.0]))
+    # exactly, though its float difference is 1: the naive pass moves the
+    # outputs' ends out by their error terms, which cover that rounding
+    fr = naive_forward(make_net([np.eye(2)]), Box([0.0, -1e-17], [1.0, 0.0]))
     assert check_sound(fr, DiffLE(0, 1, 1.0)) is TriState.MAY_VIOLATE
+    # over bounds given without their terms, the difference rounds to
+    # nearest
+    fr = ForwardResult(np.array([0.0, -1e-17]), np.array([1.0, 0.0]))
+    assert check_sound(fr, DiffLE(0, 1, 1.0)) is TriState.HOLDS
 
 
-def _least_float_at_least(x: Fraction) -> float:
+def _nearest_float(x: Fraction) -> float:
     try:
-        f = float(x)
+        return float(x)
     except OverflowError:
         return math.inf if x > 0 else -sys.float_info.max
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
-def test_naive_difference_bound_is_the_least_float_above_the_exact_one():
-    # over naive bounds, the upper bound of y_0 - y_1 is hi_0 - lo_1; a
-    # check of diffle 0 1 c holds exactly where that bound is <= c
+def test_naive_difference_bound_is_the_nearest_float_to_the_exact_one():
+    # over naive bounds, the upper bound of y_0 - y_1 is hi_0 - lo_1,
+    # rounded to nearest: the ends of a naive pass carry the error term
+    # that covers that rounding. A check of diffle 0 1 c holds exactly
+    # where that bound is <= c
     rng = np.random.default_rng(5)
     wide = rng.standard_normal((300, 2)) * 2.0 ** rng.integers(-60, 61, size=(300, 2))
     grid = rng.integers(-8, 9, size=(50, 2)) / 4.0
     rounded = 0
     for hi0, lo1 in wide.tolist() + grid.tolist() + [[1e308, -1e308], [-1e308, 1e308]]:
         exact = Fraction(hi0) - Fraction(lo1)
-        up = _least_float_at_least(exact)
+        up = _nearest_float(exact)
         fr = ForwardResult(np.array([hi0, lo1]), np.array([hi0, lo1]))
         if math.isinf(up):
             # an overflowing bound decides nothing, and raises no

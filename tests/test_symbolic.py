@@ -1,4 +1,4 @@
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from relucheck.symbolic import (
     relu_rows,
 )
 
-from conftest import random_box
+from conftest import random_box, row_error
 
 
 def box(lo, hi):
@@ -20,18 +20,20 @@ def box(lo, hi):
 
 
 def bounds(coeffs, const, b):
-    """Concrete range of the single row coeffs . x + const over box b."""
+    """Concrete range of the single row coeffs . x + const over box b, and
+    the row's documented error term."""
     rows = np.array([list(coeffs) + [const]], dtype=float)
-    lo, hi = expr_bounds(rows, box_operand(b))
-    return lo[0], hi[0]
+    err = row_error(rows, b)
+    lo, hi = expr_bounds(rows, box_operand(b), err)
+    return lo[0], hi[0], err[0]
 
 
-def rounded_out(got, want, scale):
-    """Whether the bounds `got` of a row lie strictly outside its exact range
-    `want`, by at most 8 ULPs of `scale`, the magnitude of its terms."""
-    (lo, hi), (want_lo, want_hi) = got, want
-    tol = 8 * math.ulp(scale)
-    return want_lo - tol <= lo < want_lo and want_hi < hi <= want_hi + tol
+def rounded_out(got, want):
+    """Whether the bounds `got` of a row whose evaluation over the box is
+    exact in floats are its exact range `want` moved outward by its error
+    term, which is positive."""
+    (lo, hi, err), (want_lo, want_hi) = got, want
+    return err > 0.0 and (lo, hi) == (want_lo - err, want_hi + err) and lo < want_lo and want_hi < hi
 
 
 def sym_rows(low_c, low_k, up_c, up_k):
@@ -52,20 +54,20 @@ def split(W):
 
 
 def relu(rows, b):
-    mask = relu_rows(rows, *bounds_of_rows(rows, box_operand(b)))
+    mask = relu_rows(rows, *bounds_of_rows(rows, box_operand(b), row_error(rows, b)))
     return rows, mask
 
 
 def test_expr_bounds_demo_hidden_neuron():
-    assert rounded_out(bounds([2.0, 3.0], 0.0, box([4, 1], [6, 5])), (11.0, 27.0), 27.0)
+    assert rounded_out(bounds([2.0, 3.0], 0.0, box([4, 1], [6, 5])), (11.0, 27.0))
 
 
 def test_expr_bounds_constant():
-    assert rounded_out(bounds([0.0, 0.0], 7.0, box([0, 0], [1, 1])), (7.0, 7.0), 7.0)
+    assert rounded_out(bounds([0.0, 0.0], 7.0, box([0, 0], [1, 1])), (7.0, 7.0))
 
 
 def test_expr_bounds_sign_split():
-    assert rounded_out(bounds([1.0], -5.0, box([4], [6])), (-1.0, 1.0), 11.0)
+    assert rounded_out(bounds([1.0], -5.0, box([4], [6])), (-1.0, 1.0))
 
 
 def test_expr_bounds_dimension_mismatch():
@@ -74,7 +76,7 @@ def test_expr_bounds_dimension_mismatch():
 
 
 def test_expr_bounds_outward_contains_true_range():
-    lo, hi = bounds([0.1, -0.2], 0.3, box([-1.7, 0.3], [2.9, 1.1]))
+    lo, hi, _ = bounds([0.1, -0.2], 0.3, box([-1.7, 0.3], [2.9, 1.1]))
     lo_true = 0.1 * -1.7 - 0.2 * 1.1 + 0.3
     hi_true = 0.1 * 2.9 - 0.2 * 0.3 + 0.3
     assert lo <= lo_true and hi >= hi_true
@@ -88,9 +90,10 @@ def test_expr_bounds_rows_match_one_at_a_time():
         b = random_box(rng, d)
         c = rng.normal(size=(9, d)) * 10.0 ** rng.uniform(-3, 3, size=(9, d))
         rows = np.column_stack((c, rng.normal(size=9)))
-        lo, hi = expr_bounds(rows, box_operand(b))
+        err = row_error(rows, b)
+        lo, hi = expr_bounds(rows, box_operand(b), err)
         for r in range(9):
-            lo_r, hi_r = expr_bounds(rows[r : r + 1], box_operand(b))
+            lo_r, hi_r = expr_bounds(rows[r : r + 1], box_operand(b), err[r : r + 1])
             assert lo[r] == lo_r[0] and hi[r] == hi_r[0]
 
 
@@ -139,14 +142,17 @@ def test_relu_sym_zero():
 
 def test_relu_sym_unstable_concretizes_upper():
     # x - 5 over [4,6]: upper's lower bound is -1 <= 0, so up becomes the
-    # constant 1 (its upper bound, rounded up) and low drops to 0
-    out, mask = relu(exact_rows([[1.0]], [-5.0]), box([4], [6]))
+    # constant 1 (its upper bound, moved up by its error term) and low
+    # drops to 0
+    rows = exact_rows([[1.0]], [-5.0])
+    (err,) = row_error(rows, box([4], [6]))
+    out, mask = relu(rows, box([4], [6]))
     assert mask.tolist() == [ReluState.UNSTABLE]
     np.testing.assert_array_equal(out[..., 0, :, :-1], [[0.0]])
     np.testing.assert_array_equal(out[..., 0, :, -1], [0.0])
     np.testing.assert_array_equal(out[..., 1, :, :-1], [[0.0]])
     (up_hi,) = out[..., 1, :, -1]
-    assert 1.0 < up_hi <= 1.0 + 8 * math.ulp(11.0)
+    assert up_hi == 1.0 + err and 1.0 < up_hi
 
 
 def test_relu_sym_unstable_keeps_symbolic_upper():
@@ -194,8 +200,9 @@ def test_relu_whole_layer_matches_unit_by_unit():
 
 def test_bounds_of_rows_overflow_raises():
     rows = exact_rows([[1e308, 1e308]], [0.0])
+    b = box([1, 1], [2, 2])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntervalOverflowError):
-        bounds_of_rows(rows, box_operand(box([1, 1], [2, 2])))
+        bounds_of_rows(rows, box_operand(b), row_error(rows, b))
 
 
 def test_sandwich_on_sampled_points():
@@ -215,7 +222,8 @@ def test_sandwich_on_sampled_points():
 def test_point_box_bounds_are_tight():
     c, k = np.array([0.3, -0.7]), 0.11
     p = np.array([1.234, -5.678])
-    lo, hi = bounds(c, k, Box(p, p))
-    v = float(c @ p + k)
-    assert lo <= v <= hi
-    assert hi - lo <= 8 * math.ulp(max(abs(v), 4.0))
+    lo, hi, err = bounds(c, k, Box(p, p))
+    # the error term bounds the evaluation's own error, so each bound lies
+    # within twice the term of the exact value
+    v = sum(Fraction(a) * Fraction(b) for a, b in zip(c, p)) + Fraction(k)
+    assert v - 2 * Fraction(err) <= Fraction(lo) <= v <= Fraction(hi) <= v + 2 * Fraction(err)
